@@ -422,6 +422,21 @@ let deadline_requests slo_ms requests =
   | None -> requests
   | Some ms -> Fleet.with_deadline (ms /. 1000.0) requests
 
+(* Meta value [k] of checkpoint [path], decoded by [conv]. A value that
+   does not decode names the file and the key, and exits 1. *)
+let meta_value path meta conv what k =
+  Option.map
+    (fun v ->
+      match conv v with
+      | Some x -> x
+      | None ->
+        Printf.eprintf "%s: meta %S: %S is not %s\n" path k v what;
+        exit 1)
+    (List.assoc_opt k meta)
+
+let meta_int path meta = meta_value path meta int_of_string_opt "an integer"
+let meta_float path meta = meta_value path meta float_of_string_opt "a number"
+
 (* Recover a mid-serve snapshot: rebuild the scenario from the
    checkpoint's meta, then replay-validate and run to completion. *)
 let resume_fleet path =
@@ -432,12 +447,11 @@ let resume_fleet path =
   | Ok snapshot ->
     let meta k = List.assoc_opt k snapshot.Fleet.fk_meta in
     let str k d = Option.value ~default:d (meta k) in
+    let opt_float = meta_float path snapshot.Fleet.fk_meta in
     let int_of k d =
-      match meta k with Some s -> int_of_string s | None -> d
+      Option.value ~default:d (meta_int path snapshot.Fleet.fk_meta k)
     in
-    let float_of k d =
-      match meta k with Some s -> float_of_string s | None -> d
-    in
+    let float_of k d = Option.value ~default:d (opt_float k) in
     let batch = int_of "batch" 16 and queue_cap = int_of "queue_cap" 64 in
     let seed = int_of "seed" 7 in
     let tenants = parse_tenants (str "apps" "KMeans:400,LR:300") batch
@@ -446,7 +460,7 @@ let resume_fleet path =
     let faults = Option.map (fun s -> make_injector ~seed s) (meta "faults") in
     let slo =
       slo_of
-        ~hang_factor:(Option.map float_of_string (meta "hang_factor"))
+        ~hang_factor:(opt_float "hang_factor")
         ~hedge:(meta "hedge" = Some "true")
         ~breaker:(meta "breaker" = Some "true")
         ~bk_failures:
@@ -465,8 +479,7 @@ let resume_fleet path =
     in
     let apps = Traffic.apps ~seed tenants in
     let requests =
-      deadline_requests
-        (Option.map float_of_string (meta "slo_ms"))
+      deadline_requests (opt_float "slo_ms")
         (Traffic.requests ~seed ~horizon:(float_of "horizon" 1.0) tenants)
     in
     let checkpoint =
@@ -498,9 +511,7 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"CHECKPOINT" ~doc)
   in
-  let run path =
-    if Fleet.is_fleet_checkpoint path then resume_fleet path
-    else
+  let resume_dse path =
     match Driver.load_checkpoint path with
     | Error m ->
       Printf.eprintf "%s\n" m;
@@ -510,10 +521,11 @@ let resume_cmd =
       let workload = meta "workload" in
       let file = meta "file" in
       let seed =
-        match meta "seed" with Some s -> int_of_string s | None -> 7
+        Option.value ~default:7 (meta_int path snapshot.Driver.ck_meta "seed")
       in
       let minutes =
-        match meta "minutes" with Some s -> float_of_string s | None -> 240.0
+        Option.value ~default:240.0
+          (meta_float path snapshot.Driver.ck_meta "minutes")
       in
       let shared_db = meta "shared_db" = Some "true" in
       let faults = Option.map (make_injector ~seed) (meta "faults") in
@@ -538,6 +550,32 @@ let resume_cmd =
         Printf.printf "# resumed %s flow from %s at %.1f virtual minutes\n"
           snapshot.Driver.ck_flow path snapshot.Driver.ck_minutes;
         print_dse_result result)
+  in
+  (* Route on the header line's [ck] field: "fleet" for a serve
+     snapshot, "header" for a DSE one. *)
+  let run path =
+    let module Json = Telemetry.Json in
+    let route () =
+      let lines = In_channel.with_open_text path In_channel.input_lines in
+      Json.located ~file:path @@ fun () ->
+      match
+        List.find_mapi
+          (fun i l -> if String.trim l = "" then None else Some (i + 1, l))
+          lines
+      with
+      | None -> Json.bad_line 1 "empty checkpoint file"
+      | Some (n, header) -> (
+        match Json.find (Json.parse_at n header) "ck" with
+        | Some (Json.Jstr "fleet") -> resume_fleet
+        | Some (Json.Jstr "header") -> resume_dse
+        | _ ->
+          Json.bad_line n "not a checkpoint header (ck=header or ck=fleet)")
+    in
+    match route () with
+    | Ok resume -> resume path
+    | Error m | (exception Sys_error m) ->
+      prerr_endline m;
+      exit 1
   in
   Cmd.v
     (Cmd.info "resume"

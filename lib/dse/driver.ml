@@ -3,12 +3,6 @@ module Tuner = S2fa_tuner.Tuner
 module Resultdb = S2fa_tuner.Resultdb
 module Rng = S2fa_util.Rng
 module Pheap = S2fa_util.Pheap
-
-(* (finish_time, core) heap keys; a monomorphic comparator keeps the
-   sift path off polymorphic [Stdlib.compare]. *)
-let core_cmp (t1, c1) (t2, c2) =
-  let c = Float.compare t1 t2 in
-  if c <> 0 then c else Int.compare c1 c2
 module Telemetry = S2fa_telemetry.Telemetry
 module Obs = S2fa_obs.Obs
 module Fault = S2fa_fault.Fault
@@ -32,24 +26,6 @@ type run_result = {
   rr_fault : Fault.stats option;
 }
 
-(* Shared-result-database plumbing, common to the three flows. [wrap]
-   memoizes an objective for use outside any tuner (offline sampling);
-   [stuck] detects a tuner whose whole space has been proposed — with a
-   database every further step would be a free duplicate, so the driver
-   must stop it rather than spin on 0-minute hits; [finish] reports the
-   cache-counter delta of this run. *)
-let db_wrap db objective =
-  match db with
-  | None -> objective
-  | Some db -> Resultdb.memoize db objective
-
-let db_stuck db tuner = db <> None && Tuner.exhausted tuner
-
-let db_finish db before =
-  match (db, before) with
-  | Some db, Some s0 -> Some (Resultdb.diff (Resultdb.snapshot db) s0)
-  | _ -> None
-
 (* ---------- telemetry plumbing (read-only observation) ---------- *)
 
 let constr_string = function
@@ -62,11 +38,14 @@ let constrs_string = function
   | [] -> "(whole space)"
   | cs -> String.concat " & " (List.map constr_string cs)
 
-(* Offline rule-fitting probes carry [partition = -1] so replay can tell
+(* Offline rule-fitting probes run outside any tuner, so the database
+   memoizes them here. They carry [partition = -1] so replay can tell
    them apart from search evaluations (they consume no DSE wall-clock,
    exactly as the paper's ahead-of-time training data). *)
 let traced_objective trace db objective =
-  let wrapped = db_wrap db objective in
+  let wrapped =
+    match db with None -> objective | Some db -> Resultdb.memoize db objective
+  in
   match trace with
   | None -> wrapped
   | Some tr ->
@@ -74,17 +53,14 @@ let traced_objective trace db objective =
       (* Whether this eval was a cache hit falls out of the hit-counter
          delta across the memoized call — no second key canonicalization
          just to ask the question. *)
-      let hits_before =
+      let hits () =
         match db with
         | Some db -> (Resultdb.snapshot db).Resultdb.sn_hits
         | None -> 0
       in
+      let hits_before = hits () in
       let r = wrapped cfg in
-      let hit =
-        match db with
-        | Some db -> (Resultdb.snapshot db).Resultdb.sn_hits > hits_before
-        | None -> false
-      in
+      let hit = hits () > hits_before in
       Telemetry.emit tr
         (Telemetry.Eval_done
            { cfg_key = Space.key cfg;
@@ -97,26 +73,16 @@ let traced_objective trace db objective =
              improved = false });
       r
 
-let trace_run_begin trace ~flow ~cores ~time_limit =
-  match trace with
-  | None -> ()
-  | Some tr -> Telemetry.emit tr (Telemetry.Run_begin { flow; cores; time_limit })
-
-let trace_eval_done trace ~clock ~partition (o : Tuner.outcome) =
+(* Emit [kind] stamped [clock], when the run is traced. *)
+let emit trace ~clock kind =
   match trace with
   | None -> ()
   | Some tr ->
     Telemetry.set_clock tr clock;
-    Telemetry.emit tr
-      (Telemetry.Eval_done
-         { cfg_key = Space.key o.Tuner.o_cfg;
-           quality = o.Tuner.o_perf;
-           feasible = o.Tuner.o_feasible;
-           eval_minutes = o.Tuner.o_minutes;
-           cache_hit = o.Tuner.o_cache_hit;
-           partition;
-           technique = o.Tuner.o_technique;
-           improved = o.Tuner.o_improved })
+    Telemetry.emit tr kind
+
+let set_partition trace p =
+  Option.iter (fun tr -> Telemetry.set_partition tr p) trace
 
 (* Shared epilogue: [run_end], flush every sink, snapshot the metrics
    registry into the run result. *)
@@ -176,32 +142,6 @@ let fault_objective faults trace objective =
                     lost_minutes = g.lost_minutes })
       in
       Fault.harden inj ~on_event objective cfg
-
-(* Mark [n] simulated cores dead: the core that ran the faulted
-   evaluation first, then (for simultaneous losses) the highest-indexed
-   survivors — a deterministic choice. *)
-let kill_cores ?trace ?on_kill alive ~clock ~first ~partition n =
-  let killed = ref 0 in
-  let kill c part =
-    if c >= 0 && c < Array.length alive && alive.(c) then begin
-      alive.(c) <- false;
-      (* The flows' free-core heaps key off [alive]; give them a hook
-         to withdraw the dead core's entry at the mutation site. *)
-      (match on_kill with Some f -> f c | None -> ());
-      incr killed;
-      match trace with
-      | None -> ()
-      | Some tr ->
-        Telemetry.set_clock tr clock;
-        Telemetry.emit tr (Telemetry.Core_lost { core = c; partition = part })
-    end
-  in
-  if n > 0 then kill first partition;
-  let c = ref (Array.length alive - 1) in
-  while !killed < n && !c >= 0 do
-    if alive.(!c) then kill !c (-1);
-    decr c
-  done
 
 (* ---------- checkpointing ---------- *)
 
@@ -268,74 +208,72 @@ let ck_lines ck =
   let body = (header :: meta) @ dbl @ tl in
   body @ [ Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" (List.length body) ]
 
-let ck_of_lines lines =
-  let lines =
-    List.filter (fun l -> l <> "") (List.map String.trim lines)
+(* Decode the lines of a snapshot read from [file]. Malformed JSON, a bad
+   or missing field and a truncated write are each reported with the
+   file and the 1-based line they were found on. *)
+let decode_ck ~file lines =
+  Json.located ~file @@ fun () ->
+  let get = Json.get_at and bad = Json.bad_line in
+  let parsed =
+    List.mapi (fun i l -> (i + 1, l)) lines
+    |> List.filter_map (fun (n, l) ->
+           let l = String.trim l in
+           if l = "" then None else Some (n, Json.parse_at n l))
   in
-  try
-    let parsed = List.map Json.parse_obj lines in
-    let rec split acc = function
-      | [] -> Error "checkpoint missing its end marker (truncated write?)"
-      | [ last ] ->
-        if Json.get_str last "ck" = "end" then
-          Ok (List.rev acc, Json.get_int last "lines")
-        else Error "checkpoint missing its end marker (truncated write?)"
-      | x :: rest -> split (x :: acc) rest
-    in
-    match split [] parsed with
-    | Error _ as e -> e
-    | Ok (body, n) ->
-      if List.length body <> n then
-        Error "checkpoint truncated: line count does not match its end marker"
-      else (
-        match body with
-        | [] -> Error "checkpoint has no header line"
-        | header :: rest ->
-          if Json.get_str header "ck" <> "header" then
-            Error "first checkpoint line is not the header"
-          else begin
-            let best =
-              match Json.find header "best" with
-              | Some (Json.Jstr k) -> Some (k, Json.get_float header "bestq")
-              | _ -> None
-            in
-            let meta = ref [] and dbl = ref [] and tl = ref [] in
-            List.iter
-              (fun fields ->
-                match Json.get_str fields "ck" with
-                | "meta" ->
-                  meta :=
-                    (Json.get_str fields "k", Json.get_str fields "v") :: !meta
-                | "db" ->
-                  dbl :=
-                    ( Json.get_str fields "cfg",
-                      { Resultdb.e_perf = Json.get_float fields "q";
-                        e_feasible = Json.get_bool fields "feas";
-                        e_minutes = Json.get_float fields "emin" } )
-                    :: !dbl
-                | "tuner" ->
-                  tl :=
-                    { ct_partition = Json.get_int fields "part";
-                      ct_evaluated = Json.get_int fields "evals";
-                      ct_best = Json.get_float fields "best";
-                      ct_entropy = Json.get_float fields "entropy" }
-                    :: !tl
-                | k -> failwith (Printf.sprintf "unknown checkpoint line %S" k))
-              rest;
-            Ok
-              { ck_flow = Json.get_str header "flow";
-                ck_every = Json.get_float header "every";
-                ck_minutes = Json.get_float header "min";
-                ck_evals = Json.get_int header "evals";
-                ck_best = best;
-                ck_core_time = Array.of_list (Json.get_arr header "cores");
-                ck_db = List.rev !dbl;
-                ck_tuners = List.rev !tl;
-                ck_meta = List.rev !meta }
-          end)
-  with
-  | Json.Bad -> Error "malformed checkpoint JSON"
-  | Failure m -> Error m
+  let (n, header), rest =
+    match List.rev parsed with
+    | (n, last) :: rev_body when Json.find last "ck" = Some (Json.Jstr "end")
+      -> (
+      if List.length rev_body <> get n Json.get_int last "lines" then
+        bad n "checkpoint truncated: line count does not match its end marker";
+      match List.rev rev_body with
+      | [] -> bad n "checkpoint has no header line"
+      | header :: rest -> (header, rest))
+    | _ ->
+      bad (max 1 (List.length lines))
+        "checkpoint missing its end marker (truncated write?)"
+  in
+  if get n Json.get_str header "ck" <> "header" then
+    bad n "first checkpoint line is not the header";
+  let meta = ref [] and dbl = ref [] and tl = ref [] in
+  List.iter
+    (fun (n, fields) ->
+      let str = get n Json.get_str fields
+      and num = get n Json.get_float fields
+      and cnt = get n Json.get_int fields in
+      match str "ck" with
+      | "meta" -> meta := (str "k", str "v") :: !meta
+      | "db" ->
+        dbl :=
+          ( str "cfg",
+            { Resultdb.e_perf = num "q";
+              e_feasible = get n Json.get_bool fields "feas";
+              e_minutes = num "emin" } )
+          :: !dbl
+      | "tuner" ->
+        tl :=
+          { ct_partition = cnt "part";
+            ct_evaluated = cnt "evals";
+            ct_best = num "best";
+            ct_entropy = num "entropy" }
+          :: !tl
+      | k -> bad n "unknown checkpoint line %S" k)
+    rest;
+  let str = get n Json.get_str header and num = get n Json.get_float header in
+  { ck_flow = str "flow";
+    ck_every = num "every";
+    ck_minutes = num "min";
+    ck_evals = get n Json.get_int header "evals";
+    ck_best =
+      (match Json.find header "best" with
+      | Some (Json.Jstr k) -> Some (k, num "bestq")
+      | _ -> None);
+    ck_core_time = Array.of_list (get n Json.get_arr header "cores");
+    ck_db = List.rev !dbl;
+    ck_tuners = List.rev !tl;
+    ck_meta = List.rev !meta }
+
+let ck_of_lines lines = decode_ck ~file:"checkpoint" lines
 
 let write_checkpoint path ck =
   let tmp = path ^ ".tmp" in
@@ -349,17 +287,9 @@ let write_checkpoint path ck =
   Sys.rename tmp path
 
 let load_checkpoint path =
-  match open_in path with
+  match In_channel.with_open_text path In_channel.input_lines with
   | exception Sys_error m -> Error m
-  | ic ->
-    let rec read acc =
-      match input_line ic with
-      | line -> read (line :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let lines = read [] in
-    close_in ic;
-    ck_of_lines lines
+  | lines -> decode_ck ~file:path lines
 
 type ck_opts = {
   ck_path : string option;
@@ -370,59 +300,6 @@ type ck_opts = {
 
 let checkpoint_to ?(meta = []) ~every path =
   { ck_path = Some path; ck_every = every; ck_meta = meta; ck_hook = None }
-
-(* One stepper per run: fed the executing core's clock after every
-   evaluation, it snapshots whenever a [ck_every] boundary is crossed.
-   The boundary test only looks at the event stream, which prefix-
-   deterministic runs share, so a resumed run regenerates every
-   snapshot of the original bit for bit. *)
-let ck_machine checkpoint trace ~flow ~core_time ~evals ~global_best ~db
-    ~tuners =
-  match checkpoint with
-  | None -> fun _now -> ()
-  | Some c ->
-    let next = ref c.ck_every in
-    fun now ->
-      if now >= !next then begin
-        while now >= !next do
-          next := !next +. c.ck_every
-        done;
-        let ck =
-          { ck_flow = flow;
-            ck_every = c.ck_every;
-            ck_minutes = now;
-            ck_evals = !evals;
-            ck_best =
-              Option.map (fun (cfg, q) -> (Space.key cfg, q)) !global_best;
-            ck_core_time = core_time ();
-            ck_db =
-              (match db with Some d -> Resultdb.to_list d | None -> []);
-            ck_tuners =
-              List.map
-                (fun (idx, t) ->
-                  { ct_partition = idx;
-                    ct_evaluated = Tuner.evaluated t;
-                    ct_best =
-                      (match Tuner.best t with
-                      | Some (_, q) -> q
-                      | None -> infinity);
-                    ct_entropy = Tuner.entropy t })
-                !tuners
-              |> List.sort (fun a b -> compare a.ct_partition b.ct_partition);
-            ck_meta = c.ck_meta }
-        in
-        Option.iter (fun p -> write_checkpoint p ck) c.ck_path;
-        Option.iter (fun h -> h ck) c.ck_hook;
-        match trace with
-        | None -> ()
-        | Some tr ->
-          Telemetry.set_clock tr now;
-          Telemetry.emit tr
-            (Telemetry.Checkpoint_written
-               { path = Option.value ~default:"" c.ck_path;
-                 minutes = now;
-                 evals = !evals })
-      end
 
 let best_curve rr =
   let sorted =
@@ -449,10 +326,6 @@ let best_at rr minute =
 type s2fa_opts = {
   so_cores : int;
   so_time_limit : float;
-  so_theta : float;
-  so_consecutive : int;
-  so_min_evals : int;
-  so_depth : int;
   so_samples : int;
   so_partition : bool;
   so_seed_mode : [ `Both | `Area_only | `None ];
@@ -462,14 +335,20 @@ type s2fa_opts = {
 let default_s2fa_opts =
   { so_cores = 8;
     so_time_limit = 240.0;
-    so_theta = 0.02;
-    so_consecutive = 5;
-    so_min_evals = 14;
-    so_depth = 3;
     so_samples = 96;
     so_partition = true;
     so_seed_mode = `Both;
     so_stop = `Entropy }
+
+(* The paper's fixed DSE constants. *)
+let entropy_theta = 0.02     (* Eq. 2: entropy change threshold θ *)
+let entropy_consecutive = 5  (* Eq. 2: consecutive samples within θ *)
+let entropy_min_evals = 14   (* Eq. 2: evaluations before it may fire *)
+let tree_depth = 3           (* Section 4.3.1: partition-tree depth *)
+
+(* Section 4.3.1: the set-up samples DATuner's dynamic partitioning
+   spends on every partition before reallocating cores. *)
+let setup_evals = 4
 
 (* Offline "training data": quick estimator probes used to fit the
    partitioning rules. The paper builds these rules from training
@@ -504,43 +383,297 @@ let rule_sets dspace =
   in
   [ pipe_params; task_params; inner_params; [] ]
 
-let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
-    objective rng =
-  Obs.span "dse.s2fa" @@ fun () ->
-  let db_before = Option.map Resultdb.snapshot db in
-  trace_run_begin trace ~flow:"s2fa" ~cores:opts.so_cores
-    ~time_limit:opts.so_time_limit;
-  (* Offline rule-fitting probes model ahead-of-time training runs, so
-     they are exempt from fault injection: only the search-phase
-     objective is hardened. *)
-  let search_objective = fault_objective faults trace objective in
+(* ---------- the run core ---------- *)
+
+(* Everything the flows share lives here, once: the prologue and
+   epilogue, the free-core pool and the per-evaluation record. The flows
+   differ only in how work reaches the cores, so none of this code asks
+   which flow is running — a flow that needs different handling keeps it
+   in its own scheduler below. *)
+
+(* Per-core virtual clocks and alive flags, plus one heap entry per
+   surviving core keyed (clock, index): the minimum is the core that
+   frees up first, the lowest index on ties. A monomorphic comparator
+   keeps the sift path off polymorphic [Stdlib.compare]. *)
+let core_cmp (t1, c1) (t2, c2) =
+  let c = Float.compare t1 t2 in
+  if c <> 0 then c else Int.compare c1 c2
+
+type pool = {
+  clock : float array;
+  alive : bool array;
+  free : (float * int, int) Pheap.t;
+  slot : (float * int, int) Pheap.handle option array;
+}
+
+let pool_create n =
+  let free = Pheap.create ~cmp:core_cmp () in
+  { clock = Array.make n 0.0;
+    alive = Array.make n true;
+    free;
+    slot = Array.init n (fun i -> Some (Pheap.insert free (0.0, i) i)) }
+
+(* Re-key core [i] after its clock moved, or withdraw it once dead. *)
+let sync pool i =
+  match pool.slot.(i) with
+  | None -> ()
+  | Some h when pool.alive.(i) ->
+    Pheap.update pool.free h (pool.clock.(i), i)
+  | Some h ->
+    Pheap.remove pool.free h;
+    pool.slot.(i) <- None
+
+(* The surviving core that frees up first; -1 once every core is gone. *)
+let next_free pool =
+  match Pheap.peek pool.free with Some ((_, i), _) -> i | None -> -1
+
+let survivors pool = Pheap.length pool.free
+
+type run = {
+  flow : string;
+  trace : Telemetry.t option;
+  faults : Fault.t option;
+  db : Resultdb.t option;
+  search : Space.cfg -> Tuner.eval_result;
+      (* The search-phase objective, behind the fault injector. *)
+  pool : pool;
+  clocks : unit -> float array;
+      (* The core clocks a snapshot records and the finish time is read
+         from. *)
+  checkpoint : ck_opts option;
+  mutable ck_next : float;
+  mutable events : event list;
+  mutable evals : int;
+  mutable best : (Space.cfg * float) option;
+  mutable tuners : (int * Tuner.t) list;  (* By partition, for snapshots. *)
+}
+
+(* A tuner searching the run's objective over [space], registered as
+   partition [idx]. *)
+let new_tuner run idx ~seeds space rng =
+  let t =
+    Tuner.create ~seeds ?db:run.db ?trace:run.trace space run.search rng
+  in
+  run.tuners <- (idx, t) :: run.tuners;
+  t
+
+(* With a database, a tuner that has proposed its whole (sub)space would
+   only take free duplicate steps: the schedulers stop it rather than
+   spin on 0-minute hits. *)
+let stuck run tuner = Option.is_some run.db && Tuner.exhausted tuner
+
+(* Offline rule fitting (when [sample]) and the static partition tree
+   (when [split]; otherwise the whole space is one partition). The
+   probes charged the ambient profiler clock; the search phase starts at
+   virtual zero. *)
+let fit_partitions run opts dspace objective rng ~sample ~split =
   let samples =
-    if opts.so_partition || opts.so_seed_mode = `Both then
+    if sample then
       Obs.span "dse.offline" (fun () ->
-          offline_samples dspace (traced_objective trace db objective)
+          offline_samples dspace (traced_objective run.trace run.db objective)
             (Rng.split rng) opts.so_samples)
     else []
   in
-  (* The offline probes charged the ambient profiler clock; the search
-     phase starts at virtual zero. *)
   Obs.set_clock 0.0;
   let partitions =
-    if opts.so_partition then
-      Partition.build ~depth:opts.so_depth ~rule_params:(rule_sets dspace)
+    if split then
+      Partition.build ~depth:tree_depth ~rule_params:(rule_sets dspace)
         dspace.Dspace.ds_space samples
     else [ { Partition.p_constrs = []; p_space = dspace.Dspace.ds_space } ]
   in
-  let stop_rule =
+  (samples, partitions)
+
+(* Fed the clock after every evaluation (every batch, in vanilla), the
+   stepper snapshots whenever a [ck_every] boundary is crossed. The
+   boundary test only looks at the event stream, which prefix-
+   deterministic runs share, so a resumed run regenerates every
+   snapshot of the original bit for bit. *)
+let ck_step run now =
+  match run.checkpoint with
+  | Some c when now >= run.ck_next ->
+    while now >= run.ck_next do
+      run.ck_next <- run.ck_next +. c.ck_every
+    done;
+    let ck =
+      { ck_flow = run.flow;
+        ck_every = c.ck_every;
+        ck_minutes = now;
+        ck_evals = run.evals;
+        ck_best = Option.map (fun (cfg, q) -> (Space.key cfg, q)) run.best;
+        ck_core_time = run.clocks ();
+        ck_db = (match run.db with Some d -> Resultdb.to_list d | None -> []);
+        ck_tuners =
+          List.map
+            (fun (idx, t) ->
+              { ct_partition = idx;
+                ct_evaluated = Tuner.evaluated t;
+                ct_best =
+                  (match Tuner.best t with Some (_, q) -> q | None -> infinity);
+                ct_entropy = Tuner.entropy t })
+            run.tuners
+          |> List.sort (fun a b -> compare a.ct_partition b.ct_partition);
+        ck_meta = c.ck_meta }
+    in
+    Option.iter (fun p -> write_checkpoint p ck) c.ck_path;
+    Option.iter (fun h -> h ck) c.ck_hook;
+    emit run.trace ~clock:now
+      (Telemetry.Checkpoint_written
+         { path = Option.value ~default:"" c.ck_path;
+           minutes = now;
+           evals = run.evals })
+  | _ -> ()
+
+(* Mark [n] cores dead: [first] (the core that ran the faulted
+   evaluation; -1 when no single core did), then the highest-indexed
+   survivors — a deterministic choice. *)
+let kill run ~clock ~first ~partition n =
+  let pool = run.pool in
+  let killed = ref 0 in
+  let kill_one c part =
+    if c >= 0 && pool.alive.(c) then begin
+      pool.alive.(c) <- false;
+      sync pool c;
+      incr killed;
+      emit run.trace ~clock (Telemetry.Core_lost { core = c; partition = part })
+    end
+  in
+  if n > 0 then kill_one first partition;
+  let c = ref (Array.length pool.alive - 1) in
+  while !killed < n && !c >= 0 do
+    if pool.alive.(!c) then kill_one !c (-1);
+    decr c
+  done
+
+(* The per-evaluation record: count the evaluation, log its event at
+   [clock], trace it and fold it into the global best. *)
+let record run ~clock ~partition (o : Tuner.outcome) =
+  run.evals <- run.evals + 1;
+  run.events <-
+    { ev_minutes = clock;
+      ev_perf = o.Tuner.o_perf;
+      ev_feasible = o.Tuner.o_feasible;
+      ev_partition = partition;
+      ev_technique = o.Tuner.o_technique }
+    :: run.events;
+  if Option.is_some run.trace then
+    emit run.trace ~clock
+      (Telemetry.Eval_done
+         { cfg_key = Space.key o.Tuner.o_cfg;
+           quality = o.Tuner.o_perf;
+           feasible = o.Tuner.o_feasible;
+           eval_minutes = o.Tuner.o_minutes;
+           cache_hit = o.Tuner.o_cache_hit;
+           partition;
+           technique = o.Tuner.o_technique;
+           improved = o.Tuner.o_improved });
+  if o.Tuner.o_feasible then
+    match run.best with
+    | Some (_, b) when b <= o.Tuner.o_perf -> ()
+    | _ -> run.best <- Some (o.Tuner.o_cfg, o.Tuner.o_perf)
+
+(* After work completes at [now]: snapshot if a boundary was crossed,
+   then apply the core losses the injector drew meanwhile. *)
+let settle run now ~first ~partition =
+  ck_step run now;
+  match run.faults with
+  | None -> ()
+  | Some inj ->
+    let losses = Fault.take_core_losses inj in
+    if losses > 0 then kill run ~clock:now ~first ~partition losses
+
+(* One evaluation by [tuner] on [core], which advances that core's clock
+   by the modeled minutes. An injected core loss takes [core] first:
+   [run.pool.alive.(core)] tells whether it survived. *)
+let step_on run core ~partition tuner =
+  let pool = run.pool in
+  (match run.trace with
+  | None -> ()
+  | Some tr ->
+    Telemetry.set_partition tr partition;
+    Telemetry.set_clock tr pool.clock.(core));
+  Obs.set_clock pool.clock.(core);
+  let o =
+    Obs.span "dse.eval" (fun () ->
+        let o = Tuner.step tuner in
+        pool.clock.(core) <- pool.clock.(core) +. o.Tuner.o_minutes;
+        Obs.set_clock pool.clock.(core);
+        o)
+  in
+  record run ~clock:pool.clock.(core) ~partition o;
+  settle run pool.clock.(core) ~first:core ~partition;
+  sync pool core;
+  o
+
+(* Prologue, [schedule], epilogue. Offline rule-fitting probes model
+   ahead-of-time training runs, so they are exempt from fault injection:
+   only the search-phase objective is hardened. *)
+let with_run ~flow ~cores ~limit ?clocks ?db ?trace ?faults ?checkpoint
+    objective schedule =
+  Obs.span ("dse." ^ flow) @@ fun () ->
+  let db_before = Option.map Resultdb.snapshot db in
+  Option.iter
+    (fun tr ->
+      Telemetry.emit tr
+        (Telemetry.Run_begin { flow; cores; time_limit = limit }))
+    trace;
+  let pool = pool_create cores in
+  let run =
+    { flow;
+      trace;
+      faults;
+      db;
+      search = fault_objective faults trace objective;
+      pool;
+      clocks = Option.value clocks ~default:(fun () -> Array.copy pool.clock);
+      checkpoint;
+      ck_next =
+        (match checkpoint with Some c -> c.ck_every | None -> infinity);
+      events = [];
+      evals = 0;
+      best = None;
+      tuners = [] }
+  in
+  schedule run;
+  let rr_minutes =
+    Float.min (Array.fold_left Float.max 0.0 (run.clocks ())) limit
+  in
+  Obs.set_clock rr_minutes;
+  { rr_events = List.rev run.events;
+    rr_best = run.best;
+    rr_minutes;
+    rr_evals = run.evals;
+    rr_cache =
+      (match (db, db_before) with
+      | Some db, Some s0 -> Some (Resultdb.diff (Resultdb.snapshot db) s0)
+      | _ -> None);
+    rr_metrics =
+      trace_finish trace ~minutes:rr_minutes ~evals:run.evals ~best:run.best;
+    rr_fault = Option.map Fault.stats faults }
+
+(* ---------- the schedulers ---------- *)
+
+let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
+    objective rng =
+  with_run ~flow:"s2fa" ~cores:opts.so_cores ~limit:opts.so_time_limit ?db
+    ?trace ?faults ?checkpoint objective
+  @@ fun run ->
+  let samples, partitions =
+    fit_partitions run opts dspace objective rng
+      ~sample:(opts.so_partition || opts.so_seed_mode = `Both)
+      ~split:opts.so_partition
+  in
+  let stop_rule, stop_reason =
     match opts.so_stop with
     | `Entropy ->
-      Tuner.Entropy_stop
-        { theta = opts.so_theta;
-          consecutive = opts.so_consecutive;
-          min_evals = opts.so_min_evals }
-    | `Trivial k -> Tuner.Trivial_stop k
-    | `Time_only -> Tuner.No_stop
+      ( Tuner.Entropy_stop
+          { theta = entropy_theta;
+            consecutive = entropy_consecutive;
+            min_evals = entropy_min_evals },
+        Telemetry.Stop_entropy )
+    | `Trivial k -> (Tuner.Trivial_stop k, Telemetry.Stop_trivial)
+    | `Time_only -> (Tuner.No_stop, Telemetry.Stop_time)
   in
-  let make_tuner part =
+  let make_tuner idx part =
     (* The partition's best point among the offline training samples is
        its third seed: the rule-fitting data doubles as a warm start for
        the region (same spirit as Section 4.3.2's per-partition seeds). *)
@@ -570,314 +703,124 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
       | `Area_only -> [ Partition.project part (Seed.area_seed dspace) ]
       | `None -> []
     in
-    Tuner.create ~seeds ?db ?trace part.Partition.p_space search_objective
-      (Rng.split rng)
+    new_tuner run idx ~seeds part.Partition.p_space (Rng.split rng)
   in
-  let queue = Queue.create () in
-  List.iteri (fun i p -> Queue.add (i, p, None) queue) partitions;
-  let core_time = Array.make opts.so_cores 0.0 in
-  let alive = Array.make opts.so_cores true in
-  (* Pending-completion selection: one heap entry per surviving core,
-     keyed (finish_time, index) — pop order matches the old linear
-     argmin scan (strict <, so the lowest index wins ties). *)
-  let core_heap = Pheap.create ~cmp:core_cmp () in
-  let core_h =
-    Array.mapi (fun i t -> Some (Pheap.insert core_heap (t, i) i)) core_time
-  in
-  let sync_core i =
-    match core_h.(i) with
-    | None -> ()
-    | Some h ->
-      if alive.(i) then Pheap.update core_heap h (core_time.(i), i)
-      else begin
-        Pheap.remove core_heap h;
-        core_h.(i) <- None
-      end
-  in
-  let events = ref [] in
-  let evals = ref 0 in
-  let global_best = ref None in
-  let tuner_reg = ref [] in
-  let ck =
-    ck_machine checkpoint trace ~flow:"s2fa"
-      ~core_time:(fun () -> Array.copy core_time)
-      ~evals ~global_best ~db ~tuners:tuner_reg
-  in
-  let note_best cfg perf feasible =
-    if feasible then
-      match !global_best with
-      | Some (_, b) when b <= perf -> ()
-      | _ -> global_best := Some (cfg, perf)
-  in
+  let pool = run.pool in
+  (* Run partition [idx] on [core] until it stops or the core dies; a
+     failed-over partition brings its tuner along. *)
   let run_partition core idx part resumed =
-    Obs.set_clock core_time.(core);
+    Obs.set_clock pool.clock.(core);
     Obs.span "dse.partition" @@ fun () ->
     let tuner =
-      match resumed with
-      | Some t -> t
-      | None ->
-        let t = make_tuner part in
-        tuner_reg := (idx, t) :: !tuner_reg;
-        t
+      match resumed with Some t -> t | None -> make_tuner idx part
     in
-    (match trace with
-    | None -> ()
-    | Some tr ->
-      Telemetry.set_partition tr idx;
-      Telemetry.set_clock tr core_time.(core);
-      Telemetry.emit tr
+    set_partition trace idx;
+    if Option.is_some trace then
+      emit trace ~clock:pool.clock.(core)
         (Telemetry.Partition_start
            { partition = idx;
              core;
              constrs = constrs_string part.Partition.p_constrs;
-             points = Space.cardinality part.Partition.p_space }));
-    let stop = ref Telemetry.Stop_time in
-    let disposition = ref `Stopped in
-    let continue_ = ref true in
-    while !continue_ do
-      if core_time.(core) >= opts.so_time_limit then begin
-        stop := Telemetry.Stop_time;
-        continue_ := false
-      end
-      else if db_stuck db tuner then begin
-        stop := Telemetry.Stop_exhausted;
-        continue_ := false
-      end
+             points = Space.cardinality part.Partition.p_space });
+    let rec go () =
+      if pool.clock.(core) >= opts.so_time_limit then
+        `Stop Telemetry.Stop_time
+      else if stuck run tuner then `Stop Telemetry.Stop_exhausted
       else begin
-        (match trace with
-        | None -> ()
-        | Some tr -> Telemetry.set_clock tr core_time.(core));
-        Obs.set_clock core_time.(core);
-        let o =
-          Obs.span "dse.eval" (fun () ->
-              let o = Tuner.step tuner in
-              core_time.(core) <- core_time.(core) +. o.Tuner.o_minutes;
-              Obs.set_clock core_time.(core);
-              o)
-        in
-        incr evals;
-        events :=
-          { ev_minutes = core_time.(core);
-            ev_perf = o.Tuner.o_perf;
-            ev_feasible = o.Tuner.o_feasible;
-            ev_partition = idx;
-            ev_technique = o.Tuner.o_technique }
-          :: !events;
-        trace_eval_done trace ~clock:core_time.(core) ~partition:idx o;
-        note_best o.Tuner.o_cfg o.Tuner.o_perf o.Tuner.o_feasible;
-        ck core_time.(core);
-        let losses =
-          match faults with
-          | Some inj -> Fault.take_core_losses inj
-          | None -> 0
-        in
-        if losses > 0 then begin
-          (* The in-flight evaluation was rescued by the retry loop,
-             but its core is gone: decommission it and send the
-             partition — tuner state intact — back to the FCFS queue. *)
-          kill_cores ?trace ~on_kill:sync_core alive
-            ~clock:core_time.(core) ~first:core ~partition:idx losses;
-          disposition := `Core_lost;
-          continue_ := false
-        end
-        else if Tuner.should_stop tuner stop_rule then begin
-          stop :=
-            (match stop_rule with
-            | Tuner.Entropy_stop _ -> Telemetry.Stop_entropy
-            | Tuner.Trivial_stop _ -> Telemetry.Stop_trivial
-            | Tuner.No_stop -> Telemetry.Stop_time);
-          continue_ := false
-        end
+        ignore (step_on run core ~partition:idx tuner);
+        if not pool.alive.(core) then `Core_lost tuner
+        else if Tuner.should_stop tuner stop_rule then `Stop stop_reason
+        else go ()
       end
-    done;
-    match !disposition with
-    | `Core_lost -> `Core_lost tuner
-    | `Stopped ->
-      (match trace with
-      | None -> ()
-      | Some tr ->
-        Telemetry.set_clock tr core_time.(core);
-        Telemetry.emit tr
-          (Telemetry.Partition_stop
-             { partition = idx;
-               core;
-               reason = !stop;
-               evals = Tuner.evaluated tuner });
-        Telemetry.set_partition tr (-1));
+    in
+    match go () with
+    | `Core_lost _ as lost -> lost
+    | `Stop reason ->
+      emit trace ~clock:pool.clock.(core)
+        (Telemetry.Partition_stop
+           { partition = idx; core; reason; evals = Tuner.evaluated tuner });
+      set_partition trace (-1);
       `Done
   in
   (* FCFS: whenever a surviving core frees up, it takes the next
      waiting partition; a lost core's partition rejoins the queue and
      is picked up — tuner state intact — by whichever survivor frees
      up first. *)
-  let next_free_core () =
-    match Pheap.peek core_heap with Some ((_, i), _) -> i | None -> -1
-  in
-  while not (Queue.is_empty queue) do
-    match next_free_core () with
-    | -1 -> Queue.clear queue (* every core is gone *)
-    | core ->
-      if core_time.(core) >= opts.so_time_limit then Queue.clear queue
-      else begin
+  let queue = Queue.create () in
+  List.iteri (fun i p -> Queue.add (i, p, None) queue) partitions;
+  let rec fcfs () =
+    if not (Queue.is_empty queue) then
+      match next_free pool with
+      | -1 -> () (* every core is gone *)
+      | core when pool.clock.(core) >= opts.so_time_limit -> ()
+      | core -> (
         let idx, part, resumed = Queue.pop queue in
         let tuner =
-          match resumed with
-          | None -> None
-          | Some (t, from_core) ->
-            (match trace with
-            | None -> ()
-            | Some tr ->
-              Telemetry.set_clock tr core_time.(core);
-              Telemetry.emit tr
+          Option.map
+            (fun (t, from_core) ->
+              emit trace ~clock:pool.clock.(core)
                 (Telemetry.Failover
-                   { partition = idx; from_core; to_core = core }));
-            Some t
+                   { partition = idx; from_core; to_core = core });
+              t)
+            resumed
         in
-        let outcome = run_partition core idx part tuner in
-        (* The partition advanced (and may have lost) this core; re-key
-           its heap entry before the next selection. *)
-        sync_core core;
-        match outcome with
-        | `Done -> ()
-        | `Core_lost t -> Queue.add (idx, part, Some (t, core)) queue
-      end
-  done;
-  let finish = Array.fold_left Float.max 0.0 core_time in
-  let rr_minutes = Float.min finish opts.so_time_limit in
-  Obs.set_clock rr_minutes;
-  { rr_events = List.rev !events;
-    rr_best = !global_best;
-    rr_minutes;
-    rr_evals = !evals;
-    rr_cache = db_finish db db_before;
-    rr_metrics =
-      trace_finish trace ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
-    rr_fault = Option.map Fault.stats faults }
+        match run_partition core idx part tuner with
+        | `Done -> fcfs ()
+        | `Core_lost t ->
+          Queue.add (idx, part, Some (t, core)) queue;
+          fcfs ())
+  in
+  fcfs ()
 
-let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
-    ?faults ?checkpoint dspace objective rng =
+let run_dynamic ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint
+    dspace objective rng =
   (* Same partition tree as the static flow, but per DATuner: random
      starting points, an on-line sampling phase per partition, then
      greedy core reallocation toward the best-performing partitions. *)
-  Obs.span "dse.dynamic" @@ fun () ->
-  let db_before = Option.map Resultdb.snapshot db in
-  trace_run_begin trace ~flow:"dynamic" ~cores:opts.so_cores
-    ~time_limit:opts.so_time_limit;
-  let search_objective = fault_objective faults trace objective in
-  let samples =
-    Obs.span "dse.offline" (fun () ->
-        offline_samples dspace (traced_objective trace db objective)
-          (Rng.split rng) opts.so_samples)
-  in
-  Obs.set_clock 0.0;
-  let partitions =
-    Partition.build ~depth:opts.so_depth ~rule_params:(rule_sets dspace)
-      dspace.Dspace.ds_space samples
+  with_run ~flow:"dynamic" ~cores:opts.so_cores ~limit:opts.so_time_limit ?db
+    ?trace ?faults ?checkpoint objective
+  @@ fun run ->
+  let _, partitions =
+    fit_partitions run opts dspace objective rng ~sample:true ~split:true
   in
   let tuners =
-    List.map
-      (fun part ->
+    List.mapi
+      (fun p part ->
         (* Random seed, not the generated ones. *)
         let seeds = [ Space.random_cfg rng part.Partition.p_space ] in
-        Tuner.create ~seeds ?db ?trace part.Partition.p_space
-          search_objective (Rng.split rng))
+        new_tuner run p ~seeds part.Partition.p_space (Rng.split rng))
       partitions
     |> Array.of_list
   in
   let n = Array.length tuners in
-  let core_time = Array.make opts.so_cores 0.0 in
-  let alive = Array.make opts.so_cores true in
-  (* Same free-core heap as the static flow: (finish_time, index) keys
-     reproduce the scan's lowest-index-on-ties argmin. *)
-  let core_heap = Pheap.create ~cmp:core_cmp () in
-  let core_h =
-    Array.mapi (fun i t -> Some (Pheap.insert core_heap (t, i) i)) core_time
-  in
-  let sync_core i =
-    match core_h.(i) with
-    | None -> ()
-    | Some h ->
-      if alive.(i) then Pheap.update core_heap h (core_time.(i), i)
-      else begin
-        Pheap.remove core_heap h;
-        core_h.(i) <- None
-      end
-  in
-  let events = ref [] in
-  let evals = ref 0 in
-  let global_best = ref None in
   let part_best = Array.make n infinity in
   let part_evals = Array.make n 0 in
-  let tuner_reg = ref (List.init n (fun p -> (p, tuners.(p)))) in
-  let ck =
-    ck_machine checkpoint trace ~flow:"dynamic"
-      ~core_time:(fun () -> Array.copy core_time)
-      ~evals ~global_best ~db ~tuners:tuner_reg
-  in
-  let step_on core p =
-    (match trace with
-    | None -> ()
-    | Some tr ->
-      Telemetry.set_partition tr p;
-      Telemetry.set_clock tr core_time.(core));
-    Obs.set_clock core_time.(core);
-    let o =
-      Obs.span "dse.eval" (fun () ->
-          let o = Tuner.step tuners.(p) in
-          core_time.(core) <- core_time.(core) +. o.Tuner.o_minutes;
-          Obs.set_clock core_time.(core);
-          o)
-    in
-    incr evals;
+  let pool = run.pool in
+  let step core p =
+    let o = step_on run core ~partition:p tuners.(p) in
     part_evals.(p) <- part_evals.(p) + 1;
-    events :=
-      { ev_minutes = core_time.(core);
-        ev_perf = o.Tuner.o_perf;
-        ev_feasible = o.Tuner.o_feasible;
-        ev_partition = p;
-        ev_technique = o.Tuner.o_technique }
-      :: !events;
-    trace_eval_done trace ~clock:core_time.(core) ~partition:p o;
-    (if o.Tuner.o_feasible then begin
-       if o.Tuner.o_perf < part_best.(p) then part_best.(p) <- o.Tuner.o_perf;
-       match !global_best with
-       | Some (_, b) when b <= o.Tuner.o_perf -> ()
-       | _ -> global_best := Some (o.Tuner.o_cfg, o.Tuner.o_perf)
-     end);
-    ck core_time.(core);
-    (match faults with
-    | None -> ()
-    | Some inj ->
-      let losses = Fault.take_core_losses inj in
-      if losses > 0 then
-        kill_cores ?trace ~on_kill:sync_core alive ~clock:core_time.(core)
-          ~first:core ~partition:p losses);
-    sync_core core
+    if o.Tuner.o_feasible && o.Tuner.o_perf < part_best.(p) then
+      part_best.(p) <- o.Tuner.o_perf
   in
-  let next_free_core () =
-    match Pheap.peek core_heap with Some ((_, i), _) -> i | None -> -1
-  in
-  let eligible p = not (db_stuck db tuners.(p)) in
+  let eligible p = not (stuck run tuners.(p)) in
   (* Phase 1: sampling set-up, round-robin over partitions. *)
   for p = 0 to n - 1 do
     for _ = 1 to setup_evals do
-      match next_free_core () with
+      match next_free pool with
       | -1 -> ()
       | core ->
-        if core_time.(core) < opts.so_time_limit && eligible p then
-          step_on core p
+        if pool.clock.(core) < opts.so_time_limit && eligible p then
+          step core p
     done
   done;
   (* Phase 2: greedy reallocation — each freed core works on the
      partition with the best quality so far (ties to the least
      explored). *)
-  let continue_ = ref true in
-  while !continue_ do
-    match next_free_core () with
-    | -1 -> continue_ := false
+  let rec greedy () =
+    match next_free pool with
+    | -1 -> ()
+    | core when pool.clock.(core) >= opts.so_time_limit -> ()
     | core ->
-    if core_time.(core) >= opts.so_time_limit then continue_ := false
-    else begin
       let best_p = ref (-1) in
       for p = 0 to n - 1 do
         if
@@ -888,60 +831,37 @@ let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
                 && part_evals.(p) < part_evals.(!best_p)))
         then best_p := p
       done;
-      match !best_p with
-      | -1 -> continue_ := false
-      | p -> step_on core p
-    end
-  done;
-  let rr_minutes =
-    Float.min (Array.fold_left Float.max 0.0 core_time) opts.so_time_limit
+      if !best_p >= 0 then begin
+        step core !best_p;
+        greedy ()
+      end
   in
-  Obs.set_clock rr_minutes;
-  { rr_events = List.rev !events;
-    rr_best = !global_best;
-    rr_minutes;
-    rr_evals = !evals;
-    rr_cache = db_finish db db_before;
-    rr_metrics =
-      trace_finish trace ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
-    rr_fault = Option.map Fault.stats faults }
+  greedy ()
 
 let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
     ?checkpoint dspace objective rng =
   (* One random starting point, no partitions, no systematic stopping:
-     per iteration the 8 cores evaluate the next 8 proposals and the
-     clock advances by the slowest of them. *)
-  Obs.span "dse.vanilla" @@ fun () ->
-  let db_before = Option.map Resultdb.snapshot db in
-  trace_run_begin trace ~flow:"vanilla" ~cores ~time_limit;
-  let search_objective = fault_objective faults trace objective in
-  let seeds = [ Space.random_cfg rng dspace.Dspace.ds_space ] in
-  let tuner =
-    Tuner.create ~seeds ?db ?trace dspace.Dspace.ds_space search_objective
-      (Rng.split rng)
-  in
+     per iteration the surviving cores evaluate the next proposals as
+     one batch and a single clock advances by the slowest of them. *)
   let clock = ref 0.0 in
-  let events = ref [] in
-  let evals = ref 0 in
-  let global_best = ref None in
+  with_run ~flow:"vanilla" ~cores ~limit:time_limit
+    ~clocks:(fun () -> [| !clock |])
+    ?db ?trace ?faults ?checkpoint objective
+  @@ fun run ->
+  let seeds = [ Space.random_cfg rng dspace.Dspace.ds_space ] in
+  let tuner = new_tuner run 0 ~seeds dspace.Dspace.ds_space (Rng.split rng) in
+  (* The single whole-space tuner is "partition 0" in the trace. *)
+  set_partition trace 0;
   (* Core deaths shrink the batch width: each subsequent iteration
      evaluates one proposal per surviving core. *)
-  let alive = Array.make cores true in
-  let alive_count () = Array.fold_left (fun n a -> if a then n + 1 else n) 0 alive in
-  let tuner_reg = ref [ (0, tuner) ] in
-  let ck =
-    ck_machine checkpoint trace ~flow:"vanilla"
-      ~core_time:(fun () -> [| !clock |])
-      ~evals ~global_best ~db ~tuners:tuner_reg
-  in
-  (* The single whole-space tuner is "partition 0" in the trace. *)
-  (match trace with None -> () | Some tr -> Telemetry.set_partition tr 0);
-  while !clock < time_limit && not (db_stuck db tuner) && alive_count () > 0 do
+  while
+    !clock < time_limit && (not (stuck run tuner)) && survivors run.pool > 0
+  do
     (match trace with None -> () | Some tr -> Telemetry.set_clock tr !clock);
     Obs.set_clock !clock;
     let batch =
       Obs.span "dse.batch" (fun () ->
-          let batch = Tuner.step_batch tuner (alive_count ()) in
+          let batch = Tuner.step_batch tuner (survivors run.pool) in
           let slowest =
             List.fold_left (fun m o -> Float.max m o.Tuner.o_minutes) 0.0 batch
           in
@@ -951,42 +871,11 @@ let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
           Obs.set_clock !clock;
           batch)
     in
-    List.iter
-      (fun o ->
-        incr evals;
-        events :=
-          { ev_minutes = !clock;
-            ev_perf = o.Tuner.o_perf;
-            ev_feasible = o.Tuner.o_feasible;
-            ev_partition = 0;
-            ev_technique = o.Tuner.o_technique }
-          :: !events;
-        trace_eval_done trace ~clock:!clock ~partition:0 o;
-        if o.Tuner.o_feasible then
-          match !global_best with
-          | Some (_, b) when b <= o.Tuner.o_perf -> ()
-          | _ -> global_best := Some (o.Tuner.o_cfg, o.Tuner.o_perf))
-      batch;
-    ck !clock;
-    match faults with
-    | None -> ()
-    | Some inj ->
-      let losses = Fault.take_core_losses inj in
-      if losses > 0 then
-        (* Without per-core clocks the dying core is anonymous; kill
-           the highest-indexed survivors (deterministic). *)
-        kill_cores ?trace alive ~clock:!clock ~first:(-1) ~partition:0 losses
-  done;
-  let rr_minutes = if !clock < time_limit then !clock else time_limit in
-  Obs.set_clock rr_minutes;
-  { rr_events = List.rev !events;
-    rr_best = !global_best;
-    rr_minutes;
-    rr_evals = !evals;
-    rr_cache = db_finish db db_before;
-    rr_metrics =
-      trace_finish trace ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
-    rr_fault = Option.map Fault.stats faults }
+    List.iter (record run ~clock:!clock ~partition:0) batch;
+    (* Without per-core clocks the dying core is anonymous; the
+       highest-indexed survivors go. *)
+    settle run !clock ~first:(-1) ~partition:0
+  done
 
 (* ---------- resume ---------- *)
 
@@ -1000,32 +889,26 @@ let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
    different seed, option set or fault spec than the original run. By
    the same determinism, the resumed run's final best is bit-identical
    to an uninterrupted run's. *)
-let resume_from_checkpoint ?opts ?setup_evals ?db ?trace ?faults ?checkpoint
-    ~snapshot dspace objective rng =
+let resume_from_checkpoint ?opts ?db ?trace ?faults ?checkpoint ~snapshot
+    dspace objective rng =
   let expected = ck_lines snapshot in
   let state = ref `Pending in
-  let user_hook =
-    match checkpoint with Some c -> c.ck_hook | None -> None
+  let user =
+    Option.value checkpoint
+      ~default:{ ck_path = None; ck_every = 0.0; ck_meta = []; ck_hook = None }
   in
   let hook ck =
     (if !state = `Pending && ck.ck_minutes = snapshot.ck_minutes then
        if ck_lines { ck with ck_meta = snapshot.ck_meta } = expected then
          state := `Validated
        else state := `Diverged);
-    Option.iter (fun h -> h ck) user_hook
+    Option.iter (fun h -> h ck) user.ck_hook
   in
   let ck_opts =
-    match checkpoint with
-    | Some c ->
-      { c with
-        ck_every = snapshot.ck_every;
-        ck_hook = Some hook;
-        ck_meta = (if c.ck_meta = [] then snapshot.ck_meta else c.ck_meta) }
-    | None ->
-      { ck_path = None;
-        ck_every = snapshot.ck_every;
-        ck_meta = snapshot.ck_meta;
-        ck_hook = Some hook }
+    { user with
+      ck_every = snapshot.ck_every;
+      ck_hook = Some hook;
+      ck_meta = (if user.ck_meta = [] then snapshot.ck_meta else user.ck_meta) }
   in
   let run =
     match snapshot.ck_flow with
@@ -1035,8 +918,8 @@ let resume_from_checkpoint ?opts ?setup_evals ?db ?trace ?faults ?checkpoint
            objective rng)
     | "dynamic" ->
       Ok
-        (run_dynamic ?opts ?setup_evals ?db ?trace ?faults ~checkpoint:ck_opts
-           dspace objective rng)
+        (run_dynamic ?opts ?db ?trace ?faults ~checkpoint:ck_opts dspace
+           objective rng)
     | "vanilla" ->
       let o = Option.value ~default:default_s2fa_opts opts in
       Ok

@@ -9,10 +9,17 @@ module Fault = S2fa_fault.Fault
 
     Every HLS evaluation advances a virtual clock by its modeled duration
     ({!S2fa_hls.Estimate}'s eval-minutes). Eight virtual CPU cores run
-    concurrently: the S2FA flow assigns partitions to cores
-    first-come-first-serve (Fig. 2), while the vanilla-OpenTuner baseline
-    evaluates its top-8 candidates per iteration on the same 8 cores
-    (footnote 3 of the paper).
+    concurrently. One run core holds what every flow shares: prologue
+    and epilogue, a pool of per-core clocks and alive flags (a heap
+    yields the first core to free up), and the per-evaluation record
+    (event, count, trace, global best, checkpoint stepper, core-loss
+    draw). The flows are schedulers over it that differ only in how work
+    reaches the cores: {!run_s2fa} hands static partitions to free cores
+    first-come-first-serve, each running until it stops (Fig. 2);
+    {!run_dynamic} samples every partition round-robin, then sends each
+    free core to the best partition so far (DATuner, Section 4.3.1);
+    {!run_vanilla} evaluates one batch per surviving core on a single
+    clock that advances by the slowest member (footnote 3).
 
     Every driver accepts an optional shared {!Resultdb.t}. One database
     instance is threaded through the offline sampling pass and every
@@ -55,13 +62,12 @@ val best_at : run_result -> float -> float
 (** Best quality found no later than the given minute ([infinity] when
     nothing feasible was found yet). *)
 
+(** Options of the partitioned flows. The paper's constants are fixed:
+    Eq. 2's entropy stop uses θ = 0.02 over 5 consecutive samples after
+    at least 14 evaluations, and the partition tree is 3 deep. *)
 type s2fa_opts = {
   so_cores : int;               (** default 8 *)
   so_time_limit : float;        (** minutes; default 240 *)
-  so_theta : float;             (** entropy threshold; default 0.02 *)
-  so_consecutive : int;         (** default 5 *)
-  so_min_evals : int;           (** per partition; default 14 *)
-  so_depth : int;               (** partition-tree depth; default 3 *)
   so_samples : int;             (** offline training samples; default 96 *)
   so_partition : bool;          (** ablation switch *)
   so_seed_mode : [ `Both | `Area_only | `None ];  (** ablation switch *)
@@ -113,13 +119,15 @@ val ck_lines : ck -> string list
     use {!Telemetry.Json.fstr}, so encoding is bit-exact. *)
 
 val ck_of_lines : string list -> (ck, string) result
-(** Inverse of {!ck_lines}; rejects truncated or malformed input. *)
+(** Inverse of {!ck_lines}; rejects truncated or malformed input with an
+    error naming the 1-based line ([checkpoint:LINE: ...]). *)
 
 val write_checkpoint : string -> ck -> unit
 (** Serialize to a file, atomically (write-to-temp then rename), so a
     crash mid-write never leaves a torn checkpoint behind. *)
 
 val load_checkpoint : string -> (ck, string) result
+(** Read and decode a snapshot file; errors read [FILE:LINE: ...]. *)
 
 (** Checkpointing options for a run. *)
 type ck_opts = {
@@ -171,7 +179,6 @@ val run_s2fa :
 
 val run_dynamic :
   ?opts:s2fa_opts ->
-  ?setup_evals:int ->
   ?db:Resultdb.t ->
   ?trace:Telemetry.t ->
   ?faults:Fault.t ->
@@ -182,7 +189,7 @@ val run_dynamic :
   run_result
 (** The DATuner-style alternative the paper argues against (Section
     4.3.1): partitions start from {e random} seeds, every partition
-    first runs [setup_evals] sampling evaluations (the "set-up time"
+    first runs 4 sampling evaluations (the "set-up time"
     static partitioning avoids — charged to the simulated clock), and
     cores are then reallocated greedily to the partitions showing the
     best quality so far. Used by the A5 ablation. *)
@@ -205,7 +212,6 @@ val run_vanilla :
 
 val resume_from_checkpoint :
   ?opts:s2fa_opts ->
-  ?setup_evals:int ->
   ?db:Resultdb.t ->
   ?trace:Telemetry.t ->
   ?faults:Fault.t ->

@@ -348,64 +348,47 @@ type snapshot = {
   fk_lines : string list;
 }
 
-let read_all_lines path =
-  let ic = open_in path in
-  let rec read acc =
-    match input_line ic with
-    | l -> read (l :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let lines = read [] in
-  close_in ic;
-  List.filter (fun l -> String.trim l <> "") lines
-
-let is_fleet_checkpoint path =
-  match open_in path with
-  | exception Sys_error _ -> false
-  | ic ->
-    let line = try input_line ic with End_of_file -> "" in
-    close_in ic;
-    (try Json.get_str (Json.parse_obj line) "ck" = "fleet" with _ -> false)
-
+(* Malformed JSON, a bad or missing field and a truncated write are each
+   reported with the file and the 1-based line they were found on. *)
 let load_checkpoint path =
-  match read_all_lines path with
+  match In_channel.with_open_text path In_channel.input_lines with
   | exception Sys_error m -> Error m
-  | lines -> (
-    try
-      let parsed = List.map Json.parse_obj lines in
-      match List.rev parsed with
-      | [] -> Error "empty fleet checkpoint file"
-      | last :: _ ->
-        if (try Json.get_str last "ck" with Json.Bad -> "") <> "end" then
-          Error "fleet checkpoint missing its end marker (truncated write?)"
-        else if Json.get_int last "lines" <> List.length lines - 1 then
-          Error
-            "fleet checkpoint truncated: line count does not match its end \
-             marker"
-        else (
-          match parsed with
-          | header :: rest
-            when (try Json.get_str header "ck" with Json.Bad -> "") = "fleet"
-            ->
-            let meta =
-              List.filter_map
-                (fun f ->
-                  if (try Json.get_str f "ck" with Json.Bad -> "") = "meta"
-                  then Some (Json.get_str f "k", Json.get_str f "v")
-                  else None)
-                rest
-            in
-            Ok
-              { fk_events = Json.get_int header "events";
-                fk_now = Json.get_float header "now";
-                fk_every = Json.get_float header "every";
-                fk_policy = Json.get_str header "policy";
-                fk_devices = Json.get_int header "devices";
-                fk_apps = Json.get_int header "apps";
-                fk_meta = meta;
-                fk_lines = lines }
-          | _ -> Error "not a fleet checkpoint (header line is not ck=fleet)")
-    with Json.Bad -> Error "malformed fleet checkpoint JSON")
+  | all ->
+    Json.located ~file:path @@ fun () ->
+    let get = Json.get_at and bad = Json.bad_line in
+    let kind fields = Json.find fields "ck" in
+    let numbered =
+      List.mapi (fun i l -> (i + 1, l)) all
+      |> List.filter (fun (_, l) -> String.trim l <> "")
+    in
+    let parsed = List.map (fun (n, l) -> (n, Json.parse_at n l)) numbered in
+    (match (parsed, List.rev parsed) with
+    | [], _ | _, [] -> bad 1 "empty fleet checkpoint file"
+    | (n, header) :: rest, (n_end, last) :: _ ->
+      if kind last <> Some (Json.Jstr "end") then
+        bad n_end "fleet checkpoint missing its end marker (truncated write?)";
+      if get n_end Json.get_int last "lines" <> List.length parsed - 1 then
+        bad n_end
+          "fleet checkpoint truncated: line count does not match its end \
+           marker";
+      if kind header <> Some (Json.Jstr "fleet") then
+        bad n "not a fleet checkpoint (header line is not ck=fleet)";
+      let meta =
+        List.filter_map
+          (fun (n, f) ->
+            if kind f = Some (Json.Jstr "meta") then
+              Some (get n Json.get_str f "k", get n Json.get_str f "v")
+            else None)
+          rest
+      in
+      { fk_events = get n Json.get_int header "events";
+        fk_now = get n Json.get_float header "now";
+        fk_every = get n Json.get_float header "every";
+        fk_policy = get n Json.get_str header "policy";
+        fk_devices = get n Json.get_int header "devices";
+        fk_apps = get n Json.get_int header "apps";
+        fk_meta = meta;
+        fk_lines = List.map snd numbered })
 
 (* ------------------------------------------------------------------ *)
 (* Serving *)

@@ -251,13 +251,10 @@ type snapshot = {
   fk_lines : string list;  (** The raw snapshot lines, for validation. *)
 }
 
-val is_fleet_checkpoint : string -> bool
-(** Whether the file's first line is a fleet-checkpoint header — the
-    CLI's dispatch test between DSE and fleet checkpoints. *)
-
 val load_checkpoint : string -> (snapshot, string) Stdlib.result
 (** Read and structurally validate a snapshot (end marker present,
-    line count matches — a truncated write is rejected). *)
+    line count matches — a truncated write is rejected). Errors read
+    [FILE:LINE: ...]. *)
 
 (** {1 Serving} *)
 

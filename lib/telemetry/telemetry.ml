@@ -626,6 +626,11 @@ type jv = Jstr of string | Jnum of float | Jbool of bool | Jarr of float list
 
 exception Bad
 
+(* Every malformed value raises [Bad], never [Failure], so readers need
+   one handler. *)
+let float_of s =
+  match float_of_string_opt s with Some f -> f | None -> raise Bad
+
 let parse_obj line =
   let n = String.length line in
   let pos = ref 0 in
@@ -653,7 +658,11 @@ let parse_obj line =
         | 't' -> Buffer.add_char b '\t'
         | 'u' ->
           if !pos + 4 > n then raise Bad;
-          let code = int_of_string ("0x" ^ String.sub line !pos 4) in
+          let code =
+            match int_of_string_opt ("0x" ^ String.sub line !pos 4) with
+            | Some c -> c
+            | None -> raise Bad
+          in
           pos := !pos + 4;
           if code > 255 then raise Bad;
           Buffer.add_char b (Char.chr code)
@@ -675,7 +684,7 @@ let parse_obj line =
     in
     while !pos < n && num_char line.[!pos] do advance () done;
     if !pos = start then raise Bad;
-    float_of_string (String.sub line start (!pos - start))
+    float_of (String.sub line start (!pos - start))
   in
   let parse_value () =
     skip_ws ();
@@ -701,7 +710,9 @@ let parse_obj line =
         let rec go acc =
           skip_ws ();
           let v =
-            match peek () with '"' -> float_of_string (parse_string ()) | _ -> parse_number ()
+            match peek () with
+            | '"' -> float_of (parse_string ())
+            | _ -> parse_number ()
           in
           skip_ws ();
           match peek () with
@@ -732,7 +743,7 @@ let parse_obj line =
 
 let as_float = function
   | Jnum f -> f
-  | Jstr s -> float_of_string s
+  | Jstr s -> float_of s
   | _ -> raise Bad
 
 let fget fields k =
@@ -1091,4 +1102,18 @@ module Json = struct
   let get_str = sget
   let get_bool = bget
   let get_arr = aget
+
+  exception Bad_line of int * string
+
+  let bad_line n fmt = Printf.ksprintf (fun m -> raise (Bad_line (n, m))) fmt
+
+  let parse_at n line =
+    try parse_obj line with Bad -> bad_line n "malformed JSON"
+
+  let get_at n get fields k =
+    try get fields k with Bad -> bad_line n "bad or missing %S" k
+
+  let located ~file f =
+    try Ok (f ())
+    with Bad_line (n, m) -> Error (Printf.sprintf "%s:%d: %s" file n m)
 end

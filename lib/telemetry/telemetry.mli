@@ -332,7 +332,8 @@ module Json : sig
     | Jarr of float list  (** Arrays hold floats only. *)
 
   exception Bad
-  (** Raised by the parser and getters on malformed input. *)
+  (** Raised by the parser and getters on malformed input (never
+      [Failure]). *)
 
   val fstr : float -> string
   (** Bit-exact float literal (quoted string for non-finite values). *)
@@ -355,4 +356,25 @@ module Json : sig
   val get_bool : (string * v) list -> string -> bool
 
   val get_arr : (string * v) list -> string -> float list
+
+  (** {2 Line-located reading}
+
+      Readers of JSONL files reject bad input with the file and the
+      1-based line it was found on. *)
+
+  val bad_line : int -> ('a, unit, string, 'b) format4 -> 'a
+  (** [bad_line n fmt ...] rejects line [n] with a formatted reason; the
+      enclosing {!located} reports it. *)
+
+  val parse_at : int -> string -> (string * v) list
+  (** {!parse_obj} of line [n]; malformed JSON rejects the line. *)
+
+  val get_at :
+    int -> ((string * v) list -> string -> 'a) -> (string * v) list ->
+    string -> 'a
+  (** [get_at n get fields k] is [get fields k] for a field of line [n];
+      a bad or missing value rejects the line, naming [k]. *)
+
+  val located : file:string -> (unit -> 'a) -> ('a, string) result
+  (** Run a reader; a rejected line becomes [Error "FILE:LINE: reason"]. *)
 end

@@ -258,82 +258,7 @@ class Bad() extends Accelerator[(Int, Double), Int] {
     Alcotest.fail "non-combiner signature must be rejected"
   with S2fa.Error _ -> ()
 
-(* ---------- streaming ---------- *)
-
-module Stream = S2fa_blaze.Stream
-
-let test_stream_matches_batch () =
-  let w = Option.get (W.find "KMeans") in
-  let c = W.compile w in
-  let rng = Rng.create 5 in
-  let fields = w.W.w_fields rng in
-  let records = w.W.w_gen rng 50 in
-  let mgr = Blaze.create_manager () in
-  Blaze.register mgr (S2fa.make_accelerator c ~fields);
-  let whole = Blaze.map_accelerated mgr ~id:"KMeans" records in
-  let streamed, stats =
-    Stream.run_accelerated mgr ~id:"KMeans" ~batch_size:7 records
-  in
-  Alcotest.(check int) "eight micro-batches" 8 stats.Stream.st_batches;
-  Alcotest.(check int) "all records" 50 stats.Stream.st_records;
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "record %d" i)
-        true
-        (Interp.equal_value v whole.Blaze.tr_values.(i)))
-    streamed
-
-let test_stream_batch_size_tradeoff () =
-  (* Smaller batches pay the invocation overhead more often: total time
-     grows, worst per-batch latency shrinks. *)
-  let w = Option.get (W.find "AES") in
-  let c = W.compile w in
-  let rng = Rng.create 6 in
-  let fields = w.W.w_fields rng in
-  let records = w.W.w_gen rng 128 in
-  let mgr = Blaze.create_manager () in
-  Blaze.register mgr (S2fa.make_accelerator c ~fields);
-  let _, small = Stream.run_accelerated mgr ~id:"AES" ~batch_size:8 records in
-  let _, big = Stream.run_accelerated mgr ~id:"AES" ~batch_size:128 records in
-  Alcotest.(check bool) "small batches cost more in total" true
-    (small.Stream.st_seconds > big.Stream.st_seconds);
-  Alcotest.(check bool) "small batches have lower worst latency" true
-    (small.Stream.st_max_batch_seconds < big.Stream.st_max_batch_seconds);
-  Alcotest.(check bool) "throughput favors big batches" true
-    (big.Stream.st_throughput > small.Stream.st_throughput)
-
-let test_stream_bad_batch_size () =
-  let mgr = Blaze.create_manager () in
-  try
-    ignore (Stream.run_accelerated mgr ~id:"x" ~batch_size:0 [| Interp.VInt 1 |]);
-    Alcotest.fail "batch size 0 must be rejected"
-  with Stream.Stream_error _ -> ()
-
-let test_stream_jvm_agrees () =
-  let w = Option.get (W.find "PR") in
-  let c = W.compile w in
-  let rng = Rng.create 7 in
-  let records = w.W.w_gen rng 30 in
-  let mgr = Blaze.create_manager () in
-  Blaze.register mgr (S2fa.make_accelerator c ~fields:[]);
-  let acc, _ = Stream.run_accelerated mgr ~id:"PR" ~batch_size:9 records in
-  let jvm, _ =
-    Stream.run_jvm c.S2fa.c_class ~fields:[] ~batch_size:9 records
-  in
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "record %d" i)
-        true
-        (Interp.equal_value v jvm.(i)))
-    acc
-
-(* property: streaming backpressure accounting. For any record count
-   and batch size, the micro-batch schedule must produce the whole
-   batch's values, in order, in exactly ceil(n/b) batches, and the
-   worst per-batch latency can never exceed the total accelerator
-   time. *)
+(* PR compiled and registered once, shared by the properties below. *)
 let pr_setup =
   lazy
     (let w = Option.get (W.find "PR") in
@@ -341,21 +266,6 @@ let pr_setup =
      let mgr = Blaze.create_manager () in
      Blaze.register mgr (S2fa.make_accelerator c ~fields:[]);
      (w, c, mgr))
-
-let prop_stream_backpressure =
-  QCheck.Test.make ~name:"stream chunking and backpressure" ~count:30
-    QCheck.(triple (int_range 1 48) (int_range 1 20) (int_range 0 1000))
-    (fun (n, batch, seed) ->
-      let w, _, mgr = Lazy.force pr_setup in
-      let records = w.W.w_gen (Rng.create seed) n in
-      let streamed, st = Stream.run_accelerated mgr ~id:"PR" ~batch_size:batch records in
-      let whole = Blaze.map_accelerated mgr ~id:"PR" records in
-      st.Stream.st_records = n
-      && st.Stream.st_batches = (n + batch - 1) / batch
-      && st.Stream.st_max_batch_seconds <= st.Stream.st_seconds +. 1e-12
-      && Array.for_all2
-           (fun a b -> Interp.equal_value a b)
-           streamed whole.Blaze.tr_values)
 
 (* property: serde round-trips survive interleaved multi-producer
    queues. Several producers' records are interleaved round-robin into
@@ -448,16 +358,8 @@ let () =
             test_reduce_on_map_accel_rejected;
           Alcotest.test_case "bad signature rejected" `Quick
             test_reduce_bad_signature_rejected ] );
-      ( "stream",
-        [ Alcotest.test_case "matches whole batch" `Quick
-            test_stream_matches_batch;
-          Alcotest.test_case "batch-size trade-off" `Quick
-            test_stream_batch_size_tradeoff;
-          Alcotest.test_case "bad batch size" `Quick test_stream_bad_batch_size;
-          Alcotest.test_case "jvm agrees" `Quick test_stream_jvm_agrees ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_rdd_map_law;
             prop_rdd_reduce_law;
-            prop_stream_backpressure;
             prop_serde_interleaved_producers ] ) ]

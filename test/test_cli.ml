@@ -23,6 +23,13 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+let read_file path =
+  let ic = open_in path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 let check_ok name args =
   let code, out = run args in
   Alcotest.(check int) (name ^ ": exit code") 0 code;
@@ -142,6 +149,97 @@ let test_resume_rejects_garbage () =
   Sys.remove bad;
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
+(* ---------- malformed checkpoints ---------- *)
+
+(* Checkpoints written by a real run, then corrupted one value at a
+   time: [set_value path ~meta:false key v] replaces the value of the
+   first ["key":VALUE] in the file with [v]; with [~meta:true] it
+   replaces the value of meta entry [key] instead. *)
+let fleet_ck () =
+  let ck = Filename.temp_file "s2fa_cli" ".fleet.ck" in
+  let _ =
+    check_ok "serve --checkpoint"
+      (Printf.sprintf
+         "serve --apps KMeans:400:1,LR:300:2 --horizon 0.5 --seed 7 \
+          --checkpoint %s --ck-every-s 2"
+         ck)
+  in
+  ck
+
+let dse_ck () =
+  let ck = Filename.temp_file "s2fa_cli" ".dse.ck" in
+  let _ =
+    check_ok "dse --checkpoint"
+      (Printf.sprintf
+         "dse -w KMeans --minutes 40 --seed 3 --checkpoint %s --ck-every 10" ck)
+  in
+  ck
+
+let index_from hay i needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec go i =
+    if i + nl > hl then None
+    else if String.sub hay i nl = needle then Some i
+    else go (i + 1)
+  in
+  go i
+
+let set_value path ~meta key v =
+  let text = read_file path in
+  let anchor, field =
+    if meta then (Printf.sprintf "\"k\":\"%s\"" key, "\"v\":")
+    else ("", Printf.sprintf "\"%s\":" key)
+  in
+  match index_from text 0 anchor with
+  | None -> Alcotest.failf "%s has no %s" path anchor
+  | Some a -> (
+    match index_from text a field with
+    | None -> Alcotest.failf "%s has no %s" path field
+    | Some f ->
+      let start = f + String.length field in
+      let rec stop i =
+        if text.[i] = ',' || text.[i] = '}' then i else stop (i + 1)
+      in
+      let e = stop start in
+      let oc = open_out path in
+      output_string oc
+        (String.sub text 0 start ^ v
+        ^ String.sub text e (String.length text - e));
+      close_out oc)
+
+let check_rejected what path needle =
+  let code, out = run ("resume " ^ path) in
+  Sys.remove path;
+  Alcotest.(check int) (what ^ ": exit code") 1 code;
+  Alcotest.(check bool) (what ^ ": names the file") true (contains out path);
+  Alcotest.(check bool) (what ^ ": says where") true (contains out needle)
+
+(* A header value of the wrong JSON type is a located error, not an
+   uncaught exception. *)
+let test_resume_bad_fleet_header_value () =
+  let ck = fleet_ck () in
+  set_value ck ~meta:false "events" "\"x\"";
+  check_rejected "events:\"x\"" ck (ck ^ ":1:")
+
+(* Meta values the CLI decodes are checked too, naming the key. *)
+let test_resume_bad_meta () =
+  let fleet = fleet_ck () in
+  set_value fleet ~meta:true "seed" "\"seven\"";
+  check_rejected "fleet seed" fleet "\"seed\"";
+  let dse = dse_ck () in
+  set_value dse ~meta:true "seed" "\"seven\"";
+  check_rejected "dse seed" dse "\"seed\"";
+  let dse = dse_ck () in
+  set_value dse ~meta:true "minutes" "\"forty\"";
+  check_rejected "dse minutes" dse "\"minutes\""
+
+(* A fleet header that is not valid JSON is rejected where it stands,
+   not handed to the DSE reader. *)
+let test_resume_garbled_fleet_header () =
+  let ck = fleet_ck () in
+  set_value ck ~meta:false "events" "6-06";
+  check_rejected "events:6-06" ck (ck ^ ":1: malformed JSON")
+
 let test_cache () =
   let out = check_ok "cache" "cache -w KMeans --minutes 30 --seed 3" in
   Alcotest.(check bool) "reports DB equivalence" true
@@ -200,13 +298,6 @@ let test_serve_bad_policy_fails () =
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
 (* ---------- the span profiler surface ---------- *)
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 (* Drop the `# profile: ...` footer so profiled and unprofiled stdout
    can be compared byte for byte. *)
@@ -371,6 +462,26 @@ let test_bench_rejects_unknown_section () =
   Alcotest.(check bool) "lists the known sections" true
     (contains out "SYM")
 
+(* The paper-figure sections that run the DSE flows (Table 1, Fig. 3,
+   the cache table, Table 2, Fig. 4 and the A1-A5 ablations) print
+   exactly the committed golden: any change in scheduling, stopping or
+   seeding moves a number in it. *)
+let test_bench_paper_sections_golden () =
+  let golden =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "golden/paper_sections.txt"
+  in
+  let out_f = Filename.temp_file "bench" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s T1 F3 C1 T2 F4 A1 A2 A3 A5 A4 > %s" bench_exe out_f)
+  in
+  let out = read_file out_f in
+  Sys.remove out_f;
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "output matches golden/paper_sections.txt"
+    (read_file golden) out
+
 let () =
   Alcotest.run "cli"
     [ ( "smoke",
@@ -390,6 +501,12 @@ let () =
             test_checkpoint_and_resume;
           Alcotest.test_case "resume rejects garbage" `Quick
             test_resume_rejects_garbage;
+          Alcotest.test_case "resume: bad fleet header value" `Quick
+            test_resume_bad_fleet_header_value;
+          Alcotest.test_case "resume: bad meta values" `Quick
+            test_resume_bad_meta;
+          Alcotest.test_case "resume: garbled fleet header" `Quick
+            test_resume_garbled_fleet_header;
           Alcotest.test_case "cache" `Quick test_cache;
           Alcotest.test_case "report" `Quick test_report;
           Alcotest.test_case "unknown kernel" `Quick test_bad_kernel_fails;
@@ -421,4 +538,6 @@ let () =
           Alcotest.test_case "diff rejects garbage" `Quick
             test_perf_diff_rejects_garbage;
           Alcotest.test_case "bench rejects unknown section" `Quick
-            test_bench_rejects_unknown_section ] ) ]
+            test_bench_rejects_unknown_section;
+          Alcotest.test_case "paper sections match golden" `Quick
+            test_bench_paper_sections_golden ] ) ]

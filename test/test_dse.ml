@@ -10,8 +10,11 @@ module Driver = S2fa_dse.Driver
 module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
 
-let sw = lazy (W.compile (Option.get (W.find "S-W")))
-let kmeans = lazy (W.compile (Option.get (W.find "KMeans")))
+(* Compiled at start-up, KMeans first: loop ids come from a process-wide
+   counter and the run golden below pins design keys that name them, so
+   the numbering must not depend on which tests ran before. *)
+let kmeans = Lazy.from_val (W.compile (Option.get (W.find "KMeans")))
+let sw = Lazy.from_val (W.compile (Option.get (W.find "S-W")))
 
 (* ---------- design-space identification (Table 1) ---------- *)
 
@@ -301,6 +304,230 @@ let test_ablation_switches_run () =
       { base with Driver.so_stop = `Trivial 10 };
       { base with Driver.so_stop = `Time_only; so_time_limit = 60.0 } ]
 
+(* ---------- behaviour golden ---------- *)
+
+module Resultdb = S2fa_tuner.Resultdb
+module Fault = S2fa_fault.Fault
+module Telemetry = S2fa_telemetry.Telemetry
+module Obs = S2fa_obs.Obs
+
+(* Every flow and option set below, on two kernels and in five variants,
+   is pinned by golden/dse_runs.txt: the run_result fields at full float
+   precision ([%h]) plus MD5 digests of the event list, the telemetry
+   JSONL, the span log (virtual clock only) and each checkpoint
+   snapshot's lines. Any change to scheduling, fault handling,
+   checkpointing or tracing shows up as a diff against that file.
+   [S2FA_UPDATE_GOLDEN=1] rewrites it. *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* The run kinds: the static S2FA flow under its default options and
+   each ablation option set, the DATuner-style dynamic flow and vanilla
+   OpenTuner. *)
+let golden_flows =
+  let base = Driver.default_s2fa_opts in
+  let s2fa name opts =
+    (name, fun ?db ?trace ?faults ?checkpoint ds obj rng ->
+        Driver.run_s2fa ~opts ?db ?trace ?faults ?checkpoint ds obj rng)
+  in
+  [ s2fa "s2fa" base;
+    s2fa "s2fa/no-partition" { base with Driver.so_partition = false };
+    s2fa "s2fa/area-seed" { base with Driver.so_seed_mode = `Area_only };
+    s2fa "s2fa/no-seed" { base with Driver.so_seed_mode = `None };
+    s2fa "s2fa/trivial-10" { base with Driver.so_stop = `Trivial 10 };
+    s2fa "s2fa/time-only-60"
+      { base with Driver.so_stop = `Time_only; so_time_limit = 60.0 };
+    ( "dynamic",
+      fun ?db ?trace ?faults ?checkpoint ds obj rng ->
+        Driver.run_dynamic ?db ?trace ?faults ?checkpoint ds obj rng );
+    ( "vanilla",
+      fun ?db ?trace ?faults ?checkpoint ds obj rng ->
+        Driver.run_vanilla ?db ?trace ?faults ?checkpoint ds obj rng ) ]
+
+let spec_of str =
+  match Fault.parse_spec str with Ok s -> s | Error m -> failwith m
+
+(* Variant name, shared result database?, fault spec, checkpoint?: plain;
+   a shared database; mixed faults with enough core loss that partitions
+   fail over and most runs lose every core (checkpointed too, so
+   snapshots taken between a loss and its failover are pinned); light
+   core loss, so the flows run on with fewer cores; checkpoints alone. *)
+let golden_variants =
+  let mixed = "crash=0.08,hang=0.04,transient=0.05,timeout=30" in
+  [ ("plain", false, None, false);
+    ("db", true, None, false);
+    ("faults", false, Some (spec_of (mixed ^ ",core_loss=0.1")), true);
+    ("light-loss", false, Some (spec_of (mixed ^ ",core_loss=0.02")), false);
+    ("ck", false, None, true) ]
+
+let render_cache = function
+  | None -> "none"
+  | Some (s : Resultdb.snapshot) ->
+    Printf.sprintf
+      "entries=%d hits=%d misses=%d inserts=%d rejected=%d saved=%h"
+      s.Resultdb.sn_entries s.Resultdb.sn_hits s.Resultdb.sn_misses
+      s.Resultdb.sn_inserts s.Resultdb.sn_rejected s.Resultdb.sn_minutes_saved
+
+let render_fault = function
+  | None -> "none"
+  | Some (st : Fault.stats) ->
+    Printf.sprintf
+      "injected=[%s] lost=[%s] retries=%d backoff=%h quarantined=%d \
+       cores_lost=%d"
+      (String.concat ","
+         (List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n)
+            st.Fault.st_injected))
+      (String.concat ","
+         (List.map (fun (k, m) -> Printf.sprintf "%s:%h" k m) st.Fault.st_lost))
+      st.Fault.st_retries st.Fault.st_backoff st.Fault.st_quarantined
+      st.Fault.st_cores_lost
+
+let render_metrics = function
+  | None -> "none"
+  | Some (m : Telemetry.Metrics.snapshot) ->
+    let b = Buffer.create 1024 in
+    List.iter
+      (fun (k, n) -> Printf.bprintf b "c %s %d\n" k n)
+      m.Telemetry.Metrics.ms_counters;
+    List.iter
+      (fun (k, v) -> Printf.bprintf b "g %s %h\n" k v)
+      m.Telemetry.Metrics.ms_gauges;
+    List.iter
+      (fun (k, (h : Telemetry.Metrics.histogram)) ->
+        Printf.bprintf b "h %s %d %h [%s] [%s]\n" k h.Telemetry.Metrics.h_count
+          h.Telemetry.Metrics.h_sum
+          (String.concat ","
+             (Array.to_list
+                (Array.map (Printf.sprintf "%h") h.Telemetry.Metrics.h_buckets)))
+          (String.concat ","
+             (Array.to_list
+                (Array.map string_of_int h.Telemetry.Metrics.h_counts))))
+      m.Telemetry.Metrics.ms_histograms;
+    md5 (Buffer.contents b)
+
+let render_events (r : Driver.run_result) =
+  r.Driver.rr_events
+  |> List.map (fun (e : Driver.event) ->
+         Printf.sprintf "%h %h %b %d %s" e.Driver.ev_minutes e.Driver.ev_perf
+           e.Driver.ev_feasible e.Driver.ev_partition e.Driver.ev_technique)
+  |> String.concat "\n"
+
+let golden_run wname (fname, run) (vname, use_db, spec, use_ck) =
+  let c = Lazy.force (if wname = "KMeans" then kmeans else sw) in
+  let seed = 7 in
+  let db = if use_db then Some (Resultdb.create ()) else None in
+  let faults = Option.map (Fault.create ~seed) spec in
+  let snaps = ref [] in
+  let checkpoint =
+    if use_ck then
+      Some
+        { Driver.ck_path = None;
+          ck_every = 10.0;
+          ck_meta = [ ("workload", wname); ("seed", string_of_int seed) ];
+          ck_hook = Some (fun ck -> snaps := ck :: !snaps) }
+    else None
+  in
+  let buf = Buffer.create 65536 in
+  let trace = Telemetry.create ~sinks:[ Telemetry.buffer_sink buf ] () in
+  let prof = Obs.Profiler.create () in
+  let r =
+    Obs.with_profiler prof (fun () ->
+        run ?db ?trace:(Some trace) ?faults ?checkpoint c.S2fa.c_dspace
+          (S2fa.objective ?db ~trace c) (Rng.create seed))
+  in
+  let spans =
+    List.map (Obs.span_to_json ~host:false) (Obs.Profiler.spans prof)
+  in
+  let jsonl = Buffer.contents buf in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "== %s %s %s\n" fname wname vname;
+  Printf.bprintf b "best %s\n"
+    (match r.Driver.rr_best with
+    | Some (cfg, q) -> Printf.sprintf "%s %h" (Space.key cfg) q
+    | None -> "none");
+  Printf.bprintf b "minutes %h evals %d\n" r.Driver.rr_minutes
+    r.Driver.rr_evals;
+  Printf.bprintf b "cache %s\n" (render_cache r.Driver.rr_cache);
+  Printf.bprintf b "fault %s\n" (render_fault r.Driver.rr_fault);
+  Printf.bprintf b "metrics %s\n" (render_metrics r.Driver.rr_metrics);
+  Printf.bprintf b "events %d %s\n" (List.length r.Driver.rr_events)
+    (md5 (render_events r));
+  Printf.bprintf b "trace %d %s\n"
+    (List.length (String.split_on_char '\n' jsonl) - 1)
+    (md5 jsonl);
+  Printf.bprintf b "spans %d %s\n" (List.length spans)
+    (md5 (String.concat "\n" spans));
+  List.iter
+    (fun (ck : Driver.ck) ->
+      Printf.bprintf b "ck %h %s\n" ck.Driver.ck_minutes
+        (md5 (String.concat "\n" (Driver.ck_lines ck))))
+    (List.rev !snaps);
+  (Buffer.contents b, jsonl)
+
+(* dune runtest runs us in test/; a bare [dune exec] runs from the
+   workspace root. *)
+let golden name =
+  let dir =
+    if Sys.file_exists "golden" && Sys.is_directory "golden" then "golden"
+    else "test/golden"
+  in
+  Filename.concat dir name
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let count_sub hay needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec go i n =
+    if i + nl > hl then n
+    else if String.sub hay i nl = needle then go (i + nl) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
+let test_runs_golden () =
+  let failovers = ref 0 and losses = ref 0 in
+  let body =
+    List.concat_map
+      (fun w ->
+        List.concat_map
+          (fun flow ->
+            List.map
+              (fun v ->
+                let text, jsonl = golden_run w flow v in
+                let vname, _, _, _ = v in
+                if vname = "faults" then begin
+                  failovers := !failovers + count_sub jsonl "\"failover\"";
+                  losses := !losses + count_sub jsonl "\"core_lost\""
+                end;
+                text)
+              golden_variants)
+          golden_flows)
+      [ "KMeans"; "S-W" ]
+    |> String.concat ""
+  in
+  (* The faulted variant must exercise the loss paths it pins. *)
+  Alcotest.(check bool) "cores were lost" true (!losses > 0);
+  Alcotest.(check bool) "partitions failed over" true (!failovers > 0);
+  let path = golden "dse_runs.txt" in
+  if Sys.getenv_opt "S2FA_UPDATE_GOLDEN" = Some "1" then
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc body)
+  else begin
+    (* Report the first differing line, not two 30 kB strings. *)
+    let want = String.split_on_char '\n' (read_file path)
+    and got = String.split_on_char '\n' body in
+    let rec first i = function
+      | w :: ws, g :: gs ->
+        if w = g then first (i + 1) (ws, gs) else Some (i, w, g)
+      | [], [] -> None
+      | w :: _, [] -> Some (i, w, "<end of output>")
+      | [], g :: _ -> Some (i, "<end of golden>", g)
+    in
+    match first 1 (want, got) with
+    | None -> ()
+    | Some (i, w, g) ->
+      Alcotest.failf "%s:%d differs\n  golden: %s\n  actual: %s" path i w g
+  end
+
 let () =
   Alcotest.run "dse"
     [ ( "dspace",
@@ -339,4 +566,7 @@ let () =
           Alcotest.test_case "s2fa deterministic" `Slow test_s2fa_deterministic;
           Alcotest.test_case "dynamic driver" `Slow test_dynamic_driver_runs;
           Alcotest.test_case "ablation switches" `Slow
-            test_ablation_switches_run ] ) ]
+            test_ablation_switches_run ] );
+      ( "golden",
+        [ Alcotest.test_case "every flow and variant pinned" `Slow
+            test_runs_golden ] ) ]

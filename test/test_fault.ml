@@ -41,11 +41,22 @@ let spec_of str =
 let mixed_spec =
   spec_of "crash=0.08,hang=0.04,transient=0.05,core_loss=0.02,timeout=30"
 
-let traced_explore ?faults ?checkpoint ?(opts = quick_opts) c seed =
+(* One traced run of [flow]: the static S2FA flow, the DATuner-style
+   dynamic flow or vanilla OpenTuner, all under [opts]' limit. *)
+let traced_explore ?faults ?checkpoint ?(opts = quick_opts) ?(flow = `S2fa) c
+    seed =
   let buf = Buffer.create 4096 in
   let tr = T.create ~sinks:[ T.buffer_sink buf ] () in
+  let rng = Rng.create seed in
   let r =
-    S2fa.explore ~opts ~trace:tr ?faults ?checkpoint c (Rng.create seed)
+    match flow with
+    | `S2fa -> S2fa.explore ~opts ~trace:tr ?faults ?checkpoint c rng
+    | `Dynamic ->
+      Driver.run_dynamic ~opts ~trace:tr ?faults ?checkpoint c.S2fa.c_dspace
+        (S2fa.objective ~trace:tr c) rng
+    | `Vanilla ->
+      S2fa.explore_vanilla ~time_limit:opts.Driver.so_time_limit ~trace:tr
+        ?faults ?checkpoint c rng
   in
   (r, Buffer.contents buf)
 
@@ -190,7 +201,7 @@ let test_garbage_reports_rejected () =
 
 (* ---------- checkpoint serialization ---------- *)
 
-let snapshots_of ?faults ?(every = 8.0) c seed =
+let snapshots_of ?faults ?(every = 8.0) ?flow c seed =
   let snaps = ref [] in
   let checkpoint =
     { Driver.ck_path = None;
@@ -198,7 +209,7 @@ let snapshots_of ?faults ?(every = 8.0) c seed =
       ck_meta = [ ("workload", "test"); ("seed", string_of_int seed) ];
       ck_hook = Some (fun ck -> snaps := ck :: !snaps) }
   in
-  let r, _ = traced_explore ?faults ~checkpoint c seed in
+  let r, _ = traced_explore ?faults ~checkpoint ?flow c seed in
   (r, List.rev !snaps)
 
 let test_checkpoint_roundtrip () =
@@ -232,12 +243,12 @@ let test_checkpoint_roundtrip () =
 
 (* ---------- crash-at-checkpoint + resume ≡ uninterrupted ---------- *)
 
-let resume_matches ?faults_spec c seed =
+let resume_matches ?faults_spec ?flow c seed =
   let mk_inj () =
     Option.map (fun s -> Fault.create ~seed s) faults_spec
   in
-  let full, _ = traced_explore ?faults:(mk_inj ()) c seed in
-  let _, snaps = snapshots_of ?faults:(mk_inj ()) c seed in
+  let full, _ = traced_explore ?faults:(mk_inj ()) ?flow c seed in
+  let _, snaps = snapshots_of ?faults:(mk_inj ()) ?flow c seed in
   if snaps = [] then `No_snapshot
   else begin
     (* "Crash at any checkpoint": resume from every snapshot taken. *)
@@ -259,14 +270,16 @@ let resume_matches ?faults_spec c seed =
     `Checked (List.length snaps)
   end
 
-let test_resume_equals_uninterrupted () =
+let check_resume_equals_uninterrupted flow () =
   let c = compiled "KMeans" in
-  (match resume_matches c 9 with
+  (match resume_matches ~flow c 9 with
   | `No_snapshot -> Alcotest.fail "fault-free run took no snapshot"
   | `Checked _ -> ());
-  match resume_matches ~faults_spec:mixed_spec c 9 with
+  match resume_matches ~faults_spec:mixed_spec ~flow c 9 with
   | `No_snapshot -> Alcotest.fail "faulted run took no snapshot"
   | `Checked _ -> ()
+
+let test_resume_equals_uninterrupted = check_resume_equals_uninterrupted `S2fa
 
 let test_resume_rejects_divergence () =
   let c = compiled "KMeans" in
@@ -351,6 +364,10 @@ let () =
             test_checkpoint_roundtrip;
           Alcotest.test_case "resume ≡ uninterrupted" `Slow
             test_resume_equals_uninterrupted;
+          Alcotest.test_case "resume ≡ uninterrupted (dynamic)" `Slow
+            (check_resume_equals_uninterrupted `Dynamic);
+          Alcotest.test_case "resume ≡ uninterrupted (vanilla)" `Slow
+            (check_resume_equals_uninterrupted `Vanilla);
           Alcotest.test_case "resume rejects divergence" `Slow
             test_resume_rejects_divergence ] );
       ( "core loss",

@@ -86,6 +86,22 @@ let test_json_rejects_malformed () =
         (T.event_of_json line = None))
     [ ""; "{"; "{}"; "{\"seq\":0}"; "{\"seq\":0,\"min\":1,\"ev\":\"nope\"}" ]
 
+(* The codec's one failure mode: a bad number, escape or float-valued
+   string raises [Json.Bad], which every reader handles, and never a
+   stray [Failure]. *)
+let test_json_raises_only_bad () =
+  let bad what f =
+    match f () with
+    | exception T.Json.Bad -> ()
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  bad "number 6-06" (fun () -> ignore (T.Json.parse_obj {|{"a":6-06}|}));
+  bad "escape \\u00zz" (fun () -> ignore (T.Json.parse_obj {|{"a":"\u00zz"}|}));
+  bad "array string" (fun () -> ignore (T.Json.parse_obj {|{"a":["x"]}|}));
+  bad "float field \"x\"" (fun () ->
+      ignore (T.Json.get_float (T.Json.parse_obj {|{"a":"x"}|}) "a"))
+
 let test_stage_and_reason_names () =
   List.iter
     (fun s ->
@@ -284,6 +300,8 @@ let () =
         [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick
             test_json_rejects_malformed;
+          Alcotest.test_case "json raises only Bad" `Quick
+            test_json_raises_only_bad;
           Alcotest.test_case "stage/reason names" `Quick
             test_stage_and_reason_names ] );
       ( "tracer",
