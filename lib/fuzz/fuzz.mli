@@ -107,6 +107,10 @@ val gen_c_kernel : Rng.t -> S2fa_hlsc.Csyntax.cprog
     declarations and clamped buffer accesses, guaranteed to contain at
     least one transformable loop. *)
 
+val c_cap : int
+(** Element count of the [in] and [out] buffers of a {!gen_c_kernel}
+    kernel; its buffer accesses are clamped into it. *)
+
 val run_campaign :
   ?tasks:int -> ?shrink:bool -> ?coverage:bool -> seed:int -> count:int ->
   unit -> stats

@@ -460,6 +460,542 @@ let prop_interp_arith =
       | Some (Cinterp.VI r) -> r = eval a b
       | _ -> false)
 
+(* ---------- behaviour golden ---------- *)
+
+module Fuzz = S2fa_fuzz.Fuzz
+module Serde = S2fa_blaze.Serde
+module W = S2fa_workloads.Workloads
+module S2fa = S2fa_core.S2fa
+module Seed = S2fa_dse.Seed
+module Rng = S2fa_util.Rng
+module Pretty = S2fa_scala.Pretty
+
+(* Every run below is pinned by golden/cinterp_runs.txt: the return
+   value (floats by their bits) or the C_error message, and an MD5 of
+   every buffer argument after the run, so a trap also pins how far the
+   run got. A change to values, messages, operand order or fuel
+   accounting shows up as a diff. [S2FA_UPDATE_GOLDEN=1] rewrites the
+   file. *)
+
+let rec add_cv b = function
+  | Cinterp.VI n -> Printf.bprintf b "i%d" n
+  | Cinterp.VL n -> Printf.bprintf b "l%Ld" n
+  | Cinterp.VF f -> Printf.bprintf b "f%Lx" (Int64.bits_of_float f)
+  | Cinterp.VA a ->
+    Buffer.add_char b '[';
+    Array.iter (fun x -> add_cv b x; Buffer.add_char b ',') a;
+    Buffer.add_char b ']'
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let show_cv v =
+  let b = Buffer.create 64 in
+  add_cv b v;
+  match v with
+  | Cinterp.VA _ -> md5 (Buffer.contents b)
+  | _ -> Buffer.contents b
+
+(* One run: its result, then each buffer argument's name and contents. *)
+let run_case ?fuel prog entry args =
+  let result =
+    match Cinterp.run_func ?fuel prog entry args with
+    | None -> "ret none"
+    | Some v -> "ret " ^ show_cv v
+    | exception Cinterp.C_error m -> "error " ^ m
+    | exception e -> "exn " ^ Printexc.to_string e
+  in
+  ( result,
+    List.filter_map
+      (function
+        | name, (Cinterp.VA _ as v) ->
+          let b = Buffer.create 256 in
+          add_cv b v;
+          Some (name, Buffer.contents b)
+        | _ -> None)
+      args )
+
+let outcome ?fuel prog entry args =
+  let result, bufs = run_case ?fuel prog entry args in
+  String.concat " "
+    (result :: List.map (fun (name, s) -> name ^ "=" ^ md5 s) bufs)
+
+(* A fuzz kernel at every fuel level, on one line: the fuels grouped by
+   result, then one MD5 over every run's buffers in fuel order. *)
+let fuel_levels = [ 1; 50; 300; 1_000; 5_000; 300_000 ]
+
+let outcome_by_fuel prog entry make_args =
+  let runs =
+    List.map (fun fuel -> (fuel, run_case ~fuel prog entry (make_args ())))
+      fuel_levels
+  in
+  let results = List.sort_uniq compare (List.map (fun (_, (r, _)) -> r) runs) in
+  let groups =
+    List.map
+      (fun r ->
+        Printf.sprintf "%s@%s" r
+          (String.concat ","
+             (List.filter_map
+                (fun (fuel, (r', _)) ->
+                  if r = r' then Some (string_of_int fuel) else None)
+                runs)))
+      results
+  in
+  let bufs =
+    String.concat ";"
+      (List.concat_map
+         (fun (_, (_, bufs)) ->
+           List.map (fun (name, s) -> name ^ "=" ^ s) bufs)
+         runs)
+  in
+  String.concat " | " groups ^ " | buffers=" ^ md5 bufs
+
+(* Hand-built programs: every message [Cinterp] raises, operand order,
+   C99 scoping, recursion and the numeric corners. Each runs [f] in a
+   program of its helper functions; [a] is a 4-element int buffer, [d]
+   a 4-element double buffer and [x] the int 5. *)
+let prm ?(ty = CInt) n = { cpname = n; cpty = ty; cpbitwidth = None }
+
+let fn ?(ret = Some CInt) name params body =
+  { cfname = name; cfparams = params; cfret = ret; cfbody = body }
+
+let v n = EVar n
+let i n = EInt n
+let ( +: ) a b = EBin (CAdd, a, b)
+let at a k = EIndex (EVar a, k)
+let ret e = SReturn (Some e)
+
+let hand_args () =
+  [ ("x", Cinterp.VI 5);
+    ("a", Cinterp.VA (Array.init 4 (fun k -> Cinterp.VI (k + 1))));
+    ("d", Cinterp.VA (Array.init 4 (fun k -> Cinterp.VF (float_of_int k +. 0.5))))
+  ]
+
+let main_params = [ prm "x"; prm ~ty:(CPtr CInt) "a"; prm ~ty:(CPtr CDouble) "d" ]
+
+let helpers =
+  [ fn "g2" [ prm "p"; prm "q" ] [ ret (EBin (CSub, v "p", v "q")) ];
+    fn "g3" [ prm "p"; prm "q"; prm "r" ] [ ret (v "p" +: v "q" +: v "r") ];
+    fn ~ret:None "poke" [ prm ~ty:(CPtr CInt) "b" ]
+      [ SAssign (EIndex (v "b", i 0), i 99); SReturn None ];
+    fn ~ret:None "nothing" [] [];
+    fn "dup" [ prm "p"; prm "p" ] [ ret (v "p") ];
+    fn "fact" [ prm "n" ]
+      [ SIf (EBin (CLe, v "n", i 1), [ ret (i 1) ], []);
+        ret (EBin (CMul, v "n", ECall ("fact", [ EBin (CSub, v "n", i 1) ]))) ];
+    fn "fib" [ prm "n" ]
+      [ SIf (EBin (CLt, v "n", i 2), [ ret (v "n") ], []);
+        ret
+          (ECall ("fib", [ EBin (CSub, v "n", i 1) ])
+          +: ECall ("fib", [ EBin (CSub, v "n", i 2) ])) ];
+    (* A fresh frame per call: [loc] survives the recursive call. *)
+    fn "keep" [ prm "n" ]
+      [ SDecl (CInt, "loc", Some (v "n"));
+        SIf (EBin (CGt, v "n", i 0),
+          [ SExpr (ECall ("keep", [ EBin (CSub, v "n", i 1) ])) ], []);
+        ret (v "loc") ];
+    fn "g2" [ prm "p"; prm "q" ] [ ret (i 7) ] ]
+
+let loop ?(vty = CInt) ?(decl = true) ?(step = 1) var lo hi body =
+  SFor (mk_loop ~vty ~decl ~var ~lo ~hi ~step body)
+
+let nan_ = EBin (CDiv, EDouble 0.0, EDouble 0.0)
+
+let hand_cases =
+  [ ("bool-array", [ SIf (v "a", [ ret (i 1) ], []); ret (i 0) ]);
+    ("int-array", [ ret (at "a" (v "a")) ]);
+    ("float-array", [ ret (ECall ("sqrt", [ v "a" ])) ]);
+    ("float-bitand", [ ret (EBin (CBAnd, EDouble 1.5, EDouble 2.5)) ]);
+    ("float-shift", [ ret (EBin (CShl, EDouble 1.5, i 2)) ]);
+    ("div0-int", [ ret (EBin (CDiv, v "x", i 0)) ]);
+    ("div0-long", [ ret (EBin (CDiv, ELong 7L, EBin (CSub, v "x", v "x"))) ]);
+    ("mod0-int", [ ret (EBin (CRem, v "x", i 0)) ]);
+    ("mod0-long", [ ret (EBin (CRem, v "x", ELong 0L)) ]);
+    ("array-arith", [ ret (v "a" +: i 1) ]);
+    ("array-arith-float", [ ret (v "a" +: EDouble 1.5) ]);
+    ("array-arith-long", [ ret (ELong 1L +: v "a") ]);
+    ("array-compare", [ ret (EBin (CLt, v "a", i 1)) ]);
+    ("array-compare-float", [ ret (EBin (CEq, EDouble 1.0, v "d")) ]);
+    ("array-compare-long", [ ret (EBin (CGe, ELong 1L, v "a")) ]);
+    ("cast-array-long", [ ret (ECast (CLong, v "a")) ]);
+    ("cast-array-int", [ ret (ECast (CInt, v "a")) ]);
+    ("cast-array-bool", [ ret (ECast (CBool, v "d")) ]);
+    ("cast-aggregate", [ ret (ECast (CArr (CInt, 2), i 1)) ]);
+    ("cast-pointer", [ ret (ECast (CPtr CInt, at "a" (i 9))) ]);
+    ("unknown-fn", [ ret (ECall ("foo", [ i 1; i 2 ])) ]);
+    ("unknown-fn-args-first", [ ret (ECall ("foo", [ i 1; at "a" (i 9) ])) ]);
+    ("math-arity", [ ret (ECall ("sqrt", [ EDouble 1.0; EDouble 2.0 ])) ]);
+    ("math-array-arg", [ ret (ECall ("fmin", [ v "a"; EDouble 1.0 ])) ]);
+    ("unbound-read", [ ret (v "y") ]);
+    ("unbound-write", [ SAssign (v "y", i 1); ret (i 0) ]);
+    ("unbound-write-value-first", [ SAssign (v "y", at "a" (i 9)) ]);
+    ("unbound-counter", [ loop ~decl:false "k" (i 0) (i 3) []; ret (i 0) ]);
+    ("unbound-counter-lo-first", [ loop ~decl:false "k" (at "a" (i 9)) (i 3) [] ]);
+    ("neg-array", [ ret (EUn (CNeg, v "a")) ]);
+    ("bnot-float", [ ret (EUn (CBNot, EDouble 1.5)) ]);
+    ("bnot-array", [ ret (EUn (CBNot, v "a")) ]);
+    ("not-array", [ ret (EUn (CNot, v "a")) ]);
+    ("index-oob", [ ret (at "a" (i 4)) ]);
+    ("index-negative", [ ret (at "a" (i (-1))) ]);
+    ("index-non-array", [ ret (at "x" (i 0)) ]);
+    ("store-oob", [ SAssign (at "a" (i 9), i 1) ]);
+    ("store-negative", [ SAssign (at "d" (i (-2)), i 1) ]);
+    ("store-non-array", [ SAssign (at "x" (i 0), i 1) ]);
+    ("invalid-lvalue", [ SAssign (i 1, i 2) ]);
+    ("invalid-lvalue-value-first", [ SAssign (v "x" +: i 1, at "a" (i 9)) ]);
+    ("fuel-while", [ SWhile (i 1, []) ]);
+    (* Operand order. *)
+    ("bin-both-trap", [ ret (at "a" (i 100) +: at "a" (i 200)) ]);
+    ("cmp-both-trap", [ ret (EBin (CLt, at "a" (i 100), at "a" (i 200))) ]);
+    ("assign-both-trap", [ SAssign (at "a" (i 100), at "a" (i 200)) ]);
+    ("assign-target-trap", [ SAssign (EIndex (at "a" (i 100), at "a" (i 200)), i 1) ]);
+    ("index-both-trap", [ ret (EIndex (at "a" (i 100), at "a" (i 200))) ]);
+    ("call-args-order", [ ret (ECall ("g2", [ at "a" (i 100); at "a" (i 200) ])) ]);
+    ("math-args-order", [ ret (ECall ("fmin", [ at "a" (i 100); at "a" (i 200) ])) ]);
+    ("and-short", [ ret (EBin (CAnd, i 0, at "a" (i 100))) ]);
+    ("or-short", [ ret (EBin (COr, EDouble 0.5, at "a" (i 100))) ]);
+    ("and-right-trap", [ ret (EBin (CAnd, i 1, at "a" (i 100))) ]);
+    ("or-both", [ ret (EBin (COr, i 0, ELong 0L) +: EBin (CAnd, i 2, i 3)) ]);
+    ("cond", [ ret (ECond (EBin (CGt, v "x", i 3), at "a" (i 0), at "a" (i 100))) ]);
+    (* C99 scoping. *)
+    ( "loop-redeclares-counter",
+      [ SDecl (CInt, "k", Some (i 0));
+        loop "i" (i 0) (i 3)
+          [ SDecl (CInt, "i", Some (i 10 +: v "k"));
+            SAssign (at "a" (v "k"), v "i");
+            SAssign (v "k", v "k" +: i 1) ];
+        ret (v "k") ] );
+    ( "non-ldecl-exit-value",
+      [ SDecl (CInt, "i", Some (i 100));
+        loop ~decl:false ~step:3 "i" (i 0) (i 7)
+          [ SAssign (at "a" (i 0), at "a" (i 0) +: v "i") ];
+        ret (v "i") ] );
+    ( "ldecl-restores-outer",
+      [ SDecl (CInt, "i", Some (i 100));
+        loop "i" (i 0) (i 3) [ SAssign (at "a" (v "i"), v "i") ];
+        ret (v "i") ] );
+    ( "ldecl-unbound-after",
+      [ loop "i" (i 0) (i 3) []; ret (v "i") ] );
+    ( "if-shadow-restores",
+      [ SDecl (CInt, "y", Some (i 1));
+        SIf (EBin (CGt, v "x", i 0),
+          [ SDecl (CInt, "y", Some (i 2)); SAssign (at "a" (i 0), v "y") ],
+          []);
+        ret (v "y") ] );
+    ( "if-decl-unbound-after",
+      [ SIf (v "x", [ SDecl (CInt, "y", Some (i 2)) ], []); ret (v "y") ] );
+    ( "decl-init-sees-outer",
+      [ SDecl (CInt, "y", Some (i 5));
+        SIf (i 1,
+          [ SDecl (CInt, "y", Some (v "y" +: i 1)); SAssign (at "a" (i 0), v "y") ],
+          []);
+        ret (v "y") ] );
+    ( "redeclare-in-block",
+      [ SWhile (EBin (CLt, at "a" (i 3), i 7),
+          [ SDecl (CInt, "y", Some (i 1));
+            SDecl (CInt, "y", Some (v "y" +: i 1));
+            SAssign (at "a" (i 3), at "a" (i 3) +: v "y") ]);
+        ret (at "a" (i 3)) ] );
+    ("param-shadowed", [ SDecl (CInt, "x", Some (EBin (CMul, v "x", i 2))); ret (v "x") ]);
+    ( "read-before-decl-in-loop",
+      [ SDecl (CInt, "y", Some (i 1));
+        loop "i" (i 0) (i 3)
+          [ SAssign (at "a" (v "i"), v "y");
+            SDecl (CInt, "y", Some (i 50));
+            SAssign (at "d" (v "i"), v "y") ];
+        ret (v "y") ] );
+    ( "local-array-fresh",
+      [ SDecl (CInt, "n", Some (i 0));
+        SWhile (EBin (CLt, v "n", i 3),
+          [ SDecl (CArr (CInt, 2), "t", None);
+            SAssign (at "t" (i 0), at "t" (i 0) +: i 1);
+            SAssign (at "a" (v "n"), at "t" (i 0));
+            SAssign (v "n", v "n" +: i 1) ]);
+        ret (v "n") ] );
+    ( "local-2d-array",
+      [ SDecl (CArr (CArr (CInt, 2), 3), "m", None);
+        SAssign (EIndex (at "m" (i 2), i 1), i 7);
+        ret (EIndex (at "m" (i 2), i 1) +: EIndex (at "m" (i 0), i 0)) ] );
+    ("local-2d-oob", [ SDecl (CArr (CArr (CInt, 2), 3), "m", None);
+                       ret (EIndex (at "m" (i 1), i 2)) ]);
+    ("decl-pointer-no-init", [ SDecl (CPtr CDouble, "p", None); ret (v "p") ]);
+    ("decl-long-no-init", [ SDecl (CLong, "p", None); ret (v "p") ]);
+    ("decl-no-cast", [ SDecl (CInt, "y", Some (EDouble 2.5)); ret (v "y") ]);
+    ("store-no-cast", [ SAssign (at "a" (i 1), EDouble 2.5); ret (i 0) ]);
+    ("store-array-into-array", [ SAssign (at "a" (i 1), v "d"); ret (i 0) ]);
+    ( "counter-retyped-float",
+      [ loop "i" (i 0) (i 5)
+          [ SAssign (v "i", v "i" +: EDouble 0.5);
+            SAssign (at "a" (i 0), at "a" (i 0) +: i 1) ];
+        ret (at "a" (i 0)) ] );
+    ( "counter-long",
+      [ SDecl (CInt, "s", Some (i 0));
+        loop ~vty:CLong "i" (i 0) (i 3) [ SAssign (v "s", v "s" +: v "i") ];
+        ret (v "s") ] );
+    ( "counter-long-non-ldecl",
+      [ SDecl (CLong, "i", None);
+        loop ~vty:CLong ~decl:false "i" (i 1) (i 4) [];
+        ret (v "i") ] );
+    ("counter-array", [ loop "i" (i 0) (i 3) [ SAssign (v "i", v "a") ] ]);
+    ( "hi-reads-counter",
+      [ SDecl (CInt, "s", Some (i 0));
+        loop "i" (i 0) (EBin (CSub, i 10, v "i")) [ SAssign (v "s", v "s" +: i 1) ];
+        ret (v "s") ] );
+    ( "hi-reevaluated",
+      [ SDecl (CInt, "h", Some (i 6));
+        SDecl (CInt, "s", Some (i 0));
+        loop "i" (i 0) (v "h")
+          [ SAssign (v "h", EBin (CSub, v "h", i 1)); SAssign (v "s", v "s" +: i 1) ];
+        ret (v "s") ] );
+    ( "hi-traps-late",
+      [ loop "i" (i 0) (at "a" (v "i")) [] ] );
+    ( "lo-sees-outer",
+      [ SDecl (CInt, "i", Some (i 2));
+        loop "i" (v "i" +: i 1) (i 6) [ SAssign (at "a" (i 0), at "a" (i 0) +: v "i") ];
+        ret (at "a" (i 0)) ] );
+    ( "float-lo",
+      [ SDecl (CInt, "s", Some (i 0));
+        loop "i" (EDouble 1.7) (i 4) [ SAssign (v "s", v "s" +: v "i") ];
+        ret (v "s") ] );
+    ( "nested-shadow-non-ldecl",
+      [ SDecl (CInt, "i", Some (i 0));
+        SDecl (CInt, "s", Some (i 0));
+        loop ~decl:false "i" (i 0) (i 3)
+          [ loop "i" (i 5) (i 7) [ SAssign (v "s", v "s" +: v "i") ];
+            SAssign (v "s", v "s" +: v "i") ];
+        ret (EBin (CMul, v "s", i 100) +: v "i") ] );
+    ( "return-from-nested-loop",
+      [ loop "i" (i 0) (i 4)
+          [ loop "j" (i 0) (i 4)
+              [ SIf (EBin (CEq, EBin (CMul, v "i", v "j"), i 6),
+                  [ ret (EBin (CMul, v "i", i 10) +: v "j") ], []) ] ];
+        ret (i (-1)) ] );
+    ("while-false", [ SWhile (i 0, [ SAssign (at "a" (i 9), i 1) ]); ret (i 3) ]);
+    (* Functions. *)
+    ("recursive-fact", [ ret (ECall ("fact", [ i 10 ])) ]);
+    ("recursive-fib", [ ret (ECall ("fib", [ i 15 ])) ]);
+    ("fresh-frame", [ ret (ECall ("keep", [ i 5 ])) ]);
+    ("callee-void", [ ret (ECall ("poke", [ v "a" ]) +: ECall ("nothing", [])) ]);
+    ("callee-statement", [ SExpr (ECall ("poke", [ v "a" ])); ret (at "a" (i 0)) ]);
+    ("duplicate-params", [ ret (ECall ("dup", [ i 1; i 2 ])) ]);
+    ("arity-too-many", [ ret (ECall ("g2", [ i 1; i 2; at "a" (i 100) ])) ]);
+    ("arity-too-few", [ ret (ECall ("g2", [ at "a" (i 100) ])) ]);
+    ("arity-pairwise", [ ret (ECall ("g3", [ at "a" (i 100); i 2 ])) ]);
+    ("first-function-wins", [ ret (ECall ("g2", [ i 9; i 4 ])) ]);
+    ("return-void", [ SReturn None; ret (i 1) ]);
+    ("return-array", [ SAssign (at "a" (i 0), i 42); ret (v "a") ]);
+    ("no-return", [ SAssign (at "a" (i 0), i 42) ]);
+    ("empty", []);
+    (* Numeric corners. *)
+    ( "nan-compare",
+      [ SDecl (CDouble, "z", Some nan_);
+        ret
+          (EBin (CMul, EBin (CLt, v "z", EDouble 1.0), i 1000)
+          +: EBin (CMul, EBin (CEq, v "z", v "z"), i 100)
+          +: EBin (CMul, EBin (CGt, v "z", EDouble 1.0), i 10)
+          +: EBin (CNe, EDouble 1.0, v "z")) ] );
+    ("nan-truthy", [ SIf (nan_, [ ret (i 1) ], [ ret (i 0) ]) ]);
+    ("promote-long", [ ret (EBin (CMul, v "x" +: ELong 1L, i 3)) ]);
+    ("promote-float", [ ret (EBin (CMul, v "x" +: ELong 1L, EDouble 2.5)) ]);
+    ("promote-compare", [ ret (EBin (CLt, ELong 1L, i 2) +: EBin (CGt, i 2, ELong 1L)
+                               +: EBin (CEq, i 1, EDouble 1.0)) ]);
+    ("shift-long", [ ret (EBin (CShr, EBin (CShl, ELong 1L, i 40), i 3)) ]);
+    ("shift-int", [ ret (EBin (CShr, EBin (CShl, v "x", i 4), i 1) +: EBin (CShr, i (-17), i 2)) ]);
+    ("shift-wide", [ ret (EBin (CShl, v "x", i 70)) ]);
+    ("bitwise", [ ret (EBin (CBXor, EBin (CBOr, EBin (CBAnd, v "x", i 6), i 8), i 3)) ]);
+    ("bitwise-long", [ ret (EBin (CBXor, EBin (CBOr, EBin (CBAnd, ELong 12L, v "x"), i 8), ELong 3L)) ]);
+    ("casts", [ ret (ECast (CChar, i 300) +: ECast (CChar, i (-1)) +: ECast (CBool, EDouble 2.5)
+                     +: ECast (CInt, EDouble 3.9) +: ECast (CInt, ELong 7L)) ]);
+    ("cast-long", [ ret (ECast (CLong, EDouble (-2.5)) +: ECast (CLong, i 3)) ]);
+    ("cast-double", [ ret (ECast (CDouble, ELong 7L) +: ECast (CFloat, v "x")) ]);
+    ("cast-char-of-float", [ ret (ECast (CChar, EDouble 300.7)) ]);
+    ("unary", [ ret (EUn (CNeg, v "x") +: EUn (CNot, i 0) +: EUn (CNot, EDouble 2.5)
+                     +: EUn (CBNot, v "x")) ]);
+    ("unary-long", [ ret (EUn (CNeg, ELong 4L) +: EUn (CBNot, ELong 5L)) ]);
+    ("unary-float", [ ret (EUn (CNeg, EDouble 2.5)) ]);
+    ("literals", [ ret (EChar 'A' +: EBool true +: EBool false +: EFloat 0.25) ]);
+    ( "math",
+      [ ret
+          (ECall ("sqrt", [ i 2 ]) +: ECall ("exp", [ EDouble 1.0 ])
+          +: ECall ("log", [ EDouble 2.0 ])
+          +: ECall ("floor", [ EDouble (-1.5) ]) +: ECall ("ceil", [ EDouble 1.2 ])
+          +: ECall ("fabs", [ EDouble (-3.0) ]) +: ECall ("pow", [ i 2; EDouble 0.5 ])
+          +: ECall ("fmin", [ i 3; EDouble 2.0 ]) +: ECall ("fmax", [ nan_; i 1 ])) ] );
+    ("math-abs", [ ret (ECall ("abs", [ i (-3) ]) +: ECall ("labs", [ ELong (-4L) ])) ]);
+    ("math-abs-float", [ ret (ECall ("abs", [ EDouble (-3.5) ]) +: ECall ("labs", [ i (-4) ])) ]);
+    ("int-overflow", [ ret (EBin (CMul, v "x", i max_int)) ]);
+    ("long-min-div", [ ret (EBin (CDiv, ELong Int64.min_int, ELong (-1L))) ]);
+    ("int-min-rem", [ ret (EBin (CRem, i min_int, i (-1))) ]);
+    ("rem-signs", [ ret (EBin (CRem, i (-7), i 3) +: EBin (CRem, EDouble 7.5, EDouble (-2.0))) ]);
+    ("float-div0", [ ret (EBin (CDiv, EDouble 1.0, EDouble 0.0)) ]);
+    ( "double-buffer",
+      [ loop "k" (i 0) (i 4)
+          [ SAssign (at "d" (v "k"), EBin (CMul, at "d" (v "k"), at "d" (EBin (CSub, i 3, v "k")))) ];
+        ret (at "d" (i 2)) ] ) ]
+
+(* One program per fuel level: the exact unit cost of statements, loop
+   iterations, branches and calls. *)
+let fuel_program =
+  [ SDecl (CInt, "s", Some (i 0));
+    SDecl (CInt, "n", Some (i 0));
+    SWhile (EBin (CLt, v "n", i 2),
+      [ loop "i" (i 0) (i 3)
+          [ SIf (EBin (CGt, v "i", i 0),
+              [ SAssign (v "s", v "s" +: v "i") ],
+              [ SDecl (CInt, "t", Some (i 1)); SAssign (v "s", EBin (CSub, v "s", v "t")) ]) ];
+        SAssign (v "n", v "n" +: i 1);
+        SAssign (at "a" (v "n"), v "s") ]);
+    ret (v "s" +: ECall ("fact", [ i 4 ])) ]
+
+let hand_prog body = { cfuncs = fn "f" main_params body :: helpers }
+
+let golden_hand () =
+  let line label r = Printf.sprintf "hand %s: %s" label r in
+  List.map
+    (fun (label, body) ->
+      let fuel = if label = "fuel-while" then Some 1000 else None in
+      line label (outcome ?fuel (hand_prog body) "f" (hand_args ())))
+    hand_cases
+  @ [ line "no-function" (outcome (hand_prog []) "nope" (hand_args ()));
+      line "missing-argument"
+        (outcome (hand_prog []) "f" (List.filter (fun (n, _) -> n <> "a") (hand_args ())));
+      line "extra-and-repeated-arguments"
+        (outcome (hand_prog [ ret (v "x") ]) "f"
+           (("x", Cinterp.VI 8) :: ("zz", Cinterp.VI 1) :: hand_args ()));
+      line "duplicate-params-entry" (outcome (hand_prog []) "dup" [ ("p", Cinterp.VI 3) ]);
+      line "user-shadows-math"
+        (outcome
+           { cfuncs =
+               fn "f" main_params [ ret (ECall ("sqrt", [ i 4 ])) ]
+               :: fn ~ret:(Some CDouble) "sqrt" [ prm "p" ] [ ret (EDouble 42.0) ]
+               :: helpers }
+           "f" (hand_args ())) ]
+  @ List.init 42 (fun k ->
+        line (Printf.sprintf "fuel %d" (k + 1))
+          (outcome ~fuel:(k + 1) (hand_prog fuel_program) "f" (hand_args ())))
+  @ List.map
+      (fun (label, f) ->
+        line label (match f () with v -> show_cv v | exception Cinterp.C_error m -> "error " ^ m))
+      [ ("arith-long-compare-op", fun () -> Cinterp.arith CLt (Cinterp.VL 1L) (Cinterp.VL 2L));
+        ("arith-int-compare-op", fun () -> Cinterp.arith CEq (Cinterp.VI 1) (Cinterp.VI 2));
+        ("compare-arith-op", fun () -> Cinterp.compare_cv CAdd (Cinterp.VI 1) (Cinterp.VI 2)) ]
+
+(* The eight workloads under three designs each, fed through [Serde] as
+   [Blaze.map_accelerated] feeds them. *)
+let golden_workloads () =
+  List.concat_map
+    (fun (w : W.t) ->
+      let c = W.compile w in
+      let designs =
+        [ ("flat", c.S2fa.c_flat);
+          ("served", S2fa.apply_design c (Seed.structured_seed c.S2fa.c_dspace));
+          ("manual", S2fa.apply_design c (W.manual_design w c)) ]
+      in
+      List.concat_map
+        (fun (dname, prog) ->
+          List.concat_map
+            (fun (n, fuels) ->
+              List.map
+                (fun fuel ->
+                  let rng = Rng.create (1000 + n) in
+                  let iface = c.S2fa.c_iface in
+                  let tasks = w.W.w_gen rng n in
+                  let inputs = Serde.serialize_inputs iface c.S2fa.c_input_ty tasks in
+                  let outputs = Serde.alloc_outputs iface n in
+                  let fields = Serde.field_buffers iface (w.W.w_fields rng) in
+                  let args = (("N", Cinterp.VI n) :: inputs) @ outputs @ fields in
+                  Printf.sprintf "workload %s %s n=%d fuel=%s: %s" w.W.w_name dname n
+                    (match fuel with Some f -> string_of_int f | None -> "default")
+                    (outcome ?fuel prog iface.S2fa_b2c.Decompile.if_kernel args))
+                fuels)
+            [ (1, [ None ]); (2, [ None ]); (16, [ None; Some 1000 ]) ])
+        designs)
+    W.all
+
+(* Fuzz.gen_c_kernel kernels: N = 4, [in] and [out] of Fuzz.c_cap. *)
+let golden_c_kernels () =
+  List.init 300 (fun seed ->
+      let prog = Fuzz.gen_c_kernel (Rng.create seed) in
+      Printf.sprintf "ckernel %d: %s" seed
+        (outcome_by_fuel prog "kernel" (fun () ->
+             [ ("N", Cinterp.VI 4);
+               ( "in",
+                 Cinterp.VA
+                   (Array.init Fuzz.c_cap (fun k -> Cinterp.VI ((k * 7) - 11))) );
+               ("out", Cinterp.VA (Array.make Fuzz.c_cap (Cinterp.VI 0))) ])))
+
+(* Fuzz.gen_kernel MiniScala kernels, flattened by Fuzz.compile_flat and
+   run on 2 tasks with seeded values of each parameter's C type. *)
+let golden_flat_kernels () =
+  let tasks = 2 in
+  let rec value rng = function
+    | CBool -> Cinterp.VI (Rng.int rng 2)
+    | CChar -> Cinterp.VI (Rng.int rng 256)
+    | CInt -> Cinterp.VI (Rng.int_in rng (-9) 9)
+    | CLong -> Cinterp.VL (Int64.of_int (Rng.int_in rng (-99) 99))
+    | CFloat | CDouble -> Cinterp.VF (Rng.float rng 8.0 -. 4.0)
+    | CArr (t, _) | CPtr t -> value rng t
+  in
+  List.init 600 (fun seed ->
+      let ast, len = Fuzz.gen_kernel (Rng.create seed) in
+      match Fuzz.compile_flat ~len (Pretty.to_string ast) with
+      | Error m -> Printf.sprintf "flat %d: refused %s" seed m
+      | Ok (prog, elems) ->
+        let caps = Fuzz.scale_caps ~tasks elems in
+        let params = (Option.get (find_cfunc prog "kernel")).cfparams in
+        let make_args () =
+          let rng = Rng.create (seed + 7919) in
+          List.map
+            (fun p ->
+              ( p.cpname,
+                match p.cpty with
+                | _ when p.cpname = "N" -> Cinterp.VI tasks
+                | CPtr t ->
+                  let cap =
+                    Option.value ~default:len (List.assoc_opt p.cpname caps)
+                  in
+                  Cinterp.VA (Array.init cap (fun _ -> value rng t))
+                | t -> value rng t ))
+            params
+        in
+        Printf.sprintf "flat %d: %s" seed (outcome_by_fuel prog "kernel" make_args))
+
+(* dune runtest runs us in test/; a bare [dune exec] runs from the
+   workspace root. *)
+let golden_path =
+  let dir =
+    if Sys.file_exists "golden" && Sys.is_directory "golden" then "golden"
+    else "test/golden"
+  in
+  Filename.concat dir "cinterp_runs.txt"
+
+let test_runs_golden () =
+  let body =
+    String.concat "\n"
+      (golden_hand () @ golden_workloads () @ golden_c_kernels ()
+     @ golden_flat_kernels ())
+    ^ "\n"
+  in
+  if Sys.getenv_opt "S2FA_UPDATE_GOLDEN" = Some "1" then
+    Out_channel.with_open_bin golden_path (fun oc ->
+        Out_channel.output_string oc body)
+  else begin
+    (* Report the first differing line, not a megabyte of text. *)
+    let want =
+      String.split_on_char '\n'
+        (In_channel.with_open_bin golden_path In_channel.input_all)
+    and got = String.split_on_char '\n' body in
+    let rec first k = function
+      | w :: ws, g :: gs -> if w = g then first (k + 1) (ws, gs) else Some (k, w, g)
+      | [], [] -> None
+      | w :: _, [] -> Some (k, w, "<end of output>")
+      | [], g :: _ -> Some (k, "<end of golden>", g)
+    in
+    match first 1 (want, got) with
+    | None -> ()
+    | Some (k, w, g) ->
+      Alcotest.failf "%s:%d differs\n  golden: %s\n  actual: %s" golden_path k w g
+  end
+
 let () =
   Alcotest.run "hlsc"
     [ ( "interp",
@@ -468,7 +1004,8 @@ let () =
           Alcotest.test_case "conditionals" `Quick test_interp_conditionals;
           Alcotest.test_case "math" `Quick test_interp_math;
           Alcotest.test_case "user calls" `Quick test_interp_user_call;
-          Alcotest.test_case "char cast" `Quick test_interp_char_cast ] );
+          Alcotest.test_case "char cast" `Quick test_interp_char_cast;
+          Alcotest.test_case "golden runs pinned" `Quick test_runs_golden ] );
       ( "printer",
         [ Alcotest.test_case "basic" `Quick test_pp_basic;
           Alcotest.test_case "pragmas" `Quick test_pp_pragmas;
