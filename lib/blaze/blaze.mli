@@ -40,7 +40,11 @@ val create_manager : ?trace:Telemetry.t -> unit -> manager
     events are emitted; functional results and timings are unchanged. *)
 
 val register : manager -> accel -> unit
-(** Replaces any accelerator previously registered under the same id. *)
+(** Compiles the kernel ({!S2fa_hlsc.Cinterp.compile}) and keeps it with
+    the registration, together with a memo of the HLS estimate per batch
+    size. Replaces any accelerator previously registered under the same
+    id, so a re-registered (promoted) design runs its own freshly
+    compiled kernel and estimates. *)
 
 val find : manager -> string -> accel option
 
@@ -54,7 +58,10 @@ type timed_result = {
 
 val map_accelerated : manager -> id:string -> Interp.value array -> timed_result
 (** Run a batch of tasks on the registered accelerator. Raises
-    {!Blaze_error} when the id is unknown or (de)serialization fails. *)
+    {!Blaze_error} when the id is unknown or (de)serialization fails.
+    The first batch of each size computes the registration's HLS
+    estimate (one [hls.estimate] profiler span); the profiler's virtual
+    clock is left where it was. *)
 
 val reduce_accelerated :
   manager -> id:string -> Interp.value array -> timed_result

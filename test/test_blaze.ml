@@ -2,6 +2,7 @@
 module Ast = S2fa_scala.Ast
 module Interp = S2fa_jvm.Interp
 module Cinterp = S2fa_hlsc.Cinterp
+module Csyntax = S2fa_hlsc.Csyntax
 module Rdd = S2fa_blaze.Rdd
 module Serde = S2fa_blaze.Serde
 module Blaze = S2fa_blaze.Blaze
@@ -179,6 +180,52 @@ let test_time_detail_breakdown () =
   in
   Alcotest.(check (float 1e-12)) "detail sums to total" r.Blaze.tr_seconds total
 
+(* Re-registering an id is the fleet's live promotion
+   ([Fleet.s_update_app]): the new design must run its own compiled
+   kernel and estimates, with nothing kept from the old registration.
+   The second design also overwrites task 0's output, so a stale kernel
+   would show in the values, and a stale estimate in the seconds. *)
+let test_reregister_replaces_kernel_and_estimate () =
+  let w = Option.get (W.find "KMeans") in
+  let c = W.compile w in
+  let rng = Rng.create 5 in
+  let fields = w.W.w_fields rng in
+  let tasks = w.W.w_gen rng 8 in
+  let first = S2fa.make_accelerator c ~fields in
+  let manual = S2fa.make_accelerator ~design:(W.manual_design w c) c ~fields in
+  let mark (f : Csyntax.cfunc) =
+    if f.Csyntax.cfname <> "kernel" then f
+    else
+      { f with
+        Csyntax.cfbody =
+          f.Csyntax.cfbody
+          @ [ Csyntax.SAssign
+                (Csyntax.EIndex (Csyntax.EVar "out_1", Csyntax.EInt 0), Csyntax.EInt 99) ] }
+  in
+  let second =
+    { manual with
+      Blaze.acc_prog =
+        { Csyntax.cfuncs = List.map mark manual.Blaze.acc_prog.Csyntax.cfuncs } }
+  in
+  let mgr = Blaze.create_manager () in
+  Blaze.register mgr first;
+  let before = Blaze.map_accelerated mgr ~id:"KMeans" tasks in
+  Blaze.register mgr second;
+  let after = Blaze.map_accelerated mgr ~id:"KMeans" tasks in
+  let alone = Blaze.create_manager () in
+  Blaze.register alone second;
+  let want = Blaze.map_accelerated alone ~id:"KMeans" tasks in
+  let same_values x y =
+    Array.length x.Blaze.tr_values = Array.length y.Blaze.tr_values
+    && Array.for_all2 Interp.equal_value x.Blaze.tr_values y.Blaze.tr_values
+  in
+  Alcotest.(check bool) "the designs differ in values" false (same_values before want);
+  Alcotest.(check bool) "the designs differ in time" true
+    (before.Blaze.tr_seconds <> want.Blaze.tr_seconds);
+  Alcotest.(check bool) "second design's values" true (same_values after want);
+  Alcotest.(check (float 0.0)) "second design's seconds" want.Blaze.tr_seconds
+    after.Blaze.tr_seconds
+
 (* ---------- reduce operator ---------- *)
 
 let vecsum_src =
@@ -348,8 +395,9 @@ let () =
           Alcotest.test_case "unknown id" `Quick test_unknown_id_rejected;
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
           Alcotest.test_case "fpga beats jvm" `Slow test_fpga_beats_jvm_on_batch;
-          Alcotest.test_case "time breakdown" `Quick test_time_detail_breakdown
-        ] );
+          Alcotest.test_case "time breakdown" `Quick test_time_detail_breakdown;
+          Alcotest.test_case "re-registration replaces everything" `Quick
+            test_reregister_replaces_kernel_and_estimate ] );
       ( "reduce",
         [ Alcotest.test_case "generated shape" `Quick test_reduce_shape;
           Alcotest.test_case "fold equivalence" `Quick test_reduce_equivalence;

@@ -12,6 +12,7 @@ module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
 module T = S2fa_telemetry.Telemetry
 module Fault = S2fa_fault.Fault
+module Obs = S2fa_obs.Obs
 
 (* Two tenants over distinct kernels, compiled once for the whole
    file. The KMeans/PR pair exercises both broadcast fields and the
@@ -699,6 +700,31 @@ let test_traffic_sorted_and_in_horizon () =
          r.Fleet.rq_arrival >= 0.0 && r.Fleet.rq_arrival < 0.25)
        rs)
 
+(* ---------- profiling ---------- *)
+
+(* Dispatch runs the HLS estimate, which charges its modeled tool
+   minutes to the profiler's virtual clock; the serve loop's later spans
+   must still carry serving time, inside the [fleet.serve] root. *)
+let test_profiled_spans_inside_root () =
+  let ts = [ Traffic.tenant ~rate:400.0 ~weight:1.0 (Option.get (W.find "KMeans")) ] in
+  let apps = Traffic.apps ~seed:7 ts in
+  let requests = Traffic.requests ~seed:7 ~horizon:0.05 ts in
+  let p = Obs.Profiler.create () in
+  let outcome = Obs.with_profiler p (fun () -> Fleet.serve apps requests) in
+  Alcotest.(check bool) "several batches" true
+    (outcome.Fleet.oc_report.Fleet.rp_batches > 2);
+  let spans = Obs.Profiler.spans p in
+  let root =
+    List.find (fun s -> s.Obs.Profiler.sp_name = "fleet.serve") spans
+  in
+  List.iter
+    (fun (s : Obs.Profiler.span) ->
+      if s.Obs.Profiler.sp_vbegin > root.Obs.Profiler.sp_vend then
+        Alcotest.failf "%s begins at %g vmin, after fleet.serve ends at %g"
+          s.Obs.Profiler.sp_name s.Obs.Profiler.sp_vbegin
+          root.Obs.Profiler.sp_vend)
+    spans
+
 let () =
   Alcotest.run "fleet"
     [ ( "differential",
@@ -732,7 +758,9 @@ let () =
           Alcotest.test_case "tracing has zero observer effect" `Quick
             test_tracing_zero_observer_effect;
           Alcotest.test_case "zero traffic is a no-op" `Quick
-            test_zero_traffic_noop ] );
+            test_zero_traffic_noop;
+          Alcotest.test_case "profiled spans inside the serve root" `Quick
+            test_profiled_spans_inside_root ] );
       ( "policies",
         [ Alcotest.test_case "same result multiset" `Quick
             test_policies_same_result_multiset;

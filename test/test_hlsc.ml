@@ -495,10 +495,11 @@ let show_cv v =
   | Cinterp.VA _ -> md5 (Buffer.contents b)
   | _ -> Buffer.contents b
 
-(* One run: its result, then each buffer argument's name and contents. *)
-let run_case ?fuel prog entry args =
+(* One run of [go] over [args]: its result, then each buffer argument's
+   name and contents. *)
+let run_with go args =
   let result =
-    match Cinterp.run_func ?fuel prog entry args with
+    match go args with
     | None -> "ret none"
     | Some v -> "ret " ^ show_cv v
     | exception Cinterp.C_error m -> "error " ^ m
@@ -513,6 +514,9 @@ let run_case ?fuel prog entry args =
           Some (name, Buffer.contents b)
         | _ -> None)
       args )
+
+let run_case ?fuel prog entry args =
+  run_with (Cinterp.run_func ?fuel prog entry) args
 
 let outcome ?fuel prog entry args =
   let result, bufs = run_case ?fuel prog entry args in
@@ -959,6 +963,58 @@ let golden_flat_kernels () =
         in
         Printf.sprintf "flat %d: %s" seed (outcome_by_fuel prog "kernel" make_args))
 
+(* A compiled program keeps nothing from one run to the next: one
+   compile serves different inputs, interleaved with another program,
+   after a trap and after running out of fuel, exactly as a fresh
+   [run_func] does. *)
+let test_compiled_runs_independent () =
+  let prefix_sums =
+    hand_prog
+      [ SDecl (CInt, "s", Some (i 0));
+        loop "k" (i 0) (v "x")
+          [ SAssign (v "s", v "s" +: at "a" (v "k")); SAssign (at "a" (v "k"), v "s") ];
+        ret (v "s" +: ECall ("fact", [ v "x" ])) ]
+  in
+  let other = Fuzz.gen_c_kernel (Rng.create 3) in
+  let p1 = Cinterp.compile prefix_sums and p2 = Cinterp.compile other in
+  let args x a () =
+    [ ("x", Cinterp.VI x);
+      ("a", Cinterp.VA (Array.map (fun n -> Cinterp.VI n) a));
+      ("d", Cinterp.VA [||]) ]
+  in
+  let kernel_args () =
+    [ ("N", Cinterp.VI 4);
+      ("in", Cinterp.VA (Array.init Fuzz.c_cap (fun k -> Cinterp.VI (k * k))));
+      ("out", Cinterp.VA (Array.make Fuzz.c_cap (Cinterp.VI 0))) ]
+  in
+  let steps =
+    [ ("first batch", p1, prefix_sums, "f", args 3 [| 1; 2; 3; 4 |], None);
+      ("other program", p2, other, "kernel", kernel_args, None);
+      ("trap", p1, prefix_sums, "f", args 6 [| 5; 6; 7; 8 |], None);
+      ("after the trap", p1, prefix_sums, "f", args 4 [| 9; 8; 7; 6 |], None);
+      ("out of fuel", p1, prefix_sums, "f", args 4 [| 1; 1; 1; 1 |], Some 9);
+      ("after running out", p1, prefix_sums, "f", args 2 [| 3; 0; 0; 3 |], None);
+      ("other program again", p2, other, "kernel", kernel_args, Some 40);
+      ("missing argument", p1, prefix_sums, "f", (fun () -> [ ("x", Cinterp.VI 1) ]), None);
+      ("last batch", p1, prefix_sums, "f", args 4 [| 2; 4; 6; 8 |], None) ]
+  in
+  let results =
+    List.map
+      (fun (label, compiled, prog, entry, make_args, fuel) ->
+        let fresh = run_with (Cinterp.run_func ?fuel prog entry) (make_args ()) in
+        let reused = run_with (Cinterp.run ?fuel compiled entry) (make_args ()) in
+        Alcotest.(check (pair string (list (pair string string)))) label fresh reused;
+        (label, fst reused))
+      steps
+  in
+  List.iter
+    (fun (label, want) ->
+      Alcotest.(check string) (label ^ " result") want (List.assoc label results))
+    [ ("trap", "error index 4 out of bounds (len 4)");
+      ("out of fuel", "error fuel exhausted");
+      ("missing argument", "error f: missing argument a");
+      ("after the trap", "ret i54") ]
+
 (* dune runtest runs us in test/; a bare [dune exec] runs from the
    workspace root. *)
 let golden_path =
@@ -1005,7 +1061,9 @@ let () =
           Alcotest.test_case "math" `Quick test_interp_math;
           Alcotest.test_case "user calls" `Quick test_interp_user_call;
           Alcotest.test_case "char cast" `Quick test_interp_char_cast;
-          Alcotest.test_case "golden runs pinned" `Quick test_runs_golden ] );
+          Alcotest.test_case "golden runs pinned" `Quick test_runs_golden;
+          Alcotest.test_case "compiled runs independent" `Quick
+            test_compiled_runs_independent ] );
       ( "printer",
         [ Alcotest.test_case "basic" `Quick test_pp_basic;
           Alcotest.test_case "pragmas" `Quick test_pp_pragmas;
