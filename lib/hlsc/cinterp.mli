@@ -3,13 +3,13 @@
     {!compile} turns a program into OCaml closures once: every variable
     resolves to a slot of a per-call frame under C99 block scoping, every
     user call to its compiled callee, and every statement and operator
-    to a closure of its own.
-    {!run} then executes the result as often as needed. This executes
-    the "FPGA side" of the Blaze simulator, which compiles each kernel
-    once per registration (timing comes from {!S2fa_hls}, not from
-    here), and checks functional equivalence: the bytecode interpreter
-    ([S2fa_jvm.Interp], the independent oracle) and this evaluator must
-    agree on every kernel, before and after every Merlin transformation.
+    to a closure of its own. {!run} then executes the result as often as
+    needed. This executes the "FPGA side" of the Blaze simulator, which
+    compiles each kernel once per registration (timing comes from
+    {!S2fa_hls}, not from here), and checks functional equivalence: the
+    bytecode interpreter ([S2fa_jvm.Interp], the independent oracle) and
+    this evaluator must agree on every kernel, before and after every
+    Merlin transformation.
 
     Behaviour contract, pinned by [test/golden/cinterp_runs.txt]:
     - Operands run right first in binary operators (so [a\[100\] +
@@ -20,7 +20,8 @@
       iteration; running out raises [C_error "fuel exhausted"].
     - Each call gets a fresh frame, so recursion works. A name that
       resolves to no declaration raises "unbound variable" only when the
-      code reading or writing it runs.
+      code reading or writing it runs. A user call whose argument count
+      differs from the callee's parameters raises [Invalid_argument].
     - A declaration stores its initializer's value uncast; a
       declaration without one gets {!alloc} of its type. *)
 
