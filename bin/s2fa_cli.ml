@@ -56,6 +56,7 @@ module Traffic = S2fa_workloads.Traffic
 module Chaos = S2fa_workloads.Chaos
 module Obs = S2fa_obs.Obs
 module Perf = S2fa_obs.Perf
+module Checkpoint = S2fa_telemetry.Checkpoint
 open Cmdliner
 
 let workload_arg =
@@ -422,6 +423,13 @@ let deadline_requests slo_ms requests =
   | None -> requests
   | Some ms -> Fleet.with_deadline (ms /. 1000.0) requests
 
+(* A reader's [Error] (already naming the file and line) exits 1. *)
+let ok_or_exit = function
+  | Ok v -> v
+  | Error m ->
+    prerr_endline m;
+    exit 1
+
 (* Meta value [k] of checkpoint [path], decoded by [conv]. A value that
    does not decode names the file and the key, and exits 1. *)
 let meta_value path meta conv what k =
@@ -439,69 +447,68 @@ let meta_float path meta = meta_value path meta float_of_string_opt "a number"
 
 (* Recover a mid-serve snapshot: rebuild the scenario from the
    checkpoint's meta, then replay-validate and run to completion. *)
-let resume_fleet path =
-  match Fleet.load_checkpoint path with
-  | Error m ->
+let resume_fleet ck =
+  let path = ck.Checkpoint.c_file in
+  let snapshot = ok_or_exit (Fleet.snapshot_of_checkpoint ck) in
+  let meta k = List.assoc_opt k snapshot.Fleet.fk_meta in
+  let str k d = Option.value ~default:d (meta k) in
+  let opt_float = meta_float path snapshot.Fleet.fk_meta in
+  let int_of k d =
+    Option.value ~default:d (meta_int path snapshot.Fleet.fk_meta k)
+  in
+  let float_of k d = Option.value ~default:d (opt_float k) in
+  let batch = int_of "batch" 16 and queue_cap = int_of "queue_cap" 64 in
+  let seed = int_of "seed" 7 in
+  let tenants =
+    parse_tenants (str "apps" "KMeans:400,LR:300") batch queue_cap
+  in
+  let policy = parse_policy (str "policy" "fcfs") in
+  let faults = Option.map (fun s -> make_injector ~seed s) (meta "faults") in
+  let slo =
+    slo_of
+      ~hang_factor:(opt_float "hang_factor")
+      ~hedge:(meta "hedge" = Some "true")
+      ~breaker:(meta "breaker" = Some "true")
+      ~bk_failures:
+        (int_of "breaker_failures" Fleet.default_breaker.Fleet.bk_failures)
+      ~bk_cooldown:
+        (float_of "breaker_cooldown_s"
+           Fleet.default_breaker.Fleet.bk_cooldown_s)
+      ~bk_probes:
+        (int_of "breaker_probes" Fleet.default_breaker.Fleet.bk_probes)
+  in
+  let opts =
+    { Fleet.default_opts with
+      o_policy = policy;
+      o_devices = int_of "devices" 2;
+      o_slo = slo }
+  in
+  let apps = Traffic.apps ~seed tenants in
+  let requests =
+    deadline_requests (opt_float "slo_ms")
+      (Traffic.requests ~seed ~horizon:(float_of "horizon" 1.0) tenants)
+  in
+  let checkpoint =
+    (* Keep refreshing the same file past the recovered snapshot. *)
+    { Fleet.cks_path = path;
+      cks_every_s = snapshot.Fleet.fk_every;
+      cks_meta = snapshot.Fleet.fk_meta }
+  in
+  (match
+     Fleet.resume ~opts ?faults ~checkpoint ~file:path ~snapshot apps
+       requests
+   with
+  | exception Fleet.Fleet_error m ->
     Printf.eprintf "%s\n" m;
     exit 1
-  | Ok snapshot ->
-    let meta k = List.assoc_opt k snapshot.Fleet.fk_meta in
-    let str k d = Option.value ~default:d (meta k) in
-    let opt_float = meta_float path snapshot.Fleet.fk_meta in
-    let int_of k d =
-      Option.value ~default:d (meta_int path snapshot.Fleet.fk_meta k)
-    in
-    let float_of k d = Option.value ~default:d (opt_float k) in
-    let batch = int_of "batch" 16 and queue_cap = int_of "queue_cap" 64 in
-    let seed = int_of "seed" 7 in
-    let tenants = parse_tenants (str "apps" "KMeans:400,LR:300") batch
-                    queue_cap in
-    let policy = parse_policy (str "policy" "fcfs") in
-    let faults = Option.map (fun s -> make_injector ~seed s) (meta "faults") in
-    let slo =
-      slo_of
-        ~hang_factor:(opt_float "hang_factor")
-        ~hedge:(meta "hedge" = Some "true")
-        ~breaker:(meta "breaker" = Some "true")
-        ~bk_failures:
-          (int_of "breaker_failures" Fleet.default_breaker.Fleet.bk_failures)
-        ~bk_cooldown:
-          (float_of "breaker_cooldown_s"
-             Fleet.default_breaker.Fleet.bk_cooldown_s)
-        ~bk_probes:
-          (int_of "breaker_probes" Fleet.default_breaker.Fleet.bk_probes)
-    in
-    let opts =
-      { Fleet.default_opts with
-        o_policy = policy;
-        o_devices = int_of "devices" 2;
-        o_slo = slo }
-    in
-    let apps = Traffic.apps ~seed tenants in
-    let requests =
-      deadline_requests (opt_float "slo_ms")
-        (Traffic.requests ~seed ~horizon:(float_of "horizon" 1.0) tenants)
-    in
-    let checkpoint =
-      (* Keep refreshing the same file past the recovered snapshot. *)
-      { Fleet.cks_path = path;
-        cks_every_s = snapshot.Fleet.fk_every;
-        cks_meta = snapshot.Fleet.fk_meta }
-    in
-    (match
-       Fleet.resume ~opts ?faults ~checkpoint ~snapshot apps requests
-     with
-    | exception Fleet.Fleet_error m ->
-      Printf.eprintf "%s\n" m;
-      exit 1
-    | outcome ->
-      Printf.printf
-        "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
-        path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
-      print_string (Fleet.report_to_string outcome.Fleet.oc_report);
-      match faults with
-      | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
-      | None -> ())
+  | outcome ->
+    Printf.printf
+      "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
+      path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
+    print_string (Fleet.report_to_string outcome.Fleet.oc_report);
+    match faults with
+    | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
+    | None -> ())
 
 let resume_cmd =
   let ck_file_arg =
@@ -511,71 +518,48 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"CHECKPOINT" ~doc)
   in
-  let resume_dse path =
-    match Driver.load_checkpoint path with
-    | Error m ->
-      Printf.eprintf "%s\n" m;
-      exit 1
-    | Ok snapshot ->
-      let meta k = List.assoc_opt k snapshot.Driver.ck_meta in
-      let workload = meta "workload" in
-      let file = meta "file" in
-      let seed =
-        Option.value ~default:7 (meta_int path snapshot.Driver.ck_meta "seed")
-      in
-      let minutes =
-        Option.value ~default:240.0
-          (meta_float path snapshot.Driver.ck_meta "minutes")
-      in
-      let shared_db = meta "shared_db" = Some "true" in
-      let faults = Option.map (make_injector ~seed) (meta "faults") in
-      let _, c = compiled_of ~workload ~file () in
-      let rng = Rng.create seed in
-      let db = if shared_db then Some (Resultdb.create ()) else None in
-      let opts =
-        { Driver.default_s2fa_opts with Driver.so_time_limit = minutes }
-      in
-      let checkpoint =
-        (* Keep refreshing the same file past the recovered snapshot. *)
-        Driver.checkpoint_to ~meta:snapshot.Driver.ck_meta
-          ~every:snapshot.Driver.ck_every path
-      in
-      (match
-         S2fa.resume ~opts ?db ?faults ~checkpoint ~snapshot c rng
-       with
-      | Error m ->
-        Printf.eprintf "%s\n" m;
-        exit 1
-      | Ok result ->
-        Printf.printf "# resumed %s flow from %s at %.1f virtual minutes\n"
-          snapshot.Driver.ck_flow path snapshot.Driver.ck_minutes;
-        print_dse_result result)
-  in
-  (* Route on the header line's [ck] field: "fleet" for a serve
-     snapshot, "header" for a DSE one. *)
-  let run path =
-    let module Json = Telemetry.Json in
-    let route () =
-      let lines = In_channel.with_open_text path In_channel.input_lines in
-      Json.located ~file:path @@ fun () ->
-      match
-        List.find_mapi
-          (fun i l -> if String.trim l = "" then None else Some (i + 1, l))
-          lines
-      with
-      | None -> Json.bad_line 1 "empty checkpoint file"
-      | Some (n, header) -> (
-        match Json.find (Json.parse_at n header) "ck" with
-        | Some (Json.Jstr "fleet") -> resume_fleet
-        | Some (Json.Jstr "header") -> resume_dse
-        | _ ->
-          Json.bad_line n "not a checkpoint header (ck=header or ck=fleet)")
+  let resume_dse ck =
+    let path = ck.Checkpoint.c_file in
+    let snapshot = ok_or_exit (Driver.ck_of_checkpoint ck) in
+    let meta k = List.assoc_opt k snapshot.Driver.ck_meta in
+    let workload = meta "workload" in
+    let file = meta "file" in
+    let seed =
+      Option.value ~default:7 (meta_int path snapshot.Driver.ck_meta "seed")
     in
-    match route () with
-    | Ok resume -> resume path
-    | Error m | (exception Sys_error m) ->
-      prerr_endline m;
-      exit 1
+    let minutes =
+      Option.value ~default:240.0
+        (meta_float path snapshot.Driver.ck_meta "minutes")
+    in
+    let shared_db = meta "shared_db" = Some "true" in
+    let faults = Option.map (make_injector ~seed) (meta "faults") in
+    let _, c = compiled_of ~workload ~file () in
+    let rng = Rng.create seed in
+    let db = if shared_db then Some (Resultdb.create ()) else None in
+    let opts =
+      { Driver.default_s2fa_opts with Driver.so_time_limit = minutes }
+    in
+    let checkpoint =
+      (* Keep refreshing the same file past the recovered snapshot. *)
+      Driver.checkpoint_to ~meta:snapshot.Driver.ck_meta
+        ~every:snapshot.Driver.ck_every path
+    in
+    let result =
+      ok_or_exit
+        (S2fa.resume ~opts ?db ?faults ~checkpoint ~file:path ~snapshot c rng)
+    in
+    Printf.printf "# resumed %s flow from %s at %.1f virtual minutes\n"
+      snapshot.Driver.ck_flow path snapshot.Driver.ck_minutes;
+    print_dse_result result
+  in
+  (* Route on the header's kind: "fleet" for a serve snapshot,
+     "header" for a DSE one. *)
+  let run path =
+    let ck =
+      ok_or_exit (Checkpoint.read ~kinds:[ "header"; "fleet" ] path)
+    in
+    if ck.Checkpoint.c_kind = "fleet" then resume_fleet ck
+    else resume_dse ck
   in
   Cmd.v
     (Cmd.info "resume"
@@ -595,11 +579,7 @@ let trace_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
   in
   let run path =
-    match Trace.load path with
-    | Error m ->
-      Printf.eprintf "%s\n" m;
-      exit 1
-    | Ok t -> Trace.print_report Format.std_formatter t
+    Trace.print_report Format.std_formatter (ok_or_exit (Trace.load path))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1433,11 +1413,8 @@ let prof_cmd =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
   in
   let run path top =
-    match Obs.load_file path with
-    | exception Failure m ->
-      Printf.eprintf "%s\n" m;
-      exit 1
-    | spans -> Obs.print_report ~top Format.std_formatter spans
+    Obs.print_report ~top Format.std_formatter
+      (ok_or_exit (Obs.load_file path))
   in
   Cmd.v
     (Cmd.info "prof"
@@ -1488,14 +1465,8 @@ let perf_cmd =
   in
   let diff_cmd =
     let run old_path new_path threshold =
-      let load path =
-        match Perf.load path with
-        | t -> t
-        | exception Failure m ->
-          Printf.eprintf "%s\n" m;
-          exit 1
-      in
-      let p_old = load old_path and p_new = load new_path in
+      let p_old = ok_or_exit (Perf.load old_path) in
+      let p_new = ok_or_exit (Perf.load new_path) in
       let d = Perf.diff ~threshold p_old p_new in
       Perf.print_diff Format.std_formatter ~threshold p_old p_new d;
       if d.Perf.d_regressions <> [] then exit 1

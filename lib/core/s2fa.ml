@@ -161,9 +161,9 @@ let explore_vanilla ?time_limit ?tasks ?db ?trace ?faults ?checkpoint c rng =
   Driver.run_vanilla ?time_limit ?db ?trace ?faults ?checkpoint c.c_dspace
     (objective ?tasks ?db ?trace c) rng
 
-let resume ?opts ?tasks ?db ?trace ?faults ?checkpoint ~snapshot c rng =
-  Driver.resume_from_checkpoint ?opts ?db ?trace ?faults ?checkpoint ~snapshot
-    c.c_dspace
+let resume ?opts ?tasks ?db ?trace ?faults ?checkpoint ?file ~snapshot c rng =
+  Driver.resume_from_checkpoint ?opts ?db ?trace ?faults ?checkpoint ?file
+    ~snapshot c.c_dspace
     (objective ?tasks ?db ?trace c)
     rng
 

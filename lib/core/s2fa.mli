@@ -103,11 +103,12 @@ val explore_vanilla :
 val resume :
   ?opts:Driver.s2fa_opts -> ?tasks:int -> ?db:Resultdb.t ->
   ?trace:Telemetry.t -> ?faults:S2fa_fault.Fault.t ->
-  ?checkpoint:Driver.ck_opts -> snapshot:Driver.ck -> compiled -> Rng.t ->
-  (Driver.run_result, string) result
+  ?checkpoint:Driver.ck_opts -> ?file:string -> snapshot:Driver.ck ->
+  compiled -> Rng.t -> (Driver.run_result, string) result
 (** {!Driver.resume_from_checkpoint} with this kernel's objective: the
     replay-based recovery that re-runs the snapshot's flow and
-    validates the regenerated state byte for byte against it. *)
+    validates the regenerated state byte for byte against it; an
+    [Error] names [file], where the snapshot was read from. *)
 
 val make_accelerator :
   ?design:Space.cfg -> compiled -> fields:(string * Interp.value) list ->

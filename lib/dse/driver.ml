@@ -7,6 +7,7 @@ module Telemetry = S2fa_telemetry.Telemetry
 module Obs = S2fa_obs.Obs
 module Fault = S2fa_fault.Fault
 module Json = S2fa_telemetry.Telemetry.Json
+module Checkpoint = S2fa_telemetry.Checkpoint
 
 type event = {
   ev_minutes : float;
@@ -181,13 +182,6 @@ let ck_lines ck =
       (String.concat ","
          (Array.to_list (Array.map Json.fstr ck.ck_core_time)))
   in
-  let meta =
-    List.map
-      (fun (k, v) ->
-        Printf.sprintf "{\"ck\":\"meta\",\"k\":%s,\"v\":%s}" (Json.quote k)
-          (Json.quote v))
-      ck.ck_meta
-  in
   let dbl =
     List.map
       (fun (key, (r : Resultdb.eval_result)) ->
@@ -205,61 +199,39 @@ let ck_lines ck =
           (Json.fstr t.ct_entropy))
       ck.ck_tuners
   in
-  let body = (header :: meta) @ dbl @ tl in
-  body @ [ Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" (List.length body) ]
+  Checkpoint.frame ~header ~meta:ck.ck_meta (dbl @ tl)
 
-(* Decode the lines of a snapshot read from [file]. Malformed JSON, a bad
-   or missing field and a truncated write are each reported with the
-   file and the 1-based line they were found on. *)
-let decode_ck ~file lines =
-  Json.located ~file @@ fun () ->
-  let get = Json.get_at and bad = Json.bad_line in
-  let parsed =
-    List.mapi (fun i l -> (i + 1, l)) lines
-    |> List.filter_map (fun (n, l) ->
-           let l = String.trim l in
-           if l = "" then None else Some (n, Json.parse_at n l))
+(* Decode a snapshot whose framing [Checkpoint] has checked; a bad
+   field names its line. *)
+let ck_of_checkpoint (c : Checkpoint.t) =
+  Json.located ~file:c.c_file @@ fun () ->
+  let get = Json.get_at in
+  let db, tuners =
+    List.partition_map
+      (fun (n, fields) ->
+        let str = get n Json.get_str fields
+        and num = get n Json.get_float fields
+        and cnt = get n Json.get_int fields in
+        match str "ck" with
+        | "db" ->
+          Left
+            ( str "cfg",
+              { Resultdb.e_perf = num "q";
+                e_feasible = get n Json.get_bool fields "feas";
+                e_minutes = num "emin" } )
+        | "tuner" ->
+          Right
+            { ct_partition = cnt "part";
+              ct_evaluated = cnt "evals";
+              ct_best = num "best";
+              ct_entropy = num "entropy" }
+        | k -> Json.bad_line n "unknown checkpoint line %S" k)
+      c.c_body
   in
-  let (n, header), rest =
-    match List.rev parsed with
-    | (n, last) :: rev_body when Json.find last "ck" = Some (Json.Jstr "end")
-      -> (
-      if List.length rev_body <> get n Json.get_int last "lines" then
-        bad n "checkpoint truncated: line count does not match its end marker";
-      match List.rev rev_body with
-      | [] -> bad n "checkpoint has no header line"
-      | header :: rest -> (header, rest))
-    | _ ->
-      bad (max 1 (List.length lines))
-        "checkpoint missing its end marker (truncated write?)"
-  in
-  if get n Json.get_str header "ck" <> "header" then
-    bad n "first checkpoint line is not the header";
-  let meta = ref [] and dbl = ref [] and tl = ref [] in
-  List.iter
-    (fun (n, fields) ->
-      let str = get n Json.get_str fields
-      and num = get n Json.get_float fields
-      and cnt = get n Json.get_int fields in
-      match str "ck" with
-      | "meta" -> meta := (str "k", str "v") :: !meta
-      | "db" ->
-        dbl :=
-          ( str "cfg",
-            { Resultdb.e_perf = num "q";
-              e_feasible = get n Json.get_bool fields "feas";
-              e_minutes = num "emin" } )
-          :: !dbl
-      | "tuner" ->
-        tl :=
-          { ct_partition = cnt "part";
-            ct_evaluated = cnt "evals";
-            ct_best = num "best";
-            ct_entropy = num "entropy" }
-          :: !tl
-      | k -> bad n "unknown checkpoint line %S" k)
-    rest;
+  let n, header = c.c_header in
   let str = get n Json.get_str header and num = get n Json.get_float header in
+  if not (num "every" > 0.0) then
+    Json.bad_line n "checkpoint interval must be positive";
   { ck_flow = str "flow";
     ck_every = num "every";
     ck_minutes = num "min";
@@ -269,27 +241,17 @@ let decode_ck ~file lines =
       | Some (Json.Jstr k) -> Some (k, num "bestq")
       | _ -> None);
     ck_core_time = Array.of_list (get n Json.get_arr header "cores");
-    ck_db = List.rev !dbl;
-    ck_tuners = List.rev !tl;
-    ck_meta = List.rev !meta }
+    ck_db = db;
+    ck_tuners = tuners;
+    ck_meta = c.c_meta }
 
-let ck_of_lines lines = decode_ck ~file:"checkpoint" lines
-
-let write_checkpoint path ck =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    (ck_lines ck);
-  close_out oc;
-  Sys.rename tmp path
+let ck_of_lines lines =
+  Result.bind
+    (Checkpoint.of_lines ~kinds:[ "header" ] ~file:"checkpoint" lines)
+    ck_of_checkpoint
 
 let load_checkpoint path =
-  match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error m -> Error m
-  | lines -> decode_ck ~file:path lines
+  Result.bind (Checkpoint.read ~kinds:[ "header" ] path) ck_of_checkpoint
 
 type ck_opts = {
   ck_path : string option;
@@ -514,7 +476,7 @@ let ck_step run now =
           |> List.sort (fun a b -> compare a.ct_partition b.ct_partition);
         ck_meta = c.ck_meta }
     in
-    Option.iter (fun p -> write_checkpoint p ck) c.ck_path;
+    Option.iter (fun p -> Checkpoint.write p (ck_lines ck)) c.ck_path;
     Option.iter (fun h -> h ck) c.ck_hook;
     emit run.trace ~clock:now
       (Telemetry.Checkpoint_written
@@ -889,56 +851,40 @@ let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
    different seed, option set or fault spec than the original run. By
    the same determinism, the resumed run's final best is bit-identical
    to an uninterrupted run's. *)
-let resume_from_checkpoint ?opts ?db ?trace ?faults ?checkpoint ~snapshot
-    dspace objective rng =
-  let expected = ck_lines snapshot in
-  let state = ref `Pending in
+let resume_from_checkpoint ?opts ?db ?trace ?faults ?checkpoint
+    ?(file = "checkpoint") ~snapshot dspace objective rng =
+  let replay =
+    Checkpoint.replay ~file
+      ~at:(Printf.sprintf "%.1f virtual minutes" snapshot.ck_minutes)
+      (ck_lines snapshot)
+  in
   let user =
     Option.value checkpoint
       ~default:{ ck_path = None; ck_every = 0.0; ck_meta = []; ck_hook = None }
   in
   let hook ck =
-    (if !state = `Pending && ck.ck_minutes = snapshot.ck_minutes then
-       if ck_lines { ck with ck_meta = snapshot.ck_meta } = expected then
-         state := `Validated
-       else state := `Diverged);
+    if ck.ck_minutes = snapshot.ck_minutes then
+      Checkpoint.reached replay
+        (ck_lines { ck with ck_meta = snapshot.ck_meta });
     Option.iter (fun h -> h ck) user.ck_hook
   in
-  let ck_opts =
+  let checkpoint =
     { user with
       ck_every = snapshot.ck_every;
       ck_hook = Some hook;
       ck_meta = (if user.ck_meta = [] then snapshot.ck_meta else user.ck_meta) }
   in
-  let run =
-    match snapshot.ck_flow with
-    | "s2fa" ->
-      Ok
-        (run_s2fa ?opts ?db ?trace ?faults ~checkpoint:ck_opts dspace
-           objective rng)
-    | "dynamic" ->
-      Ok
-        (run_dynamic ?opts ?db ?trace ?faults ~checkpoint:ck_opts dspace
-           objective rng)
-    | "vanilla" ->
-      let o = Option.value ~default:default_s2fa_opts opts in
-      Ok
-        (run_vanilla ~cores:o.so_cores ~time_limit:o.so_time_limit ?db ?trace
-           ?faults ~checkpoint:ck_opts dspace objective rng)
-    | f -> Error (Printf.sprintf "unknown flow %S in checkpoint" f)
-  in
-  match run with
-  | Error _ as e -> e
-  | Ok rr -> (
-    match !state with
-    | `Validated -> Ok rr
-    | `Diverged ->
-      Error
-        "resume diverged from the checkpoint: the seed, options or fault \
-         spec differ from the run that wrote it"
-    | `Pending ->
-      Error
-        (Printf.sprintf
-           "resume never reached the checkpoint at %.1f virtual minutes \
-            (different configuration, or a shorter time limit)"
-           snapshot.ck_minutes))
+  let validated rr = Result.map (fun () -> rr) (Checkpoint.verdict replay) in
+  match snapshot.ck_flow with
+  | "s2fa" ->
+    validated
+      (run_s2fa ?opts ?db ?trace ?faults ~checkpoint dspace objective rng)
+  | "dynamic" ->
+    validated
+      (run_dynamic ?opts ?db ?trace ?faults ~checkpoint dspace objective rng)
+  | "vanilla" ->
+    let o = Option.value ~default:default_s2fa_opts opts in
+    validated
+      (run_vanilla ~cores:o.so_cores ~time_limit:o.so_time_limit ?db ?trace
+         ?faults ~checkpoint dspace objective rng)
+  | f -> Error (Printf.sprintf "%s:1: unknown flow %S in checkpoint" file f)

@@ -78,17 +78,22 @@ val default_s2fa_opts : s2fa_opts
 
 (** {1 Checkpointing}
 
-    Periodic JSONL snapshots of the DSE state — virtual clocks,
-    evaluation count, global best, the shared result database, one
-    summary row per tuner — written every [ck_every] virtual minutes.
+    Periodic snapshots of the DSE state — virtual clocks, evaluation
+    count, global best, the shared result database, one summary row per
+    tuner — written every [ck_every] virtual minutes. The file follows
+    the {!S2fa_telemetry.Checkpoint} discipline: a [ck=header] line,
+    meta lines, [db] and [tuner] lines and an end marker, written
+    atomically and rejected with ["FILE:LINE: reason"] when truncated
+    or malformed.
 
     Recovery is {e replay-based}: tuner internals (technique cursors,
     bandit history) are closures and are not serialized. Instead,
     {!resume_from_checkpoint} re-runs the recorded configuration — the
-    whole stack is deterministic — and uses the stored snapshot as a
-    byte-exact tamper check when the re-run crosses the snapshot's
-    minute. Crash at any checkpoint + resume therefore yields a final
-    best bit-identical to an uninterrupted run ([test/test_fault.ml]). *)
+    whole stack is deterministic — and when the re-run reaches the
+    snapshot's minute (its trigger) checks the regenerated {!ck_lines}
+    byte for byte against the stored ones. Crash at any checkpoint +
+    resume therefore yields a final best bit-identical to an
+    uninterrupted run ([test/test_fault.ml]). *)
 
 (** One tuner's summary row in a snapshot. *)
 type ck_tuner = {
@@ -114,20 +119,21 @@ type ck = {
 }
 
 val ck_lines : ck -> string list
-(** JSONL encoding: header, meta, db and tuner lines, then an [end]
-    marker carrying the body line count (the truncation guard). Floats
-    use {!Telemetry.Json.fstr}, so encoding is bit-exact. *)
+(** The snapshot's file lines, end marker included (through
+    {!S2fa_telemetry.Checkpoint.frame}). Floats use
+    {!Telemetry.Json.fstr}, so encoding is bit-exact. *)
+
+val ck_of_checkpoint : S2fa_telemetry.Checkpoint.t -> (ck, string) result
+(** Decode a checkpoint of kind ["header"]; a bad or missing field, an
+    unknown line kind or a non-positive interval is
+    [Error "FILE:LINE: reason"]. *)
 
 val ck_of_lines : string list -> (ck, string) result
-(** Inverse of {!ck_lines}; rejects truncated or malformed input with an
-    error naming the 1-based line ([checkpoint:LINE: ...]). *)
-
-val write_checkpoint : string -> ck -> unit
-(** Serialize to a file, atomically (write-to-temp then rename), so a
-    crash mid-write never leaves a torn checkpoint behind. *)
+(** Inverse of {!ck_lines}; errors read ["checkpoint:LINE: reason"]. *)
 
 val load_checkpoint : string -> (ck, string) result
-(** Read and decode a snapshot file; errors read [FILE:LINE: ...]. *)
+(** Read and decode a snapshot file; errors read ["FILE:LINE: reason"]
+    (["FILE: reason"] when it cannot be read). *)
 
 (** Checkpointing options for a run. *)
 type ck_opts = {
@@ -216,6 +222,7 @@ val resume_from_checkpoint :
   ?trace:Telemetry.t ->
   ?faults:Fault.t ->
   ?checkpoint:ck_opts ->
+  ?file:string ->
   snapshot:ck ->
   Dspace.t ->
   (Space.cfg -> Tuner.eval_result) ->
@@ -225,11 +232,13 @@ val resume_from_checkpoint :
     reconstruct the original run's configuration (workload, objective,
     options, seed, fault spec — typically from [snapshot.ck_meta]);
     this function re-runs the flow named by [ck_flow] with
-    checkpointing at the snapshot's own interval, and validates that
-    the re-run's snapshot at [ck_minutes] reproduces the stored one
-    byte for byte. [Error] when the re-run diverges (wrong seed,
-    options or fault spec) or never reaches the snapshot's minute;
-    [Ok] carries a result whose final best is bit-identical to an
-    uninterrupted run's, by determinism of the whole stack. A
-    [checkpoint] argument layers fresh snapshot writing on top (its
-    interval is overridden by the snapshot's). *)
+    checkpointing at the snapshot's own interval. Its trigger is the
+    snapshot's [ck_minutes]: the re-run's snapshot at that minute must
+    reproduce {!ck_lines} of [snapshot]. [Error] carries the
+    {!S2fa_telemetry.Checkpoint.verdict} — diverged (wrong seed,
+    options or fault spec) or never reached — naming [file] (default
+    ["checkpoint"]), the file the snapshot came from. [Ok] carries a
+    result whose final best is bit-identical to an uninterrupted
+    run's, by determinism of the whole stack. A [checkpoint] argument
+    layers fresh snapshot writing on top (its interval is overridden by
+    the snapshot's). *)

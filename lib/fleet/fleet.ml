@@ -9,6 +9,7 @@ module Blaze = S2fa_blaze.Blaze
 module Serde = S2fa_blaze.Serde
 module Telemetry = S2fa_telemetry.Telemetry
 module Json = S2fa_telemetry.Telemetry.Json
+module Checkpoint = S2fa_telemetry.Checkpoint
 module Obs = S2fa_obs.Obs
 module Fault = S2fa_fault.Fault
 
@@ -327,8 +328,9 @@ let request_order a b =
   compare (a.rq_arrival, a.rq_app, a.rq_id) (b.rq_arrival, b.rq_app, b.rq_id)
 
 (* ------------------------------------------------------------------ *)
-(* Mid-serve checkpoints (the PR-3 JSONL discipline: atomic writes, a
-   truncation-guard end marker, and replay-based resume validation) *)
+(* Mid-serve checkpoints: framing, atomic writes, the truncation guard
+   and the resume verdict are [Checkpoint]'s; the header, the body lines
+   and the trigger (an event count) are the fleet's *)
 (* ------------------------------------------------------------------ *)
 
 type ck_spec = {
@@ -341,54 +343,25 @@ type snapshot = {
   fk_events : int;
   fk_now : float;
   fk_every : float;
-  fk_policy : string;
-  fk_devices : int;
-  fk_apps : int;
   fk_meta : (string * string) list;
   fk_lines : string list;
 }
 
-(* Malformed JSON, a bad or missing field and a truncated write are each
-   reported with the file and the 1-based line they were found on. *)
+(* The body is compared, not decoded: a resume checks it line by line. *)
+let snapshot_of_checkpoint (c : Checkpoint.t) =
+  Json.located ~file:c.c_file @@ fun () ->
+  let n, header = c.c_header in
+  let every = Json.get_at n Json.get_float header "every" in
+  if not (every > 0.0) then
+    Json.bad_line n "checkpoint interval must be positive";
+  { fk_events = Json.get_at n Json.get_int header "events";
+    fk_now = Json.get_at n Json.get_float header "now";
+    fk_every = every;
+    fk_meta = c.c_meta;
+    fk_lines = c.c_lines }
+
 let load_checkpoint path =
-  match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error m -> Error m
-  | all ->
-    Json.located ~file:path @@ fun () ->
-    let get = Json.get_at and bad = Json.bad_line in
-    let kind fields = Json.find fields "ck" in
-    let numbered =
-      List.mapi (fun i l -> (i + 1, l)) all
-      |> List.filter (fun (_, l) -> String.trim l <> "")
-    in
-    let parsed = List.map (fun (n, l) -> (n, Json.parse_at n l)) numbered in
-    (match (parsed, List.rev parsed) with
-    | [], _ | _, [] -> bad 1 "empty fleet checkpoint file"
-    | (n, header) :: rest, (n_end, last) :: _ ->
-      if kind last <> Some (Json.Jstr "end") then
-        bad n_end "fleet checkpoint missing its end marker (truncated write?)";
-      if get n_end Json.get_int last "lines" <> List.length parsed - 1 then
-        bad n_end
-          "fleet checkpoint truncated: line count does not match its end \
-           marker";
-      if kind header <> Some (Json.Jstr "fleet") then
-        bad n "not a fleet checkpoint (header line is not ck=fleet)";
-      let meta =
-        List.filter_map
-          (fun (n, f) ->
-            if kind f = Some (Json.Jstr "meta") then
-              Some (get n Json.get_str f "k", get n Json.get_str f "v")
-            else None)
-          rest
-      in
-      { fk_events = get n Json.get_int header "events";
-        fk_now = get n Json.get_float header "now";
-        fk_every = get n Json.get_float header "every";
-        fk_policy = get n Json.get_str header "policy";
-        fk_devices = get n Json.get_int header "devices";
-        fk_apps = get n Json.get_int header "apps";
-        fk_meta = meta;
-        fk_lines = List.map snd numbered })
+  Result.bind (Checkpoint.read ~kinds:[ "fleet" ] path) snapshot_of_checkpoint
 
 (* ------------------------------------------------------------------ *)
 (* Serving *)
@@ -1198,13 +1171,6 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         (quote opts.o_device.Device.name)
         n_apps !events (fstr !now) (fstr every)
     in
-    let metal =
-      List.map
-        (fun (k, v) ->
-          Printf.sprintf "{\"ck\":\"meta\",\"k\":%s,\"v\":%s}" (quote k)
-            (quote v))
-        meta
-    in
     let queue_lines =
       Array.to_list
         (Array.mapi
@@ -1281,41 +1247,24 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       Printf.sprintf "{\"ck\":\"arrivals\",\"left\":%d}"
         (List.length !arrivals)
     in
-    let body =
-      (header :: metal) @ queue_lines @ dev_lines @ [ counter_line ]
-      @ jvm_lines
-      @ [ result_line; arr_line ]
-    in
-    body @ [ Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" (List.length body) ]
-  in
-  let write_snapshot (c : ck_spec) =
-    let lines = snapshot_lines ~every:c.cks_every_s ~meta:c.cks_meta () in
-    let tmp = c.cks_path ^ ".tmp" in
-    let oc = open_out tmp in
-    List.iter
-      (fun l ->
-        output_string oc l;
-        output_char oc '\n')
-      lines;
-    close_out oc;
-    Sys.rename tmp c.cks_path
+    Checkpoint.frame ~header ~meta
+      (queue_lines @ dev_lines @ [ counter_line ] @ jvm_lines
+      @ [ result_line; arr_line ])
   in
   let next_ck =
     ref (match checkpoint with Some c -> c.cks_every_s | None -> infinity)
   in
   let after_event () =
     (match validate with
-    | Some s when !events = s.fk_events ->
-      if snapshot_lines ~every:s.fk_every ~meta:s.fk_meta () <> s.fk_lines
-      then
-        fail
-          "resume validation failed: regenerated state diverges from the \
-           checkpoint (different inputs?)"
+    | Some (s, replay) when !events = s.fk_events ->
+      Checkpoint.reached replay
+        (snapshot_lines ~every:s.fk_every ~meta:s.fk_meta ())
     | _ -> ());
     match checkpoint with
     | Some c when !now >= !next_ck ->
       next_ck := !now +. c.cks_every_s;
-      write_snapshot c;
+      Checkpoint.write c.cks_path
+        (snapshot_lines ~every:c.cks_every_s ~meta:c.cks_meta ());
       clocked
         (Telemetry.Checkpoint_written
            { path = c.cks_path; minutes = !now /. 60.0; evals = !events })
@@ -1668,22 +1617,22 @@ let serve ?(opts = default_opts) ?engine ?trace ?faults ?checkpoint apps
   serve_impl ~opts ~engine ?trace ?faults ?checkpoint apps requests
 
 let resume ?(opts = default_opts) ?engine ?trace ?faults ?checkpoint
-    ~snapshot apps requests =
+    ?(file = "checkpoint") ~snapshot apps requests =
   let engine =
     match engine with Some e -> e | None -> engine_of_env ()
   in
-  if snapshot.fk_policy <> policy_name opts.o_policy then
-    fail "resume: checkpoint policy %s does not match the requested %s"
-      snapshot.fk_policy
-      (policy_name opts.o_policy);
-  if snapshot.fk_devices <> opts.o_devices then
-    fail "resume: checkpoint has %d devices, requested %d"
-      snapshot.fk_devices opts.o_devices;
-  if snapshot.fk_apps <> Array.length apps then
-    fail "resume: checkpoint has %d apps, requested %d" snapshot.fk_apps
-      (Array.length apps);
-  serve_impl ~opts ~engine ?trace ?faults ?checkpoint ~validate:snapshot apps
-    requests
+  let replay =
+    Checkpoint.replay ~file
+      ~at:(Printf.sprintf "event %d" snapshot.fk_events)
+      snapshot.fk_lines
+  in
+  let outcome =
+    serve_impl ~opts ~engine ?trace ?faults ?checkpoint
+      ~validate:(snapshot, replay) apps requests
+  in
+  match Checkpoint.verdict replay with
+  | Ok () -> outcome
+  | Error m -> raise (Fleet_error m)
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering (fixed formats, so equal reports render to equal

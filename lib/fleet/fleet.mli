@@ -226,11 +226,12 @@ type outcome = {
 
 (** {1 Checkpoints} *)
 
-(** Periodic mid-serve snapshots: the PR-3 JSONL discipline (atomic
-    tmp-then-rename writes, an end-marker truncation guard, replay
-    validation on resume) applied to fleet state — queues, per-device
+(** Periodic mid-serve snapshots of fleet state — queues, per-device
     busy/breaker state, counters, pending JVM completions, a results
-    digest, and the virtual clock. *)
+    digest, and the virtual clock — under the
+    {!S2fa_telemetry.Checkpoint} discipline: a [ck=fleet] header, meta
+    lines, body lines and an end marker, written atomically and rejected
+    with ["FILE:LINE: reason"] when truncated or malformed. *)
 type ck_spec = {
   cks_path : string;      (** Snapshot file, replaced in place. *)
   cks_every_s : float;    (** Virtual seconds between snapshots (> 0). *)
@@ -241,20 +242,23 @@ type ck_spec = {
 
 (** A parsed snapshot, as {!load_checkpoint} returns it. *)
 type snapshot = {
-  fk_events : int;    (** Simulator events processed at the snapshot. *)
+  fk_events : int;    (** Simulator events processed: the resume trigger. *)
   fk_now : float;     (** Virtual seconds at the snapshot. *)
-  fk_every : float;
-  fk_policy : string;
-  fk_devices : int;
-  fk_apps : int;
+  fk_every : float;   (** The snapshot interval (> 0). *)
   fk_meta : (string * string) list;
   fk_lines : string list;  (** The raw snapshot lines, for validation. *)
 }
 
+val snapshot_of_checkpoint :
+  S2fa_telemetry.Checkpoint.t -> (snapshot, string) Stdlib.result
+(** Decode the header of a checkpoint of kind ["fleet"]; the body is
+    left to {!resume}'s line-by-line check. *)
+
 val load_checkpoint : string -> (snapshot, string) Stdlib.result
-(** Read and structurally validate a snapshot (end marker present,
-    line count matches — a truncated write is rejected). Errors read
-    [FILE:LINE: ...]. *)
+(** Read and check a snapshot file (end marker present, line count
+    matches, a [ck=fleet] header first). Errors read
+    ["FILE:LINE: reason"], or ["FILE: reason"] when the file cannot be
+    read. *)
 
 (** {1 Serving} *)
 
@@ -289,18 +293,21 @@ val resume :
   ?trace:S2fa_telemetry.Telemetry.t ->
   ?faults:S2fa_fault.Fault.t ->
   ?checkpoint:ck_spec ->
+  ?file:string ->
   snapshot:snapshot ->
   app array ->
   request list ->
   outcome
 (** Recover a serve from a snapshot: re-run the {e same} scenario
-    deterministically from t = 0 and, at the snapshot's event count,
-    validate the regenerated state byte-for-byte against the stored
-    lines — then continue to completion. The outcome is bit-identical
-    to an uninterrupted run's (proved in [test/test_fleet.ml]). Raises
-    {!Fleet_error} if the configuration disagrees with the snapshot
-    header or the regenerated state diverges (i.e. the inputs differ
-    from the checkpointed run's). *)
+    deterministically from t = 0 and, at the snapshot's event count
+    (its trigger), compare the regenerated state byte-for-byte with the
+    stored lines — then continue to completion. The outcome is
+    bit-identical to an uninterrupted run's (proved in
+    [test/test_fleet.ml]). Raises {!Fleet_error} with the
+    {!S2fa_telemetry.Checkpoint.verdict}, naming [file] (default
+    ["checkpoint"]), when the replay diverged (the configuration or
+    inputs differ from the checkpointed run's) or never reached the
+    trigger. *)
 
 (** {1 The stepping/mailbox interface}
 

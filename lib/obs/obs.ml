@@ -166,39 +166,41 @@ let span_to_json ?(host = false) (s : Profiler.span) =
   Buffer.add_char b '}';
   Buffer.contents b
 
+let span_of_fields fields =
+  try
+    let counters =
+      List.filter_map
+        (fun (k, v) ->
+          if String.length k > 2 && String.sub k 0 2 = "c." then
+            match v with
+            | Json.Jnum _ ->
+              Some (String.sub k 2 (String.length k - 2), Json.get_int fields k)
+            | _ -> raise Json.Bad
+          else None)
+        fields
+      |> List.sort compare
+    in
+    let opt_float key =
+      match Json.find fields key with
+      | None -> 0.
+      | Some _ -> Json.get_float fields key
+    in
+    Some
+      { Profiler.sp_id = Json.get_int fields "id";
+        sp_parent = Json.get_int fields "parent";
+        sp_name = Json.get_str fields "name";
+        sp_path = Json.get_str fields "path";
+        sp_vbegin = Json.get_float fields "vb";
+        sp_vend = Json.get_float fields "ve";
+        sp_wall_ns = opt_float "wall_ns";
+        sp_alloc_bytes = opt_float "alloc_bytes";
+        sp_counters = counters }
+  with Json.Bad -> None
+
 let span_of_json line =
   match Json.parse_obj line with
+  | fields -> span_of_fields fields
   | exception Json.Bad -> None
-  | fields -> (
-    try
-      let counters =
-        List.filter_map
-          (fun (k, v) ->
-            if String.length k > 2 && String.sub k 0 2 = "c." then
-              match v with
-              | Json.Jnum n -> Some (String.sub k 2 (String.length k - 2),
-                                     int_of_float n)
-              | _ -> raise Json.Bad
-            else None)
-          fields
-        |> List.sort compare
-      in
-      let opt_float key =
-        match Json.find fields key with
-        | None -> 0.
-        | Some _ -> Json.get_float fields key
-      in
-      Some
-        { Profiler.sp_id = Json.get_int fields "id";
-          sp_parent = Json.get_int fields "parent";
-          sp_name = Json.get_str fields "name";
-          sp_path = Json.get_str fields "path";
-          sp_vbegin = Json.get_float fields "vb";
-          sp_vend = Json.get_float fields "ve";
-          sp_wall_ns = opt_float "wall_ns";
-          sp_alloc_bytes = opt_float "alloc_bytes";
-          sp_counters = counters }
-    with Json.Bad | Not_found | Failure _ -> None)
 
 let write_jsonl ?(host = false) oc spans =
   List.iter
@@ -208,25 +210,10 @@ let write_jsonl ?(host = false) oc spans =
     spans
 
 let load_file path =
-  let ic = open_in path in
-  let spans = ref [] in
-  let lineno = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          incr lineno;
-          if String.trim line <> "" then
-            match span_of_json line with
-            | Some s -> spans := s :: !spans
-            | None ->
-              failwith
-                (Printf.sprintf "%s:%d: not a span record" path !lineno)
-        done;
-        assert false
-      with End_of_file -> List.rev !spans)
+  Json.read_jsonl path (fun n fields ->
+      match span_of_fields fields with
+      | Some s -> s
+      | None -> Json.bad_line n "not a span record")
 
 (* ------------------------------------------------------------------ *)
 (* Attribution: self time per span = its interval minus its direct

@@ -108,9 +108,10 @@ val span_of_json : string -> Profiler.span option
 
 val write_jsonl : ?host:bool -> out_channel -> Profiler.span list -> unit
 
-val load_file : string -> Profiler.span list
-(** Parse a span JSONL file.
-    @raise Failure naming the first malformed line. *)
+val load_file : string -> (Profiler.span list, string) result
+(** Parse a span JSONL file through {!S2fa_telemetry.Telemetry.Json};
+    errors read ["FILE:LINE: reason"], or ["FILE: reason"] when the
+    file cannot be read. *)
 
 val host_requested : unit -> bool
 (** True when [S2FA_PROFILE_HOST] is set to anything but ["0"]. *)

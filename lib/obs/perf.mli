@@ -15,8 +15,12 @@ type t = {
 
 val save : string -> t -> unit
 
-val load : string -> t
-(** @raise Failure on unreadable or malformed input. *)
+val load : string -> (t, string) result
+(** Read a trajectory through {!S2fa_telemetry.Telemetry.Json}.
+    Malformed JSON (a duplicate key or an out-of-range number included)
+    is [Error "FILE:LINE: ..."] at the line where the parser stopped, a
+    bad or missing member [Error "FILE:1: ..."], and an unreadable file
+    [Error "FILE: reason"]. *)
 
 (** One benchmark key present in both trajectories. [c_pct] is the
     relative change in percent ([+] slower, [-] faster, for

@@ -620,9 +620,14 @@ let json_of_event e =
   Buffer.add_char b '}';
   Buffer.contents b
 
-(* ---------- the matching mini JSON reader ---------- *)
+(* ---------- the matching JSON reader ---------- *)
 
-type jv = Jstr of string | Jnum of float | Jbool of bool | Jarr of float list
+type jv =
+  | Jstr of string
+  | Jnum of float
+  | Jbool of bool
+  | Jarr of float list
+  | Jobj of (string * jv) list
 
 exception Bad
 
@@ -631,15 +636,27 @@ exception Bad
 let float_of s =
   match float_of_string_opt s with Some f -> f | None -> raise Bad
 
-let parse_obj line =
-  let n = String.length line in
+(* One object with nothing but whitespace (newlines included) around
+   it. Duplicate keys, trailing commas and number literals outside the
+   double range are malformed; [Error pos] is where parsing stopped. *)
+let parse_object src =
+  let n = String.length src in
   let pos = ref 0 in
-  let peek () = if !pos >= n then raise Bad else line.[!pos] in
+  let peek () = if !pos >= n then raise Bad else src.[!pos] in
   let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (peek () = ' ' || peek () = '\t') do advance () done
+  let rec skip_ws () =
+    if !pos < n then
+      match src.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws ()
+      | _ -> ()
   in
   let expect c = skip_ws (); if peek () <> c then raise Bad; advance () in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l > n || String.sub src !pos l <> word then raise Bad;
+    pos := !pos + l;
+    v
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -659,7 +676,7 @@ let parse_obj line =
         | 'u' ->
           if !pos + 4 > n then raise Bad;
           let code =
-            match int_of_string_opt ("0x" ^ String.sub line !pos 4) with
+            match int_of_string_opt ("0x" ^ String.sub src !pos 4) with
             | Some c -> c
             | None -> raise Bad
           in
@@ -682,26 +699,28 @@ let parse_obj line =
       (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e'
       || c = 'E'
     in
-    while !pos < n && num_char line.[!pos] do advance () done;
+    while !pos < n && num_char src.[!pos] do advance () done;
     if !pos = start then raise Bad;
-    float_of (String.sub line start (!pos - start))
+    let f = float_of (String.sub src start (!pos - start)) in
+    if Float.is_finite f then f else raise Bad
   in
-  let parse_value () =
+  (* After an element: [true] when another follows, [false] at [close]. *)
+  let next close =
     skip_ws ();
     match peek () with
-    | '"' -> (
-      let s = parse_string () in
-      (* Quoted non-finite floats come back as strings; callers that
-         expect a float coerce via [as_float]. *)
-      Jstr s)
-    | 't' ->
-      if !pos + 4 > n || String.sub line !pos 4 <> "true" then raise Bad;
-      pos := !pos + 4;
-      Jbool true
-    | 'f' ->
-      if !pos + 5 > n || String.sub line !pos 5 <> "false" then raise Bad;
-      pos := !pos + 5;
-      Jbool false
+    | ',' -> advance (); true
+    | c when c = close -> advance (); false
+    | _ -> raise Bad
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    (* Quoted non-finite floats come back as strings; callers that
+       expect a float coerce via [as_float]. *)
+    | '"' -> Jstr (parse_string ())
+    | 't' -> literal "true" (Jbool true)
+    | 'f' -> literal "false" (Jbool false)
+    | '{' -> Jobj (parse_members ())
     | '[' ->
       advance ();
       skip_ws ();
@@ -710,36 +729,40 @@ let parse_obj line =
         let rec go acc =
           skip_ws ();
           let v =
-            match peek () with
-            | '"' -> float_of (parse_string ())
-            | _ -> parse_number ()
+            if peek () = '"' then float_of (parse_string ())
+            else parse_number ()
           in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); go (v :: acc)
-          | ']' -> advance (); List.rev (v :: acc)
-          | _ -> raise Bad
+          if next ']' then go (v :: acc) else List.rev (v :: acc)
         in
         Jarr (go [])
       end
     | _ -> Jnum (parse_number ())
-  in
-  expect '{';
-  let rec fields acc =
+  and parse_members () =
+    expect '{';
     skip_ws ();
-    if peek () = '}' then begin advance (); List.rev acc end
+    if peek () = '}' then begin advance (); [] end
     else begin
-      let k = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      skip_ws ();
-      match peek () with
-      | ',' -> advance (); fields ((k, v) :: acc)
-      | '}' -> advance (); List.rev ((k, v) :: acc)
-      | _ -> raise Bad
+      let rec go acc =
+        let k = parse_string () in
+        if List.mem_assoc k acc then raise Bad;
+        expect ':';
+        let acc = (k, parse_value ()) :: acc in
+        if next '}' then go acc else List.rev acc
+      in
+      go []
     end
   in
-  fields []
+  match
+    let fields = parse_members () in
+    skip_ws ();
+    if !pos < n then raise Bad;
+    fields
+  with
+  | fields -> Ok fields
+  | exception Bad -> Error !pos
+
+let parse_obj src =
+  match parse_object src with Ok fields -> fields | Error _ -> raise Bad
 
 let as_float = function
   | Jnum f -> f
@@ -749,7 +772,11 @@ let as_float = function
 let fget fields k =
   match List.assoc_opt k fields with Some v -> as_float v | None -> raise Bad
 
-let iget fields k = int_of_float (fget fields k)
+(* Integral and inside [int]'s range: an integer field never truncates. *)
+let iget fields k =
+  let f = fget fields k in
+  if Float.is_integer f && Float.abs f < 0x1p62 then int_of_float f
+  else raise Bad
 
 let sget fields k =
   match List.assoc_opt k fields with Some (Jstr s) -> s | _ -> raise Bad
@@ -760,9 +787,8 @@ let bget fields k =
 let aget fields k =
   match List.assoc_opt k fields with Some (Jarr l) -> l | _ -> raise Bad
 
-let event_of_json line =
+let event_of_fields fields =
   match
-    let fields = parse_obj line in
     let stage_of fields =
       match stage_of_name (sget fields "stage") with
       | Some s -> s
@@ -947,6 +973,11 @@ let event_of_json line =
   | ev -> Some ev
   | exception _ -> None
 
+let event_of_json line =
+  match parse_obj line with
+  | fields -> event_of_fields fields
+  | exception Bad -> None
+
 (* ------------------------------------------------------------------ *)
 (* Human-readable rendering (the logs sink's format) *)
 (* ------------------------------------------------------------------ *)
@@ -1079,9 +1110,9 @@ let logs_sink ?(level = Logs.Debug) () =
     on_flush = (fun () -> ()) }
 
 (* ------------------------------------------------------------------ *)
-(* The mini JSON codec, exposed for the other JSONL formats of the
-   project (the DSE checkpoint files reuse the exact float round-trip
-   contract of the trace encoding). *)
+(* The JSON codec every reader of the project shares: the trace's
+   float round-trip contract, one parser, and the file readers that
+   locate every rejection. *)
 (* ------------------------------------------------------------------ *)
 
 module Json = struct
@@ -1090,6 +1121,7 @@ module Json = struct
     | Jnum of float
     | Jbool of bool
     | Jarr of float list
+    | Jobj of (string * jv) list
 
   exception Bad = Bad
 
@@ -1116,4 +1148,35 @@ module Json = struct
   let located ~file f =
     try Ok (f ())
     with Bad_line (n, m) -> Error (Printf.sprintf "%s:%d: %s" file n m)
+
+  (* [Sys_error] from opening a file already starts with its path; one
+     from reading it (a directory, say) does not. *)
+  let read_file path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | src -> Ok src
+    | exception Sys_error m ->
+      if String.starts_with ~prefix:(path ^ ": ") m then Error m
+      else Error (Printf.sprintf "%s: %s" path m)
+
+  let read_obj path =
+    Result.bind (read_file path) @@ fun src ->
+    match parse_object src with
+    | Ok fields -> Ok fields
+    | Error pos ->
+      (* The line holding offset [pos]; a stop at the end of the input
+         is on its last line. *)
+      let stop = min pos (String.length src - 1) in
+      let line = ref 1 in
+      String.iteri (fun i c -> if c = '\n' && i < stop then incr line) src;
+      Error (Printf.sprintf "%s:%d: malformed JSON" path !line)
+
+  let decode_lines ~file lines decode =
+    located ~file @@ fun () ->
+    List.mapi (fun i l -> (i + 1, l)) lines
+    |> List.filter_map (fun (n, l) ->
+           if String.trim l = "" then None else Some (decode n (parse_at n l)))
+
+  let read_jsonl path decode =
+    Result.bind (read_file path) @@ fun src ->
+    decode_lines ~file:path (String.split_on_char '\n' src) decode
 end

@@ -308,28 +308,26 @@ val log_src : Logs.src
 
 (** {1 Serialization} *)
 
-val json_of_event : event -> string
-(** One JSON object, no trailing newline. Floats are printed with 17
-    significant digits, so parsing the line back yields bit-identical
-    values; non-finite floats are encoded as the strings ["inf"],
-    ["-inf"], ["nan"]. *)
+(** The one JSON codec of the project. Every file the tree reads goes
+    through it: traces ({!Trace.load}), span logs, [BENCH_*.json]
+    trajectories, and the DSE and fleet checkpoints ({!Checkpoint}).
+    Writers share its float contract: 17 significant digits, so a
+    number read back is bit-identical, and non-finite values as the
+    quoted strings ["inf"] / ["-inf"] / ["nan"].
 
-val event_of_json : string -> event option
-(** Inverse of {!json_of_event}; [None] on anything malformed. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** The human-readable rendering the logs sink uses. *)
-
-(** The trace encoding's mini JSON codec, exposed so the project's other
-    JSONL formats (the DSE checkpoint files) share its exact float
-    round-trip contract: 17-significant-digit floats, non-finite values
-    as the quoted strings ["inf"] / ["-inf"] / ["nan"]. *)
+    The parser is strict. An object may span lines and nest, but
+    duplicate keys, trailing commas, anything after the closing brace
+    and number literals outside the double range are malformed, and
+    {!get_int} rejects a non-integral or out-of-range number instead
+    of truncating it. None of these rules rejects a file the tree
+    writes. *)
 module Json : sig
   type v =
     | Jstr of string
     | Jnum of float
     | Jbool of bool
     | Jarr of float list  (** Arrays hold floats only. *)
+    | Jobj of (string * v) list  (** Members in source order. *)
 
   exception Bad
   (** Raised by the parser and getters on malformed input (never
@@ -342,7 +340,7 @@ module Json : sig
   (** JSON string literal with escaping. *)
 
   val parse_obj : string -> (string * v) list
-  (** Parse one flat JSON object; fields in source order. *)
+  (** Parse one JSON object; members in source order. *)
 
   val find : (string * v) list -> string -> v option
 
@@ -350,6 +348,7 @@ module Json : sig
   (** Required float field; accepts the quoted non-finite encodings. *)
 
   val get_int : (string * v) list -> string -> int
+  (** Required integral field that an [int] represents exactly. *)
 
   val get_str : (string * v) list -> string -> string
 
@@ -357,10 +356,10 @@ module Json : sig
 
   val get_arr : (string * v) list -> string -> float list
 
-  (** {2 Line-located reading}
+  (** {2 Located reading}
 
-      Readers of JSONL files reject bad input with the file and the
-      1-based line it was found on. *)
+      Every reader returns [Error "FILE:LINE: reason"] for bad input and
+      [Error "FILE: reason"] when the file cannot be read; none raises. *)
 
   val bad_line : int -> ('a, unit, string, 'b) format4 -> 'a
   (** [bad_line n fmt ...] rejects line [n] with a formatted reason; the
@@ -377,4 +376,39 @@ module Json : sig
 
   val located : file:string -> (unit -> 'a) -> ('a, string) result
   (** Run a reader; a rejected line becomes [Error "FILE:LINE: reason"]. *)
+
+  val read_file : string -> (string, string) result
+  (** The whole file; an I/O error (a missing file, a directory) becomes
+      [Error "FILE: reason"]. *)
+
+  val read_obj : string -> ((string * v) list, string) result
+  (** A file holding one object over any number of lines. Malformed
+      JSON names the line where the parser stopped. *)
+
+  val decode_lines :
+    file:string -> string list -> (int -> (string * v) list -> 'a) ->
+    ('a list, string) result
+  (** JSONL: number the lines from 1, skip blank ones, parse each and
+      pass [(line, fields)] to the decoder, which rejects with
+      {!bad_line}; all under {!located}. *)
+
+  val read_jsonl :
+    string -> (int -> (string * v) list -> 'a) -> ('a list, string) result
+  (** {!decode_lines} over the lines of a file (the one JSONL file
+      reader). *)
 end
+
+val json_of_event : event -> string
+(** One JSON object, no trailing newline. Floats are printed with 17
+    significant digits, so parsing the line back yields bit-identical
+    values; non-finite floats are encoded as the strings ["inf"],
+    ["-inf"], ["nan"]. *)
+
+val event_of_fields : (string * Json.v) list -> event option
+(** Decode a parsed trace line; [None] unless it is an event. *)
+
+val event_of_json : string -> event option
+(** Inverse of {!json_of_event}; [None] on anything malformed. *)
+
+val pp_event : Format.formatter -> event -> unit
+(** The human-readable rendering the logs sink uses. *)

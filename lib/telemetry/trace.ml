@@ -8,31 +8,15 @@ let of_events evs =
 
 let events t = t.t_events
 
-let parse_lines lines =
-  let rec go i acc = function
-    | [] -> Ok (of_events (List.rev acc))
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" then go (i + 1) acc rest
-      else (
-        match T.event_of_json line with
-        | Some ev -> go (i + 1) (ev :: acc) rest
-        | None -> Error (Printf.sprintf "malformed trace line %d: %s" i line))
-  in
-  go 1 [] lines
+let decode n fields =
+  match T.event_of_fields fields with
+  | Some ev -> ev
+  | None -> T.Json.bad_line n "not a trace event"
 
-let load path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    let rec read acc =
-      match input_line ic with
-      | line -> read (line :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let lines = read [] in
-    close_in ic;
-    parse_lines lines
+let parse_lines lines =
+  Result.map of_events (T.Json.decode_lines ~file:"trace" lines decode)
+
+let load path = Result.map of_events (T.Json.read_jsonl path decode)
 
 (* Best-so-far reconstruction. This mirrors Driver.best_curve operation
    for operation (same sort, same fold, same comparisons) over the same

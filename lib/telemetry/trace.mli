@@ -15,10 +15,12 @@ val of_events : Telemetry.event list -> t
 val events : t -> Telemetry.event list
 
 val parse_lines : string list -> (t, string) result
-(** One JSONL line per event; [Error] names the first malformed line. *)
+(** One JSONL line per event; the first bad line is rejected as
+    ["trace:LINE: reason"]. *)
 
 val load : string -> (t, string) result
-(** Read a JSONL trace file. *)
+(** Read a JSONL trace file; errors read ["FILE:LINE: reason"], or
+    ["FILE: reason"] when the file cannot be read. *)
 
 val best_curve : t -> (float * float) list
 (** Best-so-far quality over time, [(minutes, quality)] steps,

@@ -37,6 +37,28 @@ let check_ok name args =
     (String.length (String.trim out) > 0);
   out
 
+(* A rejected input: [args] exits 1 (not 125, an uncaught exception)
+   and its output contains each of [needles] — the file, and the line
+   wherever there is one. *)
+let check_rejects what args needles =
+  let code, out = run args in
+  Alcotest.(check int) (what ^ ": exit code") 1 code;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (what ^ ": names " ^ n) true (contains out n))
+    needles
+
+(* Point a command at a directory, as if it were a file. *)
+let check_rejects_dir what args_of =
+  let dir = Filename.temp_dir "s2fa_cli" ".d" in
+  check_rejects what (args_of dir) [ dir ^ ": " ];
+  Sys.rmdir dir
+
+let write_text path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
+
 let test_list () =
   let out = check_ok "list" "list" in
   (* All eight evaluation kernels are present. *)
@@ -93,12 +115,18 @@ let test_dse_trace_and_replay () =
 
 let test_trace_rejects_garbage () =
   let bad = Filename.temp_file "s2fa_cli" ".jsonl" in
-  let oc = open_out bad in
-  output_string oc "not json at all\n";
-  close_out oc;
-  let code, _ = run ("trace " ^ bad) in
+  write_text bad "not json at all\n";
+  check_rejects "garbage" ("trace " ^ bad) [ bad ^ ":1: malformed JSON" ];
+  (* Trailing content after a valid event, and a non-integral [seq]. *)
+  write_text bad
+    ({|{"seq":0,"min":0,"ev":"span_begin","stage":"parse"}|} ^ "\n"
+   ^ {|{"seq":1,"min":0,"ev":"span_end","stage":"parse"}junk|} ^ "\n");
+  check_rejects "trailing junk" ("trace " ^ bad)
+    [ bad ^ ":2: malformed JSON" ];
+  write_text bad {|{"seq":1.7,"min":0,"ev":"span_begin","stage":"parse"}|};
+  check_rejects "seq 1.7" ("trace " ^ bad) [ bad ^ ":1:" ];
   Sys.remove bad;
-  Alcotest.(check bool) "non-zero exit" true (code <> 0)
+  check_rejects_dir "trace DIR" (fun d -> "trace " ^ d)
 
 let test_dse_faults () =
   let out =
@@ -147,7 +175,8 @@ let test_resume_rejects_garbage () =
   close_out oc;
   let code, _ = run ("resume " ^ bad) in
   Sys.remove bad;
-  Alcotest.(check bool) "non-zero exit" true (code <> 0)
+  Alcotest.(check bool) "non-zero exit" true (code <> 0);
+  check_rejects_dir "resume DIR" (fun d -> "resume " ^ d)
 
 (* ---------- malformed checkpoints ---------- *)
 
@@ -208,11 +237,8 @@ let set_value path ~meta key v =
       close_out oc)
 
 let check_rejected what path needle =
-  let code, out = run ("resume " ^ path) in
-  Sys.remove path;
-  Alcotest.(check int) (what ^ ": exit code") 1 code;
-  Alcotest.(check bool) (what ^ ": names the file") true (contains out path);
-  Alcotest.(check bool) (what ^ ": says where") true (contains out needle)
+  check_rejects what ("resume " ^ path) [ path; needle ];
+  Sys.remove path
 
 (* A header value of the wrong JSON type is a located error, not an
    uncaught exception. *)
@@ -232,6 +258,19 @@ let test_resume_bad_meta () =
   let dse = dse_ck () in
   set_value dse ~meta:true "minutes" "\"forty\"";
   check_rejected "dse minutes" dse "\"minutes\""
+
+(* A trigger the replay never reaches is a located rejection for both
+   checkpoint kinds, not a resume that exits 0 unvalidated. *)
+let test_resume_unreached_trigger () =
+  List.iter
+    (fun v ->
+      let ck = fleet_ck () in
+      set_value ck ~meta:false "events" v;
+      check_rejected ("events:" ^ v) ck (ck ^ ":1: resume never reached"))
+    [ "99999999"; "-4" ];
+  let dse = dse_ck () in
+  set_value dse ~meta:false "min" "9999";
+  check_rejected "min:9999" dse (dse ^ ":1: resume never reached")
 
 (* A fleet header that is not valid JSON is rejected where it stands,
    not handed to the DSE reader. *)
@@ -350,12 +389,12 @@ let test_prof_report () =
 
 let test_prof_rejects_garbage () =
   let bad = Filename.temp_file "s2fa_prof" ".jsonl" in
-  let oc = open_out bad in
-  output_string oc "not a span\n";
-  close_out oc;
-  let code, _ = run ("prof " ^ bad) in
+  write_text bad "not a span\n";
+  check_rejects "garbage" ("prof " ^ bad) [ bad ^ ":1: malformed JSON" ];
+  write_text bad {|{"id":2.5,"parent":-1,"name":"a","vb":0,"ve":1,"path":"a"}|};
+  check_rejects "id 2.5" ("prof " ^ bad) [ bad ^ ":1: not a span record" ];
   Sys.remove bad;
-  Alcotest.(check bool) "non-zero exit" true (code <> 0)
+  check_rejects_dir "prof DIR" (fun d -> "prof " ^ d)
 
 let test_verify_profile () =
   let p = Filename.temp_file "s2fa_prof" ".jsonl" in
@@ -437,12 +476,25 @@ let test_perf_diff_gates_regression () =
 
 let test_perf_diff_rejects_garbage () =
   let bad = Filename.temp_file "perf" ".json" in
-  let oc = open_out bad in
-  output_string oc "nope\n";
-  close_out oc;
-  let code, _ = run (Printf.sprintf "perf diff %s %s" bad bad) in
+  let diff_bad what text needle =
+    write_text bad text;
+    check_rejects what (Printf.sprintf "perf diff %s %s" bad bad) [ needle ]
+  in
+  diff_bad "garbage" "nope\n" (bad ^ ":1: malformed JSON");
+  (* A duplicate key no longer lets the second value win, and an
+     overflowing literal is not read as infinity. *)
+  diff_bad "duplicate key"
+    {|{"bench":"t","unit":"ns","results":{"a":1,"a":5}}|}
+    (bad ^ ":1: malformed JSON");
+  diff_bad "1e400"
+    "{\n  \"bench\": \"t\",\n  \"unit\": \"ns\",\n  \"results\": {\n\
+    \    \"a\": 1e400\n  }\n}\n"
+    (bad ^ ":5: malformed JSON");
+  diff_bad "missing member" {|{"bench":"t","unit":"ns"}|}
+    (bad ^ ":1: bad or missing \"results\"");
   Sys.remove bad;
-  Alcotest.(check bool) "non-zero exit" true (code <> 0)
+  check_rejects_dir "perf diff DIR DIR" (fun d ->
+      Printf.sprintf "perf diff %s %s" d d)
 
 (* ---------- the bench harness section filter ---------- *)
 
@@ -507,6 +559,8 @@ let () =
             test_resume_bad_meta;
           Alcotest.test_case "resume: garbled fleet header" `Quick
             test_resume_garbled_fleet_header;
+          Alcotest.test_case "resume: trigger never reached" `Quick
+            test_resume_unreached_trigger;
           Alcotest.test_case "cache" `Quick test_cache;
           Alcotest.test_case "report" `Quick test_report;
           Alcotest.test_case "unknown kernel" `Quick test_bad_kernel_fails;

@@ -235,7 +235,7 @@ let test_checkpoint_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Driver.write_checkpoint path ck;
+      S2fa_telemetry.Checkpoint.write path (Driver.ck_lines ck);
       match Driver.load_checkpoint path with
       | Error m -> Alcotest.failf "load failed: %s" m
       | Ok ck' ->

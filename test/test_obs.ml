@@ -176,8 +176,8 @@ let test_load_file_rejects_garbage () =
   output_string oc "not a span\n";
   close_out oc;
   (match Obs.load_file bad with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure");
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "expected Error");
   Sys.remove bad
 
 (* ------------------------- folded stacks -------------------------- *)
@@ -214,7 +214,7 @@ let test_perf_roundtrip () =
   let path = Filename.temp_file "perf" ".json" in
   let t = traj [ ("b.two", 2e9); ("a.one", 123.0) ] in
   Perf.save path t;
-  let t' = Perf.load path in
+  let t' = Result.get_ok (Perf.load path) in
   Sys.remove path;
   Alcotest.(check string) "bench" "t" t'.Perf.p_bench;
   Alcotest.(check string) "unit" "ns/run" t'.Perf.p_unit;

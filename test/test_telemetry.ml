@@ -1,7 +1,7 @@
 (* Telemetry tests: the determinism contract (traced runs are
    bit-reproducible and tracing has zero observer effect), exact JSON
-   round-trips, and the trace-replay analyzer agreeing with the driver's
-   own accounting. *)
+   round-trips, the trace-replay analyzer agreeing with the driver's
+   own accounting, and every file reader under mutation. *)
 module Rng = S2fa_util.Rng
 module Space = S2fa_tuner.Space
 module Driver = S2fa_dse.Driver
@@ -9,6 +9,10 @@ module T = S2fa_telemetry.Telemetry
 module Trace = S2fa_telemetry.Trace
 module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
+module Obs = S2fa_obs.Obs
+module Perf = S2fa_obs.Perf
+module Fleet = S2fa_fleet.Fleet
+module Traffic = S2fa_workloads.Traffic
 
 let kmeans = lazy (W.compile (Option.get (W.find "KMeans")))
 
@@ -100,7 +104,29 @@ let test_json_raises_only_bad () =
   bad "escape \\u00zz" (fun () -> ignore (T.Json.parse_obj {|{"a":"\u00zz"}|}));
   bad "array string" (fun () -> ignore (T.Json.parse_obj {|{"a":["x"]}|}));
   bad "float field \"x\"" (fun () ->
-      ignore (T.Json.get_float (T.Json.parse_obj {|{"a":"x"}|}) "a"))
+      ignore (T.Json.get_float (T.Json.parse_obj {|{"a":"x"}|}) "a"));
+  (* Strictness: nothing after the object, no duplicate key at any
+     depth, no trailing comma, finite number literals only, and integer
+     fields that are integers. *)
+  bad "trailing content" (fun () -> ignore (T.Json.parse_obj {|{"a":1}junk|}));
+  bad "duplicate key" (fun () -> ignore (T.Json.parse_obj {|{"a":1,"a":5}|}));
+  bad "nested duplicate key" (fun () ->
+      ignore
+        (T.Json.parse_obj
+           {|{"bench":"t","unit":"ns","results":{"a":1,"a":5}}|}));
+  bad "trailing comma" (fun () -> ignore (T.Json.parse_obj {|{"a":1,}|}));
+  bad "number 1e400" (fun () -> ignore (T.Json.parse_obj {|{"a":1e400}|}));
+  bad "int field 23.9" (fun () ->
+      ignore (T.Json.get_int (T.Json.parse_obj {|{"a":23.9}|}) "a"));
+  bad "int field 1e300" (fun () ->
+      ignore (T.Json.get_int (T.Json.parse_obj {|{"a":1e300}|}) "a"));
+  bad "int field \"inf\"" (fun () ->
+      ignore (T.Json.get_int (T.Json.parse_obj {|{"a":"inf"}|}) "a"));
+  (* What the tree writes still parses: whitespace and newlines around
+     members, and a nested object. *)
+  Alcotest.(check bool) "multi-line nested object" true
+    (T.Json.parse_obj "{\n  \"r\": {\n    \"a\": 1\n  }\n}\n"
+    = [ ("r", T.Json.Jobj [ ("a", T.Json.Jnum 1.0) ]) ])
 
 let test_stage_and_reason_names () =
   List.iter
@@ -294,6 +320,134 @@ let test_untraced_run_has_no_metrics () =
   Alcotest.(check bool) "no snapshot without a tracer" true
     (r.Driver.rr_metrics = None)
 
+(* ---------- readers under mutation ---------- *)
+
+(* One real file of each kind the tree reads, from seeded runs, with
+   its reader. A checkpoint must reject a cut or a deleted line at load
+   time; no reader may raise on any mutation. *)
+
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+let artifacts =
+  lazy
+    (let c = Lazy.force kmeans in
+     let trace = Buffer.create 4096 in
+     let tr = T.create ~sinks:[ T.buffer_sink trace ] () in
+     let snaps = ref [] in
+     let checkpoint =
+       { Driver.ck_path = None;
+         ck_every = 8.0;
+         ck_meta = [ ("seed", "7") ];
+         ck_hook = Some (fun ck -> snaps := ck :: !snaps) }
+     in
+     let p = Obs.Profiler.create () in
+     ignore
+       (Obs.with_profiler p (fun () ->
+            S2fa.explore ~opts:quick_opts ~trace:tr ~checkpoint c
+              (Rng.create 7)));
+     let lines l = String.concat "" (List.map (fun s -> s ^ "\n") l) in
+     let fleet_ck = Filename.temp_file "s2fa_fleet" ".ck" in
+     let ts =
+       [ Traffic.tenant ~rate:400.0 ~weight:1.0 (Option.get (W.find "KMeans"));
+         Traffic.tenant ~rate:300.0 ~weight:2.0 (Option.get (W.find "LR")) ]
+     in
+     ignore
+       (Fleet.serve
+          ~checkpoint:
+            { Fleet.cks_path = fleet_ck; cks_every_s = 2.0; cks_meta = [] }
+          (Traffic.apps ~seed:7 ts)
+          (Traffic.requests ~seed:7 ~horizon:0.5 ts));
+     let bench = Filename.temp_file "s2fa_bench" ".json" in
+     Perf.save bench
+       { Perf.p_bench = "t";
+         p_unit = "ns/run";
+         p_results = [ ("a.one", 123.0); ("b.two", 2e9); ("c", 0.0) ] };
+     let fleet_text = read_text fleet_ck and bench_text = read_text bench in
+     Sys.remove fleet_ck;
+     Sys.remove bench;
+     let reader load f = Result.map ignore (load f) in
+     (* (name, contents, is a checkpoint, reader) *)
+     [ ("trace", Buffer.contents trace, false, reader Trace.load);
+       ("span log", lines (List.map Obs.span_to_json (Obs.Profiler.spans p)),
+        false, reader Obs.load_file);
+       ("dse checkpoint", lines (Driver.ck_lines (List.hd !snaps)), true,
+        reader Driver.load_checkpoint);
+       ("fleet checkpoint", fleet_text, true, reader Fleet.load_checkpoint);
+       ("bench", bench_text, false, reader Perf.load) ])
+
+(* [m] reads "PATH:LINE: ...". *)
+let located path m =
+  let pre = String.length path + 1 in
+  String.starts_with ~prefix:(path ^ ":") m
+  &&
+  match String.index_from_opt m pre ':' with
+  | Some i -> int_of_string_opt (String.sub m pre (i - pre)) <> None
+  | None -> false
+
+let junk = [| "junk"; "}"; ","; "\""; " 1"; "{\"ck\":\"end\"}"; "\\" |]
+
+(* Mutation [kind] at positions [i], [j] of [text] (which ends in a
+   newline): 0 cuts strictly before the last byte, 1 deletes a line, 2
+   duplicates one, 3 swaps two, 4 appends junk to one. *)
+let mutate text (kind, i, j) =
+  let n = String.length text in
+  let ls = String.split_on_char '\n' (String.sub text 0 (n - 1)) in
+  let k = i mod List.length ls and l = j mod List.length ls in
+  let each f = String.concat "" (List.concat (List.mapi f ls)) in
+  match kind with
+  | 0 -> String.sub text 0 (i mod (n - 1))
+  | 1 -> each (fun x s -> if x = k then [] else [ s; "\n" ])
+  | 2 -> each (fun x s -> if x = k then [ s; "\n"; s; "\n" ] else [ s; "\n" ])
+  | 3 ->
+    let line x = List.nth ls x in
+    each (fun x s ->
+        [ (if x = k then line l else if x = l then line k else s); "\n" ])
+  | _ ->
+    let tail = junk.(j mod Array.length junk) in
+    each (fun x s -> if x = k then [ s; tail; "\n" ] else [ s; "\n" ])
+
+let test_artifacts_load () =
+  List.iter
+    (fun (name, text, _, read) ->
+      let path = Filename.temp_file "s2fa_reader" ".txt" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let r = read path in
+      Sys.remove path;
+      match r with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s does not load: %s" name m)
+    (Lazy.force artifacts)
+
+let prop_readers_never_raise =
+  QCheck.Test.make ~name:"readers never raise on mutated real files"
+    ~count:400
+    QCheck.(
+      quad (int_range 0 4) (int_range 0 4) (int_bound 1_000_000)
+        (int_bound 1_000_000))
+    (fun (a, kind, i, j) ->
+      let name, text, checkpoint, read = List.nth (Lazy.force artifacts) a in
+      let path = Filename.temp_file "s2fa_mutant" ".txt" in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (mutate text (kind, i, j)));
+      let r =
+        match read path with
+        | r -> r
+        | exception e ->
+          Sys.remove path;
+          QCheck.Test.fail_reportf "%s reader raised %s" name
+            (Printexc.to_string e)
+      in
+      Sys.remove path;
+      match r with
+      | Error m when not (located path m || String.starts_with ~prefix:path m)
+        ->
+        QCheck.Test.fail_reportf "%s: error names no file: %s" name m
+      | Ok () when checkpoint && kind <= 1 ->
+        QCheck.Test.fail_reportf "%s accepted after mutation %d" name kind
+      | Error m when checkpoint && kind <= 1 && not (located path m) ->
+        QCheck.Test.fail_reportf "%s: rejection names no line: %s" name m
+      | _ -> true)
+
 let () =
   Alcotest.run "telemetry"
     [ ( "events",
@@ -326,4 +480,8 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "run snapshot" `Quick test_run_metrics_snapshot;
           Alcotest.test_case "untraced has none" `Quick
-            test_untraced_run_has_no_metrics ] ) ]
+            test_untraced_run_has_no_metrics ] );
+      ( "readers",
+        Alcotest.test_case "real artifacts load" `Quick test_artifacts_load
+        :: List.map QCheck_alcotest.to_alcotest [ prop_readers_never_raise ] )
+    ]
