@@ -78,17 +78,17 @@ let load_workload name =
     Printf.eprintf "unknown kernel %s; try `s2fa list`\n" name;
     exit 1
 
-let compiled_of ?trace ~workload ~file () =
+let compiled_of ~workload ~file () =
   match (workload, file) with
   | Some name, _ ->
     let w = load_workload name in
-    (Some w, W.compile ?trace w)
+    (Some w, W.compile w)
   | None, Some path ->
     let ic = open_in path in
     let n = in_channel_length ic in
     let src = really_input_string ic n in
     close_in ic;
-    (None, S2fa.compile ?trace src)
+    (None, S2fa.compile src)
   | None, None ->
     Printf.eprintf "one of -w or -f is required\n";
     exit 1
@@ -305,15 +305,35 @@ let dse_cmd =
       value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
   let ck_every_arg =
-    let doc = "Virtual minutes between checkpoint snapshots." in
-    Arg.(value & opt float 30.0 & info [ "ck-every" ] ~docv:"MINUTES" ~doc)
+    let doc =
+      "Virtual minutes between checkpoint snapshots. Must be a finite \
+       positive number."
+    in
+    (* A custom conv, as for `perf diff --threshold`: at 0 or below the
+       snapshot loop would never end, and at nan or inf no snapshot
+       would ever be written. *)
+    let minutes =
+      let parse s =
+        match float_of_string_opt s with
+        | Some f when Float.is_finite f && f > 0.0 -> Ok f
+        | _ ->
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "checkpoint interval must be a finite positive number of \
+                   minutes, got %S"
+                  s))
+      in
+      Arg.conv (parse, Format.pp_print_float)
+    in
+    Arg.(value & opt minutes 30.0 & info [ "ck-every" ] ~docv:"MINUTES" ~doc)
   in
   let run workload file mode seed minutes shared_db trace_file fault_spec
       ck_file ck_every profile =
     with_profile profile @@ fun () ->
     let tracer = Option.map make_tracer trace_file in
     let trace = Option.map fst tracer in
-    let _, c = compiled_of ?trace ~workload ~file () in
+    let _, c = compiled_of ~workload ~file () in
     let rng = Rng.create seed in
     let db = if shared_db then Some (Resultdb.create ()) else None in
     let faults = Option.map (make_injector ~seed) fault_spec in
@@ -430,6 +450,14 @@ let ok_or_exit = function
     prerr_endline m;
     exit 1
 
+(* A serving configuration the fleet rejects exits 1 with the fleet's
+   own message. *)
+let fleet_or_exit f =
+  try f ()
+  with Fleet.Fleet_error m ->
+    prerr_endline m;
+    exit 1
+
 (* Meta value [k] of checkpoint [path], decoded by [conv]. A value that
    does not decode names the file and the key, and exits 1. *)
 let meta_value path meta conv what k =
@@ -448,6 +476,7 @@ let meta_float path meta = meta_value path meta float_of_string_opt "a number"
 (* Recover a mid-serve snapshot: rebuild the scenario from the
    checkpoint's meta, then replay-validate and run to completion. *)
 let resume_fleet ck =
+  fleet_or_exit @@ fun () ->
   let path = ck.Checkpoint.c_file in
   let snapshot = ok_or_exit (Fleet.snapshot_of_checkpoint ck) in
   let meta k = List.assoc_opt k snapshot.Fleet.fk_meta in
@@ -494,21 +523,16 @@ let resume_fleet ck =
       cks_every_s = snapshot.Fleet.fk_every;
       cks_meta = snapshot.Fleet.fk_meta }
   in
-  (match
-     Fleet.resume ~opts ?faults ~checkpoint ~file:path ~snapshot apps
-       requests
-   with
-  | exception Fleet.Fleet_error m ->
-    Printf.eprintf "%s\n" m;
-    exit 1
-  | outcome ->
-    Printf.printf
-      "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
-      path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
-    print_string (Fleet.report_to_string outcome.Fleet.oc_report);
-    match faults with
-    | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
-    | None -> ())
+  let outcome =
+    Fleet.resume ~opts ?faults ~checkpoint ~file:path ~snapshot apps requests
+  in
+  Printf.printf
+    "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
+    path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
+  print_string (Fleet.report_to_string outcome.Fleet.oc_report);
+  match faults with
+  | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
+  | None -> ()
 
 let resume_cmd =
   let ck_file_arg =
@@ -1031,6 +1055,7 @@ let serve_cmd =
       fault_spec trace_path metrics_path slo_ms hang_factor hedge breaker
       bk_failures bk_cooldown bk_probes ck_path ck_every profile =
     with_profile profile @@ fun () ->
+    fleet_or_exit @@ fun () ->
     let policy = parse_policy policy_name in
     let tenants = parse_tenants apps_spec batch queue_cap in
     let tracer = Option.map make_tracer trace_path in
@@ -1043,7 +1068,7 @@ let serve_cmd =
       | None, None -> None
     in
     let faults = Option.map (fun s -> make_injector ~seed s) fault_spec in
-    let apps = Traffic.apps ?trace ~seed tenants in
+    let apps = Traffic.apps ~seed tenants in
     let requests =
       deadline_requests slo_ms (Traffic.requests ~seed ~horizon tenants)
     in
@@ -1282,13 +1307,13 @@ let federate_cmd =
     in
     let tracer = Option.map make_tracer trace_path in
     let trace = Option.map fst tracer in
-    let apps = Traffic.apps ?trace ~seed tenants in
+    let apps = Traffic.apps ~seed tenants in
     let fed_tenants =
       List.mapi
         (fun i tn ->
-          (* Compile once more, trace-less, to hand the online DSE loop
-             its re-tuning substrate; the serving apps above already
-             carry the structured-seed design. *)
+          (* Compile once more to hand the online DSE loop its
+             re-tuning substrate; the serving apps above already carry
+             the structured-seed design. *)
           let compiled =
             if retune_slo <> None then
               Some (W.compile tn.Traffic.tn_workload)

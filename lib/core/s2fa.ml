@@ -33,27 +33,23 @@ type compiled = {
 }
 
 let compile ?class_name ?(operator = `Map) ?(in_caps = []) ?(out_caps = [])
-    ?(field_caps = []) ?trace source =
+    ?(field_caps = []) source =
   S2fa_obs.Obs.span "core.compile" @@ fun () ->
   let prog =
-    Telemetry.with_span trace Telemetry.Parse (fun () ->
-        try Parser.parse_program source with
-        | Parser.Parse_error (m, p) ->
-          fail "parse" (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col)
-        | S2fa_scala.Lexer.Lex_error (m, p) ->
-          fail "lex" (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col))
+    try Parser.parse_program source with
+    | Parser.Parse_error (m, p) ->
+      fail "parse" (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col)
+    | S2fa_scala.Lexer.Lex_error (m, p) ->
+      fail "lex" (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col)
   in
   let tprog =
-    Telemetry.with_span trace Telemetry.Typecheck (fun () ->
-        try Typecheck.check_program prog
-        with Typecheck.Type_error (m, p) ->
-          fail "typecheck"
-            (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col))
+    try Typecheck.check_program prog
+    with Typecheck.Type_error (m, p) ->
+      fail "typecheck" (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col)
   in
   let classes =
-    Telemetry.with_span trace Telemetry.Bytecode (fun () ->
-        try Compile.compile_program tprog
-        with Compile.Unsupported m -> fail "bytecode" m)
+    try Compile.compile_program tprog
+    with Compile.Unsupported m -> fail "bytecode" m
   in
   let cls =
     let accelerators =
@@ -75,19 +71,13 @@ let compile ?class_name ?(operator = `Map) ?(in_caps = []) ?(out_caps = [])
   in
   (try Verify.verify_class cls
    with Verify.Verify_error m -> fail "verify" m);
-  let pretty, iface, flat =
-    Telemetry.with_span trace Telemetry.Decompile (fun () ->
-        let pretty, iface =
-          try
-            Decompile.decompile_class ~operator ~in_caps ~out_caps ~field_caps
-              cls
-          with Decompile.Decompile_error m -> fail "bytecode-to-C" m
-        in
-        let flat =
-          try Decompile.flat_kernel pretty
-          with Decompile.Decompile_error m -> fail "inline" m
-        in
-        (pretty, iface, flat))
+  let pretty, iface =
+    try Decompile.decompile_class ~operator ~in_caps ~out_caps ~field_caps cls
+    with Decompile.Decompile_error m -> fail "bytecode-to-C" m
+  in
+  let flat =
+    try Decompile.flat_kernel pretty
+    with Decompile.Decompile_error m -> fail "inline" m
   in
   let dspace = Dspace.identify flat in
   let buffer_elems =
@@ -126,19 +116,12 @@ let detail_of_report (r : Estimate.report) =
     d_bram_pct = r.Estimate.r_bram_pct;
     d_dsp_pct = r.Estimate.r_dsp_pct }
 
-let objective ?(tasks = 4096) ?db ?trace c cfg =
+let objective ?(tasks = 4096) ?db c cfg =
   (* The DSE optimizes steady-state kernel throughput: compute cycles at
      the achieved frequency (Fig. 3's "normalized execution cycle"),
      overlapped with off-chip transfer by double buffering — so the
      binding term is whichever is slower. *)
-  let prog =
-    Telemetry.with_span trace Telemetry.Transform (fun () ->
-        apply_design c cfg)
-  in
-  let r =
-    Telemetry.with_span trace Telemetry.Estimate (fun () ->
-        Estimate.estimate prog ~tasks ~buffer_elems:c.c_buffer_elems)
-  in
+  let r = estimate ~tasks c cfg in
   (* When a result DB is in play, enrich this point's (future) entry with
      the full estimator tuple — cycles, frequency, resources. The DB
      itself is consulted by the tuner, not here: memoization lives in one
@@ -155,16 +138,16 @@ let objective ?(tasks = 4096) ?db ?trace c cfg =
 
 let explore ?opts ?tasks ?db ?trace ?faults ?checkpoint c rng =
   Driver.run_s2fa ?opts ?db ?trace ?faults ?checkpoint c.c_dspace
-    (objective ?tasks ?db ?trace c) rng
+    (objective ?tasks ?db c) rng
 
 let explore_vanilla ?time_limit ?tasks ?db ?trace ?faults ?checkpoint c rng =
   Driver.run_vanilla ?time_limit ?db ?trace ?faults ?checkpoint c.c_dspace
-    (objective ?tasks ?db ?trace c) rng
+    (objective ?tasks ?db c) rng
 
 let resume ?opts ?tasks ?db ?trace ?faults ?checkpoint ?file ~snapshot c rng =
   Driver.resume_from_checkpoint ?opts ?db ?trace ?faults ?checkpoint ?file
     ~snapshot c.c_dspace
-    (objective ?tasks ?db ?trace c)
+    (objective ?tasks ?db c)
     rng
 
 let accel_id (cls : Insn.cls) =

@@ -45,14 +45,14 @@ val compile :
   ?in_caps:int list ->
   ?out_caps:int list ->
   ?field_caps:(string * int) list ->
-  ?trace:Telemetry.t ->
   string ->
   compiled
 (** Parse, type-check, compile to bytecode, verify, decompile to C and
     identify the design space. [class_name] selects a class when the
     source defines several (default: the first [Accelerator] class).
-    With [trace], the parse / typecheck / bytecode / decompile stages
-    are bracketed by [span_begin]/[span_end] events. *)
+    Under a profiler the whole call is one [core.compile] span, holding
+    one span per stage ([scala.parse], [scala.typecheck],
+    [jvm.compile], [b2c.decompile], [b2c.flatten]). *)
 
 val apply_design : compiled -> Space.cfg -> Csyntax.cprog
 (** The flat kernel with a design point's Merlin transformations
@@ -64,7 +64,6 @@ val estimate : ?tasks:int -> compiled -> Space.cfg -> Estimate.report
 val objective :
   ?tasks:int ->
   ?db:Resultdb.t ->
-  ?trace:Telemetry.t ->
   compiled ->
   Space.cfg ->
   Tuner.eval_result
@@ -73,8 +72,8 @@ val objective :
     infinite when infeasible, with the simulated evaluation cost. [db]
     does {e not} memoize here (the tuner owns memoization); it only
     enriches the point's database entry with the full estimator tuple
-    (cycles, frequency, resource percentages). With [trace], the Merlin
-    transform and the HLS estimate are bracketed by span events. *)
+    (cycles, frequency, resource percentages). Under a profiler each
+    call is one [merlin.apply] and one [hls.estimate] span. *)
 
 val explore :
   ?opts:Driver.s2fa_opts -> ?tasks:int -> ?db:Resultdb.t ->

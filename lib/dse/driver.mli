@@ -125,8 +125,8 @@ val ck_lines : ck -> string list
 
 val ck_of_checkpoint : S2fa_telemetry.Checkpoint.t -> (ck, string) result
 (** Decode a checkpoint of kind ["header"]; a bad or missing field, an
-    unknown line kind or a non-positive interval is
-    [Error "FILE:LINE: reason"]. *)
+    unknown line kind or an interval that is not positive and finite
+    is [Error "FILE:LINE: reason"]. *)
 
 val ck_of_lines : string list -> (ck, string) result
 (** Inverse of {!ck_lines}; errors read ["checkpoint:LINE: reason"]. *)
@@ -138,7 +138,11 @@ val load_checkpoint : string -> (ck, string) result
 (** Checkpointing options for a run. *)
 type ck_opts = {
   ck_path : string option;   (** Snapshot file, replaced at each write. *)
-  ck_every : float;          (** Virtual minutes between snapshots. *)
+  ck_every : float;
+      (** Virtual minutes between snapshots. A run given an interval
+          that is not positive and finite raises [Invalid_argument
+          "checkpoint interval must be positive"] before its first
+          evaluation. *)
   ck_meta : (string * string) list;  (** Stored in every snapshot. *)
   ck_hook : (ck -> unit) option;
       (** In-process observer, called with each snapshot (used by

@@ -325,7 +325,7 @@ let leaf path =
     in
     (depth, String.sub path (i + 1) (String.length path - i - 1))
 
-let stage_of_name name =
+let stage_of_span name =
   match String.index_opt name '.' with
   | None -> name
   | Some i -> String.sub name 0 i
@@ -377,7 +377,7 @@ let print_report ?(top = 10) ppf spans =
     let stages = Hashtbl.create 16 in
     List.iter
       (fun ((s : Profiler.span), self) ->
-        let k = stage_of_name s.sp_name in
+        let k = stage_of_span s.sp_name in
         let w = if use_counts then 1.0 else self in
         let cur = try Hashtbl.find stages k with Not_found -> 0. in
         Hashtbl.replace stages k (cur +. w))

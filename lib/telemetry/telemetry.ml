@@ -2,25 +2,6 @@
    monotonic sequence number, never the wall clock, so traces under a
    fixed RNG seed are byte-reproducible. *)
 
-type stage = Parse | Typecheck | Bytecode | Decompile | Transform | Estimate
-
-let stage_name = function
-  | Parse -> "parse"
-  | Typecheck -> "typecheck"
-  | Bytecode -> "bytecode"
-  | Decompile -> "decompile"
-  | Transform -> "transform"
-  | Estimate -> "estimate"
-
-let stage_of_name = function
-  | "parse" -> Some Parse
-  | "typecheck" -> Some Typecheck
-  | "bytecode" -> Some Bytecode
-  | "decompile" -> Some Decompile
-  | "transform" -> Some Transform
-  | "estimate" -> Some Estimate
-  | _ -> None
-
 type stop_reason = Stop_time | Stop_exhausted | Stop_entropy | Stop_trivial
 
 let stop_reason_name = function
@@ -39,8 +20,6 @@ let stop_reason_of_name = function
 type kind =
   | Run_begin of { flow : string; cores : int; time_limit : float }
   | Run_end of { minutes : float; evals : int; best : float }
-  | Span_begin of stage
-  | Span_end of stage
   | Eval_start of { cfg_key : string; partition : int; technique : string }
   | Eval_done of {
       cfg_key : string;
@@ -338,8 +317,6 @@ let fold_into_metrics m ev =
   | Fed_autoscale a -> Metrics.incr m ("fed.autoscale." ^ a.action)
   | Fed_retune _ -> Metrics.incr m "fed.retunes"
   | Fed_promote _ -> Metrics.incr m "fed.promotions"
-  | Span_begin _ -> ()
-  | Span_end st -> Metrics.incr m ("spans." ^ stage_name st)
   | Run_begin _ -> Metrics.incr m "runs"
   | Run_end r -> Metrics.set_gauge m "best_quality" r.best
 
@@ -383,15 +360,6 @@ let emit t kind =
   List.iter (fun s -> s.on_event ev) t.sinks
 
 let flush t = List.iter (fun s -> s.on_flush ()) t.sinks
-
-let with_span t stage f =
-  match t with
-  | None -> f ()
-  | Some tr ->
-    emit tr (Span_begin stage);
-    let r = f () in
-    emit tr (Span_end stage);
-    r
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: one JSON object per event *)
@@ -450,12 +418,6 @@ let json_of_event e =
     num "minutes" r.minutes;
     int_ "evals" r.evals;
     num "best" r.best
-  | Span_begin st ->
-    str "ev" "span_begin";
-    str "stage" (stage_name st)
-  | Span_end st ->
-    str "ev" "span_end";
-    str "stage" (stage_name st)
   | Eval_start v ->
     str "ev" "eval_start";
     str "cfg" v.cfg_key;
@@ -789,11 +751,6 @@ let aget fields k =
 
 let event_of_fields fields =
   match
-    let stage_of fields =
-      match stage_of_name (sget fields "stage") with
-      | Some s -> s
-      | None -> raise Bad
-    in
     let kind =
       match sget fields "ev" with
       | "run_begin" ->
@@ -806,8 +763,6 @@ let event_of_fields fields =
           { minutes = fget fields "minutes";
             evals = iget fields "evals";
             best = fget fields "best" }
-      | "span_begin" -> Span_begin (stage_of fields)
-      | "span_end" -> Span_end (stage_of fields)
       | "eval_start" ->
         Eval_start
           { cfg_key = sget fields "cfg";
@@ -990,8 +945,6 @@ let pp_event ppf e =
     p "run_begin flow=%s cores=%d limit=%.0fm" r.flow r.cores r.time_limit
   | Run_end r ->
     p "run_end minutes=%.1f evals=%d best=%g" r.minutes r.evals r.best
-  | Span_begin st -> p "span_begin %s" (stage_name st)
-  | Span_end st -> p "span_end %s" (stage_name st)
   | Eval_start v ->
     p "eval_start part=%d tech=%s cfg=%s" v.partition
       (if v.technique = "" then "-" else v.technique)

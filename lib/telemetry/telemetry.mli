@@ -13,14 +13,14 @@
     a JSONL writer ({!buffer_sink} / {!channel_sink}) and a human-readable
     {!logs_sink} over the [logs] library. A {!Metrics} registry rides on
     the tracer and folds every event into counters, gauges and
-    fixed-bucket histograms as it passes through. *)
+    fixed-bucket histograms as it passes through.
 
-(** Pipeline stages bracketed by {!Span_begin}/{!Span_end}. *)
-type stage = Parse | Typecheck | Bytecode | Decompile | Transform | Estimate
-
-val stage_name : stage -> string
-
-val stage_of_name : string -> stage option
+    The trace records what a run decided, not where its time went: the
+    pipeline stages ([scala.parse] through [b2c.flatten],
+    [merlin.apply], [hls.estimate]) are timed only by the [S2fa_obs]
+    span profiler ([--profile]). The vocabulary has no span events; a
+    trace written while it had them fails to load at its first span
+    line with "not a trace event". *)
 
 (** Why a partition's tuner stopped (the [partition_stop] payload). *)
 type stop_reason =
@@ -41,8 +41,6 @@ type kind =
   | Run_begin of { flow : string; cores : int; time_limit : float }
   | Run_end of { minutes : float; evals : int; best : float }
       (** [best] is [infinity] when nothing feasible was found. *)
-  | Span_begin of stage
-  | Span_end of stage
   | Eval_start of { cfg_key : string; partition : int; technique : string }
   | Eval_done of {
       cfg_key : string;
@@ -280,10 +278,6 @@ val emit : t -> kind -> unit
     metrics registry, fan out to every sink. *)
 
 val flush : t -> unit
-
-val with_span : t option -> stage -> (unit -> 'a) -> 'a
-(** Bracket a computation with [Span_begin]/[Span_end]; just runs it
-    when the tracer is [None]. *)
 
 (** {1 Built-in sinks} *)
 

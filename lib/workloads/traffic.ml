@@ -128,13 +128,13 @@ let regional_requests ~seed ~horizon regions tenants =
   in
   List.fold_left (List.merge order) [] per_stream
 
-let apps ?trace ~seed tenants =
+let apps ~seed tenants =
   Array.of_list
     (List.mapi
        (fun i tn ->
          let _, _, fld = streams seed i in
          let w = tn.tn_workload in
-         let c = Workloads.compile ?trace w in
+         let c = Workloads.compile w in
          let design = Seed.structured_seed c.S2fa.c_dspace in
          S2fa.serve_app ~design ~weight:tn.tn_weight ~batch:tn.tn_batch
            ~queue_cap:tn.tn_queue_cap ~name:w.Workloads.w_name

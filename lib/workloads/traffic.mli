@@ -64,11 +64,10 @@ val regional_requests :
     [(seed, horizon, regions, tenants)]. Raises [Invalid_argument] on a
     non-positive horizon or an empty region list. *)
 
-val apps :
-  ?trace:S2fa_telemetry.Telemetry.t ->
-  seed:int -> tenant list -> S2fa_fleet.Fleet.app array
+val apps : seed:int -> tenant list -> S2fa_fleet.Fleet.app array
 (** Compile each tenant's workload, apply the structured seed design
     ({!S2fa_dse.Seed.structured_seed}), draw its broadcast fields from
     the tenant's private field stream, and package everything as fleet
     apps (index-aligned with the tenant list and with {!requests}'s
-    [rq_app]). *)
+    [rq_app]). The compiles emit no trace events; a profiler sees them
+    as [core.compile] spans. *)

@@ -405,9 +405,9 @@ let all = [ pr; kmeans; knn; lr; svm; lls; aes; sw ]
 
 let find name = List.find_opt (fun w -> String.equal w.w_name name) all
 
-let compile ?trace w =
+let compile w =
   S2fa_core.S2fa.compile ~in_caps:w.w_in_caps ~out_caps:w.w_out_caps
-    ~field_caps:w.w_field_caps ?trace w.w_source
+    ~field_caps:w.w_field_caps w.w_source
 
 (* The expert sweeps the structured corner of the space by hand. *)
 let manual_design w (c : S2fa_core.S2fa.compiled) =

@@ -33,10 +33,9 @@ val all : t list
 
 val find : string -> t option
 
-val compile :
-  ?trace:S2fa_telemetry.Telemetry.t -> t -> S2fa_core.S2fa.compiled
-(** Convenience wrapper setting the capacities; [trace] records the
-    compile-stage spans as in {!S2fa_core.S2fa.compile}. *)
+val compile : t -> S2fa_core.S2fa.compiled
+(** {!S2fa_core.S2fa.compile} with the workload's buffer and field
+    capacities. *)
 
 (** Helpers for building JVM values (shared with tests). *)
 

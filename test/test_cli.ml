@@ -118,13 +118,19 @@ let test_trace_rejects_garbage () =
   write_text bad "not json at all\n";
   check_rejects "garbage" ("trace " ^ bad) [ bad ^ ":1: malformed JSON" ];
   (* Trailing content after a valid event, and a non-integral [seq]. *)
-  write_text bad
-    ({|{"seq":0,"min":0,"ev":"span_begin","stage":"parse"}|} ^ "\n"
-   ^ {|{"seq":1,"min":0,"ev":"span_end","stage":"parse"}junk|} ^ "\n");
+  let core_lost seq =
+    Printf.sprintf {|{"seq":%s,"min":0,"ev":"core_lost","core":1,"part":0}|}
+      seq
+  in
+  write_text bad (core_lost "0" ^ "\n" ^ core_lost "1" ^ "junk\n");
   check_rejects "trailing junk" ("trace " ^ bad)
     [ bad ^ ":2: malformed JSON" ];
-  write_text bad {|{"seq":1.7,"min":0,"ev":"span_begin","stage":"parse"}|};
+  write_text bad (core_lost "1.7");
   check_rejects "seq 1.7" ("trace " ^ bad) [ bad ^ ":1:" ];
+  (* A line of a trace written while the vocabulary had span events. *)
+  write_text bad {|{"seq":0,"min":0,"ev":"span_begin","stage":"parse"}|};
+  check_rejects "span_begin" ("trace " ^ bad)
+    [ bad ^ ":1: not a trace event" ];
   Sys.remove bad;
   check_rejects_dir "trace DIR" (fun d -> "trace " ^ d)
 
@@ -167,6 +173,26 @@ let test_checkpoint_and_resume () =
   match (best_line full, best_line resumed) with
   | Some a, Some b -> Alcotest.(check string) "same best line" a b
   | _ -> Alcotest.fail "missing best line"
+
+(* A DSE checkpoint interval that is not a finite positive number is a
+   usage error naming the flag, and nothing runs: at 0 or -5 the
+   snapshot loop would never end, and at nan no snapshot would ever be
+   written. *)
+let test_dse_rejects_bad_ck_every () =
+  let ck = Filename.temp_file "s2fa_cli" ".ck.jsonl" in
+  Sys.remove ck;
+  List.iter
+    (fun v ->
+      let code, out =
+        run
+          (Printf.sprintf
+             "dse -w KMeans --minutes 20 --checkpoint %s --ck-every=%s" ck v)
+      in
+      Alcotest.(check int) (v ^ ": exit code") 124 code;
+      Alcotest.(check bool) (v ^ ": names the flag") true
+        (contains out "--ck-every");
+      Alcotest.(check bool) (v ^ ": no checkpoint") false (Sys.file_exists ck))
+    [ "0"; "-5"; "nan" ]
 
 let test_resume_rejects_garbage () =
   let bad = Filename.temp_file "s2fa_cli" ".ck.jsonl" in
@@ -270,7 +296,13 @@ let test_resume_unreached_trigger () =
     [ "99999999"; "-4" ];
   let dse = dse_ck () in
   set_value dse ~meta:false "min" "9999";
-  check_rejected "min:9999" dse (dse ^ ":1: resume never reached")
+  check_rejected "min:9999" dse (dse ^ ":1: resume never reached");
+  (* An interval that could never reach a trigger is refused on load,
+     as the run core would refuse it. *)
+  let dse = dse_ck () in
+  set_value dse ~meta:false "every" "\"inf\"";
+  check_rejected "every:inf" dse
+    (dse ^ ":1: checkpoint interval must be positive")
 
 (* A fleet header that is not valid JSON is rejected where it stands,
    not handed to the DSE reader. *)
@@ -335,6 +367,25 @@ let test_serve_trace_and_replay () =
 let test_serve_bad_policy_fails () =
   let code, _ = run "serve --policy nope" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
+
+(* A value the fleet refuses exits 1 with the fleet's own message, not
+   125 with an uncaught [Fleet_error]. *)
+let test_serve_rejects_bad_values () =
+  let ck = Filename.temp_file "s2fa_cli" ".ck.jsonl" in
+  Sys.remove ck;
+  List.iter
+    (fun (args, msg) ->
+      check_rejects ("serve " ^ args) (serve_args ^ " " ^ args) [ msg ])
+    [ ("--devices 0", "need at least one device");
+      ("--batch 0", "batch must be >= 1");
+      ("--queue-cap 0", "queue capacity must be >= 1");
+      ("--hang-factor 0", "hang factor must be > 1");
+      ("--hang-factor nan", "hang factor must be > 1");
+      ("--slo-ms nan", "deadline offset must be positive and finite");
+      ("--slo-ms inf", "deadline offset must be positive and finite");
+      ( "--checkpoint " ^ ck ^ " --ck-every-s 0",
+        "checkpoint interval must be positive" ) ];
+  Alcotest.(check bool) "no checkpoint" false (Sys.file_exists ck)
 
 (* ---------- the span profiler surface ---------- *)
 
@@ -551,6 +602,8 @@ let () =
             test_dse_bad_faults_spec_fails;
           Alcotest.test_case "checkpoint + resume" `Quick
             test_checkpoint_and_resume;
+          Alcotest.test_case "dse rejects bad --ck-every" `Quick
+            test_dse_rejects_bad_ck_every;
           Alcotest.test_case "resume rejects garbage" `Quick
             test_resume_rejects_garbage;
           Alcotest.test_case "resume: bad fleet header value" `Quick
@@ -573,7 +626,9 @@ let () =
           Alcotest.test_case "serve --trace + trace" `Quick
             test_serve_trace_and_replay;
           Alcotest.test_case "bad policy" `Quick
-            test_serve_bad_policy_fails ] );
+            test_serve_bad_policy_fails;
+          Alcotest.test_case "serve rejects bad values" `Quick
+            test_serve_rejects_bad_values ] );
       ( "profiling",
         [ Alcotest.test_case "dse --profile reproducible" `Quick
             test_dse_profile_reproducible;

@@ -433,7 +433,7 @@ let golden_run wname (fname, run) (vname, use_db, spec, use_ck) =
   let r =
     Obs.with_profiler prof (fun () ->
         run ?db ?trace:(Some trace) ?faults ?checkpoint c.S2fa.c_dspace
-          (S2fa.objective ?db ~trace c) (Rng.create seed))
+          (S2fa.objective ?db c) (Rng.create seed))
   in
   let spans =
     List.map (Obs.span_to_json ~host:false) (Obs.Profiler.spans prof)

@@ -53,7 +53,7 @@ let traced_explore ?faults ?checkpoint ?(opts = quick_opts) ?(flow = `S2fa) c
     | `S2fa -> S2fa.explore ~opts ~trace:tr ?faults ?checkpoint c rng
     | `Dynamic ->
       Driver.run_dynamic ~opts ~trace:tr ?faults ?checkpoint c.S2fa.c_dspace
-        (S2fa.objective ~trace:tr c) rng
+        (S2fa.objective c) rng
     | `Vanilla ->
       S2fa.explore_vanilla ~time_limit:opts.Driver.so_time_limit ~trace:tr
         ?faults ?checkpoint c rng
@@ -241,6 +241,46 @@ let test_checkpoint_roundtrip () =
       | Ok ck' ->
         if compare ck ck' <> 0 then Alcotest.fail "file round-trip changed it")
 
+(* An interval the snapshot stepper cannot use is refused by every flow
+   before its first evaluation: at 0 or below the stepper would never
+   return, and at nan or inf it would never take a snapshot. *)
+let test_bad_interval_rejected () =
+  let c = compiled "KMeans" in
+  let ds = c.S2fa.c_dspace in
+  let calls = ref 0 in
+  let objective cfg =
+    incr calls;
+    S2fa.objective c cfg
+  in
+  let flows =
+    [ ("s2fa", fun checkpoint ->
+          Driver.run_s2fa ~opts:quick_opts ~checkpoint ds objective
+            (Rng.create 1));
+      ("dynamic", fun checkpoint ->
+          Driver.run_dynamic ~opts:quick_opts ~checkpoint ds objective
+            (Rng.create 1));
+      ("vanilla", fun checkpoint ->
+          Driver.run_vanilla ~time_limit:30.0 ~checkpoint ds objective
+            (Rng.create 1)) ]
+  in
+  List.iter
+    (fun every ->
+      let checkpoint =
+        { Driver.ck_path = None; ck_every = every; ck_meta = [];
+          ck_hook = None }
+      in
+      List.iter
+        (fun (flow, run) ->
+          let what = Printf.sprintf "%s, every %g" flow every in
+          (match run checkpoint with
+          | exception Invalid_argument m ->
+            Alcotest.(check string) what
+              "checkpoint interval must be positive" m
+          | _ -> Alcotest.failf "%s: accepted" what);
+          Alcotest.(check int) (what ^ ": evaluations") 0 !calls)
+        flows)
+    [ 0.0; -5.0; nan; infinity ]
+
 (* ---------- crash-at-checkpoint + resume ≡ uninterrupted ---------- *)
 
 let resume_matches ?faults_spec ?flow c seed =
@@ -362,6 +402,8 @@ let () =
       ( "checkpoint",
         [ Alcotest.test_case "round-trip & truncation" `Slow
             test_checkpoint_roundtrip;
+          Alcotest.test_case "bad interval rejected" `Quick
+            test_bad_interval_rejected;
           Alcotest.test_case "resume ≡ uninterrupted" `Slow
             test_resume_equals_uninterrupted;
           Alcotest.test_case "resume ≡ uninterrupted (dynamic)" `Slow

@@ -205,6 +205,42 @@ let test_folded_self_time () =
   Alcotest.(check (list (pair string int)))
     "self-time weights" [ ("a", 1_000_000); ("a;b", 2_000_000) ] rows
 
+(* ------------------------- stage spans ---------------------------- *)
+
+(* The profiler alone times the pipeline stages: a compile holds one
+   span per front-end stage, and a DSE run without a result DB one
+   [merlin.apply] and one [hls.estimate] per objective call, that is per
+   search evaluation and per offline sample (114 + 96 at seed 7). *)
+let test_stage_spans () =
+  let w = Option.get (W.find "KMeans") in
+  let p = Obs.Profiler.create () in
+  let r =
+    Obs.with_profiler p (fun () -> S2fa.explore (W.compile w) (Rng.create 7))
+  in
+  let spans = Obs.Profiler.spans p in
+  let count ?(under = "") name =
+    List.length
+      (List.filter
+         (fun s ->
+           s.Obs.Profiler.sp_name = name
+           && String.starts_with ~prefix:under s.Obs.Profiler.sp_path)
+         spans)
+  in
+  Alcotest.(check int) "one compile" 1 (count "core.compile");
+  List.iter
+    (fun stage ->
+      Alcotest.(check int) ("core.compile holds one " ^ stage) 1
+        (count ~under:"core.compile;" stage))
+    [ "scala.parse"; "scala.typecheck"; "jvm.compile"; "b2c.decompile";
+      "b2c.flatten" ];
+  let calls =
+    r.Driver.rr_evals + Driver.default_s2fa_opts.Driver.so_samples
+  in
+  Alcotest.(check int) "merlin.apply per objective call" calls
+    (count "merlin.apply");
+  Alcotest.(check int) "hls.estimate per objective call" calls
+    (count "hls.estimate")
+
 (* ----------------------- perf trajectories ------------------------ *)
 
 let traj results =
@@ -306,6 +342,9 @@ let () =
             test_folded_fallback_counts;
           Alcotest.test_case "folded self time" `Quick test_folded_self_time ]
       );
+      ( "stages",
+        [ Alcotest.test_case "compile and explore spans" `Quick
+            test_stage_spans ] );
       ( "perf",
         [ Alcotest.test_case "save/load roundtrip" `Quick test_perf_roundtrip;
           Alcotest.test_case "diff flags 2x regression" `Quick
