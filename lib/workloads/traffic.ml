@@ -12,8 +12,8 @@ type tenant = {
 }
 
 let tenant ?(rate = 100.0) ?(weight = 1.0) ?(batch = 16) ?(queue_cap = 64) w =
-  if not (rate > 0.0) then
-    invalid_arg "Traffic.tenant: rate must be positive";
+  if not (rate > 0.0 && Float.is_finite rate) then
+    invalid_arg "Traffic.tenant: rate must be positive and finite";
   { tn_workload = w;
     tn_rate = rate;
     tn_weight = weight;
@@ -33,8 +33,8 @@ let streams seed i =
   (arr, pay, fld)
 
 let requests ~seed ~horizon tenants =
-  if not (horizon > 0.0) then
-    invalid_arg "Traffic.requests: horizon must be positive";
+  if not (horizon > 0.0 && Float.is_finite horizon) then
+    invalid_arg "Traffic.requests: horizon must be positive and finite";
   let per_tenant =
     List.mapi
       (fun i tn ->
@@ -66,8 +66,8 @@ let requests ~seed ~horizon tenants =
 type region = { rg_name : string; rg_scale : float }
 
 let region ?(scale = 1.0) name =
-  if not (scale > 0.0) then
-    invalid_arg "Traffic.region: scale must be positive";
+  if not (scale > 0.0 && Float.is_finite scale) then
+    invalid_arg "Traffic.region: scale must be positive and finite";
   { rg_name = name; rg_scale = scale }
 
 (* Each (region, tenant) pair owns private streams: the single-region
@@ -90,8 +90,9 @@ let rstreams seed ri i =
   (arr, pay, fld)
 
 let regional_requests ~seed ~horizon regions tenants =
-  if not (horizon > 0.0) then
-    invalid_arg "Traffic.regional_requests: horizon must be positive";
+  if not (horizon > 0.0 && Float.is_finite horizon) then
+    invalid_arg
+      "Traffic.regional_requests: horizon must be positive and finite";
   if regions = [] then
     invalid_arg "Traffic.regional_requests: need at least one region";
   let per_stream =

@@ -20,13 +20,15 @@ val tenant :
   ?rate:float -> ?weight:float -> ?batch:int -> ?queue_cap:int ->
   Workloads.t -> tenant
 (** Defaults: rate 100 req/s, weight 1, batch 16, queue capacity 64.
-    Raises [Invalid_argument] on a non-positive rate. *)
+    Raises [Invalid_argument] on a rate that is not positive and
+    finite. *)
 
 val requests :
   seed:int -> horizon:float -> tenant list -> S2fa_fleet.Fleet.request list
 (** Open-loop arrivals over [\[0, horizon)] virtual seconds, merged
     across tenants and sorted by (arrival, app, id). Deterministic in
-    [(seed, horizon, tenants)]. *)
+    [(seed, horizon, tenants)]. Raises [Invalid_argument] on a horizon
+    that is not positive and finite. *)
 
 (** {1 Multi-region traffic}
 
@@ -44,8 +46,8 @@ type region = {
 }
 
 val region : ?scale:float -> string -> region
-(** Default scale 1. Raises [Invalid_argument] on a non-positive
-    scale. *)
+(** Default scale 1. Raises [Invalid_argument] on a scale that is not
+    positive and finite. *)
 
 val region_id_shift : int
 (** Regional request ids are [(region lsl region_id_shift) lor k] with
@@ -62,7 +64,7 @@ val regional_requests :
     pair, tagged with the origin region index and merged into one
     stream sorted by (arrival, app, id). Deterministic in
     [(seed, horizon, regions, tenants)]. Raises [Invalid_argument] on a
-    non-positive horizon or an empty region list. *)
+    horizon that is not positive and finite, or an empty region list. *)
 
 val apps : seed:int -> tenant list -> S2fa_fleet.Fleet.app array
 (** Compile each tenant's workload, apply the structured seed design
