@@ -1,10 +1,11 @@
 (** Evaluator for the HLS C dialect.
 
-    {!compile} turns a program into OCaml closures once: every variable
-    resolves to a slot of a per-call frame under C99 block scoping, every
-    user call to its compiled callee, and every statement and operator
-    to a closure of its own. {!run} then executes the result as often as
-    needed. This executes the "FPGA side" of the Blaze simulator, which
+    {!compile} turns a program into OCaml closures once: {!Cscope}
+    resolves every variable to a slot of a per-call frame under C99
+    block scoping and every user call to its callee (the symbolic
+    evaluator walks the same resolution), and every statement and
+    operator becomes a closure of its own. {!run} then executes the
+    result as often as needed. This executes the "FPGA side" of the Blaze simulator, which
     compiles each kernel once per registration (timing comes from
     {!S2fa_hls}, not from here), and checks functional equivalence: the
     bytecode interpreter ([S2fa_jvm.Interp], the independent oracle) and

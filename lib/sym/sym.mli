@@ -1,13 +1,19 @@
 (** Bounded symbolic evaluator for the HLS C dialect.
 
     Executes a {!S2fa_hlsc.Csyntax.cprog} on fully symbolic scalar inputs,
-    producing normalized terms for every output buffer cell. Loops are
-    unrolled up to a trip budget (trip counts recovered by
-    {!S2fa_hlsc.Canalysis} gate execution early), data-dependent branches
-    are merged with if-then-else terms instead of forking paths, and a
-    hash-consing normalizer (exact associative/commutative regrouping for
-    modular int/long [+]/[*], constant folding via {!S2fa_hlsc.Cinterp}'s
-    own scalar semantics) decides term equality by node identity.
+    producing normalized terms for every output buffer cell. It walks the
+    program {!S2fa_hlsc.Cscope.resolve} produces, the same resolution
+    {!S2fa_hlsc.Cinterp} compiles: every variable is a slot of a per-call
+    frame and every user call names its callee. Loops are unrolled up to
+    a trip budget (trip counts recovered by {!S2fa_hlsc.Canalysis} gate
+    execution early), data-dependent branches are merged with
+    if-then-else terms instead of forking paths, and a hash-consing
+    normalizer (exact associative/commutative regrouping for modular
+    int/long [+]/[*], constant folding via {!S2fa_hlsc.Cinterp}'s own
+    scalar semantics) decides term equality by node identity. Terms are
+    interned in a table keyed on the node itself (children compared
+    physically, floats by bit pattern), and each term keeps its coverage
+    fingerprint hashes once computed.
 
     The headline entry point is {!equiv}: a checked equivalence theorem —
     up to the trip/step/term budgets — between a kernel and its
