@@ -2,14 +2,26 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
+(* Left to right in both passes, so a range sums exactly as the same
+   elements copied into an array of their own. *)
+let variance_sub xs pos len =
+  if pos < 0 || len < 0 || pos > Array.length xs - len then
+    invalid_arg "Stats.variance_sub";
+  if len < 2 then 0.0
   else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0.0 xs in
-    acc /. float_of_int n
+    let sum = ref 0.0 in
+    for i = pos to pos + len - 1 do
+      sum := !sum +. xs.(i)
+    done;
+    let m = !sum /. float_of_int len in
+    let acc = ref 0.0 in
+    for i = pos to pos + len - 1 do
+      acc := !acc +. ((xs.(i) -. m) *. (xs.(i) -. m))
+    done;
+    !acc /. float_of_int len
   end
+
+let variance xs = variance_sub xs 0 (Array.length xs)
 
 let stddev xs = sqrt (variance xs)
 

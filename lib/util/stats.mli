@@ -9,6 +9,12 @@ val variance : float array -> float
 (** Population variance (the paper's impurity measure for regression
     partitions); 0 on arrays shorter than 2. *)
 
+val variance_sub : float array -> int -> int -> float
+(** [variance_sub xs pos len] is [variance (Array.sub xs pos len)], bit
+    for bit: both passes sum the range left to right, as {!variance}
+    sums a whole array. Raises [Invalid_argument] when the range is not
+    within [xs]. *)
+
 val stddev : float array -> float
 (** Square root of {!variance}. *)
 
