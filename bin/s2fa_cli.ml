@@ -71,8 +71,9 @@ let seed_arg =
   let doc = "Random seed for the DSE." in
   Arg.(value & opt int 7 & info [ "seed" ] ~doc)
 
-(* Rates, scales, horizons and intervals: at 0 or below, or at nan,
-   a run never starts or never ends, and at inf it never ends. *)
+(* Rates, scales, horizons, intervals and time budgets: at 0 or below,
+   or at nan, a run never starts, never ends or finds nothing, and at
+   inf it never ends. *)
 let finite_positive_float s =
   match float_of_string_opt s with
   | Some f when Float.is_finite f && f > 0.0 -> Some f
@@ -99,6 +100,13 @@ let horizon_arg default =
     value
     & opt (finite_positive "horizon" "seconds") default
     & info [ "horizon" ] ~doc)
+
+let minutes_arg =
+  let doc = "Simulated time budget in minutes; finite and positive." in
+  Arg.(
+    value
+    & opt (finite_positive "time budget" "minutes") 240.0
+    & info [ "minutes" ] ~doc)
 
 let load_workload name =
   match W.find name with
@@ -298,10 +306,6 @@ let dse_cmd =
   let mode_arg =
     let doc = "Exploration flow: s2fa or vanilla." in
     Arg.(value & opt string "s2fa" & info [ "mode" ] ~doc)
-  in
-  let minutes_arg =
-    let doc = "Simulated time budget in minutes." in
-    Arg.(value & opt float 240.0 & info [ "minutes" ] ~doc)
   in
   let shared_db_arg =
     let doc =
@@ -580,7 +584,8 @@ let resume_cmd =
     in
     let minutes =
       Option.value ~default:240.0
-        (meta_float path snapshot.Driver.ck_meta "minutes")
+        (meta_value path snapshot.Driver.ck_meta finite_positive_float
+           "a finite positive number" "minutes")
     in
     let shared_db = meta "shared_db" = Some "true" in
     let faults = Option.map (make_injector ~seed) (meta "faults") in
@@ -643,10 +648,6 @@ let trace_cmd =
 (* ---------- cache ---------- *)
 
 let cache_cmd =
-  let minutes_arg =
-    let doc = "Simulated time budget in minutes." in
-    Arg.(value & opt float 240.0 & info [ "minutes" ] ~doc)
-  in
   let run workload file seed minutes =
     let _, c = compiled_of ~workload ~file () in
     let opts =

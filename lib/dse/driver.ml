@@ -165,10 +165,11 @@ type ck = {
   ck_meta : (string * string) list;
 }
 
-(* A snapshot interval the stepper can use: at zero or below the next
-   boundary never moves past the clock, and at NaN or infinity the
-   clock never reaches it. *)
-let valid_interval every = every > 0.0 && Float.is_finite every
+(* A snapshot interval the stepper can use, or a time limit a run can
+   reach: at zero or below the next boundary never moves past the clock
+   and a run finds nothing, and at NaN or infinity the clock never
+   reaches it. *)
+let finite_positive x = x > 0.0 && Float.is_finite x
 
 (* The snapshot reuses the trace encoding's float contract (17
    significant digits, quoted non-finite values), so serializing the
@@ -235,7 +236,7 @@ let ck_of_checkpoint (c : Checkpoint.t) =
   in
   let n, header = c.c_header in
   let str = get n Json.get_str header and num = get n Json.get_float header in
-  if not (valid_interval (num "every")) then
+  if not (finite_positive (num "every")) then
     Json.bad_line n "checkpoint interval must be positive";
   { ck_flow = str "flow";
     ck_every = num "every";
@@ -576,9 +577,11 @@ let step_on run core ~partition tuner =
    only the search-phase objective is hardened. *)
 let with_run ~flow ~cores ~limit ?clocks ?db ?trace ?faults ?checkpoint
     objective schedule =
+  if not (finite_positive limit) then
+    invalid_arg "time limit must be positive and finite";
   Option.iter
     (fun (c : ck_opts) ->
-      if not (valid_interval c.ck_every) then
+      if not (finite_positive c.ck_every) then
         invalid_arg "checkpoint interval must be positive")
     checkpoint;
   Obs.span ("dse." ^ flow) @@ fun () ->

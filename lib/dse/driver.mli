@@ -67,7 +67,11 @@ val best_at : run_result -> float -> float
     at least 14 evaluations, and the partition tree is 3 deep. *)
 type s2fa_opts = {
   so_cores : int;               (** default 8 *)
-  so_time_limit : float;        (** minutes; default 240 *)
+  so_time_limit : float;
+      (** Minutes; default 240. A run given a limit that is not
+          positive and finite raises [Invalid_argument "time limit must
+          be positive and finite"] before its first evaluation, as
+          {!run_vanilla} does for its [time_limit]. *)
   so_samples : int;             (** offline training samples; default 96 *)
   so_partition : bool;          (** ablation switch *)
   so_seed_mode : [ `Both | `Area_only | `None ];  (** ablation switch *)

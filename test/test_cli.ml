@@ -294,6 +294,40 @@ let test_resume_bad_meta () =
   set_value dse ~meta:true "minutes" "\"forty\"";
   check_rejected "dse minutes" dse "\"minutes\""
 
+(* A time budget that is not a finite positive number fails cleanly
+   instead of exiting 0 or never returning: `--minutes` is a usage
+   error naming the flag (exit 124), and a checkpoint recording such a
+   budget is refused on resume (exit 1), naming the file and the key. *)
+let test_rejects_bad_minutes () =
+  let bad = [ "0"; "-5"; "nan"; "inf" ] in
+  List.iter
+    (fun args ->
+      let code, out = run ~kill_after:60 args in
+      Alcotest.(check int) (args ^ ": exit code") 124 code;
+      Alcotest.(check bool) (args ^ ": names the flag") true
+        (contains out "--minutes"))
+    ([ "dse -w KMeans --minutes=nan";
+       "dse -w KMeans --minutes=0";
+       "dse -w KMeans --minutes=-5";
+       "dse -w KMeans --mode vanilla --minutes=nan";
+       "dse -w KMeans --mode vanilla --minutes=inf" ]
+    @ List.map (fun v -> "cache -w KMeans --minutes=" ^ v) bad);
+  let ck = Filename.temp_file "s2fa_cli" ".vanilla.ck" in
+  let _ =
+    check_ok "dse --mode vanilla --checkpoint"
+      (Printf.sprintf
+         "dse -w KMeans --mode vanilla --minutes 120 --seed 3 --checkpoint \
+          %s --ck-every 20"
+         ck)
+  in
+  set_value ck ~meta:true "minutes" "\"inf\"";
+  let code, out = run ~kill_after:60 ("resume " ^ ck) in
+  Sys.remove ck;
+  Alcotest.(check int) "resume, minutes inf: exit code" 1 code;
+  Alcotest.(check bool) "resume, minutes inf: names the file and key" true
+    (contains out
+       (ck ^ ": meta \"minutes\": \"inf\" is not a finite positive number"))
+
 (* A trigger the replay never reaches is a located rejection for both
    checkpoint kinds, not a resume that exits 0 unvalidated. *)
 let test_resume_unreached_trigger () =
@@ -640,6 +674,8 @@ let () =
             test_checkpoint_and_resume;
           Alcotest.test_case "dse rejects bad --ck-every" `Quick
             test_dse_rejects_bad_ck_every;
+          Alcotest.test_case "bad time budgets rejected" `Quick
+            test_rejects_bad_minutes;
           Alcotest.test_case "resume rejects garbage" `Quick
             test_resume_rejects_garbage;
           Alcotest.test_case "resume: bad fleet header value" `Quick

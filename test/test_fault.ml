@@ -281,6 +281,43 @@ let test_bad_interval_rejected () =
         flows)
     [ 0.0; -5.0; nan; infinity ]
 
+(* The run core refuses a time limit that is not positive and finite on
+   every flow before the first evaluation: at 0, -5 or nan a run would
+   find nothing, and a vanilla run at inf would never end. *)
+let test_bad_time_limit_rejected () =
+  let c = compiled "KMeans" in
+  let ds = c.S2fa.c_dspace in
+  let calls = ref 0 in
+  let objective cfg =
+    incr calls;
+    S2fa.objective c cfg
+  in
+  let flows =
+    [ ("s2fa", fun limit ->
+          Driver.run_s2fa
+            ~opts:{ quick_opts with Driver.so_time_limit = limit }
+            ds objective (Rng.create 1));
+      ("dynamic", fun limit ->
+          Driver.run_dynamic
+            ~opts:{ quick_opts with Driver.so_time_limit = limit }
+            ds objective (Rng.create 1));
+      ("vanilla", fun limit ->
+          Driver.run_vanilla ~time_limit:limit ds objective (Rng.create 1)) ]
+  in
+  List.iter
+    (fun limit ->
+      List.iter
+        (fun (flow, run) ->
+          let what = Printf.sprintf "%s, limit %g" flow limit in
+          (match run limit with
+          | exception Invalid_argument m ->
+            Alcotest.(check string) what
+              "time limit must be positive and finite" m
+          | _ -> Alcotest.failf "%s: accepted" what);
+          Alcotest.(check int) (what ^ ": evaluations") 0 !calls)
+        flows)
+    [ 0.0; -5.0; nan; infinity ]
+
 (* ---------- crash-at-checkpoint + resume ≡ uninterrupted ---------- *)
 
 let resume_matches ?faults_spec ?flow c seed =
@@ -404,6 +441,8 @@ let () =
             test_checkpoint_roundtrip;
           Alcotest.test_case "bad interval rejected" `Quick
             test_bad_interval_rejected;
+          Alcotest.test_case "bad time limit rejected" `Quick
+            test_bad_time_limit_rejected;
           Alcotest.test_case "resume ≡ uninterrupted" `Slow
             test_resume_equals_uninterrupted;
           Alcotest.test_case "resume ≡ uninterrupted (dynamic)" `Slow
