@@ -11,7 +11,14 @@ module Rng = S2fa_util.Rng
     candidate rule sets follow the paper's two methodologies: factors of
     the task loop inserted for the RDD operator, and factors grouped by
     loop-hierarchy level. Partitions are disjoint and cover the space,
-    so optimality is preserved. *)
+    so optimality is preserved.
+
+    {!build} reads every sample's value of every parameter once, into
+    a value table for the tree; a node holds its sample indices in
+    sample order. Gains are computed in the summation order of
+    {!S2fa_util.Stats.variance} over the left samples followed by the
+    right ones, so the chosen splits do not depend on how the samples
+    are stored. *)
 
 type constr =
   | CLe of string * int       (** Integer parameter <= threshold. *)
@@ -48,6 +55,11 @@ val build :
   sample list ->
   partition list
 (** Fit a tree of the given [depth] (default 3, giving up to 8 leaves).
-    The root split is restricted to the parameters of the preferred
-    rule sets ([rule_params], tried in order until one yields positive
-    gain); deeper splits may use any factor. *)
+    The root split is restricted to one of the preferred rule sets
+    ([rule_params]): each set is scored by the gain of its best split,
+    and the set with the highest gain wins, the first one on ties. An
+    empty rule set stands for every parameter, and so does the root
+    when no set has a split with positive gain. Deeper splits may use
+    any factor. At every node a later candidate split replaces the
+    current best only with a strictly higher gain, and a split whose
+    gain is not positive leaves the node a leaf. *)
