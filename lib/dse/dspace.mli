@@ -23,7 +23,10 @@ val identify : ?max_factor:int -> Csyntax.cprog -> t
     1024 for tiling). *)
 
 val to_merlin : t -> Space.cfg -> Transform.config
-(** Interpret a configuration as Merlin transformation directives. *)
+(** Interpret a configuration as Merlin transformation directives. A
+    factor the configuration does not bind to a value of its kind takes
+    its default (tile and parallel factor 1, pipeline off, bit-width
+    32); when a name is bound twice, the first binding wins. *)
 
 val tile_name : int -> string
 val par_name : int -> string
