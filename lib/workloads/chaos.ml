@@ -30,6 +30,7 @@ type seed_report = {
   sr_trips : int;
   sr_lost : int;
   sr_hit_rate : float;
+  sr_digest : string;
   sr_violations : string list;
 }
 
@@ -129,6 +130,10 @@ let standalone (apps : Fleet.app array) (r : Fleet.request) =
   (Blaze.map_jvm a.Fleet.ap_cls ~fields:a.Fleet.ap_fields
      [| r.Fleet.rq_payload |]).Blaze.tr_values.(0)
 
+(* One hash over a run's report and telemetry stream: what a golden
+   pins per seed. *)
+let run_digest report jsonl = Digest.to_hex (Digest.string (report ^ jsonl))
+
 let hit_rate (oc : Fleet.outcome) =
   let h = oc.Fleet.oc_report.Fleet.rp_deadline_hits
   and m = oc.Fleet.oc_report.Fleet.rp_deadline_misses in
@@ -219,6 +224,7 @@ let run_seed seed =
     sr_trips = rp.Fleet.rp_breaker_trips;
     sr_lost = rp.Fleet.rp_devices_lost;
     sr_hit_rate = hit_rate oc;
+    sr_digest = run_digest (Fleet.report_to_string rp) jsonl;
     sr_violations = List.rev !violations }
 
 let run ?(seeds = 20) ?(seed0 = 0) () =
@@ -263,6 +269,7 @@ type fed_report = {
   fr_leases : int;
   fr_releases : int;
   fr_lost : int;
+  fr_digest : string;
   fr_violations : string list;
 }
 
@@ -452,6 +459,7 @@ let run_fed_seed seed =
         (fun s (c : Fed.cluster_report) ->
           s + c.Fed.cr_report.Fleet.rp_devices_lost)
         0 rp.Fed.fr_clusters;
+    fr_digest = run_digest (Fed.report_to_string rp) jsonl;
     fr_violations = List.rev !violations }
 
 let run_fed ?(seeds = 10) ?(seed0 = 0) () =

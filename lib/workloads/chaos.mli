@@ -33,6 +33,8 @@ type seed_report = {
   sr_lost : int;       (** Devices lost to injected faults. *)
   sr_hit_rate : float; (** Deadline hit-rate; [nan] when the scenario
                            carried no deadlines. *)
+  sr_digest : string;  (** MD5 (hex) of the main run's report followed
+                           by its JSONL telemetry. *)
   sr_violations : string list;  (** Empty = all invariants held. *)
 }
 
@@ -75,6 +77,8 @@ type fed_report = {
   fr_releases : int;
   fr_lost : int;        (** Devices lost to injected faults (all in one
                             cluster by construction). *)
+  fr_digest : string;   (** MD5 (hex) of the main run's federation
+                            report followed by its JSONL telemetry. *)
   fr_violations : string list;  (** Empty = all invariants held. *)
 }
 

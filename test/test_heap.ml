@@ -11,6 +11,8 @@ module Traffic = S2fa_workloads.Traffic
 module W = S2fa_workloads.Workloads
 module T = S2fa_telemetry.Telemetry
 module Fault = S2fa_fault.Fault
+module Fed = S2fa_federation.Federation
+module Chaos = S2fa_workloads.Chaos
 
 (* ---------- priority heap vs sorted-list model ---------- *)
 
@@ -399,6 +401,178 @@ let test_tie_golden () =
       jh
   end
 
+(* ---------- fleet runs, pinned ---------- *)
+
+(* golden/fleet_runs.txt pins the MD5 of every report, telemetry stream,
+   snapshot and resumed outcome below, so that a change to the event
+   core that moves any of them shows up as a diff. The file holds one
+   section per test case, in [runs_sections] order; a section is the
+   lines starting with its key. [S2FA_UPDATE_GOLDEN=1] rewrites the
+   running case's section and keeps the others. *)
+let runs_path = golden "fleet_runs.txt"
+
+let runs_sections = [ "sweep"; "ckpt"; "fed"; "chaos"; "fedchaos" ]
+
+let check_runs key lines =
+  let key_of l =
+    match String.index_opt l ' ' with Some i -> String.sub l 0 i | None -> l
+  in
+  let stored =
+    if Sys.file_exists runs_path then
+      String.split_on_char '\n' (read_file runs_path)
+      |> List.filter (fun l -> l <> "")
+    else []
+  in
+  let section k = List.filter (fun l -> key_of l = k) stored in
+  if Sys.getenv_opt "S2FA_UPDATE_GOLDEN" = Some "1" then
+    Out_channel.with_open_bin runs_path (fun oc ->
+        List.iter
+          (fun k ->
+            List.iter
+              (fun l -> Out_channel.output_string oc (l ^ "\n"))
+              (if k = key then lines else section k))
+          runs_sections)
+  else
+    Alcotest.(check (list string)) (key ^ " matches " ^ runs_path)
+      (section key) lines
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_sweep_golden () =
+  let apps, requests = Lazy.force scenario in
+  let with_deadline = Fleet.with_deadline 10.0 requests in
+  let armed =
+    { Fleet.sl_hang_factor = 3.0;
+      sl_hedge = true;
+      sl_breaker = Some Fleet.default_breaker }
+  in
+  let chaos_spec =
+    { Fault.zero_spec with Fault.fs_hang = 0.3; fs_core_loss = 0.1 }
+  in
+  let lines =
+    List.concat_map
+      (fun policy ->
+        List.map
+          (fun (nm, reqs, slo, fspec) ->
+            let run engine =
+              let oc, jsonl =
+                serve_capture ?fspec ~devices:3 ~policy ~slo ~engine apps reqs
+              in
+              (Fleet.report_to_string oc.Fleet.oc_report, jsonl)
+            in
+            let report, jsonl = run Fleet.Heap in
+            let tag = Fleet.policy_name policy ^ "/" ^ nm in
+            Alcotest.(check (pair string string))
+              (tag ^ ": scan = heap") (run Fleet.Scan) (report, jsonl);
+            Printf.sprintf "sweep %s report=%s jsonl=%s" tag (md5 report)
+              (md5 jsonl))
+          [ ("plain", requests, Fleet.no_slo, None);
+            ("deadline", with_deadline, Fleet.no_slo, None);
+            ("chaos", with_deadline, armed, Some chaos_spec) ])
+      Fleet.all_policies
+  in
+  check_runs "sweep" lines
+
+(* Every mid-serve snapshot, and the outcome of a resume from the last
+   one, which must also equal the uninterrupted outcome. *)
+let test_ckpt_golden () =
+  let apps, requests = Lazy.force scenario in
+  let run engine =
+    let ck = Filename.temp_file "fleet_heap" ".ck" in
+    let copies = ref [] in
+    let copy_sink =
+      { T.on_event =
+          (fun (ev : T.event) ->
+            match ev.T.e_kind with
+            | T.Checkpoint_written { path; _ } ->
+              copies := read_file path :: !copies
+            | _ -> ());
+        T.on_flush = ignore }
+    in
+    let trace = T.create ~sinks:[ copy_sink ] () in
+    let spec =
+      { Fleet.cks_path = ck; cks_every_s = 2.0; cks_meta = [ ("kind", "diff") ] }
+    in
+    let outcome = Fleet.serve ~engine ~trace ~checkpoint:spec apps requests in
+    let snapshot =
+      match Fleet.load_checkpoint ck with
+      | Error m -> Alcotest.failf "load checkpoint: %s" m
+      | Ok s -> s
+    in
+    Sys.remove ck;
+    (outcome, List.rev !copies, snapshot)
+  in
+  let oc, snaps, snapshot = run Fleet.Heap in
+  let _, snaps_scan, _ = run Fleet.Scan in
+  Alcotest.(check (list string)) "scan snapshots = heap snapshots" snaps_scan
+    snaps;
+  Alcotest.(check bool) "several mid-serve snapshots" true
+    (List.length snaps >= 3);
+  let want = outcome_fingerprint oc in
+  let resumed engine =
+    outcome_fingerprint (Fleet.resume ~engine ~snapshot apps requests)
+  in
+  let got = resumed Fleet.Heap in
+  Alcotest.(check string) "resume lands on the uninterrupted outcome" want got;
+  Alcotest.(check string) "scan resume = heap resume" got
+    (resumed Fleet.Scan);
+  check_runs "ckpt"
+    (List.mapi (fun i s -> Printf.sprintf "ckpt snapshot %d %s" i (md5 s)) snaps
+    @ [ "ckpt resume " ^ md5 got ])
+
+(* A two-cluster federation with locality routing and autoscaling. *)
+let test_fed_golden () =
+  let ts = Lazy.force tenants in
+  let apps = Traffic.apps ~seed:11 ts in
+  let requests =
+    Traffic.regional_requests ~seed:11 ~horizon:0.4
+      [ Traffic.region "east"; Traffic.region ~scale:2.0 "west" ]
+      ts
+  in
+  let opts =
+    { Fed.default_opts with
+      Fed.fd_route = Fed.Locality;
+      fd_autoscale =
+        Some { Fed.default_autoscale with Fed.as_interval_s = 0.05 };
+      fd_seed = 11 }
+  in
+  let clusters =
+    [ Fed.cluster ~devices:2 ~weight:1.0 ~rtt_s:[| 0.0; 0.002 |] "east";
+      Fed.cluster ~devices:2 ~weight:1.0 ~rtt_s:[| 0.002; 0.0 |] "west" ]
+  in
+  let run engine =
+    let buf = Buffer.create 4096 in
+    let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
+    let tenants = Array.to_list (Array.map Fed.tenant apps) in
+    let oc = Fed.serve ~opts ~engine ~trace ~clusters tenants requests in
+    T.flush trace;
+    (Fed.report_to_string oc.Fed.fo_report, Buffer.contents buf)
+  in
+  let report, jsonl = run Fleet.Heap in
+  Alcotest.(check (pair string string)) "scan = heap" (run Fleet.Scan)
+    (report, jsonl);
+  check_runs "fed"
+    [ Printf.sprintf "fed report=%s jsonl=%s" (md5 report) (md5 jsonl) ]
+
+let test_chaos_golden () =
+  let c = Chaos.run ~seeds:20 () in
+  Alcotest.(check (list string)) "no invariant violations" []
+    c.Chaos.cg_violations;
+  check_runs "chaos"
+    (List.map
+       (fun r -> Printf.sprintf "chaos %d %s" r.Chaos.sr_seed r.Chaos.sr_digest)
+       c.Chaos.cg_reports)
+
+let test_fedchaos_golden () =
+  let c = Chaos.run_fed ~seeds:10 () in
+  Alcotest.(check (list string)) "no invariant violations" []
+    c.Chaos.fc_violations;
+  check_runs "fedchaos"
+    (List.map
+       (fun r ->
+         Printf.sprintf "fedchaos %d %s" r.Chaos.fr_seed r.Chaos.fr_digest)
+       c.Chaos.fc_reports)
+
 let () =
   Alcotest.run "heap"
     [ ( "pheap",
@@ -413,4 +587,12 @@ let () =
             test_engine_checkpoint_differential ] );
       ( "ties",
         [ Alcotest.test_case "simultaneous events pinned by golden" `Quick
-            test_tie_golden ] ) ]
+            test_tie_golden ] );
+      ( "fleet-runs",
+        [ Alcotest.test_case "policies x SLO x faults" `Quick
+            test_sweep_golden;
+          Alcotest.test_case "checkpoints and resume" `Quick test_ckpt_golden;
+          Alcotest.test_case "federation run" `Quick test_fed_golden;
+          Alcotest.test_case "chaos seeds 0-19" `Quick test_chaos_golden;
+          Alcotest.test_case "federation chaos seeds 0-9" `Quick
+            test_fedchaos_golden ] ) ]
