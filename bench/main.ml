@@ -851,20 +851,14 @@ let sym_verify () =
     (run_bechamel (List.concat_map chain_tests compiled @ synth_tests))
 
 (* ------------------------------------------------------------------ *)
-(* Event-heap engine: the heap event core vs the linear-scan oracle at
-   fleet scale. The scan loop re-walks every device on every event
-   (O(pool) per event), the heap engine pays O(log pool); at 1k devices
-   the gap is the tentpole's whole point, so the ratio is printed and
-   both engines' runs are persisted to BENCH_fleet_event.json for the
-   perf-trajectory gate. *)
+(* Event-heap core at fleet scale: the event core alone and an
+   end-to-end serve, both at 1k devices, persisted to
+   BENCH_fleet_event.json for the perf-trajectory gate. *)
 (* ------------------------------------------------------------------ *)
 
-(* The event core in isolation: the exact per-event work the two
-   engines disagree on. The scan loop re-derives the next device event
-   by an argmin walk over the whole pool; the heap engine peeks the
-   root and re-keys one handle. Everything else serve does (admission,
-   launches, value computation) is engine-independent, so this pair is
-   the event-loop throughput the tentpole claims. *)
+(* The event core in isolation: peek the earliest device event at the
+   root and re-key its handle, O(log pool) per event. Everything else
+   serve does (admission, launches, value computation) is left out. *)
 let event_core_heap ~devices ~events =
   let cmp (t1, d1) (t2, d2) =
     let c = Float.compare t1 t2 in
@@ -885,21 +879,8 @@ let event_core_heap ~devices ~events =
   done;
   !last
 
-let event_core_scan ~devices ~events =
-  let next = Array.init devices (fun d -> float_of_int d *. 1.3e-4) in
-  let last = ref 0.0 in
-  for _ = 1 to events do
-    let best = ref 0 in
-    for d = 1 to devices - 1 do
-      if next.(d) < next.(!best) then best := d
-    done;
-    last := next.(!best);
-    next.(!best) <- next.(!best) +. 0.017
-  done;
-  !last
-
 let fleet_event () =
-  section "FLEET_EVENT" "Event-heap engine vs linear-scan oracle, 1k devices";
+  section "FLEET_EVENT" "Event-heap core, 1k devices";
   let devices = 1000 in
   let events = 200_000 in
   let timed f =
@@ -908,23 +889,12 @@ let fleet_event () =
     ignore (Sys.opaque_identity r);
     Sys.time () -. t0
   in
-  let tc_heap = timed (fun () -> event_core_heap ~devices ~events) in
-  let tc_scan = timed (fun () -> event_core_scan ~devices ~events) in
-  Printf.printf
-    "event core, %d devices x %d events:\n\
-    \  heap %8.3f s  (%9.0f events/s)\n\
-    \  scan %8.3f s  (%9.0f events/s)\n\
-    \  event-loop speedup %.1fx (acceptance floor: 5x)\n"
-    devices events tc_heap
-    (float_of_int events /. tc_heap)
-    tc_scan
-    (float_of_int events /. tc_scan)
-    (tc_scan /. tc_heap);
-  (* End to end, the gain is diluted: computing every request's
-     (bit-identical) result dominates serve wall-clock and is the same
-     work on both engines. Measured anyway — this is the realized
-     number, and the identity check doubles as a scale-sized
-     differential. *)
+  let tc = timed (fun () -> event_core_heap ~devices ~events) in
+  Printf.printf "event core, %d devices x %d events: %8.3f s  (%9.0f events/s)\n"
+    devices events tc
+    (float_of_int events /. tc);
+  (* End to end, computing every request's (bit-identical) result
+     dominates serve wall-clock. *)
   let tenants =
     [ Traffic.tenant ~rate:7000.0 ~weight:1.0 ~batch:8 ~queue_cap:100_000
         (Option.get (W.find "PR")) ]
@@ -934,32 +904,13 @@ let fleet_event () =
   let opts = { Fleet.default_opts with Fleet.o_devices = devices } in
   let requests = Traffic.requests ~seed ~horizon:5.0 tenants in
   let n = List.length requests in
-  let serve engine = Fleet.serve ~opts ~engine apps requests in
-  let oc_heap = ref None and oc_scan = ref None in
-  let t_heap = timed (fun () -> oc_heap := Some (serve Fleet.Heap)) in
-  let t_scan = timed (fun () -> oc_scan := Some (serve Fleet.Scan)) in
-  (match (!oc_heap, !oc_scan) with
-  | Some h, Some s ->
-    if
-      not
-        (String.equal
-           (Fleet.report_to_string h.Fleet.oc_report)
-           (Fleet.report_to_string s.Fleet.oc_report))
-    then failwith "fleet_event: heap and scan reports diverged"
-  | _ -> assert false);
+  let t = timed (fun () -> Fleet.serve ~opts apps requests) in
   Printf.printf
-    "end-to-end serve, %d devices, %d requests (identical reports):\n\
-    \  heap %8.2f s  (%9.0f req/s)\n\
-    \  scan %8.2f s  (%9.0f req/s)\n\
-    \  end-to-end speedup %.1fx (value computation dominates both)\n"
-    devices n t_heap
-    (float_of_int n /. t_heap)
-    t_scan
-    (float_of_int n /. t_scan)
-    (t_scan /. t_heap);
-  (* The persisted trajectory carries both granularities; the serve
-     pair uses a smaller stream so Bechamel can afford several scan
-     runs inside its quota. *)
+    "end-to-end serve, %d devices, %d requests: %8.2f s  (%9.0f req/s)\n"
+    devices n t
+    (float_of_int n /. t);
+  (* The persisted serve row uses a smaller stream so Bechamel can
+     afford several runs inside its quota. *)
   let small = Traffic.requests ~seed ~horizon:1.0 tenants in
   let open Bechamel in
   persist_trajectory "fleet_event"
@@ -967,15 +918,8 @@ let fleet_event () =
        [ Test.make ~name:"core.heap-1k"
            (Staged.stage (fun () ->
                 event_core_heap ~devices ~events:50_000));
-         Test.make ~name:"core.scan-1k"
-           (Staged.stage (fun () ->
-                event_core_scan ~devices ~events:50_000));
          Test.make ~name:"serve.heap-1k"
-           (Staged.stage (fun () ->
-                Fleet.serve ~opts ~engine:Fleet.Heap apps small));
-         Test.make ~name:"serve.scan-1k"
-           (Staged.stage (fun () ->
-                Fleet.serve ~opts ~engine:Fleet.Scan apps small)) ])
+           (Staged.stage (fun () -> Fleet.serve ~opts apps small)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Federation: the same two-tenant stream served by one 4-device pool

@@ -237,28 +237,12 @@ end
 (* The discrete-event simulator *)
 (* ------------------------------------------------------------------ *)
 
-(* Two event engines compute the same simulation. [Heap] (the default)
-   keeps every future event in indexed binary min-heaps; [Scan] is the
-   original O(devices)-per-event linear rescan, retained as a
-   differential oracle — the heap keys form a total order that encodes
-   exactly the scan loop's tie-breaks, so the two engines must produce
-   byte-identical reports, telemetry, and checkpoints on any input. *)
-type engine = Heap | Scan
-
-let engine_of_env () =
-  match Sys.getenv_opt "S2FA_FLEET_ENGINE" with
-  | Some "scan" -> Scan
-  | Some "heap" | None -> Heap
-  | Some other ->
-    fail "unknown S2FA_FLEET_ENGINE %S (expected \"heap\" or \"scan\")" other
-
-(* Heap-engine event payloads. The key carries
-   (time, kind_rank, i, j): rank 0 = the head arrival, rank 1 = a
+(* Every future event lives in indexed binary min-heaps. An event's key
+   is (time, kind_rank, i, j): rank 0 = the head arrival, rank 1 = a
    device's next completion/timeout/loss (i = device index), rank 2 = a
-   pending JVM completion (i, j = app, request id) — the same fixed
-   priority the scan loop applies on equal times. Breaker reopens live
-   in a separate heap because their visibility is gated on pending
-   work (see the event loop). *)
+   pending JVM completion (i, j = app, request id) — a fixed priority on
+   equal times. Breaker reopens live in a separate heap because their
+   visibility is gated on pending work (see the event loop). *)
 type ev =
   | Ev_arrival
   | Ev_device of int
@@ -393,7 +377,7 @@ type sim = {
   s_finish : unit -> outcome;
 }
 
-let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
+let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     (apps : app array) requests =
   if opts.o_devices < 1 then fail "need at least one device";
   check_apps apps;
@@ -434,16 +418,14 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
           d_state = Healthy;
           d_reopen = infinity })
   in
-  let heap_mode = engine = Heap in
-  (* Heap-engine state. [ev_heap] holds the head arrival, one entry per
-     busy device, and every pending JVM completion; [reopen_heap] one
-     entry per quarantined-alive device; [idle_heap] the free-list of
-     schedulable idle devices (keyed by index — the scan walk's order).
-     The side tables keep device -> handle in O(1). [sync d], installed
-     only in heap mode, re-derives device d's membership in all three
-     heaps from [devs] and is called after every mutation of a device's
-     schedulable state — heap maintenance lives here, in one place, so
-     the shared handlers stay engine-agnostic. *)
+  (* Event state. [ev_heap] holds the head arrival, one entry per busy
+     device, and every pending JVM completion; [reopen_heap] one entry
+     per quarantined-alive device; [idle_heap] the free-list of
+     schedulable idle devices (keyed by index, lowest first). The side
+     tables keep device -> handle in O(1). [refresh_device d] re-derives
+     device d's membership in all three heaps from [devs] and is called
+     after every mutation of a device's schedulable state — heap
+     maintenance lives here, in one place, not in the handlers. *)
   (* Monomorphic comparators: polymorphic [Stdlib.compare] on tuple
      keys is the sift path's whole cost at fleet scale. *)
   let ev_cmp (t1, r1, i1, j1) (t2, r2, i2, j2) =
@@ -469,7 +451,6 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
   let idle_h = Array.make opts.o_devices None in
   let reo_h = Array.make opts.o_devices None in
   let arr_h = ref None in
-  let sync = ref (fun (_ : int) -> ()) in
   let refresh_device d =
     let dev = devs.(d) in
     (match dev.d_busy with
@@ -569,12 +550,10 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
   let total_queued = ref 0 in
   let n_alive = ref opts.o_devices in
   let n_routable = ref opts.o_devices in
-  (* Completed-but-not-yet-collected JVM executions, ordered like the
-     arrival stream so simultaneous completions resolve identically
-     across runs. The scan engine keeps them in a sorted list (O(n) per
-     merge); the heap engine files them in [ev_heap] under rank 2 with
-     the same (t, app, id) ordering. *)
-  let jvm_pending = ref [] in
+  (* Completed-but-not-yet-collected JVM executions are filed in
+     [ev_heap] under rank 2, ordered like the arrival stream by
+     (t, app, id) so simultaneous completions resolve identically across
+     runs. *)
   let jvm_order (ta, ra, _) (tb, rb, _) =
     compare (ta, ra.rq_app, ra.rq_id) (tb, rb.rq_app, rb.rq_id)
   in
@@ -587,13 +566,10 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     clocked
       (Telemetry.Serve_fallback
          { app = a.ap_name; request = r.rq_id; reason });
-    let entry = (start +. tr.Blaze.tr_seconds, r, tr.Blaze.tr_values.(0)) in
-    if heap_mode then
-      ignore
-        (Pheap.insert ev_heap
-           (start +. tr.Blaze.tr_seconds, 2, r.rq_app, r.rq_id)
-           (Ev_jvm entry))
-    else jvm_pending := List.merge jvm_order [ entry ] !jvm_pending
+    let t = start +. tr.Blaze.tr_seconds in
+    ignore
+      (Pheap.insert ev_heap (t, 2, r.rq_app, r.rq_id)
+         (Ev_jvm (t, r, tr.Blaze.tr_values.(0))))
   in
   let alive_devices () = !n_alive in
   (* A quarantined device is alive but not schedulable: the breaker
@@ -621,7 +597,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
        | _, Quarantined -> decr n_routable
        | _ -> ());
     dev.d_state <- st;
-    !sync d
+    refresh_device d
   in
   let breaker_failure d =
     match opts.o_slo.sl_breaker with
@@ -631,7 +607,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       let quarantine () =
         set_bstate d Quarantined;
         dev.d_reopen <- !now +. c.bk_cooldown_s;
-        !sync d
+        refresh_device d
       in
       match dev.d_state with
       | Healthy ->
@@ -836,7 +812,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
           b_lost = lost;
           b_group = group;
           b_hedged = hedge_from <> None };
-    !sync d
+    refresh_device d
   in
   let rec launch d a =
     Obs.span "fleet.launch" @@ fun () ->
@@ -860,20 +836,13 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       match pick d with Some a' -> launch d a' | None -> ())
     | _ -> launch_batch ~hedge_from:None d a keep
   in
-  let try_dispatch_scan () =
-    Array.iteri
-      (fun d dev ->
-        if routable dev && dev.d_busy = None then
-          match pick d with Some a -> launch d a | None -> ())
-      devs
-  in
-  let try_dispatch_heap () =
-    (* O(ready), not O(pool): pop idle devices (lowest index first, the
-       scan walk's direction) while any work is queued. Every policy
-       returns [Some app] whenever any queue is non-empty, so a popped
-       device always launches — unless its launch sheds the whole
-       backlog, which zeroes [total_queued] and ends the loop with the
-       device re-filed as idle. *)
+  let try_dispatch () =
+    (* O(ready), not O(pool): pop idle devices (lowest index first)
+       while any work is queued. Every policy returns [Some app] whenever
+       any queue is non-empty, so a popped device always launches —
+       unless its launch sheds the whole backlog, which zeroes
+       [total_queued] and ends the loop with the device re-filed as
+       idle. *)
     let continue_ = ref true in
     while !continue_ && !total_queued > 0 do
       match Pheap.pop idle_heap with
@@ -883,9 +852,6 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         (match pick d with Some a -> launch d a | None -> ());
         refresh_device d
     done
-  in
-  let try_dispatch () =
-    if heap_mode then try_dispatch_heap () else try_dispatch_scan ()
   in
   let drain_to_jvm () =
     (* Graceful degradation's last resort: with the whole pool gone,
@@ -973,7 +939,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     let a = b.b_app in
     let n = List.length b.b_reqs in
     devs.(d).d_busy <- None;
-    !sync d;
+    refresh_device d;
     requeued := !requeued + n;
     served.(a) <- served.(a) - n;
     dq_push_front queues.(a) b.b_reqs;
@@ -1005,7 +971,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       (* Another copy is still running and will deliver; abandon this
          one without touching the queue. *)
       devs.(d).d_busy <- None;
-      !sync d
+      refresh_device d
     | None ->
       let hedge_to =
         if not opts.o_slo.sl_hedge then None
@@ -1028,7 +994,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
            moves the primary's event key {e later} — the general-update
            case of the heap, not a decrease-key. *)
         devs.(d).d_busy <- Some { b with b_timeout = infinity; b_hedged = true };
-        !sync d;
+        refresh_device d;
         launch_batch ~hedge_from:(Some d) d2 a b.b_reqs
       | None -> cancel_requeue d b));
     try_dispatch ()
@@ -1050,7 +1016,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         dev.d_busy <- None;
         decr n_alive;
         if dev.d_state <> Quarantined then decr n_routable;
-        !sync d;
+        refresh_device d;
         incr devices_lost;
         clocked (Telemetry.Core_lost { core = d; partition = -1 });
         (match twin_of d b.b_group with
@@ -1079,14 +1045,14 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         now := b.b_done;
         Obs.set_clock (!now /. 60.0);
         dev.d_busy <- None;
-        !sync d;
+        refresh_device d;
         (* First result wins: the loser of a hedged pair is cancelled
            the moment the winner completes. *)
         (if b.b_hedged then
            match twin_of d b.b_group with
            | Some d2 ->
              devs.(d2).d_busy <- None;
-             !sync d2
+             refresh_device d2
            | None -> ());
         let payloads =
           Array.of_list (List.map (fun r -> r.rq_payload) b.b_reqs)
@@ -1100,19 +1066,12 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       end)
   in
   let handle_jvm () =
+    (* The caller peeked this event at the heap top; nothing between the
+       peek and here mutates the heap, so pop it now. *)
     let t, r, v =
-      if heap_mode then
-        (* The caller peeked this event at the heap top; nothing between
-           the peek and here mutates the heap, so pop it now. *)
-        match Pheap.pop ev_heap with
-        | Some (_, Ev_jvm e) -> e
-        | _ -> assert false
-      else
-        match !jvm_pending with
-        | e :: rest ->
-          jvm_pending := rest;
-          e
-        | [] -> assert false
+      match Pheap.pop ev_heap with
+      | Some (_, Ev_jvm e) -> e
+      | _ -> assert false
     in
     now := t;
     Obs.set_clock (!now /. 60.0);
@@ -1126,40 +1085,13 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     set_bstate d (Half_open 0);
     try_dispatch ()
   in
-  let next_device () =
-    let best = ref (infinity, -1) in
-    Array.iteri
-      (fun d dev ->
-        match dev.d_busy with
-        | Some b ->
-          let t =
-            Float.min
-              (match b.b_lost with Some l -> l | None -> infinity)
-              (Float.min b.b_done b.b_timeout)
-          in
-          if t < fst !best then best := (t, d)
-        | None -> ())
-      devs;
-    !best
-  in
-  let next_reopen () =
-    let best = ref (infinity, -1) in
-    Array.iteri
-      (fun d dv ->
-        if dv.d_alive && dv.d_state = Quarantined && dv.d_reopen < fst !best
-        then best := (dv.d_reopen, d))
-      devs;
-    !best
-  in
   (* ---------- checkpoint rendering ---------- *)
-  (* Pending JVM completions in (t, app, id) order, whichever engine
-     holds them — the heap's internal layout never reaches a snapshot. *)
+  (* Pending JVM completions in (t, app, id) order — the heap's internal
+     layout never reaches a snapshot. *)
   let jvm_entries () =
-    if heap_mode then
-      List.sort jvm_order
-        (Pheap.fold ev_heap ~init:[] ~f:(fun acc _ e ->
-             match e with Ev_jvm entry -> entry :: acc | _ -> acc))
-    else !jvm_pending
+    List.sort jvm_order
+      (Pheap.fold ev_heap ~init:[] ~f:(fun acc _ e ->
+           match e with Ev_jvm entry -> entry :: acc | _ -> acc))
   in
   let snapshot_lines ~every ~meta () =
     let fstr = Json.fstr and quote = Json.quote in
@@ -1270,57 +1202,19 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
            { path = c.cks_path; minutes = !now /. 60.0; evals = !events })
     | _ -> ()
   in
-  let step_scan () =
-    let t_arr =
-      match !arrivals with [] -> infinity | r :: _ -> r.rq_arrival
-    in
-    let t_dev, d = next_device () in
-    let t_jvm =
-      match !jvm_pending with [] -> infinity | (t, _, _) :: _ -> t
-    in
-    (* Breaker reopen probes only matter while work can still reach a
-       queue; gating them keeps quiesced runs from trailing half-open
-       transitions after the last completion. [expect_more] stands in
-       for arrivals a federation driver has not injected yet. *)
-    let queued = Array.exists (fun q -> dq_len q > 0) queues in
-    let t_brk, bd =
-      if queued || t_arr < infinity || !expect_more then next_reopen ()
-      else (infinity, -1)
-    in
-    if
-      t_arr = infinity && t_dev = infinity && t_jvm = infinity
-      && t_brk = infinity
-    then false
-    else begin
-      (* Fixed priority on ties — arrivals, then device events, then JVM
-         completions, then breaker probes — so simultaneous events
-         replay identically. *)
-      if t_arr <= t_dev && t_arr <= t_jvm && t_arr <= t_brk then begin
-        match !arrivals with
-        | r :: rest ->
-          arrivals := rest;
-          handle_arrival r
-        | [] -> assert false
-      end
-      else if t_dev <= t_jvm && t_dev <= t_brk then handle_device d
-      else if t_jvm <= t_brk then handle_jvm ()
-      else handle_reopen bd;
-      incr events;
-      after_event ();
-      true
-    end
-  in
-  (* The heap engine. [ev_heap]'s total-order key encodes the scan
-     loop's tie chain (arrival, then lowest-index device, then
-     (t, app, id)-least JVM completion), so its minimum is exactly the
-     event the scan would pick whenever that minimum beats the gated
-     reopen probe — which wins only on strictly earlier times, like the
-     scan's trailing [else]. Device events are peeked, not popped: their
-     handlers re-key or withdraw them through [sync], the same path
-     every other mutation takes. Reopens stay in their own heap because
-     the gate is evaluated per iteration: a probe hidden by an empty
-     system must fire — possibly moving the clock backwards — once a
-     requeue re-opens the gate, exactly as the scan engine replays it. *)
+  (* The event loop. [ev_heap]'s total-order key is the tie chain on
+     equal times: the head arrival, then the lowest-index device, then
+     the (t, app, id)-least JVM completion. Its minimum runs unless the
+     gated reopen probe is strictly earlier, so a probe loses every tie.
+     Breaker reopen probes only matter while work can still reach a
+     queue; gating them keeps quiesced runs from trailing half-open
+     transitions after the last completion, and [expect_more] stands in
+     for arrivals a federation driver has not injected yet. Reopens stay
+     in their own heap because the gate is evaluated per step: a probe
+     hidden by an empty system fires — possibly moving the clock
+     backwards — once a requeue re-opens the gate. Device events are
+     peeked, not popped: their handlers re-key or withdraw them through
+     [refresh_device], the same path every other mutation takes. *)
   let refresh_arrival () =
     (match !arr_h with
     | Some h ->
@@ -1332,14 +1226,15 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       arr_h := Some (Pheap.insert ev_heap (r.rq_arrival, 0, 0, 0) Ev_arrival)
     | [] -> ()
   in
-  let step_heap () =
-    let t_brk, bd =
-      if !total_queued > 0 || !arrivals <> [] || !expect_more then
-        match Pheap.peek reopen_heap with
-        | Some ((t, _), d) -> (t, d)
-        | None -> (infinity, -1)
-      else (infinity, -1)
-    in
+  let gated_reopen () =
+    if !total_queued > 0 || !arrivals <> [] || !expect_more then
+      match Pheap.peek reopen_heap with
+      | Some ((t, _), d) -> (t, d)
+      | None -> (infinity, -1)
+    else (infinity, -1)
+  in
+  let step () =
+    let t_brk, bd = gated_reopen () in
     let top = Pheap.peek ev_heap in
     let t_ev =
       match top with Some ((t, _, _, _), _) -> t | None -> infinity
@@ -1364,46 +1259,18 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       true
     end
   in
-  if heap_mode then begin
-    sync := refresh_device;
-    refresh_arrival ();
-    Array.iteri (fun d _ -> refresh_device d) devs
-  end;
+  refresh_arrival ();
+  Array.iteri (fun d _ -> refresh_device d) devs;
   (* The earliest pending event's time, under the same reopen gating
-     the step functions apply — the key the federation files this sim
-     under in its global heap. *)
+     the step applies — the key the federation files this sim under in
+     its global heap. *)
   let next_pending () =
-    if heap_mode then begin
-      let t_brk =
-        if !total_queued > 0 || !arrivals <> [] || !expect_more then
-          match Pheap.peek reopen_heap with
-          | Some ((t, _), _) -> t
-          | None -> infinity
-        else infinity
-      in
-      let t_ev =
-        match Pheap.peek ev_heap with
-        | Some ((t, _, _, _), _) -> t
-        | None -> infinity
-      in
-      Float.min t_ev t_brk
-    end
-    else begin
-      let t_arr =
-        match !arrivals with [] -> infinity | r :: _ -> r.rq_arrival
-      in
-      let t_dev, _ = next_device () in
-      let t_jvm =
-        match !jvm_pending with [] -> infinity | (t, _, _) :: _ -> t
-      in
-      let queued = Array.exists (fun q -> dq_len q > 0) queues in
-      let t_brk =
-        if queued || t_arr < infinity || !expect_more then
-          fst (next_reopen ())
-        else infinity
-      in
-      Float.min (Float.min t_arr t_dev) (Float.min t_jvm t_brk)
-    end
+    let t_ev =
+      match Pheap.peek ev_heap with
+      | Some ((t, _, _, _), _) -> t
+      | None -> infinity
+    in
+    Float.min t_ev (fst (gated_reopen ()))
   in
   let inject r =
     if !finished then fail "sim: inject after finish";
@@ -1414,7 +1281,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       fail "request %d: deadline must be finite" r.rq_id
     | _ -> ());
     arrivals := List.merge request_order [ r ] !arrivals;
-    if heap_mode then refresh_arrival ()
+    refresh_arrival ()
   in
   (* Autoscaling: release parks the highest-index idle device (so the
      low indices every tie-break prefers stay stable); lease brings the
@@ -1436,7 +1303,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         dev.d_released <- true;
         decr n_alive;
         if dev.d_state <> Quarantined then decr n_routable;
-        !sync d;
+        refresh_device d;
         true
       end
     end
@@ -1454,7 +1321,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       dev.d_alive <- true;
       incr n_alive;
       if dev.d_state <> Quarantined then incr n_routable;
-      !sync d;
+      refresh_device d;
       try_dispatch ();
       true
     end
@@ -1574,7 +1441,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
   in
   { oc_report = report; oc_results = results }
   in
-  { s_step = (fun () -> if heap_mode then step_heap () else step_scan ());
+  { s_step = step;
     s_next = next_pending;
     s_now = (fun () -> !now);
     s_inject = inject;
@@ -1591,43 +1458,31 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     s_deadline_misses = (fun () -> !dl_misses);
     s_finish = finish }
 
-let serve_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate apps
-    requests =
+let serve_impl ~opts ?trace ?faults ?checkpoint ?validate apps requests =
   Obs.span "fleet.serve" @@ fun () ->
   let sim =
-    make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate apps
-      requests
+    make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate apps requests
   in
   while sim.s_step () do
     ()
   done;
   sim.s_finish ()
 
-let make_sim ?(opts = default_opts) ?engine ?trace ?faults apps requests =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
-  make_sim_impl ~opts ~engine ?trace ?faults apps requests
+let make_sim ?(opts = default_opts) ?trace ?faults apps requests =
+  make_sim_impl ~opts ?trace ?faults apps requests
 
-let serve ?(opts = default_opts) ?engine ?trace ?faults ?checkpoint apps
-    requests =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
-  serve_impl ~opts ~engine ?trace ?faults ?checkpoint apps requests
+let serve ?(opts = default_opts) ?trace ?faults ?checkpoint apps requests =
+  serve_impl ~opts ?trace ?faults ?checkpoint apps requests
 
-let resume ?(opts = default_opts) ?engine ?trace ?faults ?checkpoint
+let resume ?(opts = default_opts) ?trace ?faults ?checkpoint
     ?(file = "checkpoint") ~snapshot apps requests =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
   let replay =
     Checkpoint.replay ~file
       ~at:(Printf.sprintf "event %d" snapshot.fk_events)
       snapshot.fk_lines
   in
   let outcome =
-    serve_impl ~opts ~engine ?trace ?faults ?checkpoint
+    serve_impl ~opts ?trace ?faults ?checkpoint
       ~validate:(snapshot, replay) apps requests
   in
   match Checkpoint.verdict replay with

@@ -42,7 +42,16 @@
     independent of policy internals or device count
     ([test/test_fleet.ml]). Hedged first-result-wins races inherit the
     event loop's fixed tie-break (lowest device index on equal times),
-    so they replay exactly too. *)
+    so they replay exactly too.
+
+    The event loop keeps every future event in indexed binary min-heaps
+    ({!S2fa_util.Pheap}): O(log pool) per event and O(ready) dispatch.
+    Its keys form a total order that encodes the tie-break chain —
+    arrival, then lowest-index device, then the earliest JVM completion
+    by (app, id) — so simultaneous events replay exactly. Reports,
+    telemetry, checkpoints and resumes across every policy and SLO
+    configuration are pinned by [test/golden/fleet_runs.txt], and the
+    tie chain by [test/golden/serve_pr9_ties.*]. *)
 
 exception Fleet_error of string
 
@@ -141,19 +150,6 @@ type opts = {
 val default_opts : opts
 (** 2 VU9P devices, FCFS, 8 GB/s PCIe, 0.5 ms invocation overhead,
     {!no_slo}. *)
-
-(** The event engine behind {!serve}. [Heap] (the default) drives the
-    simulation from indexed binary min-heaps — O(log pool) per event,
-    O(ready) dispatch; [Scan] is the original linear-rescan loop,
-    O(pool) per event, kept as a differential oracle. The heap keys are
-    a total order encoding exactly the scan loop's tie-breaks, so both
-    engines produce byte-identical reports, telemetry streams, results
-    and checkpoints on any input (proved across policies, SLO/chaos
-    configurations and checkpoint/resume in [test/test_heap.ml], and on
-    every chaos-campaign seed). The [S2FA_FLEET_ENGINE] environment
-    variable ([heap] | [scan]) sets the default for runs that do not
-    pass [?engine] — the CI differential sweep's hook. *)
-type engine = Heap | Scan
 
 val with_deadline : float -> request list -> request list
 (** [with_deadline slo_seconds reqs] stamps every request with the
@@ -264,7 +260,6 @@ val load_checkpoint : string -> (snapshot, string) Stdlib.result
 
 val serve :
   ?opts:opts ->
-  ?engine:engine ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   ?faults:S2fa_fault.Fault.t ->
   ?checkpoint:ck_spec ->
@@ -289,7 +284,6 @@ val serve :
 
 val resume :
   ?opts:opts ->
-  ?engine:engine ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   ?faults:S2fa_fault.Fault.t ->
   ?checkpoint:ck_spec ->
@@ -370,7 +364,6 @@ type sim = {
 
 val make_sim :
   ?opts:opts ->
-  ?engine:engine ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   ?faults:S2fa_fault.Fault.t ->
   app array ->

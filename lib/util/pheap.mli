@@ -12,8 +12,8 @@
     [cmp] must be a total order on the keys actually used (callers
     append a tie-breaking index to the key for exactly this reason);
     given a total order, {!pop} returns the unique minimum, so a
-    heap-backed event loop replays byte-identically to a linear-scan
-    one. {!fold}/{!to_list} expose internal (heap-layout) order — that
+    heap-backed event loop replays byte-identically from run to run.
+    {!fold}/{!to_list} expose internal (heap-layout) order — that
     order is a deterministic function of the operation history, but
     callers that render it must sort by key first.
 

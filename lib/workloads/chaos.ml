@@ -107,7 +107,7 @@ let requests_of sc =
 (* One serve run of the scenario. A fresh injector per run (same
    private seed) keeps repeated runs draw-for-draw identical; [faulty]
    lets the monotonicity check strip the fault schedule. *)
-let run_serve ?(faulty = true) ?engine sc ~devices apps requests =
+let run_serve ?(faulty = true) sc ~devices apps requests =
   let buf = Buffer.create 4096 in
   let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
   let faults =
@@ -121,7 +121,7 @@ let run_serve ?(faulty = true) ?engine sc ~devices apps requests =
       o_policy = sc.sc_policy;
       o_slo = sc.sc_slo }
   in
-  let outcome = Fleet.serve ~opts ~trace ?faults ?engine apps requests in
+  let outcome = Fleet.serve ~opts ~trace ?faults apps requests in
   T.flush trace;
   (outcome, Buffer.contents buf)
 
@@ -201,20 +201,6 @@ let run_seed seed =
       if rb +. 1e-9 < rs then
         fail "monotonicity: hit-rate %.4f at %d device(s) fell to %.4f at %d"
           rs sc.sc_devices rb (sc.sc_devices + 1));
-  (* Invariant 5: engine differential — the linear-scan event loop is
-     kept as an oracle for the heap engine; both must produce the same
-     report and telemetry stream byte for byte. *)
-  let oc_scan, jsonl_scan =
-    run_serve ~engine:Fleet.Scan sc ~devices:sc.sc_devices apps requests
-  in
-  if
-    not
-      (String.equal
-         (Fleet.report_to_string oc.Fleet.oc_report)
-         (Fleet.report_to_string oc_scan.Fleet.oc_report))
-  then fail "engine differential: heap and scan reports differ";
-  if not (String.equal jsonl jsonl_scan) then
-    fail "engine differential: heap and scan telemetry differ";
   let rp = oc.Fleet.oc_report in
   { sr_seed = seed;
     sr_requests = rp.Fleet.rp_requests;
@@ -359,7 +345,7 @@ let fed_requests_of fs =
                           Some (r.Fleet.rq_arrival +. (ms /. 1000.0)) }))
         reqs
 
-let run_fed_serve ?engine fs ~clusters apps requests =
+let run_fed_serve fs ~clusters apps requests =
   let buf = Buffer.create 4096 in
   let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
   let opts =
@@ -369,7 +355,7 @@ let run_fed_serve ?engine fs ~clusters apps requests =
       fd_seed = fs.fs_seed }
   in
   let tenants = Array.to_list (Array.map Fed.tenant apps) in
-  let outcome = Fed.serve ~opts ?engine ~trace ~clusters tenants requests in
+  let outcome = Fed.serve ~opts ~trace ~clusters tenants requests in
   T.flush trace;
   (outcome, Buffer.contents buf)
 
@@ -414,20 +400,7 @@ let run_fed_seed seed =
     requests;
   if !diverged > 0 then
     fail "oracle: %d result(s) diverged from the JVM baseline" !diverged;
-  (* Invariant 4: engine differential — both fleet event engines must
-     drive the federation to identical bytes. *)
-  let oc_scan, jsonl_scan =
-    run_fed_serve ~engine:Fleet.Scan fs ~clusters:fs.fs_clusters apps requests
-  in
-  if
-    not
-      (String.equal
-         (Fed.report_to_string oc.Fed.fo_report)
-         (Fed.report_to_string oc_scan.Fed.fo_report))
-  then fail "engine differential: heap and scan federation reports differ";
-  if not (String.equal jsonl jsonl_scan) then
-    fail "engine differential: heap and scan federation telemetry differ";
-  (* Invariant 5: cluster invariance — re-serving the same stream on a
+  (* Invariant 4: cluster invariance — re-serving the same stream on a
      single healthy cluster must reproduce every result value bit for
      bit; where a request lands can change its timing, never its
      answer. *)

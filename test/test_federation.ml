@@ -1,7 +1,7 @@
 (* Federation tests: the 1-cluster identity differential (a trivial
    federation is byte-identical to plain Fleet.serve — report, JSONL
-   trace, results), multi-cluster determinism across seeds and event
-   engines, the JVM-oracle and no-request-dropped contracts under
+   trace, results), multi-cluster determinism across runs, the
+   JVM-oracle and no-request-dropped contracts under
    routing/autoscaling, the online-DSE loop demonstrably improving a
    breaching tenant's p99, regional traffic stream independence, and
    the seeded federation chaos campaign. *)
@@ -35,11 +35,11 @@ let standalone (apps : Fleet.app array) (r : Fleet.request) =
   (Blaze.map_jvm a.Fleet.ap_cls ~fields:a.Fleet.ap_fields
      [| r.Fleet.rq_payload |]).Blaze.tr_values.(0)
 
-let fed_serve ?(opts = Fed.default_opts) ?engine ~clusters apps requests =
+let fed_serve ?(opts = Fed.default_opts) ~clusters apps requests =
   let buf = Buffer.create 4096 in
   let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
   let tenants = Array.to_list (Array.map Fed.tenant apps) in
-  let outcome = Fed.serve ~opts ?engine ~trace ~clusters tenants requests in
+  let outcome = Fed.serve ~opts ~trace ~clusters tenants requests in
   T.flush trace;
   (outcome, Buffer.contents buf)
 
@@ -118,22 +118,6 @@ let test_determinism () =
     (Fed.report_to_string o1.Fed.fo_report)
     (Fed.report_to_string o2.Fed.fo_report);
   Alcotest.(check string) "JSONL byte-identical" j1 j2
-
-let test_engine_invariance () =
-  let apps, requests = Lazy.force scenario in
-  let oh, jh =
-    fed_serve ~opts:fed_opts_full ~engine:Fleet.Heap ~clusters:two_clusters
-      apps requests
-  in
-  let os, js =
-    fed_serve ~opts:fed_opts_full ~engine:Fleet.Scan ~clusters:two_clusters
-      apps requests
-  in
-  Alcotest.(check string)
-    "heap and scan reports byte-identical"
-    (Fed.report_to_string oh.Fed.fo_report)
-    (Fed.report_to_string os.Fed.fo_report);
-  Alcotest.(check string) "heap and scan JSONL byte-identical" jh js
 
 (* ---------- oracle and no-drop across every route ---------- *)
 
@@ -449,9 +433,7 @@ let () =
             `Quick test_identity_differential ] );
       ( "determinism",
         [ Alcotest.test_case "report and JSONL byte-identical" `Quick
-            test_determinism;
-          Alcotest.test_case "heap and scan engines byte-identical" `Quick
-            test_engine_invariance ] );
+            test_determinism ] );
       ( "routing",
         [ Alcotest.test_case "all routes differential and no-drop" `Quick
             test_differential_all_routes;

@@ -1,10 +1,10 @@
-(* The event-heap core, model-checked and differentially verified:
-   the priority heap against a sorted-list model under arbitrary
-   insert / pop / re-key / remove interleavings, the admission deque
-   against a plain list, the heap event engine against the linear-scan
-   oracle byte-for-byte (reports, telemetry, checkpoints, resume)
-   across every policy and SLO configuration, and a committed golden
-   pinning the tie-break order on simultaneous events. *)
+(* The event-heap core, model-checked and pinned: the priority heap
+   against a sorted-list model under arbitrary insert / pop / re-key /
+   remove interleavings, the admission deque against a plain list, a
+   committed golden pinning the tie-break order on simultaneous events,
+   and a golden of report, telemetry, checkpoint and resume digests
+   across every policy and SLO configuration, a federation run and the
+   chaos campaigns. *)
 module Pheap = S2fa_util.Pheap
 module Fleet = S2fa_fleet.Fleet
 module Traffic = S2fa_workloads.Traffic
@@ -18,7 +18,7 @@ module Chaos = S2fa_workloads.Chaos
 
 (* Keys carry a unique sequence number, so the model's minimum is
    unique and the comparison with the heap's pop is exact. *)
-let prop_heap_model =
+let prop_pheap_vs_list =
   QCheck.Test.make ~name:"heap matches sorted-list model" ~count:300
     QCheck.(list (pair small_int (int_range 0 3)))
     (fun ops ->
@@ -157,7 +157,7 @@ let prop_dq_model =
       check (Fleet.Dq.to_list q = !model);
       !ok)
 
-(* ---------- heap engine vs scan oracle, byte for byte ---------- *)
+(* ---------- serving scenarios ---------- *)
 
 let tenants =
   lazy
@@ -169,10 +169,10 @@ let scenario =
     (let ts = Lazy.force tenants in
      (Traffic.apps ~seed:11 ts, Traffic.requests ~seed:11 ~horizon:0.4 ts))
 
-(* A fresh injector per run (same seed) keeps the two engines'
-   fault-draw sequences identical, exactly as a re-run would. *)
+(* A fresh injector per run (same seed) keeps every run's fault-draw
+   sequence identical, exactly as a re-run would. *)
 let serve_capture ?fspec ?(devices = 2) ?(policy = Fleet.Fcfs)
-    ?(slo = Fleet.no_slo) ~engine apps requests =
+    ?(slo = Fleet.no_slo) apps requests =
   let buf = Buffer.create 4096 in
   let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
   let faults = Option.map (fun spec -> Fault.create ~seed:5 spec) fspec in
@@ -182,43 +182,9 @@ let serve_capture ?fspec ?(devices = 2) ?(policy = Fleet.Fcfs)
       o_policy = policy;
       o_slo = slo }
   in
-  let outcome = Fleet.serve ~opts ~engine ~trace ?faults apps requests in
+  let outcome = Fleet.serve ~opts ~trace ?faults apps requests in
   T.flush trace;
   (outcome, Buffer.contents buf)
-
-let test_engine_differential_sweep () =
-  let apps, requests = Lazy.force scenario in
-  let with_deadline = Fleet.with_deadline 10.0 requests in
-  let armed =
-    { Fleet.sl_hang_factor = 3.0;
-      sl_hedge = true;
-      sl_breaker = Some Fleet.default_breaker }
-  in
-  let chaos_spec =
-    { Fault.zero_spec with Fault.fs_hang = 0.3; fs_core_loss = 0.1 }
-  in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun (nm, reqs, slo, fspec) ->
-          let oh, jh =
-            serve_capture ?fspec ~devices:3 ~policy ~slo ~engine:Fleet.Heap
-              apps reqs
-          in
-          let os, js =
-            serve_capture ?fspec ~devices:3 ~policy ~slo ~engine:Fleet.Scan
-              apps reqs
-          in
-          let tag = Fleet.policy_name policy ^ "/" ^ nm in
-          Alcotest.(check string)
-            (tag ^ ": heap report = scan report")
-            (Fleet.report_to_string os.Fleet.oc_report)
-            (Fleet.report_to_string oh.Fleet.oc_report);
-          Alcotest.(check string) (tag ^ ": heap JSONL = scan JSONL") js jh)
-        [ ("plain", requests, Fleet.no_slo, None);
-          ("deadline", with_deadline, Fleet.no_slo, None);
-          ("chaos", with_deadline, armed, Some chaos_spec) ])
-    Fleet.all_policies
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -230,61 +196,6 @@ let outcome_fingerprint (oc : Fleet.outcome) =
            Printf.sprintf "%d:%d:%s:%b" r.Fleet.rs_app r.Fleet.rs_id
              (T.Json.fstr r.Fleet.rs_done) r.Fleet.rs_accelerated)
          oc.Fleet.oc_results)
-
-(* Every mid-serve snapshot the heap engine writes must be
-   byte-identical to the scan engine's at the same tick, and a resume
-   from a heap-written snapshot on EITHER engine must land on the
-   uninterrupted outcome, bit for bit. *)
-let test_engine_checkpoint_differential () =
-  let apps, requests = Lazy.force scenario in
-  let run engine =
-    let ck = Filename.temp_file "fleet_heap" ".ck" in
-    let copies = ref [] in
-    let copy_sink =
-      { T.on_event =
-          (fun (ev : T.event) ->
-            match ev.T.e_kind with
-            | T.Checkpoint_written { path; _ } ->
-              copies := read_file path :: !copies
-            | _ -> ());
-        T.on_flush = ignore }
-    in
-    let trace = T.create ~sinks:[ copy_sink ] () in
-    let spec =
-      { Fleet.cks_path = ck; cks_every_s = 2.0; cks_meta = [ ("kind", "diff") ] }
-    in
-    let outcome = Fleet.serve ~engine ~trace ~checkpoint:spec apps requests in
-    let last = ck in
-    (outcome, List.rev !copies, last)
-  in
-  let oc_h, snaps_h, ck_h = run Fleet.Heap in
-  let oc_s, snaps_s, ck_s = run Fleet.Scan in
-  Alcotest.(check string) "reports agree"
-    (Fleet.report_to_string oc_s.Fleet.oc_report)
-    (Fleet.report_to_string oc_h.Fleet.oc_report);
-  Alcotest.(check int) "same snapshot count" (List.length snaps_s)
-    (List.length snaps_h);
-  Alcotest.(check bool) "several mid-serve snapshots" true
-    (List.length snaps_h >= 3);
-  List.iteri
-    (fun i (s, h) ->
-      Alcotest.(check string)
-        (Printf.sprintf "snapshot %d byte-identical across engines" i)
-        s h)
-    (List.combine snaps_s snaps_h);
-  (match Fleet.load_checkpoint ck_h with
-  | Error m -> Alcotest.failf "load heap checkpoint: %s" m
-  | Ok snapshot ->
-    let want = outcome_fingerprint oc_h in
-    List.iter
-      (fun engine ->
-        let got = Fleet.resume ~engine ~snapshot apps requests in
-        Alcotest.(check string)
-          "resume lands on the uninterrupted outcome" want
-          (outcome_fingerprint got))
-      [ Fleet.Heap; Fleet.Scan ]);
-  Sys.remove ck_h;
-  Sys.remove ck_s
 
 (* ---------- simultaneous-event tie-breaks, pinned ---------- *)
 
@@ -321,8 +232,7 @@ let tie_scenario =
          (take 16 raw)
      in
      let probe, _ =
-       serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo
-         ~engine:Fleet.Scan apps burst
+       serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo apps burst
      in
      let instants =
        List.sort_uniq compare
@@ -364,12 +274,7 @@ let golden name =
 let test_tie_golden () =
   let apps, requests = Lazy.force tie_scenario in
   let oh, jh =
-    serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo ~engine:Fleet.Heap
-      apps requests
-  in
-  let os, js =
-    serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo ~engine:Fleet.Scan
-      apps requests
+    serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo apps requests
   in
   (* The scenario must actually collide: at least one completion
      instant shared by two results, and at least one arrival placed on
@@ -381,10 +286,6 @@ let test_tie_golden () =
     List.length dones > List.length (List.sort_uniq compare dones)
   in
   Alcotest.(check bool) "simultaneous completions present" true has_dup;
-  Alcotest.(check string) "tie report: heap = scan"
-    (Fleet.report_to_string os.Fleet.oc_report)
-    (Fleet.report_to_string oh.Fleet.oc_report);
-  Alcotest.(check string) "tie JSONL: heap = scan" js jh;
   let report = Fleet.report_to_string oh.Fleet.oc_report in
   if Sys.getenv_opt "S2FA_UPDATE_GOLDEN" = Some "1" then begin
     Out_channel.with_open_bin (golden "serve_pr9_ties.report") (fun oc ->
@@ -454,17 +355,12 @@ let test_sweep_golden () =
       (fun policy ->
         List.map
           (fun (nm, reqs, slo, fspec) ->
-            let run engine =
-              let oc, jsonl =
-                serve_capture ?fspec ~devices:3 ~policy ~slo ~engine apps reqs
-              in
-              (Fleet.report_to_string oc.Fleet.oc_report, jsonl)
+            let oc, jsonl =
+              serve_capture ?fspec ~devices:3 ~policy ~slo apps reqs
             in
-            let report, jsonl = run Fleet.Heap in
-            let tag = Fleet.policy_name policy ^ "/" ^ nm in
-            Alcotest.(check (pair string string))
-              (tag ^ ": scan = heap") (run Fleet.Scan) (report, jsonl);
-            Printf.sprintf "sweep %s report=%s jsonl=%s" tag (md5 report)
+            Printf.sprintf "sweep %s/%s report=%s jsonl=%s"
+              (Fleet.policy_name policy) nm
+              (md5 (Fleet.report_to_string oc.Fleet.oc_report))
               (md5 jsonl))
           [ ("plain", requests, Fleet.no_slo, None);
             ("deadline", with_deadline, Fleet.no_slo, None);
@@ -477,7 +373,7 @@ let test_sweep_golden () =
    one, which must also equal the uninterrupted outcome. *)
 let test_ckpt_golden () =
   let apps, requests = Lazy.force scenario in
-  let run engine =
+  let oc, snaps, snapshot =
     let ck = Filename.temp_file "fleet_heap" ".ck" in
     let copies = ref [] in
     let copy_sink =
@@ -493,7 +389,7 @@ let test_ckpt_golden () =
     let spec =
       { Fleet.cks_path = ck; cks_every_s = 2.0; cks_meta = [ ("kind", "diff") ] }
     in
-    let outcome = Fleet.serve ~engine ~trace ~checkpoint:spec apps requests in
+    let outcome = Fleet.serve ~trace ~checkpoint:spec apps requests in
     let snapshot =
       match Fleet.load_checkpoint ck with
       | Error m -> Alcotest.failf "load checkpoint: %s" m
@@ -502,20 +398,11 @@ let test_ckpt_golden () =
     Sys.remove ck;
     (outcome, List.rev !copies, snapshot)
   in
-  let oc, snaps, snapshot = run Fleet.Heap in
-  let _, snaps_scan, _ = run Fleet.Scan in
-  Alcotest.(check (list string)) "scan snapshots = heap snapshots" snaps_scan
-    snaps;
   Alcotest.(check bool) "several mid-serve snapshots" true
     (List.length snaps >= 3);
-  let want = outcome_fingerprint oc in
-  let resumed engine =
-    outcome_fingerprint (Fleet.resume ~engine ~snapshot apps requests)
-  in
-  let got = resumed Fleet.Heap in
-  Alcotest.(check string) "resume lands on the uninterrupted outcome" want got;
-  Alcotest.(check string) "scan resume = heap resume" got
-    (resumed Fleet.Scan);
+  let got = outcome_fingerprint (Fleet.resume ~snapshot apps requests) in
+  Alcotest.(check string) "resume lands on the uninterrupted outcome"
+    (outcome_fingerprint oc) got;
   check_runs "ckpt"
     (List.mapi (fun i s -> Printf.sprintf "ckpt snapshot %d %s" i (md5 s)) snaps
     @ [ "ckpt resume " ^ md5 got ])
@@ -540,19 +427,18 @@ let test_fed_golden () =
     [ Fed.cluster ~devices:2 ~weight:1.0 ~rtt_s:[| 0.0; 0.002 |] "east";
       Fed.cluster ~devices:2 ~weight:1.0 ~rtt_s:[| 0.002; 0.0 |] "west" ]
   in
-  let run engine =
-    let buf = Buffer.create 4096 in
-    let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
-    let tenants = Array.to_list (Array.map Fed.tenant apps) in
-    let oc = Fed.serve ~opts ~engine ~trace ~clusters tenants requests in
-    T.flush trace;
-    (Fed.report_to_string oc.Fed.fo_report, Buffer.contents buf)
+  let buf = Buffer.create 4096 in
+  let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
+  let oc =
+    Fed.serve ~opts ~trace ~clusters
+      (Array.to_list (Array.map Fed.tenant apps))
+      requests
   in
-  let report, jsonl = run Fleet.Heap in
-  Alcotest.(check (pair string string)) "scan = heap" (run Fleet.Scan)
-    (report, jsonl);
+  T.flush trace;
   check_runs "fed"
-    [ Printf.sprintf "fed report=%s jsonl=%s" (md5 report) (md5 jsonl) ]
+    [ Printf.sprintf "fed report=%s jsonl=%s"
+        (md5 (Fed.report_to_string oc.Fed.fo_report))
+        (md5 (Buffer.contents buf)) ]
 
 let test_chaos_golden () =
   let c = Chaos.run ~seeds:20 () in
@@ -576,19 +462,14 @@ let test_fedchaos_golden () =
 let () =
   Alcotest.run "heap"
     [ ( "pheap",
-        [ QCheck_alcotest.to_alcotest prop_heap_model;
+        [ QCheck_alcotest.to_alcotest prop_pheap_vs_list;
           Alcotest.test_case "handle surgery and edge cases" `Quick
             test_heap_unit ] );
       ("deque", [ QCheck_alcotest.to_alcotest prop_dq_model ]);
-      ( "engine-differential",
-        [ Alcotest.test_case "policies x SLO x faults, byte for byte" `Quick
-            test_engine_differential_sweep;
-          Alcotest.test_case "checkpoints and resume, byte for byte" `Quick
-            test_engine_checkpoint_differential ] );
       ( "ties",
         [ Alcotest.test_case "simultaneous events pinned by golden" `Quick
             test_tie_golden ] );
-      ( "fleet-runs",
+      ( "fleet-digest-golden",
         [ Alcotest.test_case "policies x SLO x faults" `Quick
             test_sweep_golden;
           Alcotest.test_case "checkpoints and resume" `Quick test_ckpt_golden;
