@@ -94,6 +94,34 @@ let finite_positive what units =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* Output files (--trace, --profile, --metrics, --checkpoint): a path
+   that names a directory, or whose directory does not exist, fails only
+   when the file is opened — for --metrics and --profile, after the
+   whole run — so it is a usage error (exit 124) naming the flag. *)
+let output_file =
+  let parse s =
+    let dir = Filename.dirname s in
+    if s = "" then Error (`Msg "expected a file path, got \"\"")
+    else if Sys.file_exists s && Sys.is_directory s then
+      Error (`Msg (Printf.sprintf "%S is a directory, not a file" s))
+    else if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "directory %S of %S does not exist" dir s))
+    else Ok s
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* Task and kernel counts: at 0 or below a run has nothing to do, or
+   asks for an array of negative size. *)
+let positive_int what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "%s must be a positive integer, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let horizon_arg default =
   let doc = "Arrival horizon in virtual seconds; finite and positive." in
   Arg.(
@@ -165,7 +193,8 @@ let profile_arg =
      host wall/alloc fields) and FILE.folded a folded-stack file for \
      flamegraph tools. Inspect with `s2fa prof FILE`."
   in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value & opt (some output_file) None & info [ "profile" ] ~docv:"FILE" ~doc)
 
 let with_profile path f =
   match path with
@@ -319,7 +348,8 @@ let dse_cmd =
       "Write a JSONL telemetry trace of the run (virtual-clock \
        timestamps; replay it with `s2fa trace FILE`)."
     in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+    Arg.(
+      value & opt (some output_file) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let faults_arg =
     let doc =
@@ -335,7 +365,9 @@ let dse_cmd =
        --ck-every virtual minutes; recover it with `s2fa resume FILE`."
     in
     Arg.(
-      value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+      value
+      & opt (some output_file) None
+      & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
   let ck_every_arg =
     let doc =
@@ -714,8 +746,11 @@ let report_cmd =
 
 let speedup_cmd =
   let tasks_arg =
-    let doc = "Batch size used for the comparison." in
-    Arg.(value & opt (some int) None & info [ "tasks" ] ~doc)
+    let doc = "Batch size used for the comparison; a positive integer." in
+    Arg.(
+      value
+      & opt (some (positive_int "task count")) None
+      & info [ "tasks" ] ~doc)
   in
   let run workload seed tasks =
     let name =
@@ -768,8 +803,8 @@ let verify_cmd =
     Arg.(value & opt int 2 & info [ "chains" ] ~doc)
   in
   let tasks_arg =
-    let doc = "Task count the kernel is run with." in
-    Arg.(value & opt int 2 & info [ "tasks" ] ~doc)
+    let doc = "Task count the kernel is run with; a positive integer." in
+    Arg.(value & opt (positive_int "task count") 2 & info [ "tasks" ] ~doc)
   in
   let run workload all symbolic chains seed tasks profile =
     with_profile profile @@ fun () ->
@@ -881,8 +916,11 @@ let verify_cmd =
 
 let fuzz_cmd =
   let count_arg =
-    let doc = "Number of kernels (and C transform cases) to generate." in
-    Arg.(value & opt int 200 & info [ "count" ] ~doc)
+    let doc =
+      "Number of kernels (and C transform cases) to generate; a positive \
+       integer."
+    in
+    Arg.(value & opt (positive_int "kernel count") 200 & info [ "count" ] ~doc)
   in
   let out_arg =
     let doc = "Directory to write minimized reproducers into." in
@@ -963,14 +1001,17 @@ let serve_cmd =
   in
   let trace_arg =
     let doc = "Write a JSONL telemetry trace of the serving run." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~doc)
+    Arg.(value & opt (some output_file) None & info [ "trace" ] ~doc)
   in
   let metrics_arg =
     let doc =
       "Write the run's metrics registry and fleet report as a \
        Prometheus text exposition (counters, gauges, histograms)."
     in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+    Arg.(
+      value
+      & opt (some output_file) None
+      & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
   let slo_ms_arg =
     let doc =
@@ -1029,7 +1070,9 @@ let serve_cmd =
        virtual seconds; recover it with `s2fa resume FILE`."
     in
     Arg.(
-      value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+      value
+      & opt (some output_file) None
+      & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
   let ck_every_arg =
     let doc = "Virtual seconds between serve snapshots." in
@@ -1257,7 +1300,7 @@ let federate_cmd =
   in
   let trace_arg =
     let doc = "Write a JSONL telemetry trace of the federated run." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~doc)
+    Arg.(value & opt (some output_file) None & info [ "trace" ] ~doc)
   in
   let parse_clusters spec n_regions rtt_ms =
     String.split_on_char ',' spec

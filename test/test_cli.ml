@@ -457,6 +457,41 @@ let test_traffic_rejects_bad_values () =
       (fed ^ " --regions east:nan,west", 1, "bad --regions item \"east:nan\"");
       (fed ^ " --regions east:inf,west", 1, "bad --regions item \"east:inf\"") ]
 
+(* An output path that names a directory or sits in a missing directory,
+   and a task or kernel count below 1, fail up front as a usage error
+   naming the flag (exit 124), instead of exiting 125 with an uncaught
+   Sys_error or Invalid_argument (for --metrics and --profile, after
+   the whole run) or exiting 0 with a nan speedup. *)
+let test_rejects_bad_paths_and_counts () =
+  let dir = Filename.temp_dir "s2fa_cli" ".d" in
+  let path_rows p =
+    [ ("dse -w KMeans --minutes 20 --trace " ^ p, "--trace");
+      ("dse -w KMeans --minutes 20 --profile " ^ p, "--profile");
+      ("dse -w KMeans --minutes 40 --ck-every 5 --checkpoint " ^ p,
+        "--checkpoint");
+      ("serve --horizon 0.3 --trace " ^ p, "--trace");
+      ("serve --horizon 0.3 --metrics " ^ p, "--metrics");
+      ("serve --horizon 0.3 --profile " ^ p, "--profile");
+      ("serve --horizon 0.3 --checkpoint " ^ p, "--checkpoint");
+      ("federate --horizon 0.3 --trace " ^ p, "--trace");
+      ("federate --horizon 0.3 --profile " ^ p, "--profile");
+      ("verify -w KMeans --profile " ^ p, "--profile");
+      ("fuzz --count 2 --profile " ^ p, "--profile") ]
+  in
+  List.iter
+    (fun (args, flag) ->
+      let code, out = run ~kill_after:60 args in
+      Alcotest.(check int) (args ^ ": exit code") 124 code;
+      Alcotest.(check bool) (args ^ ": names the flag") true
+        (contains out ("option '" ^ flag ^ "'")))
+    (path_rows dir
+    @ path_rows (Filename.concat dir "missing/out")
+    @ [ ("speedup -w KMeans --tasks=-4", "--tasks");
+        ("verify -w KMeans --tasks=-4", "--tasks");
+        ("speedup -w KMeans --tasks 0", "--tasks");
+        ("fuzz --count=-3", "--count") ]);
+  Sys.rmdir dir
+
 (* ---------- the span profiler surface ---------- *)
 
 (* Drop the `# profile: ...` footer so profiled and unprofiled stdout
@@ -702,7 +737,9 @@ let () =
           Alcotest.test_case "serve rejects bad values" `Quick
             test_serve_rejects_bad_values;
           Alcotest.test_case "bad arrival parameters rejected" `Quick
-            test_traffic_rejects_bad_values ] );
+            test_traffic_rejects_bad_values;
+          Alcotest.test_case "bad output paths and counts rejected" `Quick
+            test_rejects_bad_paths_and_counts ] );
       ( "profiling",
         [ Alcotest.test_case "dse --profile reproducible" `Quick
             test_dse_profile_reproducible;
