@@ -1,10 +1,12 @@
 (* The s2fa command-line tool.
 
      s2fa list
-     s2fa compile  (-w KERNEL | -f FILE) [--design seed]
-     s2fa dse      -w KERNEL [--mode s2fa|vanilla] [--seed N] [--minutes M]
-                   [--shared-db] [--trace FILE] [--faults SPEC]
-                   [--checkpoint FILE] [--ck-every M]
+     s2fa compile  (-w KERNEL | -f FILE) [--design area|perf|structured]
+     s2fa echo     (-w KERNEL | -f FILE)    (normalized MiniScala)
+     s2fa bytecode (-w KERNEL | -f FILE)    (JVM disassembly)
+     s2fa dse      (-w KERNEL | -f FILE) [--mode s2fa|vanilla] [--seed N]
+                   [--minutes M] [--shared-db] [--trace FILE]
+                   [--faults SPEC] [--checkpoint FILE] [--ck-every M]
      s2fa resume   FILE                     (recover a --checkpoint snapshot)
      s2fa trace    FILE                     (replay a --trace JSONL file)
      s2fa cache    -w KERNEL [--seed N] [--minutes M]  (result-DB stats)
@@ -12,6 +14,8 @@
      s2fa speedup  -w KERNEL [--tasks N]    (Fig-4-style row)
      s2fa verify   (-w KERNEL | --all) [--symbolic] [--chains N] [--seed N]
                    [--tasks N]              (prove/refute Merlin rewrites)
+     s2fa fuzz     [--seed N] [--count N] [--coverage] [--no-shrink]
+                   [--out DIR]              (differential fuzzing)
      s2fa serve    [--apps SPEC] [--policy P] [--devices N] [--seed N]
                    [--horizon S] [--faults SPEC] [--trace FILE]
                    [--metrics FILE]         (Prometheus text exposition)
@@ -26,9 +30,9 @@
      s2fa prof     FILE [--top N]           (replay a --profile span log)
      s2fa perf     diff OLD NEW [--threshold PCT]  (perf-trajectory gate)
 
-   dse, verify, fuzz and serve also take --profile FILE: a hierarchical
-   span log of the run (JSONL + FILE.folded flamegraph stacks), off by
-   default and observer-effect-free when enabled.
+   dse, verify, fuzz, serve and federate also take --profile FILE: a
+   hierarchical span log of the run (JSONL + FILE.folded flamegraph
+   stacks), off by default and observer-effect-free when enabled.
 
    Everything runs against the simulated F1 instance; see DESIGN.md. *)
 
@@ -59,40 +63,57 @@ module Perf = S2fa_obs.Perf
 module Checkpoint = S2fa_telemetry.Checkpoint
 open Cmdliner
 
-let workload_arg =
-  let doc = "Built-in kernel name (see `s2fa list`)." in
-  Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~doc)
+(* ---------- values ----------
 
-let file_arg =
-  let doc = "MiniScala source file with an Accelerator class." in
-  Arg.(value & opt (some file) None & info [ "f"; "file" ] ~doc)
+   Every structured flag value has one parser: a converter below. The
+   same converter writes the value into checkpoint meta (its printer)
+   and decodes it on `resume` (its parser). A value a converter refuses
+   is a usage error (exit 124) naming the flag. A converter checks only
+   what no library refuses before the run starts: a value Fleet or
+   Federation reject up front (`--devices 0`, `--hang-factor 0`,
+   `--slo-ms nan`) exits 1 with the library's message instead. *)
 
-let seed_arg =
-  let doc = "Random seed for the DSE." in
-  Arg.(value & opt int 7 & info [ "seed" ] ~doc)
+(* A parser that raises [Failure], or a library's [Invalid_argument],
+   as a converter's parser. *)
+let parse_with f s =
+  match f s with
+  | v -> Ok v
+  | exception (Failure m | Invalid_argument m) -> Error (`Msg m)
 
-(* Rates, scales, horizons, intervals and time budgets: at 0 or below,
-   or at nan, a run never starts, never ends or finds nothing, and at
-   inf it never ends. *)
-let finite_positive_float s =
-  match float_of_string_opt s with
-  | Some f when Float.is_finite f && f > 0.0 -> Some f
-  | _ -> None
+let pp_as to_string ppf v = Format.pp_print_string ppf (to_string v)
 
-(* A converter for a finite positive number of [units], as for `perf
-   diff --threshold`: anything else is a usage error (exit 124) naming
-   the flag. *)
-let finite_positive what units =
+(* A finite number of [units]. Horizons, intervals and time budgets
+   are [`Positive]: at 0 or below, or at nan, a run never starts, never
+   ends or finds nothing, and at inf it never ends. *)
+let finite sign units =
+  let word, ok =
+    match sign with
+    | `Positive -> ("positive ", fun f -> f > 0.0)
+    | `Non_negative -> ("non-negative ", fun f -> f >= 0.0)
+    | `Any -> ("", fun _ -> true)
+  in
   let parse s =
-    match finite_positive_float s with
-    | Some f -> Ok f
-    | None ->
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && ok f -> Ok f
+    | _ ->
       Error
-        (`Msg
-           (Printf.sprintf "%s must be a finite positive number of %s, got %S"
-              what units s))
+        (`Msg (Printf.sprintf "%S is not a finite %snumber (%s)" s word units))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let minutes = finite `Positive "minutes"
+let seconds = finite `Positive "seconds"
+
+(* Task, kernel and campaign counts below 1 leave a run nothing to do
+   or ask for an array of negative size; a negative config or hotspot
+   count would silently read as 0. *)
+let count min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s min))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 (* Output files (--trace, --profile, --metrics, --checkpoint): a path
    that names a directory, or whose directory does not exist, fails only
@@ -110,50 +131,165 @@ let output_file =
   in
   Arg.conv (parse, Format.pp_print_string)
 
-(* Task and kernel counts: at 0 or below a run has nothing to do, or
-   asks for an array of negative size. *)
-let positive_int what =
+(* --profile FILE also writes FILE.folded. *)
+let profile_file =
+  let check = Arg.conv_parser output_file in
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ ->
-      Error
-        (`Msg (Printf.sprintf "%s must be a positive integer, got %S" what s))
+    match check s with
+    | Ok _ -> Result.map (fun _ -> s) (check (s ^ ".folded"))
+    | e -> e
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, Format.pp_print_string)
+
+let workload_named name =
+  match W.find name with
+  | Some w -> w
+  | None -> failwith (Printf.sprintf "unknown kernel %s; try `s2fa list`" name)
+
+let workload = Arg.conv (parse_with workload_named, pp_as (fun w -> w.W.w_name))
+let source_file = Arg.non_dir_file
+
+(* One of [named]'s names, matched exactly. Unlike Arg.enum it takes no
+   prefix and never compares values structurally (designs are
+   functions). *)
+let choice what named =
+  let parse s =
+    match List.assoc_opt s named with
+    | Some v -> Ok v
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown %s %s (want %s)" what s
+              (String.concat "|" (List.map fst named))))
+  in
+  let name v = fst (List.find (fun (_, v') -> v' == v) named) in
+  Arg.conv (parse, pp_as name)
+
+let policy =
+  choice "policy"
+    (List.map (fun p -> (Fleet.policy_name p, p)) Fleet.all_policies)
+
+let route =
+  choice "route" (List.map (fun r -> (Fed.route_name r, r)) Fed.all_routes)
+
+let mode : [ `S2fa | `Vanilla ] Arg.conv =
+  choice "mode" [ ("s2fa", `S2fa); ("vanilla", `Vanilla) ]
+
+let design =
+  choice "design"
+    [ ("area", Seed.area_seed);
+      ("perf", Seed.performance_seed);
+      ("structured", Seed.structured_seed) ]
+
+let faults =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Fault.parse_spec s)),
+      pp_as Fault.spec_string )
+
+(* Comma-separated NAME[:FIELD[:FIELD]] items (--apps, --clusters,
+   --regions). Blank items are skipped, and a value with no item is
+   refused. [make name f1 f2] builds one item from the fields present,
+   leaving the rest to the library constructor's defaults; whatever it
+   refuses names the item. The value keeps its text, which checkpoint
+   meta records verbatim. *)
+let items form fields make =
+  let item text =
+    match String.split_on_char ':' text with
+    | name :: rest when List.length rest <= fields -> (
+      try make name (List.nth_opt rest 0) (List.nth_opt rest 1)
+      with Failure m | Invalid_argument m ->
+        failwith (Printf.sprintf "bad item %S: %s" text m))
+    | _ -> failwith (Printf.sprintf "bad item %S (want %s)" text form)
+  in
+  let parse s =
+    match
+      List.filter (( <> ) "")
+        (List.map String.trim (String.split_on_char ',' s))
+    with
+    | [] -> failwith (Printf.sprintf "no %s item in %S" form s)
+    | texts -> (s, List.map item texts)
+  in
+  Arg.conv (parse_with parse, pp_as fst)
+
+(* One field of an item, read by cmdliner's own number parsers. *)
+let field conv v =
+  match Arg.conv_parser conv v with Ok x -> x | Error (`Msg m) -> failwith m
+
+(* Tenants carry Traffic.tenant's batch and queue capacity; `serve`
+   sets both from its own flags. *)
+let apps =
+  items "NAME[:RATE[:WEIGHT]]" 2 (fun name rate weight ->
+      Traffic.tenant
+        ?rate:(Option.map (field Arg.float) rate)
+        ?weight:(Option.map (field Arg.float) weight)
+        (workload_named name))
+
+(* Clusters carry no RTT; `federate` adds it from --rtt-ms. *)
+let clusters =
+  items "NAME[:DEVICES[:WEIGHT]]" 2 (fun name devices weight ->
+      Fed.cluster
+        ?devices:(Option.map (field Arg.int) devices)
+        ?weight:(Option.map (field Arg.float) weight)
+        name)
+
+let regions =
+  items "NAME[:SCALE]" 1 (fun name scale _ ->
+      Traffic.region ?scale:(Option.map (field Arg.float) scale) name)
+
+(* ---------- shared flags ---------- *)
+
+let workload_arg =
+  let doc = "Built-in kernel name (see `s2fa list`)." in
+  Arg.(value & opt (some workload) None & info [ "w"; "workload" ] ~doc)
+
+let file_arg =
+  let doc = "MiniScala source file with an Accelerator class." in
+  Arg.(value & opt (some source_file) None & info [ "f"; "file" ] ~doc)
+
+let seed_arg =
+  let doc = "Random seed for the DSE." in
+  Arg.(value & opt int 7 & info [ "seed" ] ~doc)
 
 let horizon_arg default =
   let doc = "Arrival horizon in virtual seconds; finite and positive." in
-  Arg.(
-    value
-    & opt (finite_positive "horizon" "seconds") default
-    & info [ "horizon" ] ~doc)
+  Arg.(value & opt seconds default & info [ "horizon" ] ~doc)
 
 let minutes_arg =
   let doc = "Simulated time budget in minutes; finite and positive." in
+  Arg.(value & opt minutes 240.0 & info [ "minutes" ] ~doc)
+
+let faults_arg doc =
+  Arg.(value & opt (some faults) None & info [ "faults" ] ~docv:"SPEC" ~doc)
+
+let trace_arg doc =
+  Arg.(
+    value & opt (some output_file) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
+let checkpoint_arg doc =
   Arg.(
     value
-    & opt (finite_positive "time budget" "minutes") 240.0
-    & info [ "minutes" ] ~doc)
+    & opt (some output_file) None
+    & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
-let load_workload name =
-  match W.find name with
-  | Some w -> w
-  | None ->
-    Printf.eprintf "unknown kernel %s; try `s2fa list`\n" name;
-    exit 1
+let slo_ms_arg doc =
+  Arg.(value & opt (some float) None & info [ "slo-ms" ] ~docv:"MS" ~doc)
 
+(* A flag's default, written as it would be typed. *)
+let default conv text = Result.get_ok (Arg.conv_parser conv text)
+
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+(* The kernel -w names, or else the one -f's source compiles to; a
+   source the compiler rejects names the file. *)
 let compiled_of ~workload ~file () =
   match (workload, file) with
-  | Some name, _ ->
-    let w = load_workload name in
-    (Some w, W.compile w)
-  | None, Some path ->
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    (None, S2fa.compile src)
+  | Some w, _ -> (Some w, W.compile w)
+  | None, Some path -> (
+    match S2fa.compile (read_text path) with
+    | c -> (None, c)
+    | exception S2fa.Error m ->
+      Printf.eprintf "%s: %s\n" path m;
+      exit 1)
   | None, None ->
     Printf.eprintf "one of -w or -f is required\n";
     exit 1
@@ -194,7 +330,7 @@ let profile_arg =
      flamegraph tools. Inspect with `s2fa prof FILE`."
   in
   Arg.(
-    value & opt (some output_file) None & info [ "profile" ] ~docv:"FILE" ~doc)
+    value & opt (some profile_file) None & info [ "profile" ] ~docv:"FILE" ~doc)
 
 let with_profile path f =
   match path with
@@ -221,6 +357,195 @@ let with_profile path f =
     finish ();
     r
 
+(* A reader's [Error] (already naming the file and line) exits 1. *)
+let ok_or_exit = function
+  | Ok v -> v
+  | Error m ->
+    prerr_endline m;
+    exit 1
+
+(* A serving configuration the fleet rejects exits 1 with the fleet's
+   own message. *)
+let fleet_or_exit f =
+  try f ()
+  with Fleet.Fleet_error m ->
+    prerr_endline m;
+    exit 1
+
+(* ---------- checkpoint meta ----------
+
+   A run's configuration is written to checkpoint meta with the printer
+   of each value's converter, and read back on `resume` with its parser.
+   A value the parser refuses, or a key the writer always emits that is
+   missing, names the file and the key and exits 1. *)
+
+let put conv k v = (k, Format.asprintf "%a" (Arg.conv_printer conv) v)
+let put_opt conv k = function Some v -> [ put conv k v ] | None -> []
+
+let meta_error file k m =
+  Printf.eprintf "%s: meta %S: %s\n" file k m;
+  exit 1
+
+let get_opt file meta conv k =
+  Option.map
+    (fun v ->
+      match Arg.conv_parser conv v with
+      | Ok x -> x
+      | Error (`Msg m) -> meta_error file k m)
+    (List.assoc_opt k meta)
+
+let get file meta conv k =
+  match get_opt file meta conv k with
+  | Some x -> x
+  | None -> meta_error file k "missing"
+
+(* Everything that defines a DSE run; `dse` builds it from its flags
+   and `resume` from a DSE checkpoint. *)
+type dse_cfg = {
+  ds_workload : W.t option;
+  ds_file : string option;
+  ds_seed : int;
+  ds_minutes : float;
+  ds_shared_db : bool;
+  ds_faults : Fault.spec option;
+}
+
+let dse_meta c =
+  put_opt workload "workload" c.ds_workload
+  @ put_opt source_file "file" c.ds_file
+  @ [ put Arg.int "seed" c.ds_seed;
+      put minutes "minutes" c.ds_minutes;
+      put Arg.bool "shared_db" c.ds_shared_db ]
+  @ put_opt faults "faults" c.ds_faults
+
+(* A checkpoint names its kernel by "workload", "file" or both (the
+   workload wins, as on the command line). *)
+let dse_of_meta file meta =
+  let get c k = get file meta c k and get_opt c k = get_opt file meta c k in
+  let ds_file = get_opt source_file "file" in
+  { ds_workload =
+      (if ds_file = None then Some (get workload "workload")
+       else get_opt workload "workload");
+    ds_file;
+    ds_seed = get Arg.int "seed";
+    ds_minutes = get minutes "minutes";
+    ds_shared_db = get Arg.bool "shared_db";
+    ds_faults = get_opt faults "faults" }
+
+(* The kernel, RNG, result DB, fault injector and S2FA options of a DSE
+   configuration. *)
+let dse_run c =
+  let _, compiled = compiled_of ~workload:c.ds_workload ~file:c.ds_file () in
+  let rng = Rng.create c.ds_seed in
+  let db = if c.ds_shared_db then Some (Resultdb.create ()) else None in
+  let faults = Option.map (Fault.create ~seed:c.ds_seed) c.ds_faults in
+  let opts =
+    { Driver.default_s2fa_opts with Driver.so_time_limit = c.ds_minutes }
+  in
+  (compiled, rng, db, faults, opts)
+
+(* Everything that defines a fleet serve; `serve` builds it from its
+   flags and `resume` from a fleet checkpoint. *)
+type serve_cfg = {
+  sv_apps : string * Traffic.tenant list;
+  sv_policy : Fleet.policy;
+  sv_devices : int;
+  sv_seed : int;
+  sv_horizon : float;
+  sv_batch : int;
+  sv_queue_cap : int;
+  sv_faults : Fault.spec option;
+  sv_slo_ms : float option;
+  sv_hang_factor : float option;
+  sv_hedge : bool;
+  sv_breaker : Fleet.breaker_cfg option;
+}
+
+let serve_meta c =
+  [ put apps "apps" c.sv_apps;
+    put policy "policy" c.sv_policy;
+    put Arg.int "devices" c.sv_devices;
+    put Arg.int "seed" c.sv_seed;
+    put seconds "horizon" c.sv_horizon;
+    put Arg.int "batch" c.sv_batch;
+    put Arg.int "queue_cap" c.sv_queue_cap ]
+  @ put_opt faults "faults" c.sv_faults
+  @ put_opt Arg.float "slo_ms" c.sv_slo_ms
+  @ put_opt Arg.float "hang_factor" c.sv_hang_factor
+  @ put_opt Arg.bool "hedge" (if c.sv_hedge then Some true else None)
+  @ (match c.sv_breaker with
+    | None -> []
+    | Some b ->
+      [ put Arg.bool "breaker" true;
+        put Arg.int "breaker_failures" b.Fleet.bk_failures;
+        put Arg.float "breaker_cooldown_s" b.Fleet.bk_cooldown_s;
+        put Arg.int "breaker_probes" b.Fleet.bk_probes ])
+
+let serve_of_meta file meta =
+  let get c k = get file meta c k and get_opt c k = get_opt file meta c k in
+  let flag k = get_opt Arg.bool k = Some true in
+  { sv_apps = get apps "apps";
+    sv_policy = get policy "policy";
+    sv_devices = get Arg.int "devices";
+    sv_seed = get Arg.int "seed";
+    sv_horizon = get seconds "horizon";
+    sv_batch = get Arg.int "batch";
+    sv_queue_cap = get Arg.int "queue_cap";
+    sv_faults = get_opt faults "faults";
+    sv_slo_ms = get_opt Arg.float "slo_ms";
+    sv_hang_factor = get_opt Arg.float "hang_factor";
+    sv_hedge = flag "hedge";
+    sv_breaker =
+      (if flag "breaker" then
+         Some
+           { Fleet.bk_failures = get Arg.int "breaker_failures";
+             bk_cooldown_s = get Arg.float "breaker_cooldown_s";
+             bk_probes = get Arg.int "breaker_probes" }
+       else None) }
+
+(* --slo-ms: the fleet stamps each request's deadline, and refuses one
+   that is not positive and finite. *)
+let with_slo slo_ms requests =
+  match slo_ms with
+  | None -> requests
+  | Some ms -> Fleet.with_deadline (ms /. 1000.0) requests
+
+(* The pool options, fault injector, apps and requests of a serve
+   configuration. *)
+let fleet_run c =
+  let tenants =
+    List.map
+      (fun t ->
+        { t with Traffic.tn_batch = c.sv_batch; tn_queue_cap = c.sv_queue_cap })
+      (snd c.sv_apps)
+  in
+  let faults = Option.map (Fault.create ~seed:c.sv_seed) c.sv_faults in
+  let apps = Traffic.apps ~seed:c.sv_seed tenants in
+  let requests =
+    with_slo c.sv_slo_ms
+      (Traffic.requests ~seed:c.sv_seed ~horizon:c.sv_horizon tenants)
+  in
+  let slo =
+    { Fleet.sl_hang_factor =
+        Option.value ~default:Fleet.no_slo.Fleet.sl_hang_factor
+          c.sv_hang_factor;
+      sl_hedge = c.sv_hedge;
+      sl_breaker = c.sv_breaker }
+  in
+  let opts =
+    { Fleet.default_opts with
+      o_policy = c.sv_policy;
+      o_devices = c.sv_devices;
+      o_slo = slo }
+  in
+  (opts, faults, apps, requests)
+
+let print_fleet_outcome outcome faults =
+  print_string (Fleet.report_to_string outcome.Fleet.oc_report);
+  match faults with
+  | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
+  | None -> ()
+
 (* ---------- list ---------- *)
 
 let list_cmd =
@@ -239,20 +564,11 @@ let list_cmd =
 let compile_cmd =
   let design_arg =
     let doc = "Apply a design before printing: area, perf or structured." in
-    Arg.(value & opt (some string) None & info [ "design" ] ~doc)
+    Arg.(value & opt (some design) None & info [ "design" ] ~doc)
   in
   let run workload file design =
     let _, c = compiled_of ~workload ~file () in
-    let design =
-      match design with
-      | None -> None
-      | Some "area" -> Some (Seed.area_seed c.S2fa.c_dspace)
-      | Some "perf" -> Some (Seed.performance_seed c.S2fa.c_dspace)
-      | Some "structured" -> Some (Seed.structured_seed c.S2fa.c_dspace)
-      | Some other ->
-        Printf.eprintf "unknown design %s\n" other;
-        exit 1
-    in
+    let design = Option.map (fun seed -> seed c.S2fa.c_dspace) design in
     print_string (S2fa.emit_c ?design c)
   in
   Cmd.v
@@ -264,18 +580,11 @@ let compile_cmd =
 
 let echo_cmd =
   let run workload file =
-    let w, c = compiled_of ~workload ~file () in
-    ignore c;
+    let w, _ = compiled_of ~workload ~file () in
     let src =
-      match (w, file) with
-      | Some w, _ -> w.W.w_source
-      | None, Some path ->
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      | None, None -> assert false
+      match w with
+      | Some w -> w.W.w_source
+      | None -> read_text (Option.get file)
     in
     print_string
       (S2fa_scala.Pretty.to_string (S2fa_scala.Parser.parse_program src))
@@ -302,15 +611,6 @@ let bytecode_cmd =
 
 (* ---------- dse ---------- *)
 
-(* --faults SPEC plumbing: parse, validate, and seed the injector with
-   the DSE seed so the schedule is reproducible. *)
-let make_injector ~seed spec_str =
-  match Fault.parse_spec spec_str with
-  | Ok spec -> Fault.create ~seed spec
-  | Error m ->
-    Printf.eprintf "bad --faults spec: %s\n" m;
-    exit 1
-
 (* Shared by `dse` and `resume`: curve, best line, cache and fault
    footers. `resume` diffs the best line against the uninterrupted run. *)
 let print_dse_result result =
@@ -334,7 +634,7 @@ let print_dse_result result =
 let dse_cmd =
   let mode_arg =
     let doc = "Exploration flow: s2fa or vanilla." in
-    Arg.(value & opt string "s2fa" & info [ "mode" ] ~doc)
+    Arg.(value & opt mode `S2fa & info [ "mode" ] ~doc)
   in
   let shared_db_arg =
     let doc =
@@ -344,30 +644,20 @@ let dse_cmd =
     Arg.(value & flag & info [ "shared-db" ] ~doc)
   in
   let trace_arg =
-    let doc =
+    trace_arg
       "Write a JSONL telemetry trace of the run (virtual-clock \
        timestamps; replay it with `s2fa trace FILE`)."
-    in
-    Arg.(
-      value & opt (some output_file) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let faults_arg =
-    let doc =
+    faults_arg
       "Inject seeded tool failures, e.g. crash=0.05,hang=0.02,timeout=45 \
        (keys: crash, hang, transient, core_loss, timeout, retries, \
        backoff). Same seed and spec reproduce the same fault schedule."
-    in
-    Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
   in
   let checkpoint_arg =
-    let doc =
+    checkpoint_arg
       "Write a JSONL checkpoint of the DSE state, replaced every \
        --ck-every virtual minutes; recover it with `s2fa resume FILE`."
-    in
-    Arg.(
-      value
-      & opt (some output_file) None
-      & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
   let ck_every_arg =
     let doc =
@@ -376,58 +666,35 @@ let dse_cmd =
     in
     (* At 0 or below the snapshot loop would never end, and at nan or
        inf no snapshot would ever be written. *)
-    Arg.(
-      value
-      & opt (finite_positive "checkpoint interval" "minutes") 30.0
-      & info [ "ck-every" ] ~docv:"MINUTES" ~doc)
+    Arg.(value & opt minutes 30.0 & info [ "ck-every" ] ~docv:"MINUTES" ~doc)
   in
-  let run workload file mode seed minutes shared_db trace_file fault_spec
-      ck_file ck_every profile =
+  let cfg_term =
+    let make ds_workload ds_file ds_seed ds_minutes ds_shared_db ds_faults =
+      { ds_workload; ds_file; ds_seed; ds_minutes; ds_shared_db; ds_faults }
+    in
+    Term.(
+      const make $ workload_arg $ file_arg $ seed_arg $ minutes_arg
+      $ shared_db_arg $ faults_arg)
+  in
+  let run cfg mode trace_file ck_file ck_every profile =
     with_profile profile @@ fun () ->
     let tracer = Option.map make_tracer trace_file in
     let trace = Option.map fst tracer in
-    let _, c = compiled_of ~workload ~file () in
-    let rng = Rng.create seed in
-    let db = if shared_db then Some (Resultdb.create ()) else None in
-    let faults = Option.map (make_injector ~seed) fault_spec in
+    let c, rng, db, faults, opts = dse_run cfg in
     let checkpoint =
       Option.map
-        (fun path ->
-          (* Everything `s2fa resume` needs to rebuild this run. *)
-          let meta =
-            List.concat
-              [ (match workload with Some w -> [ ("workload", w) ] | None -> []);
-                (match file with Some f -> [ ("file", f) ] | None -> []);
-                [ ("seed", string_of_int seed);
-                  ("minutes", string_of_float minutes);
-                  ("shared_db", string_of_bool shared_db) ];
-                (match fault_spec with
-                | Some _ ->
-                  [ ("faults",
-                     Fault.spec_string (Fault.spec (Option.get faults))) ]
-                | None -> []) ]
-          in
-          Driver.checkpoint_to ~meta ~every:ck_every path)
+        (Driver.checkpoint_to ~meta:(dse_meta cfg) ~every:ck_every)
         ck_file
     in
     let result =
       match mode with
-      | "s2fa" ->
-        let opts =
-          { Driver.default_s2fa_opts with Driver.so_time_limit = minutes }
-        in
-        S2fa.explore ~opts ?db ?trace ?faults ?checkpoint c rng
-      | "vanilla" ->
-        S2fa.explore_vanilla ~time_limit:minutes ?db ?trace ?faults
+      | `S2fa -> S2fa.explore ~opts ?db ?trace ?faults ?checkpoint c rng
+      | `Vanilla ->
+        S2fa.explore_vanilla ~time_limit:cfg.ds_minutes ?db ?trace ?faults
           ?checkpoint c rng
-      | other ->
-        Printf.eprintf "unknown mode %s\n" other;
-        exit 1
     in
     print_dse_result result;
-    (match ck_file with
-    | Some path -> Printf.printf "# checkpoint: %s\n" path
-    | None -> ());
+    Option.iter (Printf.printf "# checkpoint: %s\n") ck_file;
     match (tracer, trace_file) with
     | Some (tr, oc), Some path ->
       close_out oc;
@@ -437,165 +704,10 @@ let dse_cmd =
   Cmd.v
     (Cmd.info "dse" ~doc:"Run design-space exploration on a kernel.")
     Term.(
-      const run $ workload_arg $ file_arg $ mode_arg $ seed_arg $ minutes_arg
-      $ shared_db_arg $ trace_arg $ faults_arg $ checkpoint_arg
+      const run $ cfg_term $ mode_arg $ trace_arg $ checkpoint_arg
       $ ck_every_arg $ profile_arg)
 
 (* ---------- resume ---------- *)
-
-(* Shared by `serve` and fleet `resume`: tenant-spec parsing and SLO
-   assembly, so a resumed run rebuilds byte-identical inputs from the
-   scalar parameters recorded in the checkpoint's meta. *)
-let parse_tenants spec batch queue_cap =
-  String.split_on_char ',' spec
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
-  |> List.map (fun item ->
-         let parts = String.split_on_char ':' item in
-         let num what v =
-           match float_of_string_opt v with
-           | Some f -> f
-           | None ->
-             Printf.eprintf "bad --apps item %S: %s %S is not a number\n"
-               item what v;
-             exit 1
-         in
-         let name, rate, weight =
-           match parts with
-           | [ n ] -> (n, 100.0, 1.0)
-           | [ n; r ] -> (n, num "rate" r, 1.0)
-           | [ n; r; w ] -> (n, num "rate" r, num "weight" w)
-           | _ ->
-             Printf.eprintf "bad --apps item %S (want NAME[:RATE[:WEIGHT]])\n"
-               item;
-             exit 1
-         in
-         if not (Float.is_finite rate && rate > 0.0) then begin
-           Printf.eprintf
-             "bad --apps item %S: rate must be a finite positive number\n" item;
-           exit 1
-         end;
-         Traffic.tenant ~rate ~weight ~batch ~queue_cap (load_workload name))
-
-let parse_policy name =
-  match Fleet.policy_of_name name with
-  | Some p -> p
-  | None ->
-    Printf.eprintf "unknown policy %s (want fcfs|sjf|affinity|fair)\n" name;
-    exit 1
-
-let slo_of ~hang_factor ~hedge ~breaker ~bk_failures ~bk_cooldown ~bk_probes =
-  { Fleet.sl_hang_factor =
-      (match hang_factor with Some f -> f | None -> infinity);
-    sl_hedge = hedge;
-    sl_breaker =
-      (if breaker then
-         Some
-           { Fleet.bk_failures;
-             bk_cooldown_s = bk_cooldown;
-             bk_probes = bk_probes }
-       else None) }
-
-let deadline_requests slo_ms requests =
-  match slo_ms with
-  | None -> requests
-  | Some ms -> Fleet.with_deadline (ms /. 1000.0) requests
-
-(* A reader's [Error] (already naming the file and line) exits 1. *)
-let ok_or_exit = function
-  | Ok v -> v
-  | Error m ->
-    prerr_endline m;
-    exit 1
-
-(* A serving configuration the fleet rejects exits 1 with the fleet's
-   own message. *)
-let fleet_or_exit f =
-  try f ()
-  with Fleet.Fleet_error m ->
-    prerr_endline m;
-    exit 1
-
-(* Meta value [k] of checkpoint [path], decoded by [conv]. A value that
-   does not decode names the file and the key, and exits 1. *)
-let meta_value path meta conv what k =
-  Option.map
-    (fun v ->
-      match conv v with
-      | Some x -> x
-      | None ->
-        Printf.eprintf "%s: meta %S: %S is not %s\n" path k v what;
-        exit 1)
-    (List.assoc_opt k meta)
-
-let meta_int path meta = meta_value path meta int_of_string_opt "an integer"
-let meta_float path meta = meta_value path meta float_of_string_opt "a number"
-
-(* Recover a mid-serve snapshot: rebuild the scenario from the
-   checkpoint's meta, then replay-validate and run to completion. *)
-let resume_fleet ck =
-  fleet_or_exit @@ fun () ->
-  let path = ck.Checkpoint.c_file in
-  let snapshot = ok_or_exit (Fleet.snapshot_of_checkpoint ck) in
-  let meta k = List.assoc_opt k snapshot.Fleet.fk_meta in
-  let str k d = Option.value ~default:d (meta k) in
-  let opt_float = meta_float path snapshot.Fleet.fk_meta in
-  let int_of k d =
-    Option.value ~default:d (meta_int path snapshot.Fleet.fk_meta k)
-  in
-  let float_of k d = Option.value ~default:d (opt_float k) in
-  let horizon =
-    meta_value path snapshot.Fleet.fk_meta finite_positive_float
-      "a finite positive number" "horizon"
-  in
-  let batch = int_of "batch" 16 and queue_cap = int_of "queue_cap" 64 in
-  let seed = int_of "seed" 7 in
-  let tenants =
-    parse_tenants (str "apps" "KMeans:400,LR:300") batch queue_cap
-  in
-  let policy = parse_policy (str "policy" "fcfs") in
-  let faults = Option.map (fun s -> make_injector ~seed s) (meta "faults") in
-  let slo =
-    slo_of
-      ~hang_factor:(opt_float "hang_factor")
-      ~hedge:(meta "hedge" = Some "true")
-      ~breaker:(meta "breaker" = Some "true")
-      ~bk_failures:
-        (int_of "breaker_failures" Fleet.default_breaker.Fleet.bk_failures)
-      ~bk_cooldown:
-        (float_of "breaker_cooldown_s"
-           Fleet.default_breaker.Fleet.bk_cooldown_s)
-      ~bk_probes:
-        (int_of "breaker_probes" Fleet.default_breaker.Fleet.bk_probes)
-  in
-  let opts =
-    { Fleet.default_opts with
-      o_policy = policy;
-      o_devices = int_of "devices" 2;
-      o_slo = slo }
-  in
-  let apps = Traffic.apps ~seed tenants in
-  let requests =
-    deadline_requests (opt_float "slo_ms")
-      (Traffic.requests ~seed ~horizon:(Option.value ~default:1.0 horizon)
-         tenants)
-  in
-  let checkpoint =
-    (* Keep refreshing the same file past the recovered snapshot. *)
-    { Fleet.cks_path = path;
-      cks_every_s = snapshot.Fleet.fk_every;
-      cks_meta = snapshot.Fleet.fk_meta }
-  in
-  let outcome =
-    Fleet.resume ~opts ?faults ~checkpoint ~file:path ~snapshot apps requests
-  in
-  Printf.printf
-    "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
-    path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
-  print_string (Fleet.report_to_string outcome.Fleet.oc_report);
-  match faults with
-  | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
-  | None -> ()
 
 let resume_cmd =
   let ck_file_arg =
@@ -605,30 +717,15 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"CHECKPOINT" ~doc)
   in
+  (* Each resume rebuilds its run from the checkpoint's meta and keeps
+     refreshing the same file past the recovered snapshot. *)
   let resume_dse ck =
     let path = ck.Checkpoint.c_file in
     let snapshot = ok_or_exit (Driver.ck_of_checkpoint ck) in
-    let meta k = List.assoc_opt k snapshot.Driver.ck_meta in
-    let workload = meta "workload" in
-    let file = meta "file" in
-    let seed =
-      Option.value ~default:7 (meta_int path snapshot.Driver.ck_meta "seed")
-    in
-    let minutes =
-      Option.value ~default:240.0
-        (meta_value path snapshot.Driver.ck_meta finite_positive_float
-           "a finite positive number" "minutes")
-    in
-    let shared_db = meta "shared_db" = Some "true" in
-    let faults = Option.map (make_injector ~seed) (meta "faults") in
-    let _, c = compiled_of ~workload ~file () in
-    let rng = Rng.create seed in
-    let db = if shared_db then Some (Resultdb.create ()) else None in
-    let opts =
-      { Driver.default_s2fa_opts with Driver.so_time_limit = minutes }
+    let c, rng, db, faults, opts =
+      dse_run (dse_of_meta path snapshot.Driver.ck_meta)
     in
     let checkpoint =
-      (* Keep refreshing the same file past the recovered snapshot. *)
       Driver.checkpoint_to ~meta:snapshot.Driver.ck_meta
         ~every:snapshot.Driver.ck_every path
     in
@@ -639,6 +736,26 @@ let resume_cmd =
     Printf.printf "# resumed %s flow from %s at %.1f virtual minutes\n"
       snapshot.Driver.ck_flow path snapshot.Driver.ck_minutes;
     print_dse_result result
+  in
+  let resume_fleet ck =
+    fleet_or_exit @@ fun () ->
+    let path = ck.Checkpoint.c_file in
+    let snapshot = ok_or_exit (Fleet.snapshot_of_checkpoint ck) in
+    let opts, faults, apps, requests =
+      fleet_run (serve_of_meta path snapshot.Fleet.fk_meta)
+    in
+    let checkpoint =
+      { Fleet.cks_path = path;
+        cks_every_s = snapshot.Fleet.fk_every;
+        cks_meta = snapshot.Fleet.fk_meta }
+    in
+    let outcome =
+      Fleet.resume ~opts ?faults ~checkpoint ~file:path ~snapshot apps requests
+    in
+    Printf.printf
+      "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
+      path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
+    print_fleet_outcome outcome faults
   in
   (* Route on the header's kind: "fleet" for a serve snapshot,
      "header" for a DSE one. *)
@@ -747,20 +864,16 @@ let report_cmd =
 let speedup_cmd =
   let tasks_arg =
     let doc = "Batch size used for the comparison; a positive integer." in
-    Arg.(
-      value
-      & opt (some (positive_int "task count")) None
-      & info [ "tasks" ] ~doc)
+    Arg.(value & opt (some (count 1)) None & info [ "tasks" ] ~doc)
   in
   let run workload seed tasks =
-    let name =
+    let w =
       match workload with
-      | Some n -> n
+      | Some w -> w
       | None ->
         Printf.eprintf "speedup needs -w\n";
         exit 1
     in
-    let w = load_workload name in
     let c = W.compile w in
     let tasks = Option.value ~default:w.W.w_tasks tasks in
     let rng = Rng.create 42 in
@@ -799,20 +912,23 @@ let verify_cmd =
     Arg.(value & flag & info [ "symbolic" ] ~doc)
   in
   let chains_arg =
-    let doc = "Random design-space configs to check per kernel." in
-    Arg.(value & opt int 2 & info [ "chains" ] ~doc)
+    let doc =
+      "Random design-space configs to check per kernel; a non-negative \
+       integer."
+    in
+    Arg.(value & opt (count 0) 2 & info [ "chains" ] ~doc)
   in
   let tasks_arg =
     let doc = "Task count the kernel is run with; a positive integer." in
-    Arg.(value & opt (positive_int "task count") 2 & info [ "tasks" ] ~doc)
+    Arg.(value & opt (count 1) 2 & info [ "tasks" ] ~doc)
   in
   let run workload all symbolic chains seed tasks profile =
     with_profile profile @@ fun () ->
-    let names =
-      if all then List.map (fun (w : W.t) -> w.W.w_name) W.all
+    let workloads =
+      if all then W.all
       else
         match workload with
-        | Some n -> [ n ]
+        | Some w -> [ w ]
         | None ->
           Printf.eprintf "verify needs -w KERNEL or --all\n";
           exit 1
@@ -820,8 +936,8 @@ let verify_cmd =
     let proved = ref 0 and refuted = ref 0 in
     let unknown = ref 0 and skipped = ref 0 in
     List.iter
-      (fun name ->
-        let w = load_workload name in
+      (fun (w : W.t) ->
+        let name = w.W.w_name in
         let c = W.compile w in
         let flat = c.S2fa.c_flat in
         let caps = Fuzz.scale_caps ~tasks c.S2fa.c_buffer_elems in
@@ -895,7 +1011,7 @@ let verify_cmd =
                 (Dspace.to_merlin ds (Space.random_cfg trng ds.Dspace.ds_space))
                 flat)
         done)
-      names;
+      workloads;
     Printf.printf
       "# %d %s, %d refuted, %d unknown, %d rewrites refused as illegal\n"
       !proved
@@ -920,7 +1036,7 @@ let fuzz_cmd =
       "Number of kernels (and C transform cases) to generate; a positive \
        integer."
     in
-    Arg.(value & opt (positive_int "kernel count") 200 & info [ "count" ] ~doc)
+    Arg.(value & opt (count 1) 200 & info [ "count" ] ~doc)
   in
   let out_arg =
     let doc = "Directory to write minimized reproducers into." in
@@ -977,11 +1093,12 @@ let serve_cmd =
        'KMeans:400:1,LR:300:2'. RATE is mean requests per virtual second \
        (default 100), WEIGHT the fair-share weight (default 1)."
     in
-    Arg.(value & opt string "KMeans:400,LR:300" & info [ "apps" ] ~doc)
+    let default = default apps "KMeans:400,LR:300" in
+    Arg.(value & opt apps default & info [ "apps" ] ~doc)
   in
   let policy_arg =
     let doc = "Scheduling policy: fcfs, sjf, affinity or fair." in
-    Arg.(value & opt string "fcfs" & info [ "policy" ] ~doc)
+    Arg.(value & opt policy Fleet.Fcfs & info [ "policy" ] ~doc)
   in
   let devices_arg =
     let doc = "Number of devices in the accelerator pool." in
@@ -996,12 +1113,10 @@ let serve_cmd =
     Arg.(value & opt int 64 & info [ "queue-cap" ] ~doc)
   in
   let faults_arg =
-    let doc = "Fault spec (core_loss=P kills devices mid-batch)." in
-    Arg.(value & opt (some string) None & info [ "faults" ] ~doc)
+    faults_arg "Fault spec (core_loss=P kills devices mid-batch)."
   in
   let trace_arg =
-    let doc = "Write a JSONL telemetry trace of the serving run." in
-    Arg.(value & opt (some output_file) None & info [ "trace" ] ~doc)
+    trace_arg "Write a JSONL telemetry trace of the serving run."
   in
   let metrics_arg =
     let doc =
@@ -1014,12 +1129,10 @@ let serve_cmd =
       & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
   let slo_ms_arg =
-    let doc =
+    slo_ms_arg
       "Per-request completion deadline in virtual milliseconds (measured \
        from arrival). Requests the pool cannot finish in time are shed \
        to the JVM path — they still complete, bit-identically."
-    in
-    Arg.(value & opt (some float) None & info [ "slo-ms" ] ~docv:"MS" ~doc)
   in
   let hang_factor_arg =
     let doc =
@@ -1065,18 +1178,35 @@ let serve_cmd =
       & info [ "breaker-probes" ] ~docv:"N" ~doc)
   in
   let ck_arg =
-    let doc =
+    checkpoint_arg
       "Write a JSONL snapshot of the serve, replaced every --ck-every-s \
        virtual seconds; recover it with `s2fa resume FILE`."
-    in
-    Arg.(
-      value
-      & opt (some output_file) None
-      & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
   let ck_every_arg =
     let doc = "Virtual seconds between serve snapshots." in
-    Arg.(value & opt float 1.0 & info [ "ck-every-s" ] ~docv:"S" ~doc)
+    (* The fleet refuses an interval at or below 0 itself; at inf no
+       snapshot would ever be written. *)
+    Arg.(
+      value
+      & opt (finite `Any "seconds") 1.0
+      & info [ "ck-every-s" ] ~docv:"S" ~doc)
+  in
+  let cfg_term =
+    let make sv_apps sv_policy sv_devices sv_seed sv_horizon sv_batch
+        sv_queue_cap sv_faults sv_slo_ms sv_hang_factor sv_hedge breaker
+        bk_failures bk_cooldown_s bk_probes =
+      { sv_apps; sv_policy; sv_devices; sv_seed; sv_horizon; sv_batch;
+        sv_queue_cap; sv_faults; sv_slo_ms; sv_hang_factor; sv_hedge;
+        sv_breaker =
+          (if breaker then
+             Some { Fleet.bk_failures; bk_cooldown_s; bk_probes }
+           else None) }
+    in
+    Term.(
+      const make $ apps_arg $ policy_arg $ devices_arg $ seed_arg
+      $ horizon_arg 1.0 $ batch_arg $ queue_cap_arg $ faults_arg
+      $ slo_ms_arg $ hang_factor_arg $ hedge_arg $ breaker_arg
+      $ bk_failures_arg $ bk_cooldown_arg $ bk_probes_arg)
   in
   (* The fleet report's headline numbers, as gauges alongside the
      registry so one scrape file carries the whole run. *)
@@ -1118,13 +1248,9 @@ let serve_cmd =
     end;
     Buffer.contents b
   in
-  let run apps_spec policy_name devices seed horizon batch queue_cap
-      fault_spec trace_path metrics_path slo_ms hang_factor hedge breaker
-      bk_failures bk_cooldown bk_probes ck_path ck_every profile =
+  let run cfg trace_path metrics_path ck_path ck_every profile =
     with_profile profile @@ fun () ->
     fleet_or_exit @@ fun () ->
-    let policy = parse_policy policy_name in
-    let tenants = parse_tenants apps_spec batch queue_cap in
     let tracer = Option.map make_tracer trace_path in
     let trace =
       (* --metrics without --trace still needs a tracer for the registry
@@ -1134,60 +1260,17 @@ let serve_cmd =
       | None, Some _ -> Some (Telemetry.create ~sinks:[] ())
       | None, None -> None
     in
-    let faults = Option.map (fun s -> make_injector ~seed s) fault_spec in
-    let apps = Traffic.apps ~seed tenants in
-    let requests =
-      deadline_requests slo_ms (Traffic.requests ~seed ~horizon tenants)
-    in
-    let slo =
-      slo_of ~hang_factor ~hedge ~breaker ~bk_failures ~bk_cooldown ~bk_probes
-    in
-    let opts =
-      { Fleet.default_opts with
-        o_policy = policy;
-        o_devices = devices;
-        o_slo = slo }
-    in
+    let opts, faults, apps, requests = fleet_run cfg in
     let checkpoint =
       Option.map
         (fun path ->
-          (* Everything fleet `resume` needs to rebuild this scenario. *)
-          let meta =
-            List.concat
-              [ [ ("apps", apps_spec);
-                  ("policy", policy_name);
-                  ("devices", string_of_int devices);
-                  ("seed", string_of_int seed);
-                  ("horizon", string_of_float horizon);
-                  ("batch", string_of_int batch);
-                  ("queue_cap", string_of_int queue_cap) ];
-                (match fault_spec with
-                | Some _ ->
-                  [ ("faults",
-                     Fault.spec_string (Fault.spec (Option.get faults))) ]
-                | None -> []);
-                (match slo_ms with
-                | Some ms -> [ ("slo_ms", string_of_float ms) ]
-                | None -> []);
-                (match hang_factor with
-                | Some f -> [ ("hang_factor", string_of_float f) ]
-                | None -> []);
-                (if hedge then [ ("hedge", "true") ] else []);
-                (if breaker then
-                   [ ("breaker", "true");
-                     ("breaker_failures", string_of_int bk_failures);
-                     ("breaker_cooldown_s", string_of_float bk_cooldown);
-                     ("breaker_probes", string_of_int bk_probes) ]
-                 else []) ]
-          in
-          { Fleet.cks_path = path; cks_every_s = ck_every; cks_meta = meta })
+          { Fleet.cks_path = path;
+            cks_every_s = ck_every;
+            cks_meta = serve_meta cfg })
         ck_path
     in
     let outcome = Fleet.serve ~opts ?trace ?faults ?checkpoint apps requests in
-    print_string (Fleet.report_to_string outcome.Fleet.oc_report);
-    (match faults with
-    | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
-    | None -> ());
+    print_fleet_outcome outcome faults;
     (match ck_path with
     | Some path when Sys.file_exists path ->
       Printf.printf "# checkpoint: %s\n" path
@@ -1219,12 +1302,8 @@ let serve_cmd =
           kernels under open-loop traffic, optionally under an SLO \
           control plane (deadlines, watchdog, hedging, breakers).")
     Term.(
-      const run $ apps_arg $ policy_arg $ devices_arg $ seed_arg
-      $ horizon_arg 1.0
-      $ batch_arg $ queue_cap_arg $ faults_arg $ trace_arg $ metrics_arg
-      $ slo_ms_arg $ hang_factor_arg $ hedge_arg $ breaker_arg
-      $ bk_failures_arg $ bk_cooldown_arg $ bk_probes_arg $ ck_arg
-      $ ck_every_arg $ profile_arg)
+      const run $ cfg_term $ trace_arg $ metrics_arg $ ck_arg $ ck_every_arg
+      $ profile_arg)
 
 (* ---------- federate ---------- *)
 
@@ -1235,14 +1314,16 @@ let federate_cmd =
        `s2fa serve`). RATE is per region, scaled by each region's \
        multiplier."
     in
-    Arg.(value & opt string "KMeans:300,LR:200" & info [ "apps" ] ~doc)
+    let default = default apps "KMeans:300,LR:200" in
+    Arg.(value & opt apps default & info [ "apps" ] ~doc)
   in
   let clusters_arg =
     let doc =
       "Member pools as NAME[:DEVICES[:WEIGHT]] items, comma-separated \
        — e.g. 'east:2:1,west:3:2'."
     in
-    Arg.(value & opt string "east:2,west:2" & info [ "clusters" ] ~doc)
+    let default = default clusters "east:2,west:2" in
+    Arg.(value & opt clusters default & info [ "clusters" ] ~doc)
   in
   let regions_arg =
     let doc =
@@ -1250,11 +1331,12 @@ let federate_cmd =
        multiplies every tenant's arrival rate in that region (skewed \
        regional traffic)."
     in
-    Arg.(value & opt string "east,west" & info [ "regions" ] ~doc)
+    let default = default regions "east,west" in
+    Arg.(value & opt regions default & info [ "regions" ] ~doc)
   in
   let route_arg =
     let doc = "Routing policy: wrr, least-queue, cache-affinity or locality." in
-    Arg.(value & opt string "wrr" & info [ "route" ] ~doc)
+    Arg.(value & opt route Fed.Weighted_rr & info [ "route" ] ~doc)
   in
   let rtt_ms_arg =
     let doc =
@@ -1265,8 +1347,7 @@ let federate_cmd =
     Arg.(value & opt float 0.0 & info [ "rtt-ms" ] ~docv:"MS" ~doc)
   in
   let slo_ms_arg =
-    let doc = "Per-request completion deadline in virtual milliseconds." in
-    Arg.(value & opt (some float) None & info [ "slo-ms" ] ~docv:"MS" ~doc)
+    slo_ms_arg "Per-request completion deadline in virtual milliseconds."
   in
   let autoscale_arg =
     let doc =
@@ -1299,80 +1380,19 @@ let federate_cmd =
     Arg.(value & opt float 0.1 & info [ "retune-epoch-s" ] ~docv:"S" ~doc)
   in
   let trace_arg =
-    let doc = "Write a JSONL telemetry trace of the federated run." in
-    Arg.(value & opt (some output_file) None & info [ "trace" ] ~doc)
+    trace_arg "Write a JSONL telemetry trace of the federated run."
   in
-  let parse_clusters spec n_regions rtt_ms =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.mapi (fun ci item ->
-           let parts = String.split_on_char ':' item in
-           let num what v =
-             match float_of_string_opt v with
-             | Some f -> f
-             | None ->
-               Printf.eprintf "bad --clusters item %S: %s %S is not a number\n"
-                 item what v;
-               exit 1
-           in
-           let name, devices, weight =
-             match parts with
-             | [ n ] -> (n, 2, 1.0)
-             | [ n; d ] -> (n, int_of_float (num "devices" d), 1.0)
-             | [ n; d; w ] ->
-               (n, int_of_float (num "devices" d), num "weight" w)
-             | _ ->
-               Printf.eprintf
-                 "bad --clusters item %S (want NAME[:DEVICES[:WEIGHT]])\n" item;
-               exit 1
-           in
-           let rtt_s =
-             Array.init n_regions (fun ri ->
-                 if ri = ci then 0.0 else rtt_ms /. 1000.0)
-           in
-           Fed.cluster ~devices ~weight ~rtt_s name)
-  in
-  let parse_regions spec =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun item ->
-           match String.split_on_char ':' item with
-           | [ n ] -> Traffic.region n
-           | [ n; s ] -> (
-             match float_of_string_opt s with
-             | Some f when Float.is_finite f && f > 0.0 ->
-               Traffic.region ~scale:f n
-             | Some _ ->
-               Printf.eprintf "bad --regions item %S: scale must be a finite \
-                               positive number\n" item;
-               exit 1
-             | None ->
-               Printf.eprintf "bad --regions item %S: scale %S is not a \
-                               number\n" item s;
-               exit 1)
-           | _ ->
-             Printf.eprintf "bad --regions item %S (want NAME[:SCALE])\n" item;
-             exit 1)
-  in
-  let run apps_spec clusters_spec regions_spec route_name rtt_ms seed horizon
+  let run (_, tenants) (_, clusters) (_, regions) route rtt_ms seed horizon
       slo_ms autoscale scale_max scale_interval retune_slo retune_epoch
       trace_path profile =
     with_profile profile @@ fun () ->
-    let route =
-      match Fed.route_of_name route_name with
-      | Some r -> r
-      | None ->
-        Printf.eprintf
-          "unknown route %s (want wrr|least-queue|cache-affinity|locality)\n"
-          route_name;
-        exit 1
+    fleet_or_exit @@ fun () ->
+    let rtt_s ci =
+      Array.init (List.length regions) (fun ri ->
+          if ri = ci then 0.0 else rtt_ms /. 1000.0)
     in
-    let tenants = parse_tenants apps_spec 16 64 in
-    let regions = parse_regions regions_spec in
     let clusters =
-      parse_clusters clusters_spec (List.length regions) rtt_ms
+      List.mapi (fun ci c -> { c with Fed.cl_rtt_s = rtt_s ci }) clusters
     in
     let tracer = Option.map make_tracer trace_path in
     let trace = Option.map fst tracer in
@@ -1392,17 +1412,10 @@ let federate_cmd =
         tenants
     in
     let requests =
-      let reqs = Traffic.regional_requests ~seed ~horizon regions tenants in
-      match slo_ms with
-      | None -> reqs
-      | Some ms ->
-        List.map
-          (fun (ri, (r : Fleet.request)) ->
-            ( ri,
-              { r with
-                Fleet.rq_deadline =
-                  Some (r.Fleet.rq_arrival +. (ms /. 1000.0)) } ))
-          reqs
+      let origins, requests =
+        List.split (Traffic.regional_requests ~seed ~horizon regions tenants)
+      in
+      List.combine origins (with_slo slo_ms requests)
     in
     let opts =
       { Fed.default_opts with
@@ -1453,7 +1466,7 @@ let federate_cmd =
 let chaos_cmd =
   let seeds_arg =
     let doc = "Campaign size: number of seeded scenarios to run." in
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc)
+    Arg.(value & opt (count 1) 20 & info [ "seeds" ] ~docv:"N" ~doc)
   in
   let from_arg =
     let doc = "First seed of the campaign." in
@@ -1469,10 +1482,6 @@ let chaos_cmd =
     Arg.(value & flag & info [ "fed" ] ~doc)
   in
   let run seeds seed0 fed =
-    if seeds <= 0 then begin
-      Printf.eprintf "--seeds must be positive\n";
-      exit 1
-    end;
     if fed then begin
       let c = Chaos.run_fed ~seeds ~seed0 () in
       Format.printf "%a@?" Chaos.pp_fed_campaign c;
@@ -1504,7 +1513,7 @@ let prof_cmd =
   in
   let top_arg =
     let doc = "Hotspots to list in the self-time ranking." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
+    Arg.(value & opt (count 0) 10 & info [ "top" ] ~docv:"N" ~doc)
   in
   let run path top =
     Obs.print_report ~top Format.std_formatter
@@ -1535,27 +1544,10 @@ let perf_cmd =
        counts it as a regression and exits non-zero. Must be a finite \
        non-negative number."
     in
-    (* A custom conv so garbage ("abc", "-5", "nan") produces a usage
-       message instead of an uncaught exception or a nonsense gate. *)
-    let pct =
-      let parse s =
-        match float_of_string_opt s with
-        | Some f when Float.is_finite f && f >= 0.0 -> Ok f
-        | Some _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "threshold must be a finite non-negative percentage, got %s"
-                  s))
-        | None ->
-          Error
-            (`Msg
-               (Printf.sprintf "threshold must be a number (percent), got %S"
-                  s))
-      in
-      Arg.conv (parse, Format.pp_print_float)
-    in
-    Arg.(value & opt pct 10.0 & info [ "threshold" ] ~docv:"PCT" ~doc)
+    Arg.(
+      value
+      & opt (finite `Non_negative "percent") 10.0
+      & info [ "threshold" ] ~docv:"PCT" ~doc)
   in
   let diff_cmd =
     let run old_path new_path threshold =

@@ -215,7 +215,8 @@ let test_resume_rejects_garbage () =
 (* Checkpoints written by a real run, then corrupted one value at a
    time: [set_value path ~meta:false key v] replaces the value of the
    first ["key":VALUE] in the file with [v]; with [~meta:true] it
-   replaces the value of meta entry [key] instead. *)
+   replaces the value of meta entry [key] instead. A string VALUE ends
+   at its closing quote, so it may contain commas. *)
 let fleet_ck () =
   let ck = Filename.temp_file "s2fa_cli" ".fleet.ck" in
   let _ =
@@ -261,7 +262,10 @@ let set_value path ~meta key v =
       let rec stop i =
         if text.[i] = ',' || text.[i] = '}' then i else stop (i + 1)
       in
-      let e = stop start in
+      let e =
+        if text.[start] = '"' then String.index_from text (start + 1) '"' + 1
+        else stop start
+      in
       let oc = open_out path in
       output_string oc
         (String.sub text 0 start ^ v
@@ -279,20 +283,54 @@ let test_resume_bad_fleet_header_value () =
   set_value ck ~meta:false "events" "\"x\"";
   check_rejected "events:\"x\"" ck (ck ^ ":1:")
 
-(* Meta values the CLI decodes are checked too, naming the key. *)
+(* Rename meta key [key] of checkpoint [path] to [key ^ "_x"]. *)
+let rename_meta_key path key =
+  let text = read_file path in
+  let anchor = Printf.sprintf "\"k\":\"%s\"" key in
+  match index_from text 0 anchor with
+  | None -> Alcotest.failf "%s has no %s" path anchor
+  | Some a ->
+    let e = a + String.length anchor - 1 in
+    write_text path
+      (String.sub text 0 e ^ "_x" ^ String.sub text e (String.length text - e))
+
+(* Meta values are decoded by the converter of the flag that wrote them,
+   and a key the writer always emits must be there: either failure
+   names the file and the key. *)
 let test_resume_bad_meta () =
-  let fleet = fleet_ck () in
-  set_value fleet ~meta:true "seed" "\"seven\"";
-  check_rejected "fleet seed" fleet "\"seed\"";
-  let fleet = fleet_ck () in
-  set_value fleet ~meta:true "horizon" "\"inf\"";
-  check_rejected "fleet horizon" fleet "\"horizon\"";
-  let dse = dse_ck () in
-  set_value dse ~meta:true "seed" "\"seven\"";
-  check_rejected "dse seed" dse "\"seed\"";
-  let dse = dse_ck () in
-  set_value dse ~meta:true "minutes" "\"forty\"";
-  check_rejected "dse minutes" dse "\"minutes\""
+  (* A serve that records hedging and a fault spec in its meta. *)
+  let armed_ck () =
+    let ck = Filename.temp_file "s2fa_cli" ".fleet.ck" in
+    let _ =
+      check_ok "armed serve --checkpoint"
+        (Printf.sprintf
+           "serve --apps KMeans:400:1,LR:300:2 --horizon 0.5 --seed 7 \
+            --hang-factor 3 --hedge --faults hang=0.2 --checkpoint %s \
+            --ck-every-s 2"
+           ck)
+    in
+    ck
+  in
+  List.iter
+    (fun (what, make, key, v) ->
+      let ck = make () in
+      set_value ck ~meta:true key v;
+      check_rejected what ck (Printf.sprintf "%s: meta \"%s\"" ck key))
+    [ ("fleet seed", fleet_ck, "seed", "\"seven\"");
+      ("fleet horizon", fleet_ck, "horizon", "\"inf\"");
+      ("fleet hedge", armed_ck, "hedge", "\"yes\"");
+      ("fleet apps", fleet_ck, "apps", "\"KMeans:x\"");
+      ("fleet policy", fleet_ck, "policy", "\"nope\"");
+      ("fleet faults", armed_ck, "faults", "\"crash=3\"");
+      ("dse seed", dse_ck, "seed", "\"seven\"");
+      ("dse minutes", dse_ck, "minutes", "\"forty\"") ];
+  List.iter
+    (fun (what, make, key) ->
+      let ck = make () in
+      rename_meta_key ck key;
+      check_rejected what ck (Printf.sprintf "%s: meta \"%s\": missing" ck key))
+    [ ("fleet without batch", fleet_ck, "batch");
+      ("dse without workload", dse_ck, "workload") ]
 
 (* A time budget that is not a finite positive number fails cleanly
    instead of exiting 0 or never returning: `--minutes` is a usage
@@ -432,30 +470,33 @@ let test_serve_rejects_bad_values () =
 
 (* Zero, nan and infinite arrival parameters fail cleanly instead of
    exiting 125 with Traffic's Invalid_argument or never returning: a
-   bad --horizon is a usage error naming the flag (exit 124), a bad rate
-   or region scale exits 1 naming the item. *)
+   bad --horizon, rate or region scale is a usage error (exit 124)
+   naming the flag, and for a rate or scale also the item. *)
 let test_traffic_rejects_bad_values () =
   let fed = "federate --seed 7" in
   List.iter
-    (fun (args, want, needle) ->
+    (fun (args, needles) ->
       let code, out = run ~kill_after:60 args in
-      Alcotest.(check int) (args ^ ": exit code") want code;
-      Alcotest.(check bool) (args ^ ": names " ^ needle) true
-        (contains out needle))
-    [ ("serve --apps KMeans:-3:1", 1, "bad --apps item \"KMeans:-3:1\"");
-      ("serve --apps KMeans:nan:1", 1, "bad --apps item \"KMeans:nan:1\"");
-      ("serve --apps KMeans:inf:1", 1, "bad --apps item \"KMeans:inf:1\"");
-      ("serve --horizon 0", 124, "--horizon");
-      ("serve --horizon nan", 124, "--horizon");
-      ("serve --horizon inf", 124, "--horizon");
-      (fed ^ " --apps KMeans:0", 1, "bad --apps item \"KMeans:0\"");
-      (fed ^ " --apps KMeans:inf", 1, "bad --apps item \"KMeans:inf\"");
-      (fed ^ " --horizon 0", 124, "--horizon");
-      (fed ^ " --horizon nan", 124, "--horizon");
-      (fed ^ " --horizon inf", 124, "--horizon");
-      (fed ^ " --regions east:0,west", 1, "bad --regions item \"east:0\"");
-      (fed ^ " --regions east:nan,west", 1, "bad --regions item \"east:nan\"");
-      (fed ^ " --regions east:inf,west", 1, "bad --regions item \"east:inf\"") ]
+      Alcotest.(check int) (args ^ ": exit code") 124 code;
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (args ^ ": names " ^ needle) true
+            (contains out needle))
+        needles)
+    [ ("serve --apps KMeans:-3:1", [ "--apps"; "\"KMeans:-3:1\"" ]);
+      ("serve --apps KMeans:nan:1", [ "--apps"; "\"KMeans:nan:1\"" ]);
+      ("serve --apps KMeans:inf:1", [ "--apps"; "\"KMeans:inf:1\"" ]);
+      ("serve --horizon 0", [ "--horizon" ]);
+      ("serve --horizon nan", [ "--horizon" ]);
+      ("serve --horizon inf", [ "--horizon" ]);
+      (fed ^ " --apps KMeans:0", [ "--apps"; "\"KMeans:0\"" ]);
+      (fed ^ " --apps KMeans:inf", [ "--apps"; "\"KMeans:inf\"" ]);
+      (fed ^ " --horizon 0", [ "--horizon" ]);
+      (fed ^ " --horizon nan", [ "--horizon" ]);
+      (fed ^ " --horizon inf", [ "--horizon" ]);
+      (fed ^ " --regions east:0,west", [ "--regions"; "\"east:0\"" ]);
+      (fed ^ " --regions east:nan,west", [ "--regions"; "\"east:nan\"" ]);
+      (fed ^ " --regions east:inf,west", [ "--regions"; "\"east:inf\"" ]) ]
 
 (* An output path that names a directory or sits in a missing directory,
    and a task or kernel count below 1, fail up front as a usage error
@@ -464,6 +505,8 @@ let test_traffic_rejects_bad_values () =
    the whole run) or exiting 0 with a nan speedup. *)
 let test_rejects_bad_paths_and_counts () =
   let dir = Filename.temp_dir "s2fa_cli" ".d" in
+  let prof = Filename.concat dir "x.prof" in
+  Sys.mkdir (prof ^ ".folded") 0o755;
   let path_rows p =
     [ ("dse -w KMeans --minutes 20 --trace " ^ p, "--trace");
       ("dse -w KMeans --minutes 20 --profile " ^ p, "--profile");
@@ -486,10 +529,181 @@ let test_rejects_bad_paths_and_counts () =
         (contains out ("option '" ^ flag ^ "'")))
     (path_rows dir
     @ path_rows (Filename.concat dir "missing/out")
+    (* --profile FILE also writes FILE.folded, here a directory. *)
+    @ List.filter (fun (_, flag) -> flag = "--profile") (path_rows prof)
     @ [ ("speedup -w KMeans --tasks=-4", "--tasks");
         ("verify -w KMeans --tasks=-4", "--tasks");
         ("speedup -w KMeans --tasks 0", "--tasks");
         ("fuzz --count=-3", "--count") ]);
+  Alcotest.(check bool) "no profile written" false (Sys.file_exists prof);
+  Sys.rmdir (prof ^ ".folded");
+  Sys.rmdir dir
+
+(* Every value flag of every subcommand, given each value of 0, -1, nan,
+   inf, garbage and (for a path) a directory that it does not accept.
+   Every row exits 124 naming the flag, or exits 1 with the message of
+   the library that refuses the value; none exits 0 or 125, and none is
+   still running at the kill timeout. *)
+let test_every_flag_rejects_bad_values () =
+  let dir = Filename.temp_dir "s2fa_cli" ".d" in
+  let ck = Filename.concat dir "x.ck" in
+  let spans = Filename.concat dir "p.jsonl" in
+  write_text spans {|{"id":0,"parent":-1,"name":"a","vb":0,"ve":1,"path":"a"}|};
+  let bench = Filename.concat dir "b.json" in
+  write_text bench {|{"bench":"t","unit":"ns","results":{"a":1}}|};
+  let junk = Filename.concat dir "junk.scala" in
+  write_text junk "# not MiniScala\n";
+  (* [opt cmd flag values]: [cmd --flag=V] for each V, or with [~item]
+     [cmd --flag=(item V)]; [~lib] lists the values a library refuses,
+     with its message. *)
+  let opt ?(item = Fun.id) ?(lib = ([], "")) cmd flag values =
+    List.map
+      (fun v ->
+        let args = Printf.sprintf "%s %s=%s" cmd flag (item v) in
+        if List.mem v (fst lib) then (args, 1, snd lib)
+        else (args, 124, "option '" ^ flag ^ "'"))
+      values
+  in
+  (* A positional file: a missing one is a usage error naming the
+     argument, and a directory is rejected by the reader, naming it. *)
+  let pos name args_of =
+    List.map (fun v -> (args_of v, 124, name ^ " argument")) [ "0"; "nan"; "x" ]
+    @ [ (args_of dir, 1, dir ^ ": ") ]
+  in
+  let all = [ "0"; "-1"; "nan"; "inf"; "x" ] in
+  let not_int = [ "nan"; "inf"; "x" ] in
+  (* -w and -f; a source the compiler rejects names the file. *)
+  let kernel cmd =
+    opt cmd "--workload" all
+    @ opt cmd "--file" (dir :: junk :: all) ~lib:([ junk ], junk ^ ": ")
+  in
+  let dse = "dse -w KMeans --minutes 20" and srv = "serve --horizon 0.3" in
+  let fed = "federate --horizon 0.3" in
+  (* A tenant weight is the fleet's to refuse, in both commands. *)
+  let weight cmd =
+    let item v = "KMeans:100:" ^ v in
+    opt cmd "--apps" [ "0"; "-1"; "x" ] ~item
+      ~lib:([ "0"; "-1" ], "weight must be positive")
+    @ opt cmd "--apps" [ "nan"; "inf" ] ~item
+        ~lib:([ "nan"; "inf" ], "weight must be finite")
+  in
+  let rows =
+    List.concat
+      [ kernel "compile";
+        opt "compile -w KMeans" "--design" all;
+        kernel "echo";
+        kernel "bytecode";
+        kernel "dse --minutes 20";
+        opt dse "--mode" all;
+        opt dse "--seed" not_int;
+        opt dse "--minutes" all;
+        opt dse "--faults" all;
+        opt dse "--ck-every" all;
+        opt dse "--trace" [ dir ];
+        opt dse "--checkpoint" [ dir ];
+        opt dse "--profile" [ dir ];
+        pos "CHECKPOINT" (fun v -> "resume -- " ^ v);
+        pos "TRACE" (fun v -> "trace -- " ^ v);
+        kernel "cache --minutes 20";
+        opt "cache -w KMeans" "--seed" not_int;
+        opt "cache -w KMeans" "--minutes" all;
+        kernel "report";
+        opt "report -w KMeans" "--seed" not_int;
+        opt "speedup" "--workload" all;
+        opt "speedup -w KMeans" "--seed" not_int;
+        opt "speedup -w KMeans" "--tasks" all;
+        opt "verify" "--workload" all;
+        opt "verify -w KMeans" "--chains" [ "-1"; "nan"; "inf"; "x" ];
+        opt "verify -w KMeans" "--seed" not_int;
+        opt "verify -w KMeans" "--tasks" all;
+        opt "verify -w KMeans" "--profile" [ dir ];
+        opt "fuzz --count 2" "--seed" not_int;
+        opt "fuzz" "--count" all;
+        opt "fuzz --count 2" "--profile" [ dir ];
+        opt srv "--apps" all;
+        opt srv "--apps" all ~item:(fun v -> "KMeans:" ^ v);
+        weight srv;
+        opt srv "--policy" all;
+        opt srv "--devices" all
+          ~lib:([ "0"; "-1" ], "need at least one device");
+        opt srv "--seed" not_int;
+        opt srv "--horizon" all;
+        opt srv "--batch" all ~lib:([ "0"; "-1" ], "batch must be >= 1");
+        opt srv "--queue-cap" all
+          ~lib:([ "0"; "-1" ], "queue capacity must be >= 1");
+        opt srv "--faults" all;
+        opt srv "--trace" [ dir ];
+        opt srv "--metrics" [ dir ];
+        opt srv "--checkpoint" [ dir ];
+        opt srv "--profile" [ dir ];
+        opt srv "--slo-ms" all
+          ~lib:
+            ( [ "0"; "-1"; "nan"; "inf" ],
+              "deadline offset must be positive and finite" );
+        opt srv "--hang-factor" [ "0"; "-1"; "nan"; "x" ]
+          ~lib:([ "0"; "-1"; "nan" ], "hang factor must be > 1");
+        opt (srv ^ " --breaker") "--breaker-failures" all
+          ~lib:([ "0"; "-1" ], "breaker failure threshold must be >= 1");
+        opt (srv ^ " --breaker") "--breaker-cooldown-s" all
+          ~lib:
+            ( [ "0"; "-1"; "nan"; "inf" ],
+              "breaker cooldown must be positive and finite" );
+        opt (srv ^ " --breaker") "--breaker-probes" all
+          ~lib:([ "0"; "-1" ], "breaker probe count must be >= 1");
+        opt (srv ^ " --checkpoint " ^ ck) "--ck-every-s" all
+          ~lib:([ "0"; "-1" ], "checkpoint interval must be positive");
+        opt fed "--apps" all;
+        opt fed "--apps" all ~item:(fun v -> "KMeans:" ^ v);
+        weight fed;
+        opt fed "--clusters" all
+          ~item:(fun v -> "east:" ^ v ^ ",west")
+          ~lib:([ "0"; "-1" ], "cluster east needs at least one device");
+        opt fed "--regions" all ~item:(fun v -> "east:" ^ v ^ ",west");
+        opt fed "--route" all;
+        opt fed "--rtt-ms" [ "-1"; "nan"; "inf"; "x" ]
+          ~lib:
+            ( [ "-1"; "nan"; "inf" ],
+              "cluster east RTT must be non-negative and finite" );
+        opt fed "--seed" not_int;
+        opt fed "--horizon" all;
+        opt fed "--slo-ms" all
+          ~lib:
+            ( [ "0"; "-1"; "nan"; "inf" ],
+              "deadline offset must be positive and finite" );
+        opt (fed ^ " --autoscale") "--scale-max" all
+          ~lib:([ "0"; "-1" ], "autoscale max_devices");
+        opt (fed ^ " --autoscale") "--scale-interval-s" all
+          ~lib:
+            ( [ "0"; "-1"; "nan"; "inf" ],
+              "autoscale interval must be positive and finite" );
+        opt fed "--retune-slo-ms" all
+          ~lib:
+            ( [ "0"; "-1"; "nan"; "inf" ],
+              "retune p99 SLO must be positive and finite" );
+        opt (fed ^ " --retune-slo-ms 50") "--retune-epoch-s" all
+          ~lib:
+            ( [ "0"; "-1"; "nan"; "inf" ],
+              "retune epoch must be positive and finite" );
+        opt fed "--trace" [ dir ];
+        opt fed "--profile" [ dir ];
+        opt "chaos" "--seeds" all;
+        opt "chaos --seeds 1" "--from" not_int;
+        pos "PROFILE" (fun v -> "prof -- " ^ v);
+        opt ("prof " ^ spans) "--top" [ "-1"; "nan"; "inf"; "x" ];
+        pos "OLD" (fun v -> Printf.sprintf "perf diff -- %s %s" v bench);
+        pos "NEW" (fun v -> Printf.sprintf "perf diff -- %s %s" bench v);
+        opt ("perf diff " ^ bench ^ " " ^ bench) "--threshold"
+          [ "-1"; "nan"; "inf"; "x" ] ]
+  in
+  List.iter
+    (fun (args, want, needle) ->
+      let code, out = run ~kill_after:60 args in
+      Alcotest.(check int) (args ^ ": exit code") want code;
+      Alcotest.(check bool) (args ^ ": names " ^ needle) true
+        (contains out needle))
+    rows;
+  Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ck);
+  List.iter Sys.remove [ spans; bench; junk ];
   Sys.rmdir dir
 
 (* ---------- the span profiler surface ---------- *)
@@ -739,7 +953,9 @@ let () =
           Alcotest.test_case "bad arrival parameters rejected" `Quick
             test_traffic_rejects_bad_values;
           Alcotest.test_case "bad output paths and counts rejected" `Quick
-            test_rejects_bad_paths_and_counts ] );
+            test_rejects_bad_paths_and_counts;
+          Alcotest.test_case "every flag rejects bad values" `Quick
+            test_every_flag_rejects_bad_values ] );
       ( "profiling",
         [ Alcotest.test_case "dse --profile reproducible" `Quick
             test_dse_profile_reproducible;
