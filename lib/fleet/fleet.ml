@@ -1094,94 +1094,64 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
            match e with Ev_jvm entry -> entry :: acc | _ -> acc))
   in
   let snapshot_lines ~every ~meta () =
-    let fstr = Json.fstr and quote = Json.quote in
+    let open Json in
+    let ids reqs = Nums (List.map (fun r -> float_of_int r.rq_id) reqs) in
     let header =
-      Printf.sprintf
-        "{\"ck\":\"fleet\",\"v\":1,\"policy\":%s,\"devices\":%d,\"device\":%s,\"apps\":%d,\"events\":%d,\"now\":%s,\"every\":%s}"
-        (quote (policy_name opts.o_policy))
-        opts.o_devices
-        (quote opts.o_device.Device.name)
-        n_apps !events (fstr !now) (fstr every)
+      [ ("v", Int 1); ("policy", Str (policy_name opts.o_policy));
+        ("devices", Int opts.o_devices);
+        ("device", Str opts.o_device.Device.name); ("apps", Int n_apps);
+        ("events", Int !events); ("now", Num !now); ("every", Num every) ]
     in
-    let queue_lines =
-      Array.to_list
-        (Array.mapi
-           (fun i q ->
-             let ids =
-               List.map
-                 (fun r -> fstr (float_of_int r.rq_id))
-                 (dq_to_list q)
-             in
-             Printf.sprintf
-               "{\"ck\":\"queue\",\"app\":%d,\"served\":%d,\"ids\":[%s]}" i
-               served.(i)
-               (String.concat "," ids))
-           queues)
+    let queue_line i q =
+      ( "queue",
+        [ ("app", Int i); ("served", Int served.(i));
+          ("ids", ids (dq_to_list q)) ] )
     in
-    let dev_lines =
-      Array.to_list
-        (Array.mapi
-           (fun i dv ->
-             let base =
-               Printf.sprintf
-                 "{\"ck\":\"dev\",\"i\":%d,\"alive\":%b,\"loaded\":%d,\"state\":%s,\"reopen\":%s"
-                 i dv.d_alive
-                 (match dv.d_loaded with Some a -> a | None -> -1)
-                 (quote (bstate_detail dv.d_state))
-                 (fstr dv.d_reopen)
-             in
-             match dv.d_busy with
-             | None -> base ^ "}"
-             | Some b ->
-               base
-               ^ Printf.sprintf
-                   ",\"app\":%d,\"launched\":%s,\"done\":%s,\"timeout\":%s,\"lost\":%s,\"group\":%d,\"hedged\":%b,\"ids\":[%s]}"
-                   b.b_app (fstr b.b_launched) (fstr b.b_done)
-                   (fstr b.b_timeout)
-                   (match b.b_lost with
-                   | Some l -> fstr l
-                   | None -> fstr infinity)
-                   b.b_group b.b_hedged
-                   (String.concat ","
-                      (List.map
-                         (fun r -> fstr (float_of_int r.rq_id))
-                         b.b_reqs)))
-           devs)
+    let dev_line i dv =
+      ( "dev",
+        [ ("i", Int i); ("alive", Bool dv.d_alive);
+          ("loaded", Int (Option.value dv.d_loaded ~default:(-1)));
+          ("state", Str (bstate_detail dv.d_state));
+          ("reopen", Num dv.d_reopen) ]
+        @
+        match dv.d_busy with
+        | None -> []
+        | Some b ->
+          [ ("app", Int b.b_app); ("launched", Num b.b_launched);
+            ("done", Num b.b_done); ("timeout", Num b.b_timeout);
+            ("lost", Num (Option.value b.b_lost ~default:infinity));
+            ("group", Int b.b_group); ("hedged", Bool b.b_hedged);
+            ("ids", ids b.b_reqs) ] )
     in
-    let counter_line =
-      Printf.sprintf
-        "{\"ck\":\"counters\",\"batches\":%d,\"reconfigs\":%d,\"fallbacks\":%d,\"requeued\":%d,\"lost\":%d,\"shed\":%d,\"timeouts\":%d,\"hedges\":%d,\"trips\":%d,\"dl_hit\":%d,\"dl_miss\":%d,\"groups\":%d}"
-        !batches !reconfigs !fallbacks !requeued !devices_lost !shed_n
-        !timeouts !hedges !breaker_trips !dl_hits !dl_misses !groups
+    let counters =
+      ( "counters",
+        [ ("batches", Int !batches); ("reconfigs", Int !reconfigs);
+          ("fallbacks", Int !fallbacks); ("requeued", Int !requeued);
+          ("lost", Int !devices_lost); ("shed", Int !shed_n);
+          ("timeouts", Int !timeouts); ("hedges", Int !hedges);
+          ("trips", Int !breaker_trips); ("dl_hit", Int !dl_hits);
+          ("dl_miss", Int !dl_misses); ("groups", Int !groups) ] )
     in
-    let jvm_lines =
-      List.map
-        (fun (t, r, _) ->
-          Printf.sprintf "{\"ck\":\"jvm\",\"t\":%s,\"app\":%d,\"id\":%d}"
-            (fstr t) r.rq_app r.rq_id)
-        (jvm_entries ())
+    let jvm_line (t, r, _) =
+      ("jvm", [ ("t", Num t); ("app", Int r.rq_app); ("id", Int r.rq_id) ])
     in
-    let result_line =
-      let digest =
-        Digest.to_hex
-          (Digest.string
-             (String.concat ";"
-                (List.rev_map
-                   (fun r ->
-                     Printf.sprintf "%d:%d:%s:%b" r.rs_app r.rs_id
-                       (fstr r.rs_done) r.rs_accelerated)
-                   !results)))
-      in
-      Printf.sprintf "{\"ck\":\"results\",\"count\":%d,\"digest\":%s}"
-        (List.length !results) (quote digest)
+    let digest =
+      Digest.to_hex
+        (Digest.string
+           (String.concat ";"
+              (List.rev_map
+                 (fun r ->
+                   Printf.sprintf "%d:%d:%s:%b" r.rs_app r.rs_id
+                     (fstr r.rs_done) r.rs_accelerated)
+                 !results)))
     in
-    let arr_line =
-      Printf.sprintf "{\"ck\":\"arrivals\",\"left\":%d}"
-        (List.length !arrivals)
-    in
-    Checkpoint.frame ~header ~meta
-      (queue_lines @ dev_lines @ [ counter_line ] @ jvm_lines
-      @ [ result_line; arr_line ])
+    Checkpoint.frame ~header:("fleet", header) ~meta
+      (List.mapi queue_line (Array.to_list queues)
+      @ List.mapi dev_line (Array.to_list devs)
+      @ (counters :: List.map jvm_line (jvm_entries ()))
+      @ [ ("results",
+           [ ("count", Int (List.length !results)); ("digest", Str digest) ]);
+          ("arrivals", [ ("left", Int (List.length !arrivals)) ]) ])
   in
   let next_ck =
     ref (match checkpoint with Some c -> c.cks_every_s | None -> infinity)

@@ -149,22 +149,17 @@ let host_requested () =
   | Some _ -> true
 
 let span_to_json ?(host = false) (s : Profiler.span) =
-  let b = Buffer.create 160 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"id\":%d,\"parent\":%d,\"name\":%s,\"vb\":%s,\"ve\":%s"
-       s.sp_id s.sp_parent (Json.quote s.sp_name) (Json.fstr s.sp_vbegin)
-       (Json.fstr s.sp_vend));
-  if host then
-    Buffer.add_string b
-      (Printf.sprintf ",\"wall_ns\":%s,\"alloc_bytes\":%s"
-         (Json.fstr s.sp_wall_ns) (Json.fstr s.sp_alloc_bytes));
-  Buffer.add_string b (Printf.sprintf ",\"path\":%s" (Json.quote s.sp_path));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf ",%s:%d" (Json.quote ("c." ^ k)) v))
-    s.sp_counters;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let open Json in
+  obj
+    ([ ("id", Int s.sp_id); ("parent", Int s.sp_parent);
+       ("name", Str s.sp_name); ("vb", Num s.sp_vbegin);
+       ("ve", Num s.sp_vend) ]
+    @ (if host then
+         [ ("wall_ns", Num s.sp_wall_ns);
+           ("alloc_bytes", Num s.sp_alloc_bytes) ]
+       else [])
+    @ (("path", Str s.sp_path)
+      :: List.map (fun (k, v) -> ("c." ^ k, Int v)) s.sp_counters))
 
 let span_of_fields fields =
   try

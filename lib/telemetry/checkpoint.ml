@@ -4,13 +4,14 @@
 
 module Json = Telemetry.Json
 
-let meta_line (k, v) =
-  Printf.sprintf "{\"ck\":\"meta\",\"k\":%s,\"v\":%s}" (Json.quote k)
-    (Json.quote v)
+type line = string * (string * Json.field) list
+
+let line (kind, fields) = Json.obj (("ck", Json.Str kind) :: fields)
 
 let frame ~header ~meta body =
-  let body = (header :: List.map meta_line meta) @ body in
-  body @ [ Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" (List.length body) ]
+  let meta_line (k, v) = ("meta", [ ("k", Json.Str k); ("v", Json.Str v) ]) in
+  let body = List.map line ((header :: List.map meta_line meta) @ body) in
+  body @ [ line ("end", [ ("lines", Json.Int (List.length body)) ]) ]
 
 let write path lines =
   let tmp = path ^ ".tmp" in

@@ -7,8 +7,8 @@
     ["fleet"] for a fleet one), the meta lines
     [{"ck":"meta","k":K,"v":V}] follow it, then the owner's body lines,
     and the last line is the end marker [{"ck":"end","lines":N}], where
-    [N] counts every line before it. The owner encodes its header and
-    body; this module encodes the meta lines and the marker.
+    [N] counts every line before it. The owner describes its header and
+    body lines; this module encodes every line.
 
     {b Atomic write.} {!write} writes [PATH.tmp] and renames it over
     [PATH], so a crash mid-write leaves the previous snapshot intact.
@@ -27,10 +27,14 @@
     differs; or never reached, when the replay ended before the
     trigger. *)
 
-val frame : header:string -> meta:(string * string) list -> string list ->
+type line = string * (string * Telemetry.Json.field) list
+(** A line to write: its ["ck"] kind and the members that follow it. *)
+
+val frame : header:line -> meta:(string * string) list -> line list ->
   string list
-(** [frame ~header ~meta body] is the header line, one line per meta
-    pair, the body lines and the end marker. *)
+(** [frame ~header ~meta body] encodes the header line, one line per
+    meta pair, the body lines and the end marker, each through
+    {!Telemetry.Json.obj}. *)
 
 val write : string -> string list -> unit
 (** [write path lines] replaces [path] atomically (temp file, then
