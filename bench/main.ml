@@ -1,7 +1,6 @@
 (* The experiment harness: regenerates every table and figure of the
-   paper's evaluation (Section 5) on the simulated F1 instance, then runs
-   one Bechamel micro-benchmark per artifact measuring the underlying
-   pipeline stage.
+   paper's evaluation (Section 5) on the simulated F1 instance, then
+   prints the exact work behind each reproduced path.
 
    Sections (also indexed in DESIGN.md):
      [T1]  Table 1  - identified design spaces and their sizes
@@ -10,16 +9,22 @@
                       database (duplicate evaluations absorbed)
      [T2]  Table 2  - resource utilization and clock frequency
      [F4]  Fig. 4   - speedups over the JVM, manual vs S2FA designs
-     [A1..A3]       - ablations: partitioning, seeds, stopping criteria
-     [BENCH]        - Bechamel throughput of each pipeline stage
-     [TRACE]        - telemetry overhead: off / collector / JSONL sink
-     [FAULT]        - fault-injector overhead and virtual-minutes bill
+     [A1..A5]       - ablations: partitioning, seeds, stopping criteria,
+                      dynamic partitioning, a larger FPGA
+     [BENCH]        - work of each pipeline stage
+     [TRACE]        - telemetry: off / collector / JSONL / no sinks
+     [FAULT]        - fault injector: off / zero-rate / faulted, and the
+                      virtual-minutes bill
      [SERVE]        - multi-tenant serving throughput/latency per policy
+     [CHAOS]        - SLO control plane and one chaos-campaign seed
+     [FLEET_EVENT]  - one serve on a 1k-device pool
      [FEDERATION]   - 1 pool vs N geo-sharded clusters, per route policy
-     [SYM]          - symbolic verifier wall time per workload/chain
+     [SYM]          - symbolic verifier proofs no other golden pins
 
-   Every Bechamel section persists its estimates to BENCH_<section>.json
-   (the perf trajectory; compare runs with `s2fa perf diff OLD NEW`).
+   Every line is deterministic: test/test_cli.ml pins the paper sections
+   in test/golden/paper_sections.txt and the rest in
+   test/golden/bench_work.txt. Host time is measured by the ledger
+   (bench/ledger) alone.
 
    With no arguments every section runs; section tags on the command line
    (e.g. `main.exe SYM SERVE`) restrict the run to those sections; an
@@ -35,7 +40,6 @@ module Space = S2fa_tuner.Space
 module Resultdb = S2fa_tuner.Resultdb
 module E = S2fa_hls.Estimate
 module Stats = S2fa_util.Stats
-module Pheap = S2fa_util.Pheap
 module Rng = S2fa_util.Rng
 module Telemetry = S2fa_telemetry.Telemetry
 module Fault = S2fa_fault.Fault
@@ -47,7 +51,7 @@ module Fuzz = S2fa_fuzz.Fuzz
 module Transform = S2fa_merlin.Transform
 module Csyntax = S2fa_hlsc.Csyntax
 module Cinterp = S2fa_hlsc.Cinterp
-module Perf = S2fa_obs.Perf
+module Obs = S2fa_obs.Obs
 
 let fig3_seeds = [ 1; 7; 13 ]
 
@@ -481,146 +485,99 @@ let ablation_larger_fpga () =
      confirming the paper's remark about compute-bound kernels)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per table/figure *)
+(* Work counts: each row runs once under a fresh profiler and prints,
+   one line each in name order, the calls of every span it opened and
+   the total of every Obs counter. The counts are exact and
+   deterministic; host time is measured by the ledger (bench/ledger)
+   alone. *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns the (name, ns/run) estimates so sections can persist them. *)
-let run_bechamel tests =
-  let open Bechamel in
-  let run_cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.4) () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
+let work row f =
+  let p = Obs.Profiler.create () in
+  let r = Obs.with_profiler p (fun () -> Obs.span row f) in
+  let tally = Hashtbl.create 16 in
+  let add key n =
+    let cur = Option.value ~default:0 (Hashtbl.find_opt tally key) in
+    Hashtbl.replace tally key (cur + n)
   in
-  List.concat_map
-    (fun test ->
-      let raw =
-        Benchmark.all run_cfg [ Toolkit.Instance.monotonic_clock ] test
-      in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.fold
-        (fun name est acc ->
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] ->
-            Printf.printf "  %-26s %14.0f ns/run\n%!" name ns;
-            (name, ns) :: acc
-          | _ ->
-            Printf.printf "  %-26s (no estimate)\n%!" name;
-            acc)
-        results [])
-    tests
+  List.iter
+    (fun (s : Obs.Profiler.span) ->
+      (* The row's own root span is always one call. *)
+      if s.Obs.Profiler.sp_parent >= 0 then
+        add ("span", s.Obs.Profiler.sp_name) 1;
+      List.iter (fun (k, n) -> add ("count", k) n) s.Obs.Profiler.sp_counters)
+    (Obs.Profiler.spans p);
+  let lines =
+    List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tally [])
+  in
+  if lines = [] then Printf.printf "  %-27s no span, no counter\n" row;
+  List.iter
+    (fun ((kind, name), n) ->
+      Printf.printf "  %-27s %-5s %-31s %9d\n" row kind name n)
+    lines;
+  r
 
-(* Every Bechamel section persists its estimates as a perf trajectory
-   (BENCH_<section>.json); `s2fa perf diff OLD NEW` gates regressions
-   against the committed baselines in CI. *)
-let persist_trajectory section rows =
-  let path = Printf.sprintf "BENCH_%s.json" section in
-  Perf.save path
-    { Perf.p_bench = section; p_unit = "ns/run"; p_results = rows };
-  Printf.printf "  -> wrote %s (%d entries)\n" path (List.length rows)
-
-let bechamel_bench () =
-  section "BENCH" "Bechamel - throughput of each reproduced artifact's stage";
-  let open Bechamel in
+let stage_work () =
+  section "BENCH" "Work counts - each reproduced artifact's stage (KMeans)";
   let w = Option.get (W.find "KMeans") in
   let c = List.assoc w compiled in
   let cfg = Seed.structured_seed c.S2fa.c_dspace in
   let prog = S2fa.apply_design c cfg in
-  let tests =
-    [ Test.make ~name:"table1.identify-space"
-        (Staged.stage (fun () -> Dspace.identify c.S2fa.c_flat));
-      Test.make ~name:"fig3.dse-objective"
-        (Staged.stage (fun () -> S2fa.objective ~tasks:4096 c cfg));
-      Test.make ~name:"table2.hls-estimate"
-        (Staged.stage (fun () ->
-             E.estimate prog ~tasks:4096 ~buffer_elems:c.S2fa.c_buffer_elems));
-      Test.make ~name:"fig4.compile-kernel"
-        (Staged.stage (fun () -> W.compile w));
-      (* Before/after of the result DB: a cache hit replaces one full
-         objective evaluation (the miss benchmark) with a table lookup. *)
-      Test.make ~name:"cache.objective-miss"
-        (Staged.stage (fun () -> S2fa.objective ~tasks:4096 c cfg));
-      (let db = Resultdb.create () in
-       Resultdb.insert db cfg (S2fa.objective ~tasks:4096 c cfg);
-       Test.make ~name:"cache.objective-hit"
-         (Staged.stage (fun () ->
-              Resultdb.memoize db (S2fa.objective ~tasks:4096 c) cfg))) ]
-  in
-  persist_trajectory "stage_throughput" (run_bechamel tests)
+  let objective () = ignore (S2fa.objective ~tasks:4096 c cfg) in
+  work "fig3.dse-objective" objective;
+  work "table2.hls-estimate" (fun () ->
+      ignore (E.estimate prog ~tasks:4096 ~buffer_elems:c.S2fa.c_buffer_elems));
+  work "fig4.compile-kernel" (fun () -> ignore (W.compile w));
+  (* Before/after of the result DB: a hit replaces one full objective
+     evaluation (the miss) with a table lookup. *)
+  work "cache.objective-miss" objective;
+  let db = Resultdb.create () in
+  Resultdb.insert db cfg (S2fa.objective ~tasks:4096 c cfg);
+  work "cache.objective-hit" (fun () ->
+      ignore (Resultdb.memoize db (S2fa.objective ~tasks:4096 c) cfg))
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry overhead: the same small DSE with tracing off, with the
-   in-memory ring collector, and with the JSONL serializer *)
-(* ------------------------------------------------------------------ *)
-
-let telemetry_overhead () =
-  section "TRACE" "Bechamel - telemetry overhead on a small KMeans DSE";
-  Printf.printf
-    "identical runs (same seed, same trajectory); the deltas are pure \
-     observation cost:\n";
-  let open Bechamel in
+(* The small KMeans DSE the TRACE and FAULT sections observe. *)
+let small_dse ?trace ?faults () =
   let w = Option.get (W.find "KMeans") in
-  let c = List.assoc w compiled in
-  let opts =
-    { Driver.default_s2fa_opts with
-      Driver.so_time_limit = 20.0;
-      so_samples = 16 }
-  in
-  let run ?trace () =
-    S2fa.explore ~opts ~tasks:w.W.w_tasks ?trace c (Rng.create 7)
-  in
-  let tests =
-    [ Test.make ~name:"telemetry.disabled" (Staged.stage (fun () -> run ()));
-      Test.make ~name:"telemetry.collector"
-        (Staged.stage (fun () ->
-             let sink, _ = Telemetry.collector () in
-             run ~trace:(Telemetry.create ~sinks:[ sink ] ()) ()));
-      Test.make ~name:"telemetry.jsonl"
-        (Staged.stage (fun () ->
-             let buf = Buffer.create 65536 in
-             run
-               ~trace:(Telemetry.create ~sinks:[ Telemetry.buffer_sink buf ] ())
-               ())) ]
-  in
-  persist_trajectory "telemetry_overhead" (run_bechamel tests)
+  S2fa.explore
+    ~opts:
+      { Driver.default_s2fa_opts with
+        Driver.so_time_limit = 20.0;
+        so_samples = 16 }
+    ~tasks:w.W.w_tasks ?trace ?faults (List.assoc w compiled) (Rng.create 7)
 
-(* ------------------------------------------------------------------ *)
-(* Fault-injection overhead: the same small DSE with the injector off
-   vs a 5% crash / 2% hang schedule, plus the virtual-minutes bill *)
-(* ------------------------------------------------------------------ *)
-
-let fault_overhead () =
-  section "FAULT" "Bechamel - fault injector overhead on a small KMeans DSE";
+let telemetry_work () =
+  section "TRACE" "Work counts - telemetry on a small KMeans DSE";
   Printf.printf
-    "injector-off vs crash=0.05,hang=0.02: the wall-clock delta is the \
-     retry machinery; faults cost virtual minutes, not host time:\n";
-  let open Bechamel in
-  let w = Option.get (W.find "KMeans") in
-  let c = List.assoc w compiled in
-  let opts =
-    { Driver.default_s2fa_opts with
-      Driver.so_time_limit = 20.0;
-      so_samples = 16 }
+    "same seed, same trajectory: every row must equal the untraced one, \
+     so observing a run adds no work:\n";
+  let traced sinks () =
+    ignore (small_dse ~trace:(Telemetry.create ~sinks ()) ())
   in
+  work "telemetry.disabled" (fun () -> ignore (small_dse ()));
+  work "telemetry.collector" (fun () ->
+      traced [ fst (Telemetry.collector ()) ] ());
+  work "telemetry.jsonl"
+    (traced [ Telemetry.buffer_sink (Buffer.create 65536) ]);
+  work "telemetry.no-sinks" (traced [])
+
+let fault_work () =
+  section "FAULT" "Work counts - fault injector on a small KMeans DSE";
+  Printf.printf
+    "no injector vs a zero-rate one (the rows must be equal) vs \
+     crash=0.05,hang=0.02; faults cost virtual minutes and retries:\n";
   let spec =
     match Fault.parse_spec "crash=0.05,hang=0.02" with
     | Ok s -> s
     | Error m -> failwith m
   in
-  let run ?faults () =
-    S2fa.explore ~opts ~tasks:w.W.w_tasks ?faults c (Rng.create 7)
-  in
-  let tests =
-    [ Test.make ~name:"faults.off" (Staged.stage (fun () -> run ()));
-      Test.make ~name:"faults.crash5-hang2"
-        (Staged.stage (fun () ->
-             run ~faults:(Fault.create ~seed:7 spec) ())) ]
-  in
-  persist_trajectory "fault_overhead" (run_bechamel tests);
-  (* The virtual-clock side of the bill: minutes lost per failure class
-     on one representative faulted run. *)
-  let clean = run () in
+  let clean = work "faults.off" (fun () -> small_dse ()) in
+  work "faults.zero-rate" (fun () ->
+      ignore (small_dse ~faults:(Fault.create ~seed:7 Fault.zero_spec) ()));
   let inj = Fault.create ~seed:7 spec in
-  let faulted = run ~faults:inj () in
+  let faulted =
+    work "faults.crash5-hang2" (fun () -> small_dse ~faults:inj ())
+  in
   let st = Fault.stats inj in
   Printf.printf "\nvirtual-minutes bill (seed 7, 20-minute budget):\n";
   Printf.printf "  %-12s %10s %14s\n" "class" "injected" "minutes lost";
@@ -632,304 +589,99 @@ let fault_overhead () =
     st.Fault.st_retries st.Fault.st_backoff st.Fault.st_quarantined;
   Printf.printf
     "  DSE clock: %.1f min clean vs %.1f min faulted; best %.6f vs %.6f s\n"
-    clean.Driver.rr_minutes faulted.Driver.rr_minutes
-    (match clean.Driver.rr_best with Some (_, q) -> q | None -> infinity)
-    (match faulted.Driver.rr_best with Some (_, q) -> q | None -> infinity)
+    clean.Driver.rr_minutes faulted.Driver.rr_minutes (best_of clean)
+    (best_of faulted)
 
-(* ------------------------------------------------------------------ *)
-(* Serving: cluster throughput/latency per scheduling policy, plus a
-   Bechamel benchmark of the scheduler's hot path *)
-(* ------------------------------------------------------------------ *)
-
-let cluster_throughput () =
-  section "SERVE"
-    "Cluster - multi-tenant serving throughput/latency per policy";
-  (* The EXPERIMENTS.md scenario: queues big enough that nothing
-     overflows, so the table isolates the scheduling policies. *)
+(* The EXPERIMENTS.md serving scenario: queues big enough that nothing
+   overflows, so the policy table isolates the scheduling policies. *)
+let two_tenants () =
   let tenants =
     [ Traffic.tenant ~rate:400.0 ~weight:1.0 ~batch:64 ~queue_cap:512
         (Option.get (W.find "KMeans"));
       Traffic.tenant ~rate:300.0 ~weight:2.0 ~batch:64 ~queue_cap:512
         (Option.get (W.find "LR")) ]
   in
-  let seed = 7 in
-  let apps = Traffic.apps ~seed tenants in
-  let requests = Traffic.requests ~seed ~horizon:1.0 tenants in
+  (Traffic.apps ~seed:7 tenants, Traffic.requests ~seed:7 ~horizon:1.0 tenants)
+
+let latencies_ms (outcome : Fleet.outcome) =
+  Array.of_list
+    (List.map
+       (fun (res : Fleet.result) -> res.Fleet.rs_latency *. 1000.0)
+       outcome.Fleet.oc_results)
+
+let cluster_throughput () =
+  section "SERVE"
+    "Cluster - multi-tenant serving throughput/latency per policy";
+  let apps, requests = two_tenants () in
+  let outcomes =
+    List.map
+      (fun policy ->
+        let opts = { Fleet.default_opts with Fleet.o_policy = policy } in
+        work
+          (Printf.sprintf "serve.%s" (Fleet.policy_name policy))
+          (fun () -> Fleet.serve ~opts apps requests))
+      Fleet.all_policies
+  in
   Printf.printf
-    "2 tenants (KMeans 400 req/s w=1, LR 300 req/s w=2), 1 s horizon, \
+    "\n2 tenants (KMeans 400 req/s w=1, LR 300 req/s w=2), 1 s horizon, \
      %d requests, 2 devices:\n"
     (List.length requests);
   Printf.printf "  %-10s %10s %10s %10s %10s %8s %8s %9s\n" "policy"
     "req/s" "p50 ms" "p95 ms" "p99 ms" "reconf" "jvm" "fairness";
   List.iter
-    (fun policy ->
-      let opts = { Fleet.default_opts with Fleet.o_policy = policy } in
-      let outcome = Fleet.serve ~opts apps requests in
-      let r = outcome.Fleet.oc_report in
-      let all =
-        Array.of_list
-          (List.map
-             (fun (res : Fleet.result) -> res.Fleet.rs_latency *. 1000.0)
-             outcome.Fleet.oc_results)
-      in
+    (fun outcome ->
+      let r = outcome.Fleet.oc_report and all = latencies_ms outcome in
       Printf.printf "  %-10s %10.1f %10.4f %10.4f %10.4f %8d %8d %9.4f\n"
         r.Fleet.rp_policy r.Fleet.rp_throughput (Stats.p50 all) (Stats.p95 all)
         (Stats.p99 all) r.Fleet.rp_reconfigs r.Fleet.rp_fallbacks
         r.Fleet.rp_fairness)
-    Fleet.all_policies;
-  (* The scheduler hot path: one full serving run per measurement, all
-     policies, so regressions in dispatch/pick show up here. *)
-  let open Bechamel in
-  persist_trajectory "cluster_throughput"
-    (run_bechamel
-       (List.map
-          (fun policy ->
-            let opts = { Fleet.default_opts with Fleet.o_policy = policy } in
-            Test.make
-              ~name:(Printf.sprintf "serve.%s" (Fleet.policy_name policy))
-              (Staged.stage (fun () -> Fleet.serve ~opts apps requests)))
-          Fleet.all_policies))
+    outcomes
 
-(* ------------------------------------------------------------------ *)
-(* SLO control-plane overhead: the same serving scenario with the
-   control plane off vs fully armed (deadlines + watchdog + hedge +
-   breaker, fault-free so both runs do identical useful work), plus one
-   full chaos-campaign seed. Persisted to BENCH_chaos_overhead.json so
-   the control plane's cost stays visible in the perf trajectory. *)
-(* ------------------------------------------------------------------ *)
-
-let chaos_overhead () =
-  section "CHAOS" "Bechamel - SLO control-plane and chaos-harness overhead";
-  let tenants =
-    [ Traffic.tenant ~rate:400.0 ~weight:1.0 ~batch:64 ~queue_cap:512
-        (Option.get (W.find "KMeans"));
-      Traffic.tenant ~rate:300.0 ~weight:2.0 ~batch:64 ~queue_cap:512
-        (Option.get (W.find "LR")) ]
-  in
-  let seed = 7 in
-  let apps = Traffic.apps ~seed tenants in
-  let requests = Traffic.requests ~seed ~horizon:1.0 tenants in
-  let slo =
-    { Fleet.sl_hang_factor = 3.0;
-      sl_hedge = true;
-      sl_breaker = Some Fleet.default_breaker }
+let chaos_work () =
+  section "CHAOS" "Work counts - SLO control plane and chaos harness";
+  let apps, requests = two_tenants () in
+  let slo_opts =
+    { Fleet.default_opts with
+      Fleet.o_slo =
+        { Fleet.sl_hang_factor = 3.0;
+          sl_hedge = true;
+          sl_breaker = Some Fleet.default_breaker } }
   in
   let armed = Fleet.with_deadline 30.0 requests in
-  let base = Fleet.serve apps requests in
-  let slo_opts = { Fleet.default_opts with Fleet.o_slo = slo } in
-  let guarded = Fleet.serve ~opts:slo_opts apps armed in
+  let base = work "serve.baseline" (fun () -> Fleet.serve apps requests) in
+  let guarded =
+    work "serve.slo-armed" (fun () -> Fleet.serve ~opts:slo_opts apps armed)
+  in
+  work "chaos.one-seed" (fun () -> ignore (S2fa_workloads.Chaos.run_seed 0));
+  let rp o = o.Fleet.oc_report in
   Printf.printf
-    "same scenario, fault-free: baseline %d accelerated vs armed %d (shed \
-     %d, deadlines %d/%d met) - identical useful work, so the delta below \
-     is pure control-plane bookkeeping:\n"
-    base.Fleet.oc_report.Fleet.rp_accelerated
-    guarded.Fleet.oc_report.Fleet.rp_accelerated
-    guarded.Fleet.oc_report.Fleet.rp_shed
-    guarded.Fleet.oc_report.Fleet.rp_deadline_hits
-    (guarded.Fleet.oc_report.Fleet.rp_deadline_hits
-    + guarded.Fleet.oc_report.Fleet.rp_deadline_misses);
-  let open Bechamel in
-  persist_trajectory "chaos_overhead"
-    (run_bechamel
-       [ Test.make ~name:"serve.baseline"
-           (Staged.stage (fun () -> Fleet.serve apps requests));
-         Test.make ~name:"serve.slo-armed"
-           (Staged.stage (fun () -> Fleet.serve ~opts:slo_opts apps armed));
-         Test.make ~name:"chaos.one-seed"
-           (Staged.stage (fun () -> S2fa_workloads.Chaos.run_seed 0)) ])
-
-(* ------------------------------------------------------------------ *)
-(* Symbolic verifier cost: Sym.equiv wall time per workload/chain, the
-   same proofs `s2fa verify --all --symbolic` runs. The estimates are
-   persisted to BENCH_sym_verify.json so the verifier's cost stays
-   visible in the perf trajectory PR over PR. *)
-(* ------------------------------------------------------------------ *)
-
-let sym_verify () =
-  section "SYM" "Bechamel - symbolic verifier wall time per workload/chain";
-  Printf.printf
-    "Sym.equiv proving flat kernel == rewritten kernel (tasks=2, the CLI's \
-     `verify --symbolic` sweep); illegal rewrites are skipped:\n";
-  let open Bechamel in
-  let tasks = 2 in
-  let bindings = [ ("N", Cinterp.VI tasks) ] in
-  let chain_tests ((w : W.t), c) =
-    let flat = c.S2fa.c_flat in
-    let caps = Fuzz.scale_caps ~tasks c.S2fa.c_buffer_elems in
-    let prove p2 () =
-      match Sym.equiv ~bindings ~seed:7 ~caps flat p2 "kernel" with
-      | Sym.Proved _ -> ()
-      | Sym.Refuted cx -> failwith ("refuted: " ^ cx.Sym.cx_detail)
-      | Sym.Unknown m -> failwith ("unknown: " ^ m)
-    in
-    (* Step-1 loops of the kernel, as the structural rewrites need. *)
-    let lids =
-      let r = ref [] in
-      List.iter
-        (fun (f : Csyntax.cfunc) ->
-          Csyntax.iter_loops
-            (fun _ l ->
-              if l.Csyntax.lstep = 1 then r := l.Csyntax.lid :: !r)
-            f.Csyntax.cfbody)
-        flat.Csyntax.cfuncs;
-      List.rev !r
-    in
-    let mk chain p2 =
-      Test.make
-        ~name:(Printf.sprintf "sym.%s.%s" w.W.w_name chain)
-        (Staged.stage (prove p2))
-    in
-    let with_t chain mkp acc =
-      match mkp () with
-      | exception Transform.Transform_error _ -> acc
-      | p2 -> mk chain p2 :: acc
-    in
-    let base = [ mk "identity" flat ] in
-    match lids with
-    | [] -> base
-    | lid :: _ ->
-      (* tile/unroll on the outermost loop; tree-reduction on the first
-         loop where it is legal (usually an inner accumulation loop). *)
-      let reduced =
-        List.find_map
-          (fun l ->
-            match Transform.tree_reduce ~lanes:4 ~loop_id:l flat with
-            | p2 -> Some p2
-            | exception Transform.Transform_error _ -> None)
-          lids
-      in
-      base
-      |> with_t "tile4" (fun () ->
-             Transform.apply
-               { Transform.cfg_loops =
-                   [ ( lid,
-                       { Transform.lc_tile = 4;
-                         lc_parallel = 1;
-                         lc_pipeline = Csyntax.PipeOff } ) ];
-                 cfg_bitwidths = [] }
-               flat)
-      |> with_t "unroll3" (fun () ->
-             Transform.real_unroll ~factor:3 ~loop_id:lid flat)
-      |> fun acc ->
-      (match reduced with Some p2 -> mk "reduce4" p2 :: acc | None -> acc)
-  in
-  (* Every workload accumulates floats, so tree-reduction is (correctly)
-     refused on all of them; a synthetic integer sum keeps the reduce4
-     proof cost on the trajectory. *)
-  let synth_tests =
-    let open Csyntax in
-    let loop =
-      mk_loop ~var:"i" ~lo:(EInt 0) ~hi:(EInt 64)
-        [ SAssign
-            (EVar "s", EBin (CAdd, EVar "s", EIndex (EVar "a", EVar "i"))) ]
-    in
-    let prog =
-      { cfuncs =
-          [ { cfname = "kernel";
-              cfparams =
-                [ { cpname = "a"; cpty = CPtr CInt; cpbitwidth = None };
-                  { cpname = "o"; cpty = CPtr CInt; cpbitwidth = None } ];
-              cfret = None;
-              cfbody =
-                [ SDecl (CInt, "s", Some (EInt 0));
-                  SFor loop;
-                  SAssign (EIndex (EVar "o", EInt 0), EVar "s") ] } ] }
-    in
-    let caps = [ ("a", 64); ("o", 1) ] in
-    let prove p2 () =
-      match Sym.equiv ~seed:7 ~caps prog p2 "kernel" with
-      | Sym.Proved _ -> ()
-      | Sym.Refuted cx -> failwith ("refuted: " ^ cx.Sym.cx_detail)
-      | Sym.Unknown m -> failwith ("unknown: " ^ m)
-    in
-    [ Test.make ~name:"sym.intsum64.identity" (Staged.stage (prove prog));
-      Test.make ~name:"sym.intsum64.reduce4"
-        (Staged.stage
-           (prove (Transform.tree_reduce ~lanes:4 ~loop_id:loop.lid prog))) ]
-  in
-  persist_trajectory "sym_verify"
-    (run_bechamel (List.concat_map chain_tests compiled @ synth_tests))
-
-(* ------------------------------------------------------------------ *)
-(* Event-heap core at fleet scale: the event core alone and an
-   end-to-end serve, both at 1k devices, persisted to
-   BENCH_fleet_event.json for the perf-trajectory gate. *)
-(* ------------------------------------------------------------------ *)
-
-(* The event core in isolation: peek the earliest device event at the
-   root and re-key its handle, O(log pool) per event. Everything else
-   serve does (admission, launches, value computation) is left out. *)
-let event_core_heap ~devices ~events =
-  let cmp (t1, d1) (t2, d2) =
-    let c = Float.compare t1 t2 in
-    if c <> 0 then c else Int.compare d1 d2
-  in
-  let h = Pheap.create ~cmp () in
-  let handles =
-    Array.init devices (fun d ->
-        Pheap.insert h (float_of_int d *. 1.3e-4, d) d)
-  in
-  let last = ref 0.0 in
-  for _ = 1 to events do
-    match Pheap.peek h with
-    | None -> ()
-    | Some ((t, _), d) ->
-      last := t;
-      Pheap.update h handles.(d) (t +. 0.017, d)
-  done;
-  !last
+    "\nsame scenario, fault-free: baseline %d accelerated vs armed %d (shed \
+     %d, deadlines %d/%d met)\n"
+    (rp base).Fleet.rp_accelerated (rp guarded).Fleet.rp_accelerated
+    (rp guarded).Fleet.rp_shed (rp guarded).Fleet.rp_deadline_hits
+    ((rp guarded).Fleet.rp_deadline_hits
+    + (rp guarded).Fleet.rp_deadline_misses)
 
 let fleet_event () =
-  section "FLEET_EVENT" "Event-heap core, 1k devices";
+  section "FLEET_EVENT" "Work counts - event-heap core, 1k devices";
   let devices = 1000 in
-  let events = 200_000 in
-  let timed f =
-    let t0 = Sys.time () in
-    let r = f () in
-    ignore (Sys.opaque_identity r);
-    Sys.time () -. t0
-  in
-  let tc = timed (fun () -> event_core_heap ~devices ~events) in
-  Printf.printf "event core, %d devices x %d events: %8.3f s  (%9.0f events/s)\n"
-    devices events tc
-    (float_of_int events /. tc);
-  (* End to end, computing every request's (bit-identical) result
-     dominates serve wall-clock. *)
   let tenants =
     [ Traffic.tenant ~rate:7000.0 ~weight:1.0 ~batch:8 ~queue_cap:100_000
         (Option.get (W.find "PR")) ]
   in
-  let seed = 7 in
-  let apps = Traffic.apps ~seed tenants in
-  let opts = { Fleet.default_opts with Fleet.o_devices = devices } in
-  let requests = Traffic.requests ~seed ~horizon:5.0 tenants in
-  let n = List.length requests in
-  let t = timed (fun () -> Fleet.serve ~opts apps requests) in
+  let apps = Traffic.apps ~seed:7 tenants in
+  let requests = Traffic.requests ~seed:7 ~horizon:1.0 tenants in
   Printf.printf
-    "end-to-end serve, %d devices, %d requests: %8.2f s  (%9.0f req/s)\n"
-    devices n t
-    (float_of_int n /. t);
-  (* The persisted serve row uses a smaller stream so Bechamel can
-     afford several runs inside its quota. *)
-  let small = Traffic.requests ~seed ~horizon:1.0 tenants in
-  let open Bechamel in
-  persist_trajectory "fleet_event"
-    (run_bechamel
-       [ Test.make ~name:"core.heap-1k"
-           (Staged.stage (fun () ->
-                event_core_heap ~devices ~events:50_000));
-         Test.make ~name:"serve.heap-1k"
-           (Staged.stage (fun () -> Fleet.serve ~opts apps small)) ])
+    "1 tenant (PR 7000 req/s), 1 s horizon, %d requests, %d devices:\n"
+    (List.length requests) devices;
+  let opts = { Fleet.default_opts with Fleet.o_devices = devices } in
+  ignore (work "serve.heap-1k" (fun () -> Fleet.serve ~opts apps requests))
 
-(* ------------------------------------------------------------------ *)
-(* Federation: the same two-tenant stream served by one 4-device pool
-   vs a 2x2-cluster federation (2 ms inter-region RTT) under each route
+(* The same two-tenant stream served by one 4-device pool vs a
+   2x2-cluster federation (2 ms inter-region RTT) under each route
    policy. The federation pays the routing tier and the RTT on every
    cross-region request; the table shows what that costs (and what
-   locality routing claws back). Persisted to BENCH_federation.json for
-   the perf-trajectory gate. *)
-(* ------------------------------------------------------------------ *)
-
+   locality routing claws back). *)
 let federation () =
   section "FEDERATION" "Federation - 1 pool vs 2x2 geo-sharded clusters";
   let tenants =
@@ -940,58 +692,92 @@ let federation () =
   let apps = Traffic.apps ~seed tenants in
   let regions = [ Traffic.region "east"; Traffic.region ~scale:2.0 "west" ] in
   let requests = Traffic.regional_requests ~seed ~horizon:1.0 regions tenants in
-  let n = List.length requests in
   let clusters =
     [ Fed.cluster ~devices:2 ~rtt_s:[| 0.0; 0.002 |] "east";
       Fed.cluster ~devices:2 ~rtt_s:[| 0.002; 0.0 |] "west" ]
   in
-  Printf.printf
-    "2 tenants (KMeans 300 req/s w=1, PR 200 req/s w=3), 2 regions \
-     (west x2), 1 s horizon, %d requests:\n"
-    n;
-  Printf.printf "  %-16s %10s %10s %10s %10s %10s\n" "config" "req/s"
-    "p50 ms" "p95 ms" "p99 ms" "makespan";
   (* Baseline: every request lands on one 4-device pool, no RTT. *)
-  let flat = List.map snd requests in
-  let pool_opts = { Fleet.default_opts with Fleet.o_devices = 4 } in
-  let pool = Fleet.serve ~opts:pool_opts apps flat in
-  let pr = pool.Fleet.oc_report in
-  let pool_lats =
-    Array.of_list
-      (List.map
-         (fun (r : Fleet.result) -> r.Fleet.rs_latency *. 1000.0)
-         pool.Fleet.oc_results)
+  let pool =
+    work "serve.1pool-4dev" (fun () ->
+        Fleet.serve
+          ~opts:{ Fleet.default_opts with Fleet.o_devices = 4 }
+          apps (List.map snd requests))
   in
-  Printf.printf "  %-16s %10.1f %10.4f %10.4f %10.4f %9.3fs\n" "1-pool-4dev"
+  let fed_tenants = Array.to_list (Array.map Fed.tenant apps) in
+  let feds =
+    List.map
+      (fun route ->
+        let opts = { Fed.default_opts with Fed.fd_route = route } in
+        ( route,
+          work
+            (Printf.sprintf "federate.%s-2x2" (Fed.route_name route))
+            (fun () -> Fed.serve ~opts ~clusters fed_tenants requests) ))
+      Fed.all_routes
+  in
+  Printf.printf
+    "\n2 tenants (KMeans 300 req/s w=1, PR 200 req/s w=3), 2 regions \
+     (west x2), 1 s horizon, %d requests:\n"
+    (List.length requests);
+  Printf.printf "  %-18s %10s %10s %10s %10s %10s\n" "config" "req/s"
+    "p50 ms" "p95 ms" "p99 ms" "makespan";
+  let pr = pool.Fleet.oc_report and pool_lats = latencies_ms pool in
+  Printf.printf "  %-18s %10.1f %10.4f %10.4f %10.4f %9.3fs\n" "1-pool-4dev"
     pr.Fleet.rp_throughput (Stats.p50 pool_lats) (Stats.p95 pool_lats)
     (Stats.p99 pool_lats) pr.Fleet.rp_makespan;
-  let fed_tenants = Array.to_list (Array.map Fed.tenant apps) in
   List.iter
-    (fun route ->
-      let opts = { Fed.default_opts with Fed.fd_route = route } in
-      let oc = Fed.serve ~opts ~clusters fed_tenants requests in
+    (fun (route, oc) ->
       let r = oc.Fed.fo_report in
-      Printf.printf "  %-16s %10.1f %10.4f %10.4f %10.4f %9.3fs\n"
+      Printf.printf "  %-18s %10.1f %10.4f %10.4f %10.4f %9.3fs\n"
         ("fed." ^ Fed.route_name route)
         (float_of_int r.Fed.fr_requests /. r.Fed.fr_makespan)
         r.Fed.fr_p50_ms r.Fed.fr_p95_ms r.Fed.fr_p99_ms r.Fed.fr_makespan)
-    Fed.all_routes;
-  (* One serving run per measurement: the routing tier + driver loop on
-     top of the same member-fleet work the SERVE section already
-     tracks. *)
-  let open Bechamel in
-  persist_trajectory "federation"
-    (run_bechamel
-       (Test.make ~name:"serve.1pool-4dev"
-          (Staged.stage (fun () -> Fleet.serve ~opts:pool_opts apps flat))
-       :: List.map
-            (fun route ->
-              let opts = { Fed.default_opts with Fed.fd_route = route } in
-              Test.make
-                ~name:(Printf.sprintf "federate.%s-2x2" (Fed.route_name route))
-                (Staged.stage (fun () ->
-                     Fed.serve ~opts ~clusters fed_tenants requests)))
-            Fed.all_routes))
+    feds
+
+(* The proofs test/golden/sym_runs.txt does not pin: each kernel's
+   identity proof at the CLI's `verify --symbolic` settings, and a
+   synthetic integer sum, the one program tree-reduction is legal on
+   (every workload accumulates floats, so reduce4 is refused on all). *)
+let sym_work () =
+  section "SYM" "Work counts - symbolic verifier proofs";
+  let prove ?bindings ~caps p1 p2 () =
+    match Sym.equiv ?bindings ~seed:7 ~caps p1 p2 "kernel" with
+    | Sym.Proved _ -> ()
+    | Sym.Refuted cx -> failwith ("refuted: " ^ cx.Sym.cx_detail)
+    | Sym.Unknown m -> failwith ("unknown: " ^ m)
+  in
+  let tasks = 2 in
+  List.iter
+    (fun ((w : W.t), c) ->
+      let flat = c.S2fa.c_flat in
+      work
+        (Printf.sprintf "sym.%s.identity" w.W.w_name)
+        (prove
+           ~bindings:[ ("N", Cinterp.VI tasks) ]
+           ~caps:(Fuzz.scale_caps ~tasks c.S2fa.c_buffer_elems)
+           flat flat))
+    compiled;
+  let open Csyntax in
+  let loop =
+    mk_loop ~var:"i" ~lo:(EInt 0) ~hi:(EInt 64)
+      [ SAssign (EVar "s", EBin (CAdd, EVar "s", EIndex (EVar "a", EVar "i")))
+      ]
+  in
+  let prog =
+    { cfuncs =
+        [ { cfname = "kernel";
+            cfparams =
+              [ { cpname = "a"; cpty = CPtr CInt; cpbitwidth = None };
+                { cpname = "o"; cpty = CPtr CInt; cpbitwidth = None } ];
+            cfret = None;
+            cfbody =
+              [ SDecl (CInt, "s", Some (EInt 0));
+                SFor loop;
+                SAssign (EIndex (EVar "o", EInt 0), EVar "s") ] } ] }
+  in
+  let caps = [ ("a", 64); ("o", 1) ] in
+  work "sym.intsum64.identity" (prove ~caps prog prog);
+  work "sym.intsum64.reduce4"
+    (prove ~caps prog (Transform.tree_reduce ~lanes:4 ~loop_id:loop.lid prog))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1006,14 +792,14 @@ let sections =
     ("A3", ablation_stopping);
     ("A5", ablation_dynamic_partition);
     ("A4", ablation_larger_fpga);
-    ("BENCH", bechamel_bench);
-    ("TRACE", telemetry_overhead);
-    ("FAULT", fault_overhead);
+    ("BENCH", stage_work);
+    ("TRACE", telemetry_work);
+    ("FAULT", fault_work);
     ("SERVE", cluster_throughput);
-    ("CHAOS", chaos_overhead);
+    ("CHAOS", chaos_work);
     ("FLEET_EVENT", fleet_event);
     ("FEDERATION", federation);
-    ("SYM", sym_verify) ]
+    ("SYM", sym_work) ]
 
 let () =
   let want = List.tl (Array.to_list Sys.argv) in

@@ -28,7 +28,6 @@
      s2fa chaos    [--seeds N] [--from SEED] [--fed]
                    (seeded fault/SLO campaigns)
      s2fa prof     FILE [--top N]           (replay a --profile span log)
-     s2fa perf     diff OLD NEW [--threshold PCT]  (perf-trajectory gate)
 
    dse, verify, fuzz, serve and federate also take --profile FILE: a
    hierarchical span log of the run (JSONL + FILE.folded flamegraph
@@ -59,7 +58,6 @@ module Fed = S2fa_federation.Federation
 module Traffic = S2fa_workloads.Traffic
 module Chaos = S2fa_workloads.Chaos
 module Obs = S2fa_obs.Obs
-module Perf = S2fa_obs.Perf
 module Checkpoint = S2fa_telemetry.Checkpoint
 open Cmdliner
 
@@ -89,7 +87,6 @@ let finite sign units =
   let word, ok =
     match sign with
     | `Positive -> ("positive ", fun f -> f > 0.0)
-    | `Non_negative -> ("non-negative ", fun f -> f >= 0.0)
     | `Any -> ("", fun _ -> true)
   in
   let parse s =
@@ -232,9 +229,23 @@ let clusters =
         ?weight:(Option.map (field Arg.float) weight)
         name)
 
+(* Request ids hold the region index in their high bits, so at most
+   [Traffic.max_regions] regions keep them exact in a trace. *)
 let regions =
-  items "NAME[:SCALE]" 1 (fun name scale _ ->
-      Traffic.region ?scale:(Option.map (field Arg.float) scale) name)
+  let conv =
+    items "NAME[:SCALE]" 1 (fun name scale _ ->
+        Traffic.region ?scale:(Option.map (field Arg.float) scale) name)
+  in
+  let parse s =
+    Result.bind (Arg.conv_parser conv s) @@ fun ((_, rs) as v) ->
+    let n = List.length rs in
+    if n <= Traffic.max_regions then Ok v
+    else
+      Error
+        (`Msg
+           (Printf.sprintf "%d regions, at most %d" n Traffic.max_regions))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
 (* ---------- shared flags ---------- *)
 
@@ -484,23 +495,55 @@ let serve_meta c =
 let serve_of_meta file meta =
   let get c k = get file meta c k and get_opt c k = get_opt file meta c k in
   let flag k = get_opt Arg.bool k = Some true in
+  (* A value the fleet refuses before a serve starts names the file and
+     the key, as one the converter refuses does: [opts set conv] also
+     runs [Fleet.check_opts] on the default options with the value set. *)
+  let opts set conv =
+    let parse s =
+      Result.bind (Arg.conv_parser conv s) @@ fun v ->
+      match Fleet.check_opts (set Fleet.default_opts v) with
+      | () -> Ok v
+      | exception Fleet.Fleet_error m -> Error (`Msg m)
+    in
+    Arg.conv (parse, Arg.conv_printer conv)
+  in
+  let slo set = opts (fun o v -> { o with Fleet.o_slo = set Fleet.no_slo v }) in
+  let breaker set =
+    slo (fun s v ->
+        { s with Fleet.sl_breaker = Some (set Fleet.default_breaker v) })
+  in
   { sv_apps = get apps "apps";
     sv_policy = get policy "policy";
-    sv_devices = get Arg.int "devices";
+    sv_devices =
+      get (opts (fun o d -> { o with Fleet.o_devices = d }) Arg.int) "devices";
     sv_seed = get Arg.int "seed";
     sv_horizon = get seconds "horizon";
     sv_batch = get Arg.int "batch";
     sv_queue_cap = get Arg.int "queue_cap";
     sv_faults = get_opt faults "faults";
     sv_slo_ms = get_opt Arg.float "slo_ms";
-    sv_hang_factor = get_opt Arg.float "hang_factor";
+    sv_hang_factor =
+      get_opt
+        (slo (fun s f -> { s with Fleet.sl_hang_factor = f }) Arg.float)
+        "hang_factor";
     sv_hedge = flag "hedge";
     sv_breaker =
       (if flag "breaker" then
          Some
-           { Fleet.bk_failures = get Arg.int "breaker_failures";
-             bk_cooldown_s = get Arg.float "breaker_cooldown_s";
-             bk_probes = get Arg.int "breaker_probes" }
+           { Fleet.bk_failures =
+               get
+                 (breaker (fun b n -> { b with Fleet.bk_failures = n }) Arg.int)
+                 "breaker_failures";
+             bk_cooldown_s =
+               get
+                 (breaker
+                    (fun b s -> { b with Fleet.bk_cooldown_s = s })
+                    Arg.float)
+                 "breaker_cooldown_s";
+             bk_probes =
+               get
+                 (breaker (fun b n -> { b with Fleet.bk_probes = n }) Arg.int)
+                 "breaker_probes" }
        else None) }
 
 (* --slo-ms: the fleet stamps each request's deadline, and refuses one
@@ -1527,48 +1570,6 @@ let prof_cmd =
           hotspots — all reconstructed from the JSONL log alone.")
     Term.(const run $ prof_file_arg $ top_arg)
 
-(* ---------- perf ---------- *)
-
-let perf_cmd =
-  let old_file_arg =
-    let doc = "Baseline trajectory (a committed BENCH_<section>.json)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc)
-  in
-  let new_file_arg =
-    let doc = "Fresh trajectory to compare against the baseline." in
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW" ~doc)
-  in
-  let threshold_arg =
-    let doc =
-      "Relative slowdown (percent) a benchmark may show before the diff \
-       counts it as a regression and exits non-zero. Must be a finite \
-       non-negative number."
-    in
-    Arg.(
-      value
-      & opt (finite `Non_negative "percent") 10.0
-      & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let diff_cmd =
-    let run old_path new_path threshold =
-      let p_old = ok_or_exit (Perf.load old_path) in
-      let p_new = ok_or_exit (Perf.load new_path) in
-      let d = Perf.diff ~threshold p_old p_new in
-      Perf.print_diff Format.std_formatter ~threshold p_old p_new d;
-      if d.Perf.d_regressions <> [] then exit 1
-    in
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "Compare two BENCH_<section>.json trajectories; exit non-zero \
-            when any benchmark regressed past --threshold. The CI perf \
-            gate runs this against the committed baselines.")
-      Term.(const run $ old_file_arg $ new_file_arg $ threshold_arg)
-  in
-  Cmd.group
-    (Cmd.info "perf" ~doc:"Perf-trajectory tools (see `s2fa perf diff`).")
-    [ diff_cmd ]
-
 let () =
   let info =
     Cmd.info "s2fa" ~version:"1.0.0"
@@ -1580,4 +1581,4 @@ let () =
           [ list_cmd; compile_cmd; echo_cmd; bytecode_cmd; dse_cmd;
             resume_cmd; trace_cmd; cache_cmd; report_cmd; speedup_cmd;
             verify_cmd; fuzz_cmd; serve_cmd; federate_cmd; chaos_cmd;
-            prof_cmd; perf_cmd ]))
+            prof_cmd ]))

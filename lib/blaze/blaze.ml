@@ -119,9 +119,10 @@ let dispatch m ~op rg ~input_ty ~out_tasks ~collect tasks =
    with Cinterp.C_error msg -> err "kernel execution failed: %s" msg);
   let values = collect outputs in
   let fpga_s = (report rg n).Estimate.r_seconds in
-  let serde_s =
-    Serde.bytes_of_iface a.acc_iface ~tasks:n /. serde_bytes_per_second
-  in
+  let bytes = Serde.bytes_of_iface a.acc_iface ~tasks:n in
+  Obs.count_by n "blaze.tasks";
+  Obs.count_by (int_of_float bytes) "serde.bytes";
+  let serde_s = bytes /. serde_bytes_per_second in
   note_dispatch m ~op ~id:a.acc_id ~tasks:n ~seconds:(serde_s +. fpga_s);
   { tr_values = values;
     tr_seconds = serde_s +. fpga_s;

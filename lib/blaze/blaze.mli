@@ -61,7 +61,8 @@ val map_accelerated : manager -> id:string -> Interp.value array -> timed_result
     {!Blaze_error} when the id is unknown or (de)serialization fails.
     The first batch of each size computes the registration's HLS
     estimate (one [hls.estimate] profiler span); the profiler's virtual
-    clock is left where it was. *)
+    clock is left where it was. Each batch adds its tasks and the bytes
+    it moves to the profiler counters [blaze.tasks] and [serde.bytes]. *)
 
 val reduce_accelerated :
   manager -> id:string -> Interp.value array -> timed_result

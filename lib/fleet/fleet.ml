@@ -308,6 +308,10 @@ let check_slo s =
       fail "slo: breaker cooldown must be positive and finite";
     if c.bk_probes < 1 then fail "slo: breaker probe count must be >= 1"
 
+let check_opts opts =
+  if opts.o_devices < 1 then fail "need at least one device";
+  check_slo opts.o_slo
+
 let request_order a b =
   compare (a.rq_arrival, a.rq_app, a.rq_id) (b.rq_arrival, b.rq_app, b.rq_id)
 
@@ -379,9 +383,8 @@ type sim = {
 
 let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     (apps : app array) requests =
-  if opts.o_devices < 1 then fail "need at least one device";
+  check_opts opts;
   check_apps apps;
-  check_slo opts.o_slo;
   (match checkpoint with
   | Some c when not (c.cks_every_s > 0.0) ->
     fail "checkpoint interval must be positive"
@@ -726,7 +729,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     (match hedge_from with
     | None ->
       served.(a) <- served.(a) + n;
-      Obs.count ~by:n "fleet.batched_requests"
+      Obs.count_by n "fleet.batched_requests"
     | Some _ ->
       (* A hedge is a duplicate dispatch: it counts as an invocation but
          not as served work — fairness tracks requests, not copies. *)
@@ -1225,6 +1228,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
          | None -> assert false
        else handle_reopen bd);
       incr events;
+      Obs.count "fleet.steps";
       after_event ();
       true
     end

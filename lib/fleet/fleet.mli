@@ -151,6 +151,11 @@ val default_opts : opts
 (** 2 VU9P devices, FCFS, 8 GB/s PCIe, 0.5 ms invocation overhead,
     {!no_slo}. *)
 
+val check_opts : opts -> unit
+(** Raises {!Fleet_error} on options every serve refuses before it
+    starts: fewer than one device, a hang factor not above 1, or a bad
+    breaker setting. *)
+
 val with_deadline : float -> request list -> request list
 (** [with_deadline slo_seconds reqs] stamps every request with the
     absolute deadline [rq_arrival +. slo_seconds] (the CLI's [--slo-ms]
@@ -317,7 +322,8 @@ type sim = {
   s_step : unit -> bool;
       (** Process the single earliest pending event; [false] when
           nothing is pending (more may become pending after
-          [s_inject]). *)
+          [s_inject]). A profiler counts each processed event as
+          [fleet.steps]. *)
   s_next : unit -> float;
       (** Virtual time of the earliest pending event ([infinity] when
           idle) — the key the driver files this sim under. *)

@@ -1404,17 +1404,18 @@ let write_corpus_file ~dir ~expect (f : failure) =
   close_out oc;
   path
 
-let replay_file path : expectation * outcome =
-  let ic = open_in path in
-  let header = input_line ic in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let source = Buffer.contents buf in
+let replay_file path =
+  Result.bind (S2fa_telemetry.Telemetry.Json.read_file path) @@ fun text ->
+  let header, source =
+    match String.index_opt text '\n' with
+    | Some i ->
+      ( String.sub text 0 i,
+        String.sub text (i + 1) (String.length text - i - 1) )
+    | None -> (text, "")
+  in
+  let bad fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "%s:1: %s" path m)) fmt
+  in
   let kv =
     List.filter_map
       (fun tok ->
@@ -1426,20 +1427,32 @@ let replay_file path : expectation * outcome =
         | None -> None)
       (String.split_on_char ' ' header)
   in
-  let get k =
+  let int k =
     match List.assoc_opt k kv with
-    | Some v -> v
-    | None -> invalid_arg (Printf.sprintf "%s: missing %s= in header" path k)
+    | None -> bad "missing %s= in header" k
+    | Some v -> (
+      match int_of_string_opt v with
+      | Some n -> Ok n
+      | None -> bad "%s=%s is not an integer" k v)
   in
-  let expect =
-    match get "expect" with
-    | "pass" -> Expect_pass
-    | "reject" -> Expect_reject
-    | _ -> Expect_fail
-  in
-  let len = int_of_string (get "len") in
-  let input_seed = int_of_string (get "input-seed") in
-  (expect, run_source ~len ~input_seed source)
+  if not (String.starts_with ~prefix:"// s2fa-fuzz " header) then
+    bad "no \"// s2fa-fuzz\" header"
+  else
+    match List.assoc_opt "expect" kv with
+    | None -> bad "missing expect= in header"
+    | Some e -> (
+      let expect =
+        match e with
+        | "pass" -> Some Expect_pass
+        | "reject" -> Some Expect_reject
+        | "fail" -> Some Expect_fail
+        | _ -> None
+      in
+      match (expect, int "len", int "input-seed") with
+      | None, _, _ -> bad "expect=%s is not pass, reject or fail" e
+      | _, (Error _ as err), _ | _, _, (Error _ as err) -> err
+      | Some expect, Ok len, Ok input_seed ->
+        Ok (expect, run_source ~len ~input_seed source))
 
 let ocaml_repro ~name (f : failure) =
   Printf.sprintf

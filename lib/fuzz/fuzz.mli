@@ -134,9 +134,13 @@ val write_corpus_file : dir:string -> expect:string -> failure -> string
 (** Write a self-describing reproducer ([expect] is ["pass"], ["reject"]
     or ["fail"]); returns the path. *)
 
-val replay_file : string -> expectation * outcome
+val replay_file : string -> (expectation * outcome, string) result
 (** Re-run a corpus file written by {!write_corpus_file} (first line
-    [// s2fa-fuzz expect=... len=... input-seed=... oracle=...]). *)
+    [// s2fa-fuzz expect=... len=... input-seed=... oracle=...]). A file
+    that cannot be read is [Error "FILE: reason"]. A bad header is
+    [Error "FILE:1: reason"]: none at all, a missing key, an [expect]
+    other than [pass], [reject] or [fail], or a [len] or [input-seed]
+    that is not an integer. Never raises. *)
 
 val ocaml_repro : name:string -> failure -> string
 (** An alcotest-style OCaml snippet reproducing the failure, for pasting

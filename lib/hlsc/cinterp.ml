@@ -450,6 +450,8 @@ let run ?(fuel = 200_000_000) c name args =
         | Some v -> Array.unsafe_set frame k v
         | None -> err "%s: missing argument %s" name p)
       fn.fn_params;
-    invoke fn frame
+    let r = invoke fn frame in
+    S2fa_obs.Obs.count_by (fuel - !(c.fuel)) "cinterp.fuel";
+    r
 
 let run_func ?fuel prog name args = run ?fuel (compile prog) name args

@@ -81,7 +81,8 @@ val run :
     place, which is how kernels deliver their outputs. [fuel] bounds
     executed statements plus loop iterations (default 200 million).
     Raises {!C_error} on an unknown function, a missing parameter (the
-    first in parameter order), a trap or exhausted fuel. *)
+    first in parameter order), a trap or exhausted fuel. A profiler
+    counts the fuel a completed run spent as [cinterp.fuel]. *)
 
 val run_func :
   ?fuel:int -> Csyntax.cprog -> string -> (string * cvalue) list -> cvalue option

@@ -481,4 +481,5 @@ let run_method ?(cost = default_cost_model) ?(fuel = 200_000_000) inst name
     step 0
   in
   let rvalue = exec_method name args in
+  S2fa_obs.Obs.count_by !insns "jvm.insns";
   { rvalue; rcycles = !cycles; rinsns = !insns }

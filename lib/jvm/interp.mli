@@ -75,4 +75,5 @@ val run_method :
   ?cost:cost_model -> ?fuel:int -> instance -> string -> value list -> result
 (** [run_method inst name args] executes method [name]. [fuel] bounds the
     number of executed instructions (default 200 million); exhausting it
-    raises {!Runtime_error}. *)
+    raises {!Runtime_error}. A profiler counts the instructions of each
+    completed call as [jvm.insns]. *)

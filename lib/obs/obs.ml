@@ -124,8 +124,10 @@ let span name f =
     Profiler.open_span p name;
     Fun.protect ~finally:(fun () -> Profiler.close_span p) f
 
-let count ?(by = 1) name =
-  match !current with None -> () | Some p -> Profiler.bump p name by
+let count_by n name =
+  match !current with None -> () | Some p -> Profiler.bump p name n
+
+let count name = count_by 1 name
 
 let set_clock m =
   match !current with None -> () | Some p -> Profiler.set_clock p m

@@ -14,8 +14,9 @@
     (that would touch every API in the tree); instead a single ambient
     profiler is installed per process, mirroring the
     [Transform.set_self_check] backstop. When no profiler is installed,
-    {!span} / {!count} / {!set_clock} cost one [ref] read and perform no
-    allocation — the zero-observer-effect differential tests in
+    every instrumentation point ({!span}, {!count}, {!count_by},
+    {!set_clock}, {!advance_clock}, {!clock}) costs one [ref] read and
+    performs no allocation — the zero-observer-effect differential tests in
     [test/test_obs.ml] hold the instrumented pipeline to that. *)
 
 module Telemetry = S2fa_telemetry.Telemetry
@@ -76,9 +77,13 @@ val span : string -> (unit -> 'a) -> 'a
     per-stage share table); semicolons are rewritten to commas so the
     folded-stack encoding stays unambiguous. *)
 
-val count : ?by:int -> string -> unit
-(** Bump a counter on the innermost open span ([by] defaults to 1).
-    Ignored without a profiler or outside any span. *)
+val count : string -> unit
+(** Bump a counter by one on the innermost open span. Ignored without a
+    profiler or outside any span. *)
+
+val count_by : int -> string -> unit
+(** [count_by n name] adds [n] to the counter, like {!count}. The amount
+    is not optional: a disabled call allocates nothing. *)
 
 val set_clock : float -> unit
 (** Update the ambient profiler's virtual clock; no-op when disabled.

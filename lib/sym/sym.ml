@@ -1191,9 +1191,9 @@ let equiv ?(budget = default_budget) ?(bindings = []) ?(samples = 32)
         let ctx = new_ctx budget in
         let charge () =
           (* Proof budget actually consumed, whatever the verdict. *)
-          S2fa_obs.Obs.count ~by:(budget.bg_steps - ctx.steps_left)
+          S2fa_obs.Obs.count_by (budget.bg_steps - ctx.steps_left)
             "sym.steps";
-          S2fa_obs.Obs.count ~by:ctx.next_id "sym.nodes"
+          S2fa_obs.Obs.count_by ctx.next_id "sym.nodes"
         in
         Fun.protect ~finally:charge @@ fun () ->
         let o1 = run_sym ctx p1 entry ~bindings ~caps in

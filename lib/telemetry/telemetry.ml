@@ -434,7 +434,6 @@ module Json = struct
     | Jnum of float
     | Jbool of bool
     | Jarr of float list
-    | Jobj of (string * v) list
 
   exception Bad
 
@@ -443,10 +442,10 @@ module Json = struct
   let float_of s =
     match float_of_string_opt s with Some f -> f | None -> raise Bad
 
-  (* One object with nothing but whitespace (newlines included) around
-     it. Duplicate keys, trailing commas and number literals outside the
-     double range are malformed; [Error pos] is where parsing stopped. *)
-  let parse_object src =
+  (* One flat object with nothing but whitespace around it. A nested
+     object, a duplicate key, a trailing comma and a number literal
+     outside the double range are malformed. *)
+  let parse_obj src =
     let n = String.length src in
     let pos = ref 0 in
     let peek () = if !pos >= n then raise Bad else src.[!pos] in
@@ -520,7 +519,7 @@ module Json = struct
       | c when c = close -> advance (); false
       | _ -> raise Bad
     in
-    let rec parse_value () =
+    let parse_value () =
       skip_ws ();
       match peek () with
       (* Quoted non-finite floats come back as strings; callers that
@@ -528,7 +527,6 @@ module Json = struct
       | '"' -> Jstr (parse_string ())
       | 't' -> literal "true" (Jbool true)
       | 'f' -> literal "false" (Jbool false)
-      | '{' -> Jobj (parse_members ())
       | '[' ->
         advance ();
         skip_ws ();
@@ -545,7 +543,8 @@ module Json = struct
           Jarr (go [])
         end
       | _ -> Jnum (parse_number ())
-    and parse_members () =
+    in
+    let parse_members () =
       expect '{';
       skip_ws ();
       if peek () = '}' then begin advance (); [] end
@@ -560,17 +559,10 @@ module Json = struct
         go []
       end
     in
-    match
-      let fields = parse_members () in
-      skip_ws ();
-      if !pos < n then raise Bad;
-      fields
-    with
-    | fields -> Ok fields
-    | exception Bad -> Error !pos
-
-  let parse_obj src =
-    match parse_object src with Ok fields -> fields | Error _ -> raise Bad
+    let fields = parse_members () in
+    skip_ws ();
+    if !pos < n then raise Bad;
+    fields
 
   let find fields k = List.assoc_opt k fields
 
@@ -620,18 +612,6 @@ module Json = struct
     | exception Sys_error m ->
       if String.starts_with ~prefix:(path ^ ": ") m then Error m
       else Error (Printf.sprintf "%s: %s" path m)
-
-  let read_obj path =
-    Result.bind (read_file path) @@ fun src ->
-    match parse_object src with
-    | Ok fields -> Ok fields
-    | Error pos ->
-      (* The line holding offset [pos]; a stop at the end of the input
-         is on its last line. *)
-      let stop = min pos (String.length src - 1) in
-      let line = ref 1 in
-      String.iteri (fun i c -> if c = '\n' && i < stop then incr line) src;
-      Error (Printf.sprintf "%s:%d: malformed JSON" path !line)
 
   let decode_lines ~file lines decode =
     located ~file @@ fun () ->

@@ -303,20 +303,19 @@ val log_src : Logs.src
 (** {1 Serialization} *)
 
 (** The one JSON codec of the project. Every file the tree reads goes
-    through it: traces ({!Trace.load}), span logs, [BENCH_*.json]
-    trajectories, and the DSE and fleet checkpoints ({!Checkpoint}).
-    Trace events, span records and checkpoint lines are written
-    through {!obj}. Its float contract: 17 significant digits, so a
-    number read back is bit-identical, and non-finite values as the
-    quoted strings ["inf"] / ["-inf"] / ["nan"].
+    through it: traces ({!Trace.load}), span logs, and the DSE and
+    fleet checkpoints ({!Checkpoint}), all one object per line. Trace
+    events, span records and checkpoint lines are written through
+    {!obj}. Its float contract: 17 significant digits, so a number read
+    back is bit-identical, and non-finite values as the quoted strings
+    ["inf"] / ["-inf"] / ["nan"].
 
-    The parser is strict. An object may span lines and nest, but
-    duplicate keys, trailing commas, anything after the closing brace
-    and number literals outside the double range are malformed, and
-    {!get_int} rejects a non-integral number, or one a double does not
-    hold exactly, instead of rounding it. The only file the tree writes
-    that these rules reject is the trace of a federation of more than
-    8 192 regions, whose request ids reach 2{^53}. *)
+    The parser is strict. Objects are flat: a nested object, duplicate
+    keys, trailing commas, anything after the closing brace and number
+    literals outside the double range are malformed, and {!get_int}
+    rejects a non-integral number, or one a double does not hold
+    exactly, instead of rounding it. Request ids stay below 2{^53},
+    since a federation takes at most 8 192 regions. *)
 module Json : sig
   val fstr : float -> string
   (** Bit-exact float literal (quoted string for non-finite values). *)
@@ -345,7 +344,6 @@ module Json : sig
     | Jnum of float
     | Jbool of bool
     | Jarr of float list  (** Arrays hold floats only. *)
-    | Jobj of (string * v) list  (** Members in source order. *)
 
   exception Bad
   (** Raised by the parser and getters on malformed input (never
@@ -393,10 +391,6 @@ module Json : sig
   val read_file : string -> (string, string) result
   (** The whole file; an I/O error (a missing file, a directory) becomes
       [Error "FILE: reason"]. *)
-
-  val read_obj : string -> ((string * v) list, string) result
-  (** A file holding one object over any number of lines. Malformed
-      JSON names the line where the parser stopped. *)
 
   val decode_lines :
     file:string -> string list -> (int -> (string * v) list -> 'a) ->

@@ -77,6 +77,7 @@ let region ?(scale = 1.0) name =
    ids carry the region in the high bits, keeping (app, id) unique
    federation-wide. *)
 let region_id_shift = 40
+let max_regions = 1 lsl (53 - region_id_shift)
 
 let rstreams seed ri i =
   let root =
@@ -95,6 +96,10 @@ let regional_requests ~seed ~horizon regions tenants =
       "Traffic.regional_requests: horizon must be positive and finite";
   if regions = [] then
     invalid_arg "Traffic.regional_requests: need at least one region";
+  if List.length regions > max_regions then
+    invalid_arg
+      (Printf.sprintf "Traffic.regional_requests: more than %d regions"
+         max_regions);
   let per_stream =
     List.concat
       (List.mapi

@@ -54,6 +54,10 @@ val region_id_shift : int
     [k] the per-stream counter, keeping (app, id) unique across the
     federation while remaining decodable. *)
 
+val max_regions : int
+(** 8 192: with more regions, ids would reach 2{^53}, past the integers
+    a trace's JSON reader holds exactly. *)
+
 val regional_requests :
   seed:int ->
   horizon:float ->
@@ -64,7 +68,8 @@ val regional_requests :
     pair, tagged with the origin region index and merged into one
     stream sorted by (arrival, app, id). Deterministic in
     [(seed, horizon, regions, tenants)]. Raises [Invalid_argument] on a
-    horizon that is not positive and finite, or an empty region list. *)
+    horizon that is not positive and finite, an empty region list, or
+    more than {!max_regions} regions. *)
 
 val apps : seed:int -> tenant list -> S2fa_fleet.Fleet.app array
 (** Compile each tenant's workload, apply the structured seed design

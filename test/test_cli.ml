@@ -410,6 +410,9 @@ let test_resume_bad_meta () =
       ("fleet apps", fleet_ck, "apps", "\"KMeans:x\"");
       ("fleet policy", fleet_ck, "policy", "\"nope\"");
       ("fleet faults", armed_ck, "faults", "\"crash=3\"");
+      (* Values that decode but that the fleet refuses up front. *)
+      ("fleet devices", fleet_ck, "devices", "\"0\"");
+      ("fleet hang_factor", armed_ck, "hang_factor", "\"0.5\"");
       ("dse seed", dse_ck, "seed", "\"seven\"");
       ("dse minutes", dse_ck, "minutes", "\"forty\"") ];
   List.iter
@@ -584,7 +587,12 @@ let test_traffic_rejects_bad_values () =
       (fed ^ " --horizon inf", [ "--horizon" ]);
       (fed ^ " --regions east:0,west", [ "--regions"; "\"east:0\"" ]);
       (fed ^ " --regions east:nan,west", [ "--regions"; "\"east:nan\"" ]);
-      (fed ^ " --regions east:inf,west", [ "--regions"; "\"east:inf\"" ]) ]
+      (fed ^ " --regions east:inf,west", [ "--regions"; "\"east:inf\"" ]);
+      (* Request ids hold the region index in bits 40 and up: past 8 192
+         regions they would reach 2^53, which no trace reader holds. *)
+      ( fed ^ " --regions "
+        ^ String.concat "," (List.init 8193 (Printf.sprintf "r%d")),
+        [ "--regions"; "8193 regions, at most 8192" ] ) ]
 
 (* An output path that names a directory or sits in a missing directory,
    and a task or kernel count below 1, fail up front as a usage error
@@ -637,8 +645,6 @@ let test_every_flag_rejects_bad_values () =
   let ck = Filename.concat dir "x.ck" in
   let spans = Filename.concat dir "p.jsonl" in
   write_text spans {|{"id":0,"parent":-1,"name":"a","vb":0,"ve":1,"path":"a"}|};
-  let bench = Filename.concat dir "b.json" in
-  write_text bench {|{"bench":"t","unit":"ns","results":{"a":1}}|};
   let junk = Filename.concat dir "junk.scala" in
   write_text junk "# not MiniScala\n";
   (* [opt cmd flag values]: [cmd --flag=V] for each V, or with [~item]
@@ -777,11 +783,7 @@ let test_every_flag_rejects_bad_values () =
         opt "chaos" "--seeds" all;
         opt "chaos --seeds 1" "--from" not_int;
         pos "PROFILE" (fun v -> "prof -- " ^ v);
-        opt ("prof " ^ spans) "--top" [ "-1"; "nan"; "inf"; "x" ];
-        pos "OLD" (fun v -> Printf.sprintf "perf diff -- %s %s" v bench);
-        pos "NEW" (fun v -> Printf.sprintf "perf diff -- %s %s" bench v);
-        opt ("perf diff " ^ bench ^ " " ^ bench) "--threshold"
-          [ "-1"; "nan"; "inf"; "x" ] ]
+        opt ("prof " ^ spans) "--top" [ "-1"; "nan"; "inf"; "x" ] ]
   in
   List.iter
     (fun (args, want, needle) ->
@@ -791,7 +793,7 @@ let test_every_flag_rejects_bad_values () =
         (contains out needle))
     rows;
   Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ck);
-  List.iter Sys.remove [ spans; bench; junk ];
+  List.iter Sys.remove [ spans; junk ];
   Sys.rmdir dir
 
 (* ---------- the span profiler surface ---------- *)
@@ -892,69 +894,7 @@ let test_serve_metrics () =
       "# TYPE s2fa_fleet_requests gauge";
       "s2fa_fleet_devices 2" ]
 
-(* ---------- the perf-trajectory gate ---------- *)
-
-let write_traj path results =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"t\",\n  \"unit\": \"ns/run\",\n  \"results\": {\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "    \"%s\": %.0f%s\n" k v
-        (if i = n - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc
-
-let test_perf_diff_passes () =
-  let old_f = Filename.temp_file "perf" ".json" in
-  write_traj old_f [ ("a", 100.0); ("b", 2e9) ];
-  let out = check_ok "perf diff (identical)"
-      (Printf.sprintf "perf diff %s %s" old_f old_f)
-  in
-  Sys.remove old_f;
-  Alcotest.(check bool) "summary line" true
-    (contains out "0 regression(s)")
-
-let test_perf_diff_gates_regression () =
-  let old_f = Filename.temp_file "perf" ".json" in
-  let new_f = Filename.temp_file "perf" ".json" in
-  write_traj old_f [ ("a", 100.0); ("b", 100.0) ];
-  write_traj new_f [ ("a", 200.0); ("b", 100.0) ];
-  let code, out =
-    run (Printf.sprintf "perf diff %s %s --threshold 10" old_f new_f)
-  in
-  Sys.remove old_f;
-  Sys.remove new_f;
-  Alcotest.(check bool) "non-zero exit" true (code <> 0);
-  Alcotest.(check bool) "names the regression" true
-    (contains out "REGRESSION a");
-  Alcotest.(check bool) "shows +100%" true (contains out "+100%")
-
-let test_perf_diff_rejects_garbage () =
-  let bad = Filename.temp_file "perf" ".json" in
-  let diff_bad what text needle =
-    write_text bad text;
-    check_rejects what (Printf.sprintf "perf diff %s %s" bad bad) [ needle ]
-  in
-  diff_bad "garbage" "nope\n" (bad ^ ":1: malformed JSON");
-  (* A duplicate key no longer lets the second value win, and an
-     overflowing literal is not read as infinity. *)
-  diff_bad "duplicate key"
-    {|{"bench":"t","unit":"ns","results":{"a":1,"a":5}}|}
-    (bad ^ ":1: malformed JSON");
-  diff_bad "1e400"
-    "{\n  \"bench\": \"t\",\n  \"unit\": \"ns\",\n  \"results\": {\n\
-    \    \"a\": 1e400\n  }\n}\n"
-    (bad ^ ":5: malformed JSON");
-  diff_bad "missing member" {|{"bench":"t","unit":"ns"}|}
-    (bad ^ ":1: bad or missing \"results\"");
-  Sys.remove bad;
-  check_rejects_dir "perf diff DIR DIR" (fun d ->
-      Printf.sprintf "perf diff %s %s" d d)
-
-(* ---------- the bench harness section filter ---------- *)
+(* ---------- the bench harness: section filter and goldens ---------- *)
 
 let bench_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bench/main.exe"
@@ -972,25 +912,81 @@ let test_bench_rejects_unknown_section () =
   Alcotest.(check bool) "lists the known sections" true
     (contains out "SYM")
 
+(* The committed golden [name], read from the test directory under
+   [dune runtest] and from the source tree under [dune exec]. *)
+let golden name =
+  let dir =
+    if Sys.file_exists "golden" && Sys.is_directory "golden" then "golden"
+    else Filename.concat "test" "golden"
+  in
+  Filename.concat dir name
+
+(* The first line where [got] differs from [want], numbered from 1. *)
+let first_difference want got =
+  let rec go i = function
+    | w :: ws, g :: gs -> if w = g then go (i + 1) (ws, gs) else Some (i, w, g)
+    | [], [] -> None
+    | w :: _, [] -> Some (i, w, "<end of output>")
+    | [], g :: _ -> Some (i, "<end of golden>", g)
+  in
+  go 1 (String.split_on_char '\n' want, String.split_on_char '\n' got)
+
+(* [bench/main.exe TAGS] prints exactly the golden [name], or rewrites
+   it under [S2FA_UPDATE_GOLDEN=1]. A mismatch quotes the first
+   differing line. Returns the output. *)
+let check_bench_golden name tags =
+  let out_f = Filename.temp_file "bench" ".out" in
+  let code = Sys.command (Printf.sprintf "%s %s > %s" bench_exe tags out_f) in
+  let out = read_file out_f in
+  Sys.remove out_f;
+  Alcotest.(check int) "exit code" 0 code;
+  let path = golden name in
+  if Sys.getenv_opt "S2FA_UPDATE_GOLDEN" = Some "1" then write_text path out
+  else begin
+    match first_difference (read_file path) out with
+    | None -> ()
+    | Some (i, w, g) ->
+      Alcotest.failf "%s:%d differs\n  golden: %s\n  actual: %s" path i w g
+  end;
+  out
+
 (* The paper-figure sections that run the DSE flows (Table 1, Fig. 3,
    the cache table, Table 2, Fig. 4 and the A1-A5 ablations) print
    exactly the committed golden: any change in scheduling, stopping or
    seeding moves a number in it. *)
 let test_bench_paper_sections_golden () =
-  let golden =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      "golden/paper_sections.txt"
+  ignore
+    (check_bench_golden "paper_sections.txt" "T1 F3 C1 T2 F4 A1 A2 A3 A5 A4")
+
+(* The work-count sections print every span call and Obs counter of
+   each row: one more HLS estimate, C evaluator run or JVM instruction
+   on a path they cover moves a line. *)
+let test_bench_work_golden () =
+  let out =
+    check_bench_golden "bench_work.txt"
+      "BENCH TRACE FAULT SERVE CHAOS FLEET_EVENT FEDERATION SYM"
   in
-  let out_f = Filename.temp_file "bench" ".out" in
-  let code =
-    Sys.command
-      (Printf.sprintf "%s T1 F3 C1 T2 F4 A1 A2 A3 A5 A4 > %s" bench_exe out_f)
+  (* The zero-work checks: tracing into any sink, or a zero-rate fault
+     injector, does exactly the work of the plain run. *)
+  let rows row =
+    List.filter_map
+      (fun l ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+        | r :: counts when r = row -> Some (String.concat " " counts)
+        | _ -> None)
+      (String.split_on_char '\n' out)
   in
-  let out = read_file out_f in
-  Sys.remove out_f;
-  Alcotest.(check int) "exit code" 0 code;
-  Alcotest.(check string) "output matches golden/paper_sections.txt"
-    (read_file golden) out
+  List.iter
+    (fun (plain, observed) ->
+      Alcotest.(check bool) (plain ^ " has rows") true (rows plain <> []);
+      List.iter
+        (fun row ->
+          Alcotest.(check (list string)) (row ^ " = " ^ plain) (rows plain)
+            (rows row))
+        observed)
+    [ ( "telemetry.disabled",
+        [ "telemetry.collector"; "telemetry.jsonl"; "telemetry.no-sinks" ] );
+      ("faults.off", [ "faults.zero-rate" ]) ]
 
 let () =
   Alcotest.run "cli"
@@ -1059,13 +1055,9 @@ let () =
             test_trace_stage_share;
           Alcotest.test_case "serve --metrics" `Quick test_serve_metrics ] );
       ( "perf-gate",
-        [ Alcotest.test_case "diff passes identical" `Quick
-            test_perf_diff_passes;
-          Alcotest.test_case "diff gates a 2x regression" `Quick
-            test_perf_diff_gates_regression;
-          Alcotest.test_case "diff rejects garbage" `Quick
-            test_perf_diff_rejects_garbage;
-          Alcotest.test_case "bench rejects unknown section" `Quick
+        [ Alcotest.test_case "bench rejects unknown section" `Quick
             test_bench_rejects_unknown_section;
           Alcotest.test_case "paper sections match golden" `Quick
-            test_bench_paper_sections_golden ] ) ]
+            test_bench_paper_sections_golden;
+          Alcotest.test_case "work counts match golden" `Quick
+            test_bench_work_golden ] ) ]

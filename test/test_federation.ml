@@ -417,7 +417,18 @@ let test_rejects_bad_config () =
         tenants
         [ ( -1,
             { Fleet.rq_app = 0; rq_id = 0; rq_arrival = 0.0;
-              rq_deadline = None; rq_payload = Interp.VInt 0 } ) ])
+              rq_deadline = None; rq_payload = Interp.VInt 0 } ) ]);
+  (* Request ids hold the region index in bits 40 and up: past 8 192
+     regions they would reach 2^53, which no trace reader holds. *)
+  match
+    Traffic.regional_requests ~seed:7 ~horizon:0.01
+      (List.init (Traffic.max_regions + 1) (fun i ->
+           Traffic.region (string_of_int i)))
+      [ Traffic.tenant (Option.get (W.find "KMeans")) ]
+  with
+  | _ -> Alcotest.fail "8 193 regions accepted"
+  | exception Invalid_argument m ->
+    Alcotest.(check bool) ("names the bound: " ^ m) true (contains m "8192")
 
 let prop_route_names_roundtrip =
   QCheck.Test.make ~name:"route_of_name inverts route_name" ~count:8

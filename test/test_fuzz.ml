@@ -27,17 +27,52 @@ let test_corpus_replay () =
   List.iter
     (fun path ->
       match Fuzz.replay_file path with
-      | Fuzz.Expect_pass, Fuzz.Passed _ -> ()
-      | Fuzz.Expect_reject, Fuzz.Rejected _ -> ()
-      | Fuzz.Expect_fail, Fuzz.Failed _ -> ()
-      | _, Fuzz.Failed f ->
+      | Error m -> Alcotest.failf "%s" m
+      | Ok (Fuzz.Expect_pass, Fuzz.Passed _) -> ()
+      | Ok (Fuzz.Expect_reject, Fuzz.Rejected _) -> ()
+      | Ok (Fuzz.Expect_fail, Fuzz.Failed _) -> ()
+      | Ok (_, Fuzz.Failed f) ->
         Alcotest.failf "%s: unexpected failure [%s] %s" path f.Fuzz.f_oracle
           f.Fuzz.f_detail
-      | _, Fuzz.Rejected why ->
+      | Ok (_, Fuzz.Rejected why) ->
         Alcotest.failf "%s: unexpected rejection: %s" path why
-      | _, Fuzz.Passed _ ->
+      | Ok (_, Fuzz.Passed _) ->
         Alcotest.failf "%s: unexpectedly passed" path)
     files
+
+(* A malformed reproducer is an error naming the file and its header
+   line, never an exception or a silent default. *)
+let test_corpus_rejects_bad_headers () =
+  let path = Filename.temp_file "s2fa_corpus" ".scala" in
+  let body = "class Fuzz() extends Accelerator[Int, Int] {}\n" in
+  List.iter
+    (fun (what, text, want) ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      match Fuzz.replay_file path with
+      | Error m ->
+        Alcotest.(check string) what (Printf.sprintf "%s:1: %s" path want) m
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | exception e ->
+        Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [ ("empty file", "", "no \"// s2fa-fuzz\" header");
+      ( "len=x",
+        "// s2fa-fuzz expect=pass len=x input-seed=3 oracle=pipeline\n" ^ body,
+        "len=x is not an integer" );
+      ( "missing key",
+        "// s2fa-fuzz expect=pass len=2 oracle=pipeline\n" ^ body,
+        "missing input-seed= in header" );
+      ( "expect=bogus",
+        "// s2fa-fuzz expect=bogus len=2 input-seed=3 oracle=pipeline\n"
+        ^ body,
+        "expect=bogus is not pass, reject or fail" ) ];
+  Sys.remove path;
+  let dir = Filename.temp_dir "s2fa_corpus" ".d" in
+  (match Fuzz.replay_file dir with
+  | Error m ->
+    Alcotest.(check bool) "a directory names the path" true
+      (String.starts_with ~prefix:(dir ^ ": ") m)
+  | Ok _ -> Alcotest.fail "a directory replayed");
+  Sys.rmdir dir
 
 (* ---------- corpus promotion: symbolic regression table ---------- *)
 
@@ -337,6 +372,8 @@ let () =
   Alcotest.run "fuzz"
     [ ( "corpus",
         [ Alcotest.test_case "replay" `Quick test_corpus_replay;
+          Alcotest.test_case "replay rejects bad headers" `Quick
+            test_corpus_rejects_bad_headers;
           Alcotest.test_case "symbolic regression table" `Quick
             test_corpus_symbolic ] );
       ( "campaign",

@@ -9,14 +9,11 @@
        produces bit-identical results with and without a profiler;
      - the folded-stack encoding falls back to span counts when the
        whole profile has zero virtual duration;
-     - the perf trajectory round-trips through BENCH_<section>.json and
-       `Perf.diff` flags an injected 2x regression while passing an
-       identical trajectory;
+     - a disabled instrumentation call allocates nothing;
      - the Prometheus exposition of a metrics snapshot is deterministic
        and well-formed. *)
 
 module Obs = S2fa_obs.Obs
-module Perf = S2fa_obs.Perf
 module Telemetry = S2fa_telemetry.Telemetry
 module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
@@ -35,7 +32,7 @@ let test_nesting_and_counters () =
       Obs.span "outer" (fun () ->
           Obs.count "outer.k";
           Obs.span "inner" (fun () ->
-              Obs.count ~by:3 "inner.k";
+              Obs.count_by 3 "inner.k";
               Obs.count "inner.k")));
   Alcotest.(check int) "stack empty" 0 (Obs.Profiler.depth p);
   match Obs.Profiler.spans p with
@@ -74,6 +71,33 @@ let test_disabled_is_passthrough () =
   Obs.count "nowhere";
   Obs.set_clock 99.0;
   Alcotest.(check (float 0.0)) "clock reads 0 when disabled" 0.0 (Obs.clock ())
+
+(* Minor words allocated by 10 000 calls of [f], less those of an empty
+   loop: the instrumented pipeline calls these on every hot path. *)
+let minor_words f =
+  let loop f =
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      f i
+    done;
+    Gc.minor_words () -. before
+  in
+  loop f -. loop (fun _ -> ())
+
+let noop () = ()
+
+let test_disabled_allocates_nothing () =
+  Alcotest.(check bool) "disabled" false (Obs.enabled ());
+  List.iter
+    (fun (form, f) ->
+      Alcotest.(check (float 0.0)) (form ^ ": minor words") 0.0 (minor_words f))
+    [ ("count", fun _ -> Obs.count "k");
+      ("count_by", fun i -> Obs.count_by i "k");
+      ("span", fun _ -> Obs.span "s" noop);
+      ("set_clock", fun _ -> Obs.set_clock 1.5);
+      ("advance_clock", fun _ -> Obs.advance_clock 0.5);
+      ("clock", fun _ -> ignore (Obs.clock ()));
+      ("enabled", fun _ -> ignore (Obs.enabled ())) ]
 
 let test_virtual_clock_attribution () =
   let p = Obs.Profiler.create () in
@@ -241,52 +265,6 @@ let test_stage_spans () =
   Alcotest.(check int) "hls.estimate per objective call" calls
     (count "hls.estimate")
 
-(* ----------------------- perf trajectories ------------------------ *)
-
-let traj results =
-  { Perf.p_bench = "t"; p_unit = "ns/run"; p_results = results }
-
-let test_perf_roundtrip () =
-  let path = Filename.temp_file "perf" ".json" in
-  let t = traj [ ("b.two", 2e9); ("a.one", 123.0) ] in
-  Perf.save path t;
-  let t' = Result.get_ok (Perf.load path) in
-  Sys.remove path;
-  Alcotest.(check string) "bench" "t" t'.Perf.p_bench;
-  Alcotest.(check string) "unit" "ns/run" t'.Perf.p_unit;
-  Alcotest.(check (list (pair string (float 0.0))))
-    "results sorted" [ ("a.one", 123.0); ("b.two", 2e9) ] t'.Perf.p_results
-
-let test_perf_diff_flags_regression () =
-  let old_t = traj [ ("a", 100.0); ("b", 100.0) ] in
-  let new_t = traj [ ("a", 200.0); ("b", 101.0) ] in
-  let d = Perf.diff ~threshold:10.0 old_t new_t in
-  (match d.Perf.d_regressions with
-  | [ c ] ->
-    Alcotest.(check string) "the 2x key" "a" c.Perf.c_name;
-    Alcotest.(check (float 1e-9)) "+100%" 100.0 c.Perf.c_pct
-  | _ -> Alcotest.fail "expected exactly one regression");
-  Alcotest.(check int) "b is within threshold" 1 d.Perf.d_within
-
-let test_perf_diff_passes_identical () =
-  let t = traj [ ("a", 100.0); ("b", 2e9) ] in
-  let d = Perf.diff ~threshold:10.0 t t in
-  Alcotest.(check int) "no regressions" 0 (List.length d.Perf.d_regressions);
-  Alcotest.(check int) "no improvements" 0
-    (List.length d.Perf.d_improvements);
-  Alcotest.(check int) "all within" 2 d.Perf.d_within
-
-let test_perf_diff_improvement_and_churn () =
-  let old_t = traj [ ("a", 100.0); ("gone", 5.0) ] in
-  let new_t = traj [ ("a", 50.0); ("fresh", 7.0) ] in
-  let d = Perf.diff ~threshold:10.0 old_t new_t in
-  Alcotest.(check int) "no regressions" 0 (List.length d.Perf.d_regressions);
-  (match d.Perf.d_improvements with
-  | [ c ] -> Alcotest.(check (float 1e-9)) "-50%" (-50.0) c.Perf.c_pct
-  | _ -> Alcotest.fail "expected one improvement");
-  Alcotest.(check (list string)) "removed keys" [ "gone" ] d.Perf.d_only_old;
-  Alcotest.(check (list string)) "added keys" [ "fresh" ] d.Perf.d_only_new
-
 (* -------------------------- prometheus ---------------------------- *)
 
 let test_prometheus_exposition () =
@@ -325,6 +303,8 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_exception_safety;
           Alcotest.test_case "disabled passthrough" `Quick
             test_disabled_is_passthrough;
+          Alcotest.test_case "disabled calls allocate nothing" `Quick
+            test_disabled_allocates_nothing;
           Alcotest.test_case "virtual-clock attribution" `Quick
             test_virtual_clock_attribution ] );
       ( "determinism",
@@ -345,14 +325,6 @@ let () =
       ( "stages",
         [ Alcotest.test_case "compile and explore spans" `Quick
             test_stage_spans ] );
-      ( "perf",
-        [ Alcotest.test_case "save/load roundtrip" `Quick test_perf_roundtrip;
-          Alcotest.test_case "diff flags 2x regression" `Quick
-            test_perf_diff_flags_regression;
-          Alcotest.test_case "diff passes identical" `Quick
-            test_perf_diff_passes_identical;
-          Alcotest.test_case "diff improvements + churn" `Quick
-            test_perf_diff_improvement_and_churn ] );
       ( "prometheus",
         [ Alcotest.test_case "text exposition" `Quick
             test_prometheus_exposition ] ) ]

@@ -10,7 +10,7 @@ module Trace = S2fa_telemetry.Trace
 module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
 module Obs = S2fa_obs.Obs
-module Perf = S2fa_obs.Perf
+module Fuzz = S2fa_fuzz.Fuzz
 module Fleet = S2fa_fleet.Fleet
 module Traffic = S2fa_workloads.Traffic
 
@@ -242,10 +242,6 @@ let test_json_raises_only_bad () =
      fields that are integers. *)
   bad "trailing content" (fun () -> ignore (T.Json.parse_obj {|{"a":1}junk|}));
   bad "duplicate key" (fun () -> ignore (T.Json.parse_obj {|{"a":1,"a":5}|}));
-  bad "nested duplicate key" (fun () ->
-      ignore
-        (T.Json.parse_obj
-           {|{"bench":"t","unit":"ns","results":{"a":1,"a":5}}|}));
   bad "trailing comma" (fun () -> ignore (T.Json.parse_obj {|{"a":1,}|}));
   bad "number 1e400" (fun () -> ignore (T.Json.parse_obj {|{"a":1e400}|}));
   bad "int field 23.9" (fun () ->
@@ -262,11 +258,13 @@ let test_json_raises_only_bad () =
   bad "int field 1152921504606846975" (fun () ->
       ignore
         (T.Json.get_int (T.Json.parse_obj {|{"a":1152921504606846975}|}) "a"));
-  (* What the tree writes still parses: whitespace and newlines around
-     members, and a nested object. *)
-  Alcotest.(check bool) "multi-line nested object" true
-    (T.Json.parse_obj "{\n  \"r\": {\n    \"a\": 1\n  }\n}\n"
-    = [ ("r", T.Json.Jobj [ ("a", T.Json.Jnum 1.0) ]) ])
+  (* Every file the tree writes holds flat objects. *)
+  bad "nested object" (fun () ->
+      ignore (T.Json.parse_obj "{\n  \"r\": {\n    \"a\": 1\n  }\n}\n"));
+  (* Whitespace, newlines included, may surround members. *)
+  Alcotest.(check bool) "whitespace around members" true
+    (T.Json.parse_obj "{\n  \"a\": 1 ,\t\"b\" : \"x\"\n}\n"
+    = [ ("a", T.Json.Jnum 1.0); ("b", T.Json.Jstr "x") ])
 
 let test_stop_reason_names () =
   List.iter
@@ -487,14 +485,14 @@ let artifacts =
             { Fleet.cks_path = fleet_ck; cks_every_s = 2.0; cks_meta = [] }
           (Traffic.apps ~seed:7 ts)
           (Traffic.requests ~seed:7 ~horizon:0.5 ts));
-     let bench = Filename.temp_file "s2fa_bench" ".json" in
-     Perf.save bench
-       { Perf.p_bench = "t";
-         p_unit = "ns/run";
-         p_results = [ ("a.one", 123.0); ("b.two", 2e9); ("c", 0.0) ] };
-     let fleet_text = read_text fleet_ck and bench_text = read_text bench in
+     let fleet_text = read_text fleet_ck in
      Sys.remove fleet_ck;
-     Sys.remove bench;
+     (* cwd is the test directory under [dune runtest], the project root
+        under [dune exec]. *)
+     let corpus =
+       if Sys.file_exists "corpus" then "corpus"
+       else Filename.concat "test" "corpus"
+     in
      let reader load f = Result.map ignore (load f) in
      (* (name, contents, is a checkpoint, reader) *)
      [ ("trace", Buffer.contents trace, false, reader Trace.load);
@@ -503,7 +501,8 @@ let artifacts =
        ("dse checkpoint", lines (Driver.ck_lines (List.hd !snaps)), true,
         reader Driver.load_checkpoint);
        ("fleet checkpoint", fleet_text, true, reader Fleet.load_checkpoint);
-       ("bench", bench_text, false, reader Perf.load) ])
+       ("fuzz corpus", read_text (Filename.concat corpus "abs_long.scala"),
+        false, reader Fuzz.replay_file) ])
 
 (* [m] reads "PATH:LINE: ...". *)
 let located path m =
