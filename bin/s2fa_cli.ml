@@ -18,7 +18,7 @@
                    [--out DIR]              (differential fuzzing)
      s2fa serve    [--apps SPEC] [--policy P] [--devices N] [--seed N]
                    [--horizon S] [--faults SPEC] [--trace FILE]
-                   [--metrics FILE]         (Prometheus text exposition)
+                   [--metrics FILE]         (the report as Prometheus text)
                    [--slo-ms MS] [--hang-factor F] [--hedge] [--breaker]
                    [--checkpoint FILE] [--ck-every-s S]
      s2fa federate [--apps SPEC] [--clusters SPEC] [--regions SPEC]
@@ -69,7 +69,10 @@ open Cmdliner
    is a usage error (exit 124) naming the flag. A converter checks only
    what no library refuses before the run starts: a value Fleet or
    Federation reject up front (`--devices 0`, `--hang-factor 0`,
-   `--slo-ms nan`) exits 1 with the library's message instead. *)
+   `--slo-ms nan`) exits 1 with the library's message instead. The one
+   exception is `--batch` and `--queue-cap`: they set every tenant's
+   value, which the fleet refuses per app, so their converter refuses a
+   count below 1 itself and names the flag or checkpoint key. *)
 
 (* A parser that raises [Failure], or a library's [Invalid_argument],
    as a converter's parser. *)
@@ -111,6 +114,9 @@ let count min =
     | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s min))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* A tenant's batch size and queue capacity (--batch, --queue-cap). *)
+let tenant_count = count 1
 
 (* Output files (--trace, --profile, --metrics, --checkpoint): a path
    that names a directory, or whose directory does not exist, fails only
@@ -305,25 +311,33 @@ let compiled_of ~workload ~file () =
     Printf.eprintf "one of -w or -f is required\n";
     exit 1
 
+let log_level =
+  choice "level"
+    (List.map
+       (fun l -> (Logs.level_to_string l, l))
+       Logs.[ None; Some App; Some Error; Some Warning; Some Info; Some Debug ])
+
 (* --trace FILE plumbing: a JSONL channel sink, plus a human-readable
-   logs sink when S2FA_LOGS names a level ("debug", "info", ...). *)
+   logs sink when S2FA_LOGS names a level ("debug", "info", ...).
+   "quiet" adds none, and a word that is no level is a usage error (exit
+   124) before the file is opened. *)
 let make_tracer path =
-  let oc = open_out path in
-  let sinks = [ Telemetry.channel_sink oc ] in
-  let sinks =
+  let logs =
     match Sys.getenv_opt "S2FA_LOGS" with
-    | None | Some "" -> sinks
-    | Some lvl ->
-      let level =
-        match Logs.level_of_string lvl with
-        | Ok (Some l) -> l
-        | _ -> Logs.Debug
-      in
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.Src.set_level Telemetry.log_src (Some level);
-      Telemetry.logs_sink ~level () :: sinks
+    | None | Some "" -> []
+    | Some word -> (
+      match Arg.conv_parser log_level word with
+      | Error (`Msg m) ->
+        Printf.eprintf "s2fa: environment variable S2FA_LOGS: %s\n" m;
+        exit 124
+      | Ok None -> []
+      | Ok (Some level) ->
+        Logs.set_reporter (Logs.format_reporter ());
+        Logs.Src.set_level Telemetry.log_src (Some level);
+        [ Telemetry.logs_sink ~level () ])
   in
-  (Telemetry.create ~sinks (), oc)
+  let oc = open_out path in
+  (Telemetry.create ~sinks:(logs @ [ Telemetry.channel_sink oc ]) (), oc)
 
 (* --profile FILE plumbing: install an ambient span profiler around the
    command body and persist the completed spans on the way out — both as
@@ -478,8 +492,8 @@ let serve_meta c =
     put Arg.int "devices" c.sv_devices;
     put Arg.int "seed" c.sv_seed;
     put seconds "horizon" c.sv_horizon;
-    put Arg.int "batch" c.sv_batch;
-    put Arg.int "queue_cap" c.sv_queue_cap ]
+    put tenant_count "batch" c.sv_batch;
+    put tenant_count "queue_cap" c.sv_queue_cap ]
   @ put_opt faults "faults" c.sv_faults
   @ put_opt Arg.float "slo_ms" c.sv_slo_ms
   @ put_opt Arg.float "hang_factor" c.sv_hang_factor
@@ -518,8 +532,8 @@ let serve_of_meta file meta =
       get (opts (fun o d -> { o with Fleet.o_devices = d }) Arg.int) "devices";
     sv_seed = get Arg.int "seed";
     sv_horizon = get seconds "horizon";
-    sv_batch = get Arg.int "batch";
-    sv_queue_cap = get Arg.int "queue_cap";
+    sv_batch = get tenant_count "batch";
+    sv_queue_cap = get tenant_count "queue_cap";
     sv_faults = get_opt faults "faults";
     sv_slo_ms = get_opt Arg.float "slo_ms";
     sv_hang_factor =
@@ -1149,11 +1163,11 @@ let serve_cmd =
   in
   let batch_arg =
     let doc = "Max requests per accelerator invocation." in
-    Arg.(value & opt int 16 & info [ "batch" ] ~doc)
+    Arg.(value & opt tenant_count 16 & info [ "batch" ] ~doc)
   in
   let queue_cap_arg =
     let doc = "Per-tenant queue bound before JVM overflow." in
-    Arg.(value & opt int 64 & info [ "queue-cap" ] ~doc)
+    Arg.(value & opt tenant_count 64 & info [ "queue-cap" ] ~doc)
   in
   let faults_arg =
     faults_arg "Fault spec (core_loss=P kills devices mid-batch)."
@@ -1163,8 +1177,9 @@ let serve_cmd =
   in
   let metrics_arg =
     let doc =
-      "Write the run's metrics registry and fleet report as a \
-       Prometheus text exposition (counters, gauges, histograms)."
+      "Write the fleet report as a Prometheus text exposition: its \
+       headline numbers, then one gauge per column of the per-app \
+       table, labelled by app."
     in
     Arg.(
       value
@@ -1251,14 +1266,13 @@ let serve_cmd =
       $ slo_ms_arg $ hang_factor_arg $ hedge_arg $ breaker_arg
       $ bk_failures_arg $ bk_cooldown_arg $ bk_probes_arg)
   in
-  (* The fleet report's headline numbers, as gauges alongside the
-     registry so one scrape file carries the whole run. *)
+  (* The fleet report as gauges: its headline numbers, then one gauge
+     per column of the per-app table, labelled by app. *)
   let fleet_gauges (r : Fleet.report) =
-    let b = Buffer.create 256 in
+    let b = Buffer.create 1024 in
     let gauge name v =
-      Buffer.add_string b
-        (Printf.sprintf "# TYPE s2fa_fleet_%s gauge\ns2fa_fleet_%s %s\n" name
-           name v)
+      Printf.bprintf b "# TYPE s2fa_fleet_%s gauge\ns2fa_fleet_%s %s\n" name
+        name v
     in
     let g_i name i = gauge name (string_of_int i) in
     let g_f name f = gauge name (Telemetry.Json.fstr f) in
@@ -1289,20 +1303,32 @@ let serve_cmd =
       g_i "deadline_hits" r.Fleet.rp_deadline_hits;
       g_i "deadline_misses" r.Fleet.rp_deadline_misses
     end;
+    (* App names are built-in kernel names: no label escaping needed. *)
+    let app_gauge name v =
+      Printf.bprintf b "# TYPE s2fa_fleet_app_%s gauge\n" name;
+      List.iter
+        (fun (a : Fleet.app_report) ->
+          Printf.bprintf b "s2fa_fleet_app_%s{app=\"%s\"} %s\n" name
+            a.Fleet.ar_app (v a))
+        r.Fleet.rp_apps
+    in
+    let a_i name f = app_gauge name (fun a -> string_of_int (f a)) in
+    let a_f name f = app_gauge name (fun a -> Telemetry.Json.fstr (f a)) in
+    a_i "requests" (fun a -> a.Fleet.ar_requests);
+    a_i "accelerated" (fun a -> a.Fleet.ar_accelerated);
+    a_i "fallbacks" (fun a -> a.Fleet.ar_fallbacks);
+    a_f "p50_ms" (fun a -> a.Fleet.ar_p50_ms);
+    a_f "p95_ms" (fun a -> a.Fleet.ar_p95_ms);
+    a_f "p99_ms" (fun a -> a.Fleet.ar_p99_ms);
+    a_f "mean_ms" (fun a -> a.Fleet.ar_mean_ms);
+    a_f "share" (fun a -> a.Fleet.ar_share);
     Buffer.contents b
   in
   let run cfg trace_path metrics_path ck_path ck_every profile =
     with_profile profile @@ fun () ->
     fleet_or_exit @@ fun () ->
     let tracer = Option.map make_tracer trace_path in
-    let trace =
-      (* --metrics without --trace still needs a tracer for the registry
-         to populate; a sink-less one emits nothing. *)
-      match (tracer, metrics_path) with
-      | Some (tr, _), _ -> Some tr
-      | None, Some _ -> Some (Telemetry.create ~sinks:[] ())
-      | None, None -> None
-    in
+    let trace = Option.map fst tracer in
     let opts, faults, apps, requests = fleet_run cfg in
     let checkpoint =
       Option.map
@@ -1323,15 +1349,12 @@ let serve_cmd =
                      --ck-every-s)\n"
         path
     | None -> ());
-    (match (metrics_path, trace) with
-    | Some path, Some tr ->
-      let snap = Telemetry.Metrics.snapshot (Telemetry.metrics tr) in
-      let oc = open_out path in
-      output_string oc (Obs.prometheus_of_snapshot snap);
-      output_string oc (fleet_gauges outcome.Fleet.oc_report);
-      close_out oc;
-      Printf.printf "# metrics: %s\n" path
-    | _ -> ());
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (fleet_gauges outcome.Fleet.oc_report));
+        Printf.printf "# metrics: %s\n" path)
+      metrics_path;
     match tracer with
     | Some (_, oc) ->
       close_out oc;

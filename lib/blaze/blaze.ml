@@ -5,7 +5,6 @@ module Cinterp = S2fa_hlsc.Cinterp
 module Csyntax = S2fa_hlsc.Csyntax
 module Decompile = S2fa_b2c.Decompile
 module Estimate = S2fa_hls.Estimate
-module Telemetry = S2fa_telemetry.Telemetry
 module Obs = S2fa_obs.Obs
 
 exception Blaze_error of string
@@ -31,14 +30,9 @@ type registration = {
   rg_reports : (int, Estimate.report) Hashtbl.t;
 }
 
-type manager = {
-  mutable accels : (string * registration) list;
-  trace : Telemetry.t option;
-      (* Dispatch accounting only: the manager bumps metrics counters,
-         never emits events, so it works with any tracer (or none). *)
-}
+type manager = { mutable accels : (string * registration) list }
 
-let create_manager ?trace () = { accels = []; trace }
+let create_manager () = { accels = [] }
 
 let register m a =
   let rg =
@@ -49,18 +43,6 @@ let register m a =
   m.accels <- (a.acc_id, rg) :: List.remove_assoc a.acc_id m.accels
 
 let find m id = Option.map (fun rg -> rg.rg_accel) (List.assoc_opt id m.accels)
-
-(* Per-dispatch metrics: a global and a per-accelerator counter, plus a
-   histogram of simulated batch seconds. *)
-let note_dispatch m ~op ~id ~tasks ~seconds =
-  match m.trace with
-  | None -> ()
-  | Some tr ->
-    let ms = Telemetry.metrics tr in
-    Telemetry.Metrics.incr ms "blaze.dispatch";
-    Telemetry.Metrics.incr ms (Printf.sprintf "blaze.dispatch.%s.%s" op id);
-    Telemetry.Metrics.incr ~by:tasks ms "blaze.tasks";
-    Telemetry.Metrics.observe ms "blaze.batch_seconds" seconds
 
 type timed_result = {
   tr_values : Interp.value array;
@@ -102,7 +84,7 @@ let report rg n =
 (* One dispatch of [tasks] (typed [input_ty]) through the registered
    kernel: serialize, run, read [out_tasks] results back with
    [collect], and time the batch. *)
-let dispatch m ~op rg ~input_ty ~out_tasks ~collect tasks =
+let dispatch rg ~input_ty ~out_tasks ~collect tasks =
   let a = rg.rg_accel in
   let n = Array.length tasks in
   let inputs =
@@ -123,7 +105,6 @@ let dispatch m ~op rg ~input_ty ~out_tasks ~collect tasks =
   Obs.count_by n "blaze.tasks";
   Obs.count_by (int_of_float bytes) "serde.bytes";
   let serde_s = bytes /. serde_bytes_per_second in
-  note_dispatch m ~op ~id:a.acc_id ~tasks:n ~seconds:(serde_s +. fpga_s);
   { tr_values = values;
     tr_seconds = serde_s +. fpga_s;
     tr_detail = [ ("serde", serde_s); ("fpga", fpga_s) ] }
@@ -139,7 +120,7 @@ let map_accelerated m ~id tasks =
   let n = Array.length tasks in
   if n = 0 then { tr_values = [||]; tr_seconds = 0.0; tr_detail = [] }
   else
-    dispatch m ~op:"map" rg ~input_ty:a.acc_input_ty ~out_tasks:n
+    dispatch rg ~input_ty:a.acc_input_ty ~out_tasks:n
       ~collect:(fun outputs ->
         Array.init n (fun t ->
             Serde.deserialize_output a.acc_iface a.acc_output_ty outputs t))
@@ -151,7 +132,7 @@ let reduce_accelerated m ~id tasks =
   if not a.acc_iface.Decompile.if_reduce then
     err "accelerator %s implements the map operator, not reduce" id;
   if Array.length tasks = 0 then err "reduce of an empty batch";
-  dispatch m ~op:"reduce" rg ~input_ty:a.acc_output_ty ~out_tasks:1
+  dispatch rg ~input_ty:a.acc_output_ty ~out_tasks:1
     ~collect:(fun outputs ->
       [| Serde.deserialize_output a.acc_iface a.acc_output_ty outputs 0 |])
     tasks

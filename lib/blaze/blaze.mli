@@ -4,7 +4,6 @@ module Interp = S2fa_jvm.Interp
 module Csyntax = S2fa_hlsc.Csyntax
 module Decompile = S2fa_b2c.Decompile
 module Estimate = S2fa_hls.Estimate
-module Telemetry = S2fa_telemetry.Telemetry
 
 (** The Blaze runtime simulator: an accelerator manager that RDD
     transformations can dispatch to (Section 2 of the paper).
@@ -32,12 +31,9 @@ type accel = {
 
 type manager
 
-val create_manager : ?trace:Telemetry.t -> unit -> manager
-(** With [trace], each accelerated dispatch bumps the tracer's metrics
-    registry: [blaze.dispatch] (plus a per-operator/per-accelerator
-    [blaze.dispatch.<op>.<id>]), [blaze.tasks], and a
-    [blaze.batch_seconds] histogram of simulated batch durations. No
-    events are emitted; functional results and timings are unchanged. *)
+val create_manager : unit -> manager
+(** A manager with no accelerator registered. It emits no trace
+    events; {!map_accelerated} counts each dispatch's work. *)
 
 val register : manager -> accel -> unit
 (** Compiles the kernel ({!S2fa_hlsc.Cinterp.compile}) and keeps it with

@@ -85,9 +85,9 @@ val explore :
     every measured quality unchanged ({!Resultdb}'s clock contract), and
     the run's cache counters are reported in
     {!Driver.run_result.rr_cache}. With [trace], the run is recorded as
-    a structured event stream (see {!Driver.run_s2fa}) and the metrics
-    snapshot lands in {!Driver.run_result.rr_metrics}; tracing never
-    changes the search trajectory. With [faults], every search-phase
+    a structured event stream (see {!Driver.run_s2fa}) that
+    [Trace.replay] reduces; tracing never changes the search
+    trajectory. With [faults], every search-phase
     evaluation runs behind the injector's retry/backoff/quarantine
     policy ({!Driver.run_s2fa}); [checkpoint] snapshots the run
     periodically for {!resume}. *)

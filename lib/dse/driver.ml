@@ -23,7 +23,6 @@ type run_result = {
   rr_minutes : float;
   rr_evals : int;
   rr_cache : Resultdb.snapshot option;
-  rr_metrics : Telemetry.Metrics.snapshot option;
   rr_fault : Fault.stats option;
 }
 
@@ -85,11 +84,10 @@ let emit trace ~clock kind =
 let set_partition trace p =
   Option.iter (fun tr -> Telemetry.set_partition tr p) trace
 
-(* Shared epilogue: [run_end], flush every sink, snapshot the metrics
-   registry into the run result. *)
+(* Shared epilogue: [run_end], then flush every sink. *)
 let trace_finish trace ~minutes ~evals ~best =
   match trace with
-  | None -> None
+  | None -> ()
   | Some tr ->
     Telemetry.set_partition tr (-1);
     Telemetry.set_clock tr minutes;
@@ -98,8 +96,7 @@ let trace_finish trace ~minutes ~evals ~best =
          { minutes;
            evals;
            best = (match best with Some (_, b) -> b | None -> infinity) });
-    Telemetry.flush tr;
-    Some (Telemetry.Metrics.snapshot (Telemetry.metrics tr))
+    Telemetry.flush tr
 
 (* ---------- fault-injection plumbing ---------- *)
 
@@ -609,6 +606,7 @@ let with_run ~flow ~cores ~limit ?clocks ?db ?trace ?faults ?checkpoint
     Float.min (Array.fold_left Float.max 0.0 (run.clocks ())) limit
   in
   Obs.set_clock rr_minutes;
+  trace_finish trace ~minutes:rr_minutes ~evals:run.evals ~best:run.best;
   { rr_events = List.rev run.events;
     rr_best = run.best;
     rr_minutes;
@@ -617,8 +615,6 @@ let with_run ~flow ~cores ~limit ?clocks ?db ?trace ?faults ?checkpoint
       (match (db, db_before) with
       | Some db, Some s0 -> Some (Resultdb.diff (Resultdb.snapshot db) s0)
       | _ -> None);
-    rr_metrics =
-      trace_finish trace ~minutes:rr_minutes ~evals:run.evals ~best:run.best;
     rr_fault = Option.map Fault.stats faults }
 
 (* ---------- the schedulers ---------- *)

@@ -47,9 +47,6 @@ type run_result = {
   rr_cache : Resultdb.snapshot option;
       (** Result-database counter deltas of this run ([None] when the
           run was not given a database). *)
-  rr_metrics : Telemetry.Metrics.snapshot option;
-      (** Telemetry metrics accumulated over the run ([None] when the
-          run was not given a tracer). *)
   rr_fault : Fault.stats option;
       (** Injector accounting: faults per class, virtual minutes lost,
           retries, quarantines ([None] when no injector was given). *)

@@ -406,7 +406,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   (* Accelerator ids may collide across tenants serving the same kernel;
      registration is keyed by tenant index instead. *)
   let uid i = Printf.sprintf "%d:%s" i apps.(i).ap_name in
-  let mgr = Blaze.create_manager ?trace () in
+  let mgr = Blaze.create_manager () in
   Array.iteri
     (fun i a -> Blaze.register mgr { a.ap_accel with Blaze.acc_id = uid i })
     apps;

@@ -282,7 +282,7 @@ val serve :
     ["no_devices"], or ["deadline"] (shed). With [?checkpoint] a
     snapshot is (re)written every [cks_every_s] virtual seconds,
     emitting a [checkpoint] event. Zero traffic is a strict no-op: an
-    all-zero report, no events, no metrics. Raises {!Fleet_error} on an
+    all-zero report and no events. Raises {!Fleet_error} on an
     invalid configuration (empty pool, non-positive or non-finite
     weight, non-positive batch, a non-finite deadline, a bad SLO or
     checkpoint spec, a request naming an unknown app). *)

@@ -2,8 +2,7 @@
    wall/Gc). See obs.mli for the determinism and observer-effect
    contracts. *)
 
-module Telemetry = S2fa_telemetry.Telemetry
-module Json = Telemetry.Json
+module Json = S2fa_telemetry.Telemetry.Json
 
 module Profiler = struct
   type span = {
@@ -404,62 +403,3 @@ let print_report ?(top = 10) ppf spans =
             (if grand > 0. then 100. *. weight a /. grand else 0.))
       hot
   end
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus text exposition of a metrics snapshot. *)
-
-let prom_name s =
-  let b = Buffer.create (String.length s + 5) in
-  Buffer.add_string b "s2fa_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    s;
-  Buffer.contents b
-
-let prom_float v =
-  match Float.classify_float v with
-  | FP_nan -> "NaN"
-  | FP_infinite -> if v > 0. then "+Inf" else "-Inf"
-  | _ ->
-    let s = Printf.sprintf "%.17g" v in
-    (* Prefer the short form when it round-trips. *)
-    let short = Printf.sprintf "%g" v in
-    if float_of_string short = v then short else s
-
-let prometheus_of_snapshot (snap : Telemetry.Metrics.snapshot) =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
-    snap.Telemetry.Metrics.ms_counters;
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string b
-        (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (prom_float v)))
-    snap.Telemetry.Metrics.ms_gauges;
-  List.iter
-    (fun (name, (h : Telemetry.Metrics.histogram)) ->
-      let n = prom_name name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
-      let cum = ref 0 in
-      Array.iteri
-        (fun i ub ->
-          cum := !cum + h.Telemetry.Metrics.h_counts.(i);
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (prom_float ub)
-               !cum))
-        h.Telemetry.Metrics.h_buckets;
-      Buffer.add_string b
-        (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n
-           h.Telemetry.Metrics.h_count);
-      Buffer.add_string b
-        (Printf.sprintf "%s_sum %s\n%s_count %d\n" n
-           (prom_float h.Telemetry.Metrics.h_sum) n
-           h.Telemetry.Metrics.h_count))
-    snap.Telemetry.Metrics.ms_histograms;
-  Buffer.contents b

@@ -19,8 +19,6 @@
     performs no allocation — the zero-observer-effect differential tests in
     [test/test_obs.ml] hold the instrumented pipeline to that. *)
 
-module Telemetry = S2fa_telemetry.Telemetry
-
 module Profiler : sig
   (** A completed span. [sp_wall_ns] / [sp_alloc_bytes] are host-side
       and non-deterministic; everything else is stable under a fixed
@@ -140,11 +138,3 @@ val print_report : ?top:int -> Format.formatter -> Profiler.span list -> unit
     counters; per-stage share table keyed on the first dot-component of
     each span name; top-[top] self-time hotspots (default 10). Host
     columns appear only when the log carries host fields. *)
-
-(** {1 Prometheus text exposition} *)
-
-val prometheus_of_snapshot : Telemetry.Metrics.snapshot -> string
-(** Render a metrics snapshot in the Prometheus text exposition format
-    (counters, gauges, and histograms with [_bucket]/[_sum]/[_count]
-    series). Metric names are sanitized ([.] and other non-identifier
-    characters become [_]) and prefixed with [s2fa_]. *)

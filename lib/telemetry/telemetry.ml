@@ -142,210 +142,20 @@ type event = { e_seq : int; e_minutes : float; e_kind : kind }
 type sink = { on_event : event -> unit; on_flush : unit -> unit }
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry *)
-(* ------------------------------------------------------------------ *)
-
-module Metrics = struct
-  type hstate = {
-    hs_buckets : float array;
-    hs_counts : int array;  (* one per bucket + overflow *)
-    mutable hs_count : int;
-    mutable hs_sum : float;
-  }
-
-  type t = {
-    counters : (string, int ref) Hashtbl.t;
-    gauges : (string, float ref) Hashtbl.t;
-    histos : (string, hstate) Hashtbl.t;
-  }
-
-  let create () =
-    { counters = Hashtbl.create 32;
-      gauges = Hashtbl.create 8;
-      histos = Hashtbl.create 8 }
-
-  let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t.counters name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t.counters name (ref by)
-
-  let set_gauge t name v =
-    match Hashtbl.find_opt t.gauges name with
-    | Some r -> r := v
-    | None -> Hashtbl.add t.gauges name (ref v)
-
-  let default_buckets = [| 0.001; 0.01; 0.1; 1.0; 10.0; 100.0 |]
-
-  let observe ?(buckets = default_buckets) t name v =
-    let h =
-      match Hashtbl.find_opt t.histos name with
-      | Some h -> h
-      | None ->
-        let h =
-          { hs_buckets = Array.copy buckets;
-            hs_counts = Array.make (Array.length buckets + 1) 0;
-            hs_count = 0;
-            hs_sum = 0.0 }
-        in
-        Hashtbl.add t.histos name h;
-        h
-    in
-    let n = Array.length h.hs_buckets in
-    let rec slot i = if i >= n || v <= h.hs_buckets.(i) then i else slot (i + 1) in
-    let i = slot 0 in
-    h.hs_counts.(i) <- h.hs_counts.(i) + 1;
-    h.hs_count <- h.hs_count + 1;
-    if Float.is_finite v then h.hs_sum <- h.hs_sum +. v
-
-  type histogram = {
-    h_buckets : float array;
-    h_counts : int array;
-    h_count : int;
-    h_sum : float;
-  }
-
-  type snapshot = {
-    ms_counters : (string * int) list;
-    ms_gauges : (string * float) list;
-    ms_histograms : (string * histogram) list;
-  }
-
-  let sorted_bindings fold conv tbl =
-    fold (fun k v acc -> (k, conv v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let snapshot t =
-    { ms_counters = sorted_bindings Hashtbl.fold (fun r -> !r) t.counters;
-      ms_gauges = sorted_bindings Hashtbl.fold (fun r -> !r) t.gauges;
-      ms_histograms =
-        sorted_bindings Hashtbl.fold
-          (fun h ->
-            { h_buckets = Array.copy h.hs_buckets;
-              h_counts = Array.copy h.hs_counts;
-              h_count = h.hs_count;
-              h_sum = h.hs_sum })
-          t.histos }
-
-  let counter s name =
-    match List.assoc_opt name s.ms_counters with Some n -> n | None -> 0
-
-  let pp_snapshot ppf s =
-    List.iter
-      (fun (n, v) -> Format.fprintf ppf "%-36s %12d@." n v)
-      s.ms_counters;
-    List.iter
-      (fun (n, v) -> Format.fprintf ppf "%-36s %12g@." n v)
-      s.ms_gauges;
-    List.iter
-      (fun (n, h) ->
-        Format.fprintf ppf "%-36s n=%d sum=%g@." n h.h_count h.h_sum;
-        Array.iteri
-          (fun i c ->
-            if c > 0 then
-              if i < Array.length h.h_buckets then
-                Format.fprintf ppf "  le %-10g %12d@." h.h_buckets.(i) c
-              else Format.fprintf ppf "  le %-10s %12d@." "+inf" c)
-          h.h_counts)
-      s.ms_histograms
-end
-
-(* ------------------------------------------------------------------ *)
-(* Built-in metric derivation from the event stream *)
-(* ------------------------------------------------------------------ *)
-
-let minute_buckets = [| 1.0; 2.0; 5.0; 10.0; 15.0; 20.0; 30.0 |]
-
-let quality_buckets =
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
-
-(* Serving latencies are sub-second, so their minute-denominated
-   histogram needs much finer buckets than the DSE's eval_minutes. *)
-let serve_latency_buckets =
-  [| 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0 |]
-
-let fold_into_metrics m ev =
-  match ev.e_kind with
-  | Eval_done d ->
-    (* "evals" counts search evaluations (it matches rr_evals); offline
-       rule-fitting probes get their own counter. *)
-    if d.partition < 0 then Metrics.incr m "evals.offline"
-    else Metrics.incr m "evals";
-    if d.feasible then Metrics.incr m "evals.feasible";
-    if d.cache_hit then Metrics.incr m "evals.cache_hits";
-    if d.improved then Metrics.incr m "evals.improved";
-    if d.technique <> "" then begin
-      Metrics.incr m ("technique." ^ d.technique ^ ".proposals");
-      if d.improved then Metrics.incr m ("technique." ^ d.technique ^ ".wins")
-    end;
-    Metrics.observe ~buckets:minute_buckets m "eval_minutes" d.eval_minutes;
-    if d.feasible then
-      Metrics.observe ~buckets:quality_buckets m "quality" d.quality
-  | Eval_start _ -> ()
-  | Bandit_select s -> Metrics.incr m ("bandit.select." ^ s.technique)
-  | Seed_injected _ -> Metrics.incr m "seeds.injected"
-  | Partition_start _ -> Metrics.incr m "partitions.started"
-  | Partition_stop p ->
-    Metrics.incr m ("partitions.stopped." ^ stop_reason_name p.reason)
-  | Entropy_sample s -> Metrics.set_gauge m "entropy" s.entropy
-  | Fault_injected f ->
-    Metrics.incr m ("faults.injected." ^ f.failure);
-    Metrics.observe ~buckets:minute_buckets m "faults.lost_minutes"
-      f.lost_minutes
-  | Eval_retry _ -> Metrics.incr m "faults.retries"
-  | Quarantined _ -> Metrics.incr m "faults.quarantined"
-  | Core_lost _ -> Metrics.incr m "cores.lost"
-  | Failover _ -> Metrics.incr m "failovers"
-  | Checkpoint_written _ -> Metrics.incr m "checkpoints"
-  | Serve_enqueue _ -> Metrics.incr m "serve.enqueued"
-  | Serve_batch b ->
-    Metrics.incr m "serve.batches";
-    Metrics.incr ~by:b.size m "serve.batched"
-  | Serve_reconfig _ -> Metrics.incr m "serve.reconfigs"
-  | Serve_fallback _ -> Metrics.incr m "serve.fallbacks"
-  | Serve_complete c ->
-    Metrics.incr m "serve.completed";
-    Metrics.observe ~buckets:serve_latency_buckets m "serve.latency_minutes"
-      c.latency_minutes
-  | Serve_shed _ -> Metrics.incr m "serve.shed"
-  | Serve_timeout _ -> Metrics.incr m "serve.timeouts"
-  | Serve_hedge _ -> Metrics.incr m "serve.hedges"
-  | Serve_breaker b -> Metrics.incr m ("serve.breaker." ^ b.to_state)
-  | Serve_deadline d ->
-    Metrics.incr m
-      (if d.met then "serve.deadline.met" else "serve.deadline.missed")
-  | Fed_route _ -> Metrics.incr m "fed.routed"
-  | Fed_autoscale a -> Metrics.incr m ("fed.autoscale." ^ a.action)
-  | Fed_retune _ -> Metrics.incr m "fed.retunes"
-  | Fed_promote _ -> Metrics.incr m "fed.promotions"
-  | Run_begin _ -> Metrics.incr m "runs"
-  | Run_end r -> Metrics.set_gauge m "best_quality" r.best
-
-(* ------------------------------------------------------------------ *)
 (* The tracer *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  mutable sinks : sink list;
-  t_metrics : Metrics.t;
+  sinks : sink list;
   mutable t_clock : float;
   mutable t_seq : int;
   mutable t_partition : int;
 }
 
 let create ?(sinks = []) () =
-  { sinks;
-    t_metrics = Metrics.create ();
-    t_clock = 0.0;
-    t_seq = 0;
-    t_partition = -1 }
-
-let add_sink t s = t.sinks <- t.sinks @ [ s ]
-
-let metrics t = t.t_metrics
+  { sinks; t_clock = 0.0; t_seq = 0; t_partition = -1 }
 
 let set_clock t m = t.t_clock <- m
-
-let clock t = t.t_clock
 
 let set_partition t p = t.t_partition <- p
 
@@ -356,7 +166,6 @@ let emitted t = t.t_seq
 let emit t kind =
   let ev = { e_seq = t.t_seq; e_minutes = t.t_clock; e_kind = kind } in
   t.t_seq <- t.t_seq + 1;
-  fold_into_metrics t.t_metrics ev;
   List.iter (fun s -> s.on_event ev) t.sinks
 
 let flush t = List.iter (fun s -> s.on_flush ()) t.sinks

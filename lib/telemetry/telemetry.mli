@@ -11,9 +11,9 @@
     emits nothing — not even an allocation — when tracing is off. Sinks
     fan events out; three are built in: an in-memory ring ({!collector}),
     a JSONL writer ({!buffer_sink} / {!channel_sink}) and a human-readable
-    {!logs_sink} over the [logs] library. A {!Metrics} registry rides on
-    the tracer and folds every event into counters, gauges and
-    fixed-bucket histograms as it passes through.
+    {!logs_sink} over the [logs] library. The tracer keeps no tallies of
+    its own: {!Trace.replay} is the one reducer of the event stream, and
+    work is counted by the [S2fa_obs] counters.
 
     The trace records what a run decided, not where its time went: the
     pipeline stages ([scala.parse] through [b2c.flatten],
@@ -201,50 +201,6 @@ type event = {
 (** An event consumer. [on_flush] is called by {!flush} (end of run). *)
 type sink = { on_event : event -> unit; on_flush : unit -> unit }
 
-(** {1 Metrics registry}
-
-    String-named counters, gauges and fixed-bucket histograms. The
-    tracer updates a built-in set from the event stream (see
-    {!val:metrics}); instrumented code may also bump its own (e.g. the
-    Blaze dispatch counters). Snapshots are sorted by name, so they are
-    deterministic under a fixed seed. *)
-module Metrics : sig
-  type t
-
-  val create : unit -> t
-
-  val incr : ?by:int -> t -> string -> unit
-
-  val set_gauge : t -> string -> float -> unit
-
-  val observe : ?buckets:float array -> t -> string -> float -> unit
-  (** Add one observation to a histogram. [buckets] (ascending upper
-      bounds) takes effect on the histogram's first observation and is
-      ignored afterwards; the default is {!default_buckets}. *)
-
-  val default_buckets : float array
-
-  type histogram = {
-    h_buckets : float array;  (** Ascending upper bounds. *)
-    h_counts : int array;     (** One per bucket plus a final overflow. *)
-    h_count : int;
-    h_sum : float;
-  }
-
-  type snapshot = {
-    ms_counters : (string * int) list;        (** Sorted by name. *)
-    ms_gauges : (string * float) list;
-    ms_histograms : (string * histogram) list;
-  }
-
-  val snapshot : t -> snapshot
-
-  val counter : snapshot -> string -> int
-  (** [0] when absent. *)
-
-  val pp_snapshot : Format.formatter -> snapshot -> unit
-end
-
 (** {1 The tracer} *)
 
 type t
@@ -252,17 +208,10 @@ type t
 val create : ?sinks:sink list -> unit -> t
 (** Sequence starts at 0, clock at 0.0, partition context at -1. *)
 
-val add_sink : t -> sink -> unit
-
-val metrics : t -> Metrics.t
-(** The registry this tracer folds its events into. *)
-
 val set_clock : t -> float -> unit
 (** Set the virtual minutes subsequent events are stamped with. Drivers
     call this with the active core's clock before handing control to
     instrumented code. *)
-
-val clock : t -> float
 
 val set_partition : t -> int -> unit
 (** Set the partition-id context lower layers (the tuner) stamp into
@@ -274,8 +223,8 @@ val emitted : t -> int
 (** Events emitted so far (the next sequence number). *)
 
 val emit : t -> kind -> unit
-(** Stamp with the current clock and next sequence number, fold into the
-    metrics registry, fan out to every sink. *)
+(** Stamp with the current clock and next sequence number, and hand the
+    event to every sink. *)
 
 val flush : t -> unit
 

@@ -6,8 +6,6 @@ let of_events evs =
   { t_events =
       List.sort (fun (a : T.event) b -> compare a.T.e_seq b.T.e_seq) evs }
 
-let events t = t.t_events
-
 let decode n fields =
   match T.event_of_fields fields with
   | Some ev -> ev

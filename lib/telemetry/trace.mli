@@ -12,8 +12,6 @@ type t
 val of_events : Telemetry.event list -> t
 (** Sorts by sequence number. *)
 
-val events : t -> Telemetry.event list
-
 val parse_lines : string list -> (t, string) result
 (** One JSONL line per event; the first bad line is rejected as
     ["trace:LINE: reason"]. *)

@@ -10,15 +10,18 @@ let exe =
 module Json = S2fa_telemetry.Telemetry.Json
 
 (* Run [exe args], returning (exit_code, stdout). With [kill_after], a
-   run still going after that many seconds is killed (exit 137). *)
-let run ?kill_after args =
+   run still going after that many seconds is killed (exit 137); [env]
+   prefixes the command with VAR=VALUE assignments. *)
+let run ?kill_after ?(env = "") args =
   let out = Filename.temp_file "s2fa_cli" ".out" in
   let cmd =
     match kill_after with
     | Some s -> Printf.sprintf "timeout -s KILL %d %s" s exe
     | None -> exe
   in
-  let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" cmd args out) in
+  let code =
+    Sys.command (Printf.sprintf "%s %s %s > %s 2>&1" env cmd args out)
+  in
   let ic = open_in out in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
@@ -178,6 +181,38 @@ let test_logs_follow_the_trace () =
              | _ -> fail ())
            after_tag keys))
     events logs
+
+(* S2FA_LOGS=quiet mirrors nothing: the run prints what it prints with
+   the variable unset. *)
+let test_logs_quiet () =
+  let trace = Filename.temp_file "s2fa_cli" ".jsonl" in
+  let dse = "dse -w KMeans --minutes 20 --seed 3 --trace " ^ trace in
+  let code, quiet = run ~kill_after:60 ~env:"S2FA_LOGS=quiet" dse in
+  let _, plain = run ~kill_after:60 dse in
+  Sys.remove trace;
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "same output as unset" plain quiet
+
+(* A word that is no log level is a usage error before any work: exit
+   124, a message naming the variable and the accepted words, and no
+   trace file. *)
+let test_logs_unknown_level () =
+  let dir = Filename.temp_dir "s2fa_cli" ".d" in
+  let trace = Filename.concat dir "t.jsonl" in
+  let code, out =
+    run ~kill_after:60 ~env:"S2FA_LOGS=bogus"
+      ("dse -w KMeans --minutes 20 --seed 3 --trace " ^ trace)
+  in
+  let written = Sys.file_exists trace in
+  if written then Sys.remove trace;
+  Sys.rmdir dir;
+  Alcotest.(check int) "exit code" 124 code;
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("names " ^ needle) true (contains out needle))
+    [ "S2FA_LOGS"; "bogus"; "quiet|app|error|warning|info|debug" ];
+  Alcotest.(check bool) "no search ran" false (contains out "# best");
+  Alcotest.(check bool) "no trace file" false written
 
 let test_trace_rejects_garbage () =
   let bad = Filename.temp_file "s2fa_cli" ".jsonl" in
@@ -410,6 +445,8 @@ let test_resume_bad_meta () =
       ("fleet apps", fleet_ck, "apps", "\"KMeans:x\"");
       ("fleet policy", fleet_ck, "policy", "\"nope\"");
       ("fleet faults", armed_ck, "faults", "\"crash=3\"");
+      ("fleet batch", fleet_ck, "batch", "\"0\"");
+      ("fleet queue_cap", fleet_ck, "queue_cap", "\"0\"");
       (* Values that decode but that the fleet refuses up front. *)
       ("fleet devices", fleet_ck, "devices", "\"0\"");
       ("fleet hang_factor", armed_ck, "hang_factor", "\"0.5\"");
@@ -549,8 +586,6 @@ let test_serve_rejects_bad_values () =
     (fun (args, msg) ->
       check_rejects ("serve " ^ args) (serve_args ^ " " ^ args) [ msg ])
     [ ("--devices 0", "need at least one device");
-      ("--batch 0", "batch must be >= 1");
-      ("--queue-cap 0", "queue capacity must be >= 1");
       ("--hang-factor 0", "hang factor must be > 1");
       ("--hang-factor nan", "hang factor must be > 1");
       ("--slo-ms nan", "deadline offset must be positive and finite");
@@ -722,9 +757,8 @@ let test_every_flag_rejects_bad_values () =
           ~lib:([ "0"; "-1" ], "need at least one device");
         opt srv "--seed" not_int;
         opt srv "--horizon" all;
-        opt srv "--batch" all ~lib:([ "0"; "-1" ], "batch must be >= 1");
-        opt srv "--queue-cap" all
-          ~lib:([ "0"; "-1" ], "queue capacity must be >= 1");
+        opt srv "--batch" all;
+        opt srv "--queue-cap" all;
         opt srv "--faults" all;
         opt srv "--trace" [ dir ];
         opt srv "--metrics" [ dir ];
@@ -879,20 +913,69 @@ let test_trace_stage_share () =
   Alcotest.(check bool) "stage-share summary line" true
     (contains rep "stage share: search evals")
 
+(* The exposition is the printed report in numbers: each headline gauge
+   and one [s2fa_fleet_app_requests] sample per app row carry the
+   report's values, and --metrics adds only its own line to stdout. *)
 let test_serve_metrics () =
   let m = Filename.temp_file "s2fa_metrics" ".prom" in
   let out = check_ok "serve --metrics" (serve_args ^ " --metrics " ^ m) in
-  Alcotest.(check bool) "notes the metrics file" true
-    (contains out "# metrics:");
-  let prom = read_file m in
+  let prom = String.split_on_char '\n' (read_file m) in
   Sys.remove m;
+  let _, plain = run serve_args in
+  Alcotest.(check string) "stdout is plain serve's plus the metrics line"
+    (plain ^ "# metrics: " ^ m ^ "\n")
+    out;
+  let sample name =
+    match
+      List.find_map
+        (fun l ->
+          match String.split_on_char ' ' l with
+          | [ k; v ] when k = name -> Some v
+          | _ -> None)
+        prom
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "no %s sample" name
+  in
+  let gauge name v =
+    Alcotest.(check string) name (string_of_int v) (sample name)
+  in
+  let report = String.split_on_char '\n' plain in
+  let line prefix =
+    List.find (fun l -> String.starts_with ~prefix l) report
+  in
+  Scanf.sscanf (line "policy ") "policy %_s@, %d devices %_s@)), %d requests"
+    (fun devices requests ->
+      gauge "s2fa_fleet_devices" devices;
+      gauge "s2fa_fleet_requests" requests);
+  Scanf.sscanf (line "completed ")
+    "completed %_d: %_d accelerated in %d batches, %d jvm fallback"
+    (fun batches fallbacks ->
+      gauge "s2fa_fleet_batches" batches;
+      gauge "s2fa_fleet_fallbacks" fallbacks);
+  Scanf.sscanf (line "reconfigurations ") "reconfigurations %d,"
+    (gauge "s2fa_fleet_reconfigs");
+  (* The per-app rows sit between the table header and "fairness:". *)
+  let rec app_rows = function
+    | l :: rest when String.starts_with ~prefix:"  app " l ->
+      List.filter (fun l -> String.starts_with ~prefix:"  " l) rest
+    | _ :: rest -> app_rows rest
+    | [] -> []
+  in
+  let rows = app_rows report in
+  Alcotest.(check int) "two app rows" 2 (List.length rows);
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("exposition has " ^ needle) true
-        (contains prom needle))
-    [ "# TYPE s2fa_serve_completed counter";
-      "# TYPE s2fa_fleet_requests gauge";
-      "s2fa_fleet_devices 2" ]
+    (fun row ->
+      Scanf.sscanf row " %s %_f %d" (fun app reqs ->
+          gauge (Printf.sprintf "s2fa_fleet_app_requests{app=\"%s\"}" app)
+            reqs))
+    rows;
+  Alcotest.(check int) "one app_requests sample per app row"
+    (List.length rows)
+    (List.length
+       (List.filter
+          (String.starts_with ~prefix:"s2fa_fleet_app_requests{")
+          prom))
 
 (* ---------- the bench harness: section filter and goldens ---------- *)
 
@@ -1000,6 +1083,10 @@ let () =
             test_dse_trace_and_replay;
           Alcotest.test_case "S2FA_LOGS follows the trace" `Quick
             test_logs_follow_the_trace;
+          Alcotest.test_case "S2FA_LOGS=quiet adds no logs" `Quick
+            test_logs_quiet;
+          Alcotest.test_case "S2FA_LOGS rejects an unknown level" `Quick
+            test_logs_unknown_level;
           Alcotest.test_case "trace rejects garbage" `Quick
             test_trace_rejects_garbage;
           Alcotest.test_case "dse --faults" `Quick test_dse_faults;

@@ -572,7 +572,6 @@ let test_best_at () =
       rr_minutes = 30.0;
       rr_evals = 3;
       rr_cache = None;
-      rr_metrics = None;
       rr_fault = None }
   in
   Alcotest.(check (float 1e-9)) "before anything" infinity
@@ -698,29 +697,6 @@ let render_fault = function
       st.Fault.st_retries st.Fault.st_backoff st.Fault.st_quarantined
       st.Fault.st_cores_lost
 
-let render_metrics = function
-  | None -> "none"
-  | Some (m : Telemetry.Metrics.snapshot) ->
-    let b = Buffer.create 1024 in
-    List.iter
-      (fun (k, n) -> Printf.bprintf b "c %s %d\n" k n)
-      m.Telemetry.Metrics.ms_counters;
-    List.iter
-      (fun (k, v) -> Printf.bprintf b "g %s %h\n" k v)
-      m.Telemetry.Metrics.ms_gauges;
-    List.iter
-      (fun (k, (h : Telemetry.Metrics.histogram)) ->
-        Printf.bprintf b "h %s %d %h [%s] [%s]\n" k h.Telemetry.Metrics.h_count
-          h.Telemetry.Metrics.h_sum
-          (String.concat ","
-             (Array.to_list
-                (Array.map (Printf.sprintf "%h") h.Telemetry.Metrics.h_buckets)))
-          (String.concat ","
-             (Array.to_list
-                (Array.map string_of_int h.Telemetry.Metrics.h_counts))))
-      m.Telemetry.Metrics.ms_histograms;
-    md5 (Buffer.contents b)
-
 let render_events (r : Driver.run_result) =
   r.Driver.rr_events
   |> List.map (fun (e : Driver.event) ->
@@ -765,7 +741,6 @@ let golden_run wname (fname, run) (vname, use_db, spec, use_ck) =
     r.Driver.rr_evals;
   Printf.bprintf b "cache %s\n" (render_cache r.Driver.rr_cache);
   Printf.bprintf b "fault %s\n" (render_fault r.Driver.rr_fault);
-  Printf.bprintf b "metrics %s\n" (render_metrics r.Driver.rr_metrics);
   Printf.bprintf b "events %d %s\n" (List.length r.Driver.rr_events)
     (md5 (render_events r));
   Printf.bprintf b "trace %d %s\n"

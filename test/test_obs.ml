@@ -9,12 +9,9 @@
        produces bit-identical results with and without a profiler;
      - the folded-stack encoding falls back to span counts when the
        whole profile has zero virtual duration;
-     - a disabled instrumentation call allocates nothing;
-     - the Prometheus exposition of a metrics snapshot is deterministic
-       and well-formed. *)
+     - a disabled instrumentation call allocates nothing. *)
 
 module Obs = S2fa_obs.Obs
-module Telemetry = S2fa_telemetry.Telemetry
 module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
 module Driver = S2fa_dse.Driver
@@ -265,36 +262,6 @@ let test_stage_spans () =
   Alcotest.(check int) "hls.estimate per objective call" calls
     (count "hls.estimate")
 
-(* -------------------------- prometheus ---------------------------- *)
-
-let test_prometheus_exposition () =
-  let m = Telemetry.Metrics.create () in
-  Telemetry.Metrics.incr ~by:3 m "evals.total";
-  Telemetry.Metrics.set_gauge m "best quality" 0.5;
-  Telemetry.Metrics.observe ~buckets:[| 1.0; 10.0 |] m "lat" 0.5;
-  Telemetry.Metrics.observe m "lat" 5.0;
-  let snap = Telemetry.Metrics.snapshot m in
-  let a = Obs.prometheus_of_snapshot snap in
-  let b = Obs.prometheus_of_snapshot snap in
-  Alcotest.(check string) "deterministic" a b;
-  let has needle =
-    Alcotest.(check bool) ("has " ^ needle) true
-      (let hl = String.length a and nl = String.length needle in
-       let rec go i =
-         i + nl <= hl && (String.sub a i nl = needle || go (i + 1))
-       in
-       go 0)
-  in
-  has "# TYPE s2fa_evals_total counter";
-  has "s2fa_evals_total 3";
-  has "# TYPE s2fa_best_quality gauge";
-  has "# TYPE s2fa_lat histogram";
-  has "s2fa_lat_bucket{le=\"1\"} 1";
-  has "s2fa_lat_bucket{le=\"10\"} 2";
-  has "s2fa_lat_bucket{le=\"+Inf\"} 2";
-  has "s2fa_lat_sum 5.5";
-  has "s2fa_lat_count 2"
-
 let () =
   Alcotest.run "obs"
     [ ( "profiler",
@@ -324,7 +291,4 @@ let () =
       );
       ( "stages",
         [ Alcotest.test_case "compile and explore spans" `Quick
-            test_stage_spans ] );
-      ( "prometheus",
-        [ Alcotest.test_case "text exposition" `Quick
-            test_prometheus_exposition ] ) ]
+            test_stage_spans ] ) ]

@@ -299,30 +299,6 @@ let test_collector_capacity () =
   Alcotest.(check int) "ring keeps 3" 3 (List.length evs);
   Alcotest.(check int) "most recent survive" 7 (List.hd evs).T.e_seq
 
-let test_metrics_registry () =
-  let m = T.Metrics.create () in
-  T.Metrics.incr m "a";
-  T.Metrics.incr ~by:4 m "a";
-  T.Metrics.incr m "b";
-  T.Metrics.set_gauge m "g" 2.5;
-  T.Metrics.observe ~buckets:[| 1.0; 10.0 |] m "h" 0.5;
-  T.Metrics.observe m "h" 5.0;
-  T.Metrics.observe m "h" 100.0;
-  let s = T.Metrics.snapshot m in
-  Alcotest.(check int) "counter a" 5 (T.Metrics.counter s "a");
-  Alcotest.(check int) "counter b" 1 (T.Metrics.counter s "b");
-  Alcotest.(check int) "absent counter" 0 (T.Metrics.counter s "zzz");
-  Alcotest.(check (list string)) "counters sorted" [ "a"; "b" ]
-    (List.map fst s.T.Metrics.ms_counters);
-  match s.T.Metrics.ms_histograms with
-  | [ ("h", h) ] ->
-    Alcotest.(check int) "observations" 3 h.T.Metrics.h_count;
-    Alcotest.(check (float 1e-9)) "sum" 105.5 h.T.Metrics.h_sum;
-    (* 0.5 -> bucket <=1, 5.0 -> bucket <=10, 100.0 -> overflow *)
-    Alcotest.(check (list int)) "bucket counts" [ 1; 1; 1 ]
-      (Array.to_list h.T.Metrics.h_counts)
-  | _ -> Alcotest.fail "expected one histogram"
-
 let test_logs_sink_silent_by_default () =
   (* Without a reporter the logs sink must be inert: no output, no
      exception, and the events still reach other sinks untouched. *)
@@ -426,27 +402,6 @@ let test_parse_lines_reports_bad_line () =
     Alcotest.(check bool) "names the line" true
       (String.length m > 0 && String.contains m '1')
   | Ok _ -> Alcotest.fail "accepted a malformed line"
-
-(* ---------- metrics snapshot of a run ---------- *)
-
-let test_run_metrics_snapshot () =
-  let r, _ = traced_run 16 in
-  match r.Driver.rr_metrics with
-  | None -> Alcotest.fail "traced run must carry a metrics snapshot"
-  | Some s ->
-    Alcotest.(check int) "evals counter" r.Driver.rr_evals
-      (T.Metrics.counter s "evals");
-    Alcotest.(check int) "offline counter" quick_opts.Driver.so_samples
-      (T.Metrics.counter s "evals.offline");
-    Alcotest.(check int) "runs" 1 (T.Metrics.counter s "runs");
-    Alcotest.(check bool) "partitions started" true
-      (T.Metrics.counter s "partitions.started" > 0)
-
-let test_untraced_run_has_no_metrics () =
-  let c = Lazy.force kmeans in
-  let r = S2fa.explore ~opts:quick_opts c (Rng.create 17) in
-  Alcotest.(check bool) "no snapshot without a tracer" true
-    (r.Driver.rr_metrics = None)
 
 (* ---------- readers under mutation ---------- *)
 
@@ -594,7 +549,6 @@ let () =
         [ Alcotest.test_case "sequencing" `Quick test_tracer_sequencing;
           Alcotest.test_case "collector capacity" `Quick
             test_collector_capacity;
-          Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
           Alcotest.test_case "logs sink silent" `Quick
             test_logs_sink_silent_by_default ] );
       ( "determinism",
@@ -609,10 +563,6 @@ let () =
           Alcotest.test_case "via JSONL file" `Quick test_replay_via_jsonl_file;
           Alcotest.test_case "bad line reported" `Quick
             test_parse_lines_reports_bad_line ] );
-      ( "metrics",
-        [ Alcotest.test_case "run snapshot" `Quick test_run_metrics_snapshot;
-          Alcotest.test_case "untraced has none" `Quick
-            test_untraced_run_has_no_metrics ] );
       ( "readers",
         Alcotest.test_case "real artifacts load" `Quick test_artifacts_load
         :: List.map QCheck_alcotest.to_alcotest [ prop_readers_never_raise ] )
