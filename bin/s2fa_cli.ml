@@ -318,9 +318,11 @@ let log_level =
        Logs.[ None; Some App; Some Error; Some Warning; Some Info; Some Debug ])
 
 (* --trace FILE plumbing: a JSONL channel sink, plus a human-readable
-   logs sink when S2FA_LOGS names a level ("debug", "info", ...).
-   "quiet" adds none, and a word that is no level is a usage error (exit
-   124) before the file is opened. *)
+   logs sink when S2FA_LOGS names a level ("debug", "info", ...). Each
+   event is logged at its kind's level (Telemetry.log_level) and the
+   named level is the most verbose one printed, all of them on stderr,
+   so stdout stays the report. "quiet" adds none, and a word that is no
+   level is a usage error (exit 124) before the file is opened. *)
 let make_tracer path =
   let logs =
     match Sys.getenv_opt "S2FA_LOGS" with
@@ -332,9 +334,11 @@ let make_tracer path =
         exit 124
       | Ok None -> []
       | Ok (Some level) ->
-        Logs.set_reporter (Logs.format_reporter ());
+        Logs.set_reporter
+          (Logs.format_reporter ~app:Format.err_formatter
+             ~dst:Format.err_formatter ());
         Logs.Src.set_level Telemetry.log_src (Some level);
-        [ Telemetry.logs_sink ~level () ])
+        [ Telemetry.logs_sink () ])
   in
   let oc = open_out path in
   (Telemetry.create ~sinks:(logs @ [ Telemetry.channel_sink oc ]) (), oc)

@@ -37,6 +37,10 @@ type compiled = {
   c_buffer_elems : (string * int) list;
   c_input_ty : Ast.ty;
   c_output_ty : Ast.ty;
+  c_analysis : Transform.analysis option Lazy.t;
+      (** [Transform.analyse c_flat], derived from [c_flat] alone like
+          [c_dspace] and built by the first {!estimate}: compiling
+          never analyses, and no design or result is kept in it. *)
 }
 
 val compile :
@@ -59,7 +63,13 @@ val apply_design : compiled -> Space.cfg -> Csyntax.cprog
     applied. *)
 
 val estimate : ?tasks:int -> compiled -> Space.cfg -> Estimate.report
-(** HLS-estimate a design point (default 4096 tasks). *)
+(** HLS-estimate a design point (default 4096 tasks): the report of
+    [Estimate.estimate (apply_design c cfg)], float for float, with the
+    same [Transform_error] and the same loop ids drawn. It builds the
+    design's summary from [c_analysis] ([Transform.summarize], one
+    [merlin.apply] span) and runs [Estimate.model] on it (one
+    [hls.estimate] span), so no program is rewritten or re-analysed. A
+    kernel [Transform.analyse] refuses is rewritten and estimated. *)
 
 val objective :
   ?tasks:int ->

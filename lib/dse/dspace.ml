@@ -63,7 +63,10 @@ let identify ?(max_factor = 256) prog =
         let tile_hi = min trip (if is_task then 1024 else max_factor) in
         let par_hi = min trip max_factor in
         let tile =
-          if tile_hi > 1 then [ Space.PPow2 (tile_name id, 1, tile_hi) ]
+          if
+            tile_hi > 1
+            && Option.is_none (Transform.tile_refusal li.Canalysis.li_loop)
+          then [ Space.PPow2 (tile_name id, 1, tile_hi) ]
           else []
         in
         let par =

@@ -7,7 +7,10 @@ module Csyntax = S2fa_hlsc.Csyntax
     From the flat kernel's loop nest and interface buffers this derives
     the tunable parameters: per loop a tiling factor and a parallel
     factor in (1, TC(L)) (powers of two) and a pipeline mode in
-    {off, on, flatten}; per off-chip buffer a bit-width 2^n in (8, 512]. *)
+    {off, on, flatten}; per off-chip buffer a bit-width 2^n in (8, 512].
+    A loop Merlin cannot tile ({!Transform.tile_refusal}: a step other
+    than 1, a body writing the counter, or a counter declared outside
+    the loop) gets no tiling factor. *)
 
 type t = {
   ds_space : Space.space;

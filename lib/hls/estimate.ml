@@ -93,23 +93,16 @@ let ops_resources ~helper_res ~shared (o : Canalysis.op_counts) (t : totals)
 
 (* ---------- estimation ---------- *)
 
-let estimate ?(device = Device.vu9p) ?(nominal_trip = 64) prog ~tasks
+let run ?(device = Device.vu9p) ?(nominal_trip = 64) summaries ~tasks
     ~buffer_elems =
-  S2fa_obs.Obs.span "hls.estimate" @@ fun () ->
-  S2fa_obs.Obs.count "hls.evals";
-  let kernel =
-    match Csyntax.find_cfunc prog "kernel" with
-    | Some f -> f
+  let summary =
+    match List.assoc_opt "kernel" summaries with
+    | Some s -> s
     | None -> invalid_arg "estimate: program has no kernel function"
   in
-  let summary = Canalysis.analyze kernel in
   (* Helper functions: flat sequential cost, reused as a shared unit. *)
   let helper_summaries =
-    List.filter_map
-      (fun (f : Csyntax.cfunc) ->
-        if String.equal f.Csyntax.cfname "kernel" then None
-        else Some (f.Csyntax.cfname, Canalysis.analyze f))
-      prog.Csyntax.cfuncs
+    List.filter (fun (name, _) -> not (String.equal name "kernel")) summaries
   in
   let rec helper_lat name =
     match List.assoc_opt name helper_summaries with
@@ -170,10 +163,8 @@ let estimate ?(device = Device.vu9p) ?(nominal_trip = 64) prog ~tasks
   let bw_of buffer =
     let declared =
       List.find_map
-        (fun (p : Csyntax.cparam) ->
-          if String.equal p.Csyntax.cpname buffer then p.Csyntax.cpbitwidth
-          else None)
-        kernel.Csyntax.cfparams
+        (fun (b, _, bw) -> if String.equal b buffer then bw else None)
+        summary.Canalysis.buffers
     in
     Option.value ~default:32 declared
   in
@@ -469,6 +460,22 @@ let estimate ?(device = Device.vu9p) ?(nominal_trip = 64) prog ~tasks
     r_dsp_pct = dsp_pct;
     r_feasible = feasible;
     r_eval_minutes = eval_minutes }
+
+let spanned f =
+  S2fa_obs.Obs.span "hls.estimate" @@ fun () ->
+  S2fa_obs.Obs.count "hls.evals";
+  f ()
+
+let model ?device ?nominal_trip summaries ~tasks ~buffer_elems =
+  spanned (fun () -> run ?device ?nominal_trip summaries ~tasks ~buffer_elems)
+
+let estimate ?device ?nominal_trip prog ~tasks ~buffer_elems =
+  spanned (fun () ->
+      run ?device ?nominal_trip
+        (List.map
+           (fun (f : Csyntax.cfunc) -> (f.Csyntax.cfname, Canalysis.analyze f))
+           prog.Csyntax.cfuncs)
+        ~tasks ~buffer_elems)
 
 (* ---------- report sanity checking ----------
 

@@ -36,11 +36,32 @@ val estimate :
   tasks:int ->
   buffer_elems:(string * int) list ->
   report
-(** [estimate prog ~tasks ~buffer_elems] analyzes the [kernel] function
-    of [prog]. [buffer_elems] gives elements-per-task for each interface
-    buffer (from the b2c layout); [nominal_trip] substitutes for loop
-    bounds that are not compile-time constants other than the task loop
-    (default 64). The task loop (trip [N]) is evaluated at [tasks]. *)
+(** [estimate prog ~tasks ~buffer_elems] analyzes every function of
+    [prog] ({!Canalysis.analyze}) and runs {!model} on the result: it
+    estimates the [kernel] function, costing calls to the others as
+    shared helper units. [buffer_elems] gives elements-per-task for each
+    interface buffer (from the b2c layout); [nominal_trip] substitutes
+    for loop bounds that are not compile-time constants other than the
+    task loop (default 64). The task loop (trip [N]) is evaluated at
+    [tasks]. Under a profiler each call is one [hls.estimate] span,
+    analysis included, counting [hls.evals]. *)
+
+val model :
+  ?device:Device.t ->
+  ?nominal_trip:int ->
+  (string * Canalysis.summary) list ->
+  tasks:int ->
+  buffer_elems:(string * int) list ->
+  report
+(** The estimator over an analysed program: one summary per function,
+    by name, in program order, as {!estimate} builds them, or as
+    [S2fa_merlin.Transform.summarize] derives them for a design point
+    without rewriting the program. It reads of each loop only its
+    analysis and the id and pragmas of its [li_loop], and of the
+    interface only [buffers] (a buffer's bit-width defaults to 32).
+    Equal summaries give bit-identical reports. Raises [Invalid_argument]
+    when no function is named [kernel]. One [hls.estimate] span
+    counting [hls.evals]. *)
 
 val check_report : report -> (unit, string) result
 (** Structural sanity check on a report — the defense against a

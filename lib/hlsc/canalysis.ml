@@ -64,6 +64,14 @@ type summary = {
 
 type tenv = (string, Csyntax.cty) Hashtbl.t
 
+let float_ty (t : Csyntax.cty) =
+  match t with
+  | Csyntax.CFloat | Csyntax.CDouble
+  | Csyntax.CArr ((Csyntax.CFloat | Csyntax.CDouble), _)
+  | Csyntax.CPtr (Csyntax.CFloat | Csyntax.CDouble) ->
+    true
+  | _ -> false
+
 let rec is_fp tenv (e : Csyntax.cexpr) =
   match e with
   | Csyntax.EFloat _ | Csyntax.EDouble _ -> true
@@ -71,11 +79,7 @@ let rec is_fp tenv (e : Csyntax.cexpr) =
     false
   | Csyntax.EVar v -> (
     match Hashtbl.find_opt tenv v with
-    | Some (Csyntax.CFloat | Csyntax.CDouble) -> true
-    | Some (Csyntax.CArr ((Csyntax.CFloat | Csyntax.CDouble), _))
-    | Some (Csyntax.CPtr (Csyntax.CFloat | Csyntax.CDouble)) ->
-      true
-    | Some _ -> false
+    | Some t -> float_ty t
     | None -> false)
   | Csyntax.EBin (_, a, b) -> is_fp tenv a || is_fp tenv b
   | Csyntax.EUn (_, a) -> is_fp tenv a

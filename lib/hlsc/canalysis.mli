@@ -72,6 +72,16 @@ val affine_diff : affine -> affine -> affine
 
 val analyze : Csyntax.cfunc -> summary
 
+val float_ty : Csyntax.cty -> bool
+(** Whether a variable declared at this type counts as floating point
+    in the operation counts and recurrence latencies: [float], [double],
+    and one-dimensional arrays and buffers of them. *)
+
+val trip_count : Csyntax.loop -> int option
+(** The loop's constant trip count, as {!analyze} records it in
+    [li_trip]: [Some] when both bounds fold to constants and the step
+    is positive. *)
+
 val find_loop : summary -> int -> loop_info option
 
 val loop_ids : summary -> int list

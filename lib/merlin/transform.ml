@@ -1,4 +1,5 @@
 module Csyntax = S2fa_hlsc.Csyntax
+module Canalysis = S2fa_hlsc.Canalysis
 open Csyntax
 
 type loop_cfg = {
@@ -156,28 +157,98 @@ let subst_stmts v repl stmts =
   in
   go false stmts
 
+(* ---------- fresh names ---------- *)
+
+(* Every variable name the function mentions: parameters, declarations,
+   loop counters and every variable an expression reads. *)
+let names_of_func (f : cfunc) =
+  let names = Hashtbl.create 32 in
+  let add n = Hashtbl.replace names n () in
+  let rec expr = function
+    | EVar x -> add x
+    | EInt _ | ELong _ | EFloat _ | EDouble _ | EChar _ | EBool _ -> ()
+    | EBin (_, a, b) | EIndex (a, b) ->
+      expr a;
+      expr b
+    | EUn (_, a) | ECast (_, a) -> expr a
+    | ECall (_, args) -> List.iter expr args
+    | ECond (c, a, b) ->
+      expr c;
+      expr a;
+      expr b
+  and stmt = function
+    | SDecl (_, n, i) ->
+      add n;
+      Option.iter expr i
+    | SAssign (lv, e) ->
+      expr lv;
+      expr e
+    | SIf (c, a, b) ->
+      expr c;
+      List.iter stmt a;
+      List.iter stmt b
+    | SWhile (c, b) ->
+      expr c;
+      List.iter stmt b
+    | SFor l ->
+      add l.lvar;
+      expr l.llo;
+      expr l.lhi;
+      List.iter stmt l.lbody
+    | SExpr e -> expr e
+    | SReturn e -> Option.iter expr e
+  in
+  List.iter (fun (p : cparam) -> add p.cpname) f.cfparams;
+  List.iter stmt f.cfbody;
+  names
+
+(* A name for a variable a rewrite introduces: [base] when no variable
+   of the function is named so, else the first free [base1], [base2],
+   ... A rewrite that introduces several names at one level adds each
+   to [names] before choosing the next. *)
+let fresh names base =
+  let rec go k =
+    let n = base ^ string_of_int k in
+    if Hashtbl.mem names n then go (k + 1) else n
+  in
+  if Hashtbl.mem names base then go 1 else base
+
 (* ---------- tiling ---------- *)
+
+(* [writes]: the loop's body, as the rewrite sees it, writes the
+   counter. *)
+let refusal ~writes (l : loop) =
+  if l.lstep <> 1 then Some (Printf.sprintf "tiling a loop with step %d" l.lstep)
+  else if writes then
+    Some
+      (Printf.sprintf
+         "tiling loop '%s' whose body writes the induction variable" l.lvar)
+  else if not l.ldecl then
+    Some
+      (Printf.sprintf
+         "tiling loop '%s' whose counter is declared outside the loop: its \
+          exit value is observable and tiling would change it"
+         l.lvar)
+  else None
+
+let writes_counter (l : loop) = List.exists (stmt_writes l.lvar) l.lbody
+
+let tile_refusal l = refusal ~writes:(writes_counter l) l
 
 (* Tile loop [l] by factor [t]:
      for (v = lo; v < hi; v++) body
    becomes
      for (v_t = lo; v_t < hi; v_t += t)          <- keeps the original id
        #pragma parallel factor=p (inner)
-       for (v_i = 0; v_i < t; v_i++) {
+       for (v_i = 0; v_i < t; v_i++) {            <- id [inner_id]
          int v = v_t + v_i; if (v < hi) body
        }
-   The inner loop is fresh; the caller attaches pragmas. *)
-let tile_loop (l : loop) ~tile ~inner_pragmas ~outer_pragmas =
-  if l.lstep <> 1 then err "tiling a loop with step %d" l.lstep;
-  if List.exists (stmt_writes l.lvar) l.lbody then
-    err "tiling loop '%s' whose body writes the induction variable" l.lvar;
-  if not l.ldecl then
-    err
-      "tiling loop '%s' whose counter is declared outside the loop: its \
-       exit value is observable and tiling would change it"
-      l.lvar;
-  let vt = l.lvar ^ "_t" in
-  let vi = l.lvar ^ "_i" in
+   [v_t] and [v_i] are fresh among the function's [names]. The caller
+   has checked {!tile_refusal} and attaches pragmas. *)
+let tile_loop ~names ~inner_id (l : loop) ~tile ~inner_pragmas
+    ~outer_pragmas =
+  let vt = fresh names (l.lvar ^ "_t") in
+  let vi = fresh names (l.lvar ^ "_i") in
   let body =
     SAssign (EVar l.lvar, EBin (CAdd, EVar vt, EVar vi))
     :: [ SIf (EBin (CLt, EVar l.lvar, l.lhi), l.lbody, []) ]
@@ -188,7 +259,14 @@ let tile_loop (l : loop) ~tile ~inner_pragmas ~outer_pragmas =
     SDecl (l.lvty, l.lvar, None) :: body
   in
   let inner =
-    { (Csyntax.mk_loop ~var:vi ~lo:(EInt 0) ~hi:(EInt tile) body) with
+    { lid = inner_id;
+      lvar = vi;
+      lvty = CInt;
+      ldecl = true;
+      llo = EInt 0;
+      lhi = EInt tile;
+      lstep = 1;
+      lbody = body;
       lpragmas = inner_pragmas }
   in
   { l with
@@ -257,39 +335,280 @@ let self_verify orig result =
 
 (* ---------- applying a config ---------- *)
 
-let apply cfg prog =
-  S2fa_obs.Obs.span "merlin.apply" @@ fun () ->
-  S2fa_obs.Obs.count "transforms.applied";
+let check_factors cfg =
   List.iter
     (fun (id, lc) ->
       if lc.lc_tile < 1 then err "loop %d: tile factor %d" id lc.lc_tile;
       if lc.lc_parallel < 1 then
         err "loop %d: parallel factor %d" id lc.lc_parallel)
-    cfg.cfg_loops;
-  let rewrite_loop (l : loop) =
+    cfg.cfg_loops
+
+(* The pragmas a design puts on an untiled loop, and on the outer and
+   inner loop of a tiled one. *)
+let untiled_pragmas lc = [ Parallel lc.lc_parallel; Pipeline lc.lc_pipeline ]
+let outer_pragmas lc = [ Tile lc.lc_tile; Pipeline lc.lc_pipeline ]
+let inner_pragmas lc = [ Parallel lc.lc_parallel ]
+
+let bitwidth cfg name ty declared =
+  match (ty, List.assoc_opt name cfg.cfg_bitwidths) with
+  | CPtr _, Some bw -> Some bw
+  | _ -> declared
+
+let apply cfg prog =
+  S2fa_obs.Obs.span "merlin.apply" @@ fun () ->
+  S2fa_obs.Obs.count "transforms.applied";
+  check_factors cfg;
+  let rewrite_loop names (l : loop) =
     match List.assoc_opt l.lid cfg.cfg_loops with
     | None -> l
-    | Some lc ->
-      let pipe = [ Pipeline lc.lc_pipeline ] in
-      if lc.lc_tile > 1 then
-        tile_loop l ~tile:lc.lc_tile
-          ~inner_pragmas:[ Parallel lc.lc_parallel ]
-          ~outer_pragmas:(Tile lc.lc_tile :: pipe)
-      else
-        { l with lpragmas = (Parallel lc.lc_parallel :: pipe) }
+    | Some lc when lc.lc_tile > 1 ->
+      Option.iter (fun m -> raise (Transform_error m)) (tile_refusal l);
+      tile_loop ~names:(Lazy.force names) ~inner_id:(fresh_loop_id ()) l
+        ~tile:lc.lc_tile ~inner_pragmas:(inner_pragmas lc)
+        ~outer_pragmas:(outer_pragmas lc)
+    | Some lc -> { l with lpragmas = untiled_pragmas lc }
   in
   let rewrite_func f =
     let params =
       List.map
         (fun p ->
-          match (p.cpty, List.assoc_opt p.cpname cfg.cfg_bitwidths) with
-          | CPtr _, Some bw -> { p with cpbitwidth = Some bw }
-          | _ -> p)
+          { p with cpbitwidth = bitwidth cfg p.cpname p.cpty p.cpbitwidth })
         f.cfparams
     in
-    { f with cfparams = params; cfbody = map_loops rewrite_loop f.cfbody }
+    let names = lazy (names_of_func f) in
+    { f with
+      cfparams = params;
+      cfbody = map_loops (rewrite_loop names) f.cfbody }
   in
   self_verify prog { cfuncs = List.map rewrite_func prog.cfuncs }
+
+(* ---------- design summaries ---------- *)
+
+(* A loop of the flat function, with the loops nested in it. [n_tiled]
+   holds the analysis of the loop's tiled outer and inner loops, whose
+   factor-dependent fields (trip counts, step, inner bound, ids,
+   pragmas) each design fills in, when {!tile_refusal} accepts the
+   loop. [n_writes]: its body writes its counter. *)
+type node = {
+  n_info : Canalysis.loop_info;
+  n_writes : bool;
+  n_tiled : (Canalysis.loop_info * Canalysis.loop_info) option;
+  n_kids : node list;
+}
+
+type func_analysis = {
+  fa_name : string;
+  fa_summary : Canalysis.summary;
+  fa_roots : node list;
+}
+
+type analysis = func_analysis list
+
+let rec expr_reads_array = function
+  | EIndex _ -> true
+  | EVar _ | EInt _ | ELong _ | EFloat _ | EDouble _ | EChar _ | EBool _ ->
+    false
+  | EBin (_, a, b) -> expr_reads_array a || expr_reads_array b
+  | EUn (_, a) | ECast (_, a) -> expr_reads_array a
+  | ECall (_, args) -> List.exists expr_reads_array args
+  | ECond (c, a, b) ->
+    expr_reads_array c || expr_reads_array a || expr_reads_array b
+
+(* Whether the analysis of any tiled version of [f] is the flat analysis
+   with only the tiled loops changed. Tiling puts [v < hi] inside the
+   inner loop and declares [v] there, where the dependence scan of
+   every enclosing loop sees both, and the operation counts type
+   variables through one name table. So: no loop bound reads an array,
+   no tileable loop's counter is assigned as a scalar, and every name
+   is float-typed ({!Canalysis.float_ty}) in all of its declarations or
+   in none. *)
+let exact (f : cfunc) loops =
+  let float_of = Hashtbl.create 32 in
+  let mixed = ref false in
+  let declare n t =
+    let fp = Canalysis.float_ty t in
+    match Hashtbl.find_opt float_of n with
+    | Some fp' -> if fp <> fp' then mixed := true
+    | None -> Hashtbl.add float_of n fp
+  in
+  List.iter (fun (p : cparam) -> declare p.cpname p.cpty) f.cfparams;
+  let counters =
+    List.filter_map
+      (fun (li : Canalysis.loop_info) ->
+        let l = li.Canalysis.li_loop in
+        if Option.is_none (tile_refusal l) then Some l.lvar else None)
+      loops
+  in
+  let assigns_counter = ref false in
+  let rec stmt = function
+    | SDecl (t, n, _) -> declare n t
+    | SAssign (EVar x, _) ->
+      if List.mem x counters then assigns_counter := true
+    | SAssign _ | SExpr _ | SReturn _ -> ()
+    | SIf (_, a, b) ->
+      List.iter stmt a;
+      List.iter stmt b
+    | SWhile (_, b) -> List.iter stmt b
+    | SFor l ->
+      declare l.lvar CInt;
+      declare l.lvar l.lvty;
+      List.iter stmt l.lbody
+  in
+  List.iter stmt f.cfbody;
+  (not !mixed) && (not !assigns_counter)
+  && not
+       (List.exists
+          (fun (li : Canalysis.loop_info) ->
+            expr_reads_array li.Canalysis.li_loop.lhi)
+          loops)
+
+let analyse_func (f : cfunc) =
+  let s = Canalysis.analyze f in
+  let loops = s.Canalysis.loops in
+  if not (exact f loops) then None
+  else begin
+    let names = names_of_func f in
+    (* An id no loop of [f] has, for the inner loop of a tiled copy. *)
+    let inner_id =
+      List.fold_left
+        (fun m (li : Canalysis.loop_info) -> min m li.Canalysis.li_loop.lid)
+        0 loops
+      - 1
+    in
+    let tiled (l : loop) =
+      match tile_refusal l with
+      | Some _ -> None
+      | None ->
+        let tile_l (l' : loop) =
+          if l'.lid = l.lid then
+            tile_loop ~names ~inner_id l' ~tile:2 ~inner_pragmas:[]
+              ~outer_pragmas:[]
+          else l'
+        in
+        let t =
+          Canalysis.analyze { f with cfbody = map_loops tile_l f.cfbody }
+        in
+        Some
+          ( Option.get (Canalysis.find_loop t l.lid),
+            Option.get (Canalysis.find_loop t inner_id) )
+    in
+    let parent (li : Canalysis.loop_info) =
+      match List.rev li.Canalysis.li_ancestors with
+      | p :: _ -> Some p
+      | [] -> None
+    in
+    let rec nodes_under p =
+      List.filter_map
+        (fun (li : Canalysis.loop_info) ->
+          if parent li = p then
+            let l = li.Canalysis.li_loop in
+            Some
+              { n_info = li;
+                n_writes = writes_counter l;
+                n_tiled = tiled l;
+                n_kids = nodes_under (Some l.lid) }
+          else None)
+        loops
+    in
+    Some { fa_name = f.cfname; fa_summary = s; fa_roots = nodes_under None }
+  end
+
+let analyse prog =
+  let fs = List.map analyse_func prog.cfuncs in
+  if List.for_all Option.is_some fs then Some (List.map Option.get fs)
+  else None
+
+(* One loop under a design: its factors, for a tiled loop the analysed
+   outer and inner loops with the inner loop's id, and the counters of
+   the tiled loops nested in it. *)
+type decision = {
+  d_info : Canalysis.loop_info;
+  d_cfg : loop_cfg option;
+  d_tiled : (Canalysis.loop_info * Canalysis.loop_info * int) option;
+  d_kids : decision list;
+  d_tiled_counters : string list;
+}
+
+let summarize_func cfg fa =
+  (* First in [map_loops]'s order, children before their loop: refuse
+     an illegal tiling, or draw the inner loop's id as [apply] does. A
+     tiled loop nested in [l] assigns its own counter in its inner
+     loop, which [apply] sees as a write of [l]'s counter when the two
+     share a name. *)
+  let rec decide n =
+    let kids = List.map decide n.n_kids in
+    let below = List.concat_map (fun d -> d.d_tiled_counters) kids in
+    let l = n.n_info.Canalysis.li_loop in
+    let lc = List.assoc_opt l.lid cfg.cfg_loops in
+    let tiled =
+      match lc with
+      | Some lc when lc.lc_tile > 1 -> (
+        let writes = n.n_writes || List.mem l.lvar below in
+        Option.iter (fun m -> raise (Transform_error m)) (refusal ~writes l);
+        let outer, inner = Option.get n.n_tiled in
+        Some (outer, inner, fresh_loop_id ()))
+      | _ -> None
+    in
+    { d_info = n.n_info;
+      d_cfg = lc;
+      d_tiled = tiled;
+      d_kids = kids;
+      d_tiled_counters =
+        (if Option.is_some tiled then l.lvar :: below else below) }
+  in
+  let decided = List.map decide fa.fa_roots in
+  (* Then in pre-order, as the analysis lists the rewritten loops. *)
+  let out = ref [] in
+  let push (li : Canalysis.loop_info) loop ancestors =
+    out :=
+      { li with
+        Canalysis.li_loop = loop;
+        li_trip = Canalysis.trip_count loop;
+        li_ancestors = ancestors;
+        li_depth = List.length ancestors }
+      :: !out
+  in
+  let rec emit ancestors d =
+    let li = d.d_info in
+    let l = li.Canalysis.li_loop in
+    let kids = d.d_kids in
+    match (d.d_cfg, d.d_tiled) with
+    | None, _ ->
+      push li l ancestors;
+      List.iter (emit (ancestors @ [ l.lid ])) kids
+    | Some lc, None ->
+      push li { l with lpragmas = untiled_pragmas lc } ancestors;
+      List.iter (emit (ancestors @ [ l.lid ])) kids
+    | Some lc, Some ((outer : Canalysis.loop_info), inner, inner_id) ->
+      push
+        { outer with Canalysis.li_children = [ inner_id ] }
+        { outer.Canalysis.li_loop with
+          lstep = lc.lc_tile;
+          lpragmas = outer_pragmas lc }
+        ancestors;
+      let ancestors = ancestors @ [ l.lid ] in
+      push inner
+        { inner.Canalysis.li_loop with
+          lid = inner_id;
+          lhi = EInt lc.lc_tile;
+          lpragmas = inner_pragmas lc }
+        ancestors;
+      List.iter (emit (ancestors @ [ inner_id ])) kids
+  in
+  List.iter (emit []) decided;
+  let s = fa.fa_summary in
+  { s with
+    Canalysis.loops = List.rev !out;
+    buffers =
+      List.map
+        (fun (b, t, bw) -> (b, t, bitwidth cfg b t bw))
+        s.Canalysis.buffers }
+
+let summarize cfg a =
+  S2fa_obs.Obs.span "merlin.apply" @@ fun () ->
+  S2fa_obs.Obs.count "transforms.applied";
+  check_factors cfg;
+  List.map (fun fa -> (fa.fa_name, summarize_func cfg fa)) a
 
 (* ---------- real unrolling (for tests) ---------- *)
 
@@ -297,7 +616,7 @@ let real_unroll ~factor ~loop_id prog =
   S2fa_obs.Obs.span "merlin.unroll" @@ fun () ->
   S2fa_obs.Obs.count "transforms.applied";
   if factor < 1 then err "unroll factor %d" factor;
-  let rewrite (l : loop) =
+  let rewrite names (l : loop) =
     if l.lid <> loop_id || factor = 1 then l
     else begin
       (* for (v = lo; v < hi; v++) body
@@ -312,7 +631,7 @@ let real_unroll ~factor ~loop_id prog =
            loop: its exit value is observable and unrolling would change \
            it"
           l.lvar;
-      let vu = l.lvar ^ "_u" in
+      let vu = fresh (Lazy.force names) (l.lvar ^ "_u") in
       let copies =
         List.concat_map
           (fun k ->
@@ -327,7 +646,9 @@ let real_unroll ~factor ~loop_id prog =
   self_verify prog
     { cfuncs =
         List.map
-          (fun f -> { f with cfbody = map_loops rewrite f.cfbody })
+          (fun f ->
+            let names = lazy (names_of_func f) in
+            { f with cfbody = map_loops (rewrite names) f.cfbody })
           prog.cfuncs }
 
 (* ---------- tree reduction ---------- *)
@@ -397,7 +718,7 @@ let tree_reduce ~lanes ~loop_id prog =
   S2fa_obs.Obs.span "merlin.tree_reduce" @@ fun () ->
   S2fa_obs.Obs.count "transforms.applied";
   if lanes < 2 then err "tree_reduce: lane count %d" lanes;
-  let expand tenv (l : loop) =
+  let expand tenv names (l : loop) =
     if l.lstep <> 1 then err "tree_reduce: loop step %d" l.lstep;
     if not l.ldecl then
       err
@@ -435,9 +756,20 @@ let tree_reduce ~lanes ~loop_id prog =
         | CLong -> ELong (Int64.of_int n)
         | _ -> EInt n
       in
-      let vr = l.lvar ^ "_r" in
-      let lane k = Printf.sprintf "%s_r%d" acc k in
+      let names = Lazy.force names in
+      let vr = fresh names (l.lvar ^ "_r") in
+      Hashtbl.replace names vr ();
       let lanes_ix = List.init lanes (fun k -> k) in
+      let lane_names =
+        Array.of_list
+          (List.map
+             (fun k ->
+               let n = fresh names (Printf.sprintf "%s_r%d" acc k) in
+               Hashtbl.replace names n ();
+               n)
+             lanes_ix)
+      in
+      let lane k = lane_names.(k) in
       let decls =
         List.map (fun k -> SDecl (acc_ty, lane k, Some ident)) lanes_ix
       in
@@ -466,10 +798,11 @@ let tree_reduce ~lanes ~loop_id prog =
   in
   let rewrite_func (f : cfunc) =
     let tenv = lazy (func_tenv f) in
+    let names = lazy (names_of_func f) in
     let rec rw_stmts stmts = List.concat_map rw_stmt stmts
     and rw_stmt s =
       match s with
-      | SFor l when l.lid = loop_id -> expand (Lazy.force tenv) l
+      | SFor l when l.lid = loop_id -> expand (Lazy.force tenv) names l
       | SFor l -> [ SFor { l with lbody = rw_stmts l.lbody } ]
       | SIf (c, a, b) -> [ SIf (c, rw_stmts a, rw_stmts b) ]
       | SWhile (c, b) -> [ SWhile (c, rw_stmts b) ]

@@ -735,8 +735,22 @@ let channel_sink oc =
 
 let log_src = Logs.Src.create "s2fa.telemetry" ~doc:"S2FA DSE trace events"
 
-let logs_sink ?(level = Logs.Debug) () =
+let log_level = function
+  | Fault_injected _ | Eval_retry _ | Quarantined _ | Core_lost _
+  | Failover _ | Serve_timeout _ | Serve_breaker _ ->
+    Logs.Warning
+  | Run_begin _ | Run_end _ | Partition_start _ | Partition_stop _
+  | Checkpoint_written _ | Fed_autoscale _ | Fed_retune _ | Fed_promote _ ->
+    Logs.Info
+  | Eval_start _ | Eval_done _ | Bandit_select _ | Entropy_sample _
+  | Seed_injected _ | Serve_enqueue _ | Serve_batch _ | Serve_reconfig _
+  | Serve_fallback _ | Serve_complete _ | Serve_shed _ | Serve_hedge _
+  | Serve_deadline _ | Fed_route _ ->
+    Logs.Debug
+
+let logs_sink () =
   { on_event =
       (fun e ->
-        Logs.msg ~src:log_src level (fun m -> m "%a" pp_event e));
+        Logs.msg ~src:log_src (log_level e.e_kind) (fun m ->
+            m "%a" pp_event e));
     on_flush = (fun () -> ()) }

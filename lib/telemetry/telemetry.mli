@@ -241,13 +241,20 @@ val channel_sink : out_channel -> sink
 (** JSONL to a channel; [on_flush] flushes the channel (does not close
     it). *)
 
-val logs_sink : ?level:Logs.level -> unit -> sink
+val logs_sink : unit -> sink
 (** Human-readable lines through the [logs] library (source
-    ["s2fa.telemetry"], default level [Debug]). Silent unless the
-    application enables a reporter and the level — the default
+    ["s2fa.telemetry"]), each event at its kind's {!log_level}. Silent
+    unless the application enables a reporter and a level — the default
     [Logs] state prints nothing. *)
 
 val log_src : Logs.src
+
+val log_level : kind -> Logs.level
+(** The one level each kind is logged at. [Warning]: faults, retries,
+    quarantines, lost cores, failovers, serving timeouts and breaker
+    transitions. [Info]: run and partition boundaries, checkpoints, and
+    the federation's autoscaling, re-tunes and promotions. [Debug]: the
+    per-evaluation, per-batch and per-request events. *)
 
 (** {1 Serialization} *)
 

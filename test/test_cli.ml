@@ -142,7 +142,14 @@ let test_logs_follow_the_trace () =
     String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "")
   in
   let events = lines trace in
-  let logs = List.filter (fun l -> contains l "[DEBUG] [") (lines err) in
+  let logs =
+    List.filter
+      (fun l ->
+        List.exists
+          (fun level -> contains l ("[" ^ level ^ "] ["))
+          [ "WARNING"; "INFO"; "DEBUG" ])
+      (lines err)
+  in
   Sys.remove trace;
   Sys.remove err;
   Alcotest.(check int) "exit code" 0 code;
@@ -181,6 +188,74 @@ let test_logs_follow_the_trace () =
              | _ -> fail ())
            after_tag keys))
     events logs
+
+(* Each event kind is logged at one level (Telemetry.log_level): a
+   faulted run's stderr holds, per label, exactly the trace's events of
+   that level when S2FA_LOGS lets it through, and nothing else; stdout
+   is the report, the same at every level as with the variable unset. *)
+let test_logs_levels () =
+  let trace = Filename.temp_file "s2fa_cli" ".jsonl" in
+  let out = Filename.temp_file "s2fa_cli" ".out" in
+  let err = Filename.temp_file "s2fa_cli" ".err" in
+  let dse env =
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "%s timeout -s KILL 60 %s dse -w KMeans --minutes 20 --seed 3 \
+            --faults crash=0.1,hang=0.05 --trace %s > %s 2> %s"
+           env exe trace out err)
+    in
+    Alcotest.(check int) (env ^ ": exit code") 0 code;
+    (read_file out, read_file err)
+  in
+  let plain, plain_err = dse "" in
+  Alcotest.(check string) "unset: no logs" "" plain_err;
+  let events =
+    String.split_on_char '\n' (read_file trace)
+    |> List.filter (( <> ) "")
+    |> List.map (fun l -> Option.get (S2fa_telemetry.Telemetry.event_of_json l))
+  in
+  let of_level level =
+    List.length
+      (List.filter
+         (fun (e : S2fa_telemetry.Telemetry.event) ->
+           S2fa_telemetry.Telemetry.log_level e.S2fa_telemetry.Telemetry.e_kind
+           = level)
+         events)
+  in
+  Alcotest.(check bool) "the run logs warnings" true (of_level Logs.Warning > 0);
+  let labels =
+    [ (Logs.App, "APP"); (Logs.Error, "ERROR"); (Logs.Warning, "WARNING");
+      (Logs.Info, "INFO"); (Logs.Debug, "DEBUG") ]
+  in
+  List.iter
+    (fun (word, shown) ->
+      let stdout, stderr = dse ("S2FA_LOGS=" ^ word) in
+      Alcotest.(check string) (word ^ ": stdout as unset") plain stdout;
+      let lines = List.filter (( <> ) "") (String.split_on_char '\n' stderr) in
+      let labelled =
+        List.fold_left
+          (fun n (level, label) ->
+            let count =
+              List.length
+                (List.filter (fun l -> contains l ("[" ^ label ^ "] [")) lines)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s lines" word label)
+              (if List.mem level shown then of_level level else 0)
+              count;
+            n + count)
+          0 labels
+      in
+      Alcotest.(check int) (word ^ ": no other stderr") (List.length lines)
+        labelled)
+    [ ("quiet", []);
+      ("app", [ Logs.App ]);
+      ("error", [ Logs.App; Logs.Error ]);
+      ("warning", [ Logs.App; Logs.Error; Logs.Warning ]);
+      ("info", [ Logs.App; Logs.Error; Logs.Warning; Logs.Info ]);
+      ("debug", [ Logs.App; Logs.Error; Logs.Warning; Logs.Info; Logs.Debug ]) ];
+  List.iter Sys.remove [ trace; out; err ]
 
 (* S2FA_LOGS=quiet mirrors nothing: the run prints what it prints with
    the variable unset. *)
@@ -234,6 +309,31 @@ let test_trace_rejects_garbage () =
     [ bad ^ ":1: not a trace event" ];
   Sys.remove bad;
   check_rejects_dir "trace DIR" (fun d -> "trace " ^ d)
+
+(* A loop Merlin will not tile (its counter is read after the loop)
+   gets no tiling factor, so the DSE never proposes one: this run used
+   to exit 125 with an uncaught Transform_error. *)
+let test_dse_untileable_loop () =
+  let src = Filename.temp_file "s2fa_cli" ".scala" in
+  write_text src
+    {|
+class WhileSum() extends Accelerator[Array[Int], Int] {
+  val id: String = "WhileSum"
+  def call(in: Array[Int]): Int = {
+    var sum = 0
+    var w = 0
+    while (w < 16) {
+      sum = sum + in(w)
+      w = w + 1
+    }
+    sum + w
+  }
+}
+|};
+  let code, out = run ~kill_after:120 ("dse -f " ^ src ^ " --minutes 60 --seed 3") in
+  Sys.remove src;
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "prints a best line" true (contains out "# best ")
 
 let test_dse_faults () =
   let out =
@@ -1083,12 +1183,16 @@ let () =
             test_dse_trace_and_replay;
           Alcotest.test_case "S2FA_LOGS follows the trace" `Quick
             test_logs_follow_the_trace;
+          Alcotest.test_case "S2FA_LOGS levels filter, on stderr" `Quick
+            test_logs_levels;
           Alcotest.test_case "S2FA_LOGS=quiet adds no logs" `Quick
             test_logs_quiet;
           Alcotest.test_case "S2FA_LOGS rejects an unknown level" `Quick
             test_logs_unknown_level;
           Alcotest.test_case "trace rejects garbage" `Quick
             test_trace_rejects_garbage;
+          Alcotest.test_case "dse -f with an untileable loop" `Quick
+            test_dse_untileable_loop;
           Alcotest.test_case "dse --faults" `Quick test_dse_faults;
           Alcotest.test_case "bad --faults spec" `Quick
             test_dse_bad_faults_spec_fails;

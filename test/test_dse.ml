@@ -44,6 +44,49 @@ let test_identify_factors_per_loop () =
            ds.Dspace.ds_space))
     ds.Dspace.ds_loop_ids
 
+(* A while loop whose counter is read after it decompiles to
+   [for (w = 0; w < 16; w++)] with [w] declared outside: Merlin will not
+   tile it, so the space offers no tiling factor for it (a design that
+   tiled it used to abort the DSE with a Transform_error). *)
+let while_source =
+  {|
+class WhileSum() extends Accelerator[Array[Int], Int] {
+  val id: String = "WhileSum"
+  def call(in: Array[Int]): Int = {
+    var sum = 0
+    var w = 0
+    while (w < 16) {
+      sum = sum + in(w)
+      w = w + 1
+    }
+    sum + w
+  }
+}
+|}
+
+let test_identify_untileable_loop () =
+  let c = S2fa.compile while_source in
+  let ds = c.S2fa.c_dspace in
+  let has name =
+    List.exists (fun p -> Space.param_name p = name) ds.Dspace.ds_space
+  in
+  let kernel = Option.get (S2fa_hlsc.Csyntax.find_cfunc c.S2fa.c_flat "kernel") in
+  let loops = ref [] in
+  S2fa_hlsc.Csyntax.iter_loops
+    (fun _ l -> loops := l :: !loops)
+    kernel.S2fa_hlsc.Csyntax.cfbody;
+  let w =
+    List.find (fun (l : S2fa_hlsc.Csyntax.loop) -> l.S2fa_hlsc.Csyntax.lvar = "w")
+      !loops
+  in
+  let id = w.S2fa_hlsc.Csyntax.lid in
+  Alcotest.(check bool) "counter declared outside" false
+    w.S2fa_hlsc.Csyntax.ldecl;
+  Alcotest.(check bool) "no tile factor" false (has (Dspace.tile_name id));
+  Alcotest.(check bool) "parallel factor" true (has (Dspace.par_name id));
+  Alcotest.(check bool) "task loop tiles" true
+    (has (Dspace.tile_name ds.Dspace.ds_task_loop))
+
 let test_identify_buffers () =
   let c = Lazy.force sw in
   let ds = c.S2fa.c_dspace in
@@ -868,6 +911,8 @@ let () =
     [ ( "dspace",
         [ Alcotest.test_case "factors per loop" `Quick
             test_identify_factors_per_loop;
+          Alcotest.test_case "no tiling factor Merlin refuses" `Quick
+            test_identify_untileable_loop;
           Alcotest.test_case "buffers" `Quick test_identify_buffers;
           Alcotest.test_case "S-W space size" `Quick test_identify_space_size_sw;
           Alcotest.test_case "bit-width values" `Quick

@@ -191,6 +191,249 @@ let prop_estimate_deterministic =
       let a = est c cfg and b = est c cfg in
       a = b)
 
+(* ---------- design summaries against rewrite-and-analyse ---------- *)
+
+module Canalysis = S2fa_hlsc.Canalysis
+module Space = S2fa_tuner.Space
+module Fuzz = S2fa_fuzz.Fuzz
+module Rng = S2fa_util.Rng
+open Csyntax
+
+(* Every float of a report by its bits, and feasibility. *)
+let report_bits (r : E.report) =
+  ( List.map Int64.bits_of_float
+      [ r.E.r_cycles; r.E.r_ii; r.E.r_freq_mhz; r.E.r_seconds;
+        r.E.r_compute_seconds; r.E.r_xfer_seconds; r.E.r_lut_pct;
+        r.E.r_ff_pct; r.E.r_bram_pct; r.E.r_dsp_pct; r.E.r_eval_minutes ],
+    r.E.r_feasible )
+
+(* [f ()], or the Transform_error it raised, and how many loop ids it
+   drew. *)
+let drawing f =
+  let before = fresh_loop_id () in
+  let r = try Ok (f ()) with T.Transform_error m -> Error m in
+  (r, fresh_loop_id () - before - 1)
+
+(* A summary with every loop id replaced by its loop's position, and
+   the bodies of the loops dropped: [Transform.summarize] promises the
+   rest equal to the analysis of the rewritten program, whose inner
+   loops drew other ids. *)
+let shape (s : Canalysis.summary) =
+  let pos = List.mapi (fun k (li : Canalysis.loop_info) ->
+      (li.Canalysis.li_loop.lid, k)) s.Canalysis.loops in
+  let at id = List.assoc id pos in
+  { s with
+    Canalysis.loops =
+      List.map
+        (fun (li : Canalysis.loop_info) ->
+          { li with
+            Canalysis.li_loop =
+              { li.Canalysis.li_loop with
+                lid = at li.Canalysis.li_loop.lid;
+                lbody = [] };
+            li_ancestors = List.map at li.Canalysis.li_ancestors;
+            li_children = List.map at li.Canalysis.li_children })
+        s.Canalysis.loops }
+
+(* The design's summary and report from [a] against the analysis and
+   estimate of [Transform.apply cfg prog]: the same summaries, the same
+   report bits or the same Transform_error, the same ids drawn. *)
+let derived_agrees ?(tasks = 4096) ~buffer_elems a prog cfg =
+  let derived, drawn = drawing (fun () -> T.summarize cfg a) in
+  let applied, drawn' = drawing (fun () -> T.apply cfg prog) in
+  drawn = drawn'
+  &&
+  match (derived, applied) with
+  | Ok d, Ok p ->
+    let analysed =
+      List.map (fun f -> (f.cfname, Canalysis.analyze f)) p.cfuncs
+    in
+    List.map (fun (n, s) -> (n, shape s)) d
+    = List.map (fun (n, s) -> (n, shape s)) analysed
+    && report_bits (E.model d ~tasks ~buffer_elems)
+       = report_bits (E.estimate p ~tasks ~buffer_elems)
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+let workloads = lazy (List.map (fun w -> (w, W.compile w)) W.all)
+
+(* [S2fa.estimate] against the estimate of [S2fa.apply_design], and the
+   summary behind it against the rewritten program's analysis. *)
+let s2fa_agrees c cfg =
+  let r, drawn = drawing (fun () -> S2fa.estimate c cfg) in
+  let r', drawn' =
+    drawing (fun () ->
+        E.estimate (S2fa.apply_design c cfg) ~tasks:4096
+          ~buffer_elems:c.S2fa.c_buffer_elems)
+  in
+  drawn = drawn'
+  && Result.map report_bits r = Result.map report_bits r'
+  && derived_agrees ~buffer_elems:c.S2fa.c_buffer_elems
+       (Option.get (Lazy.force c.S2fa.c_analysis))
+       c.S2fa.c_flat
+       (Dspace.to_merlin c.S2fa.c_dspace cfg)
+
+let test_workloads_derive () =
+  List.iter
+    (fun ((w : W.t), c) ->
+      let name = w.W.w_name in
+      Alcotest.(check bool) (name ^ ": analysed") true
+        (Option.is_some (Lazy.force c.S2fa.c_analysis));
+      let ds = c.S2fa.c_dspace in
+      List.iter
+        (fun (tag, cfg) ->
+          Alcotest.(check bool) (name ^ ": " ^ tag) true (s2fa_agrees c cfg))
+        [ ("performance seed", Seed.performance_seed ds);
+          ("area seed", Seed.area_seed ds);
+          ("structured seed", Seed.structured_seed ds);
+          ("structured light seed", Seed.structured_light_seed ds);
+          ("manual design", W.manual_design w c) ])
+    (Lazy.force workloads)
+
+let prop_workloads_derive =
+  QCheck.Test.make ~name:"workload designs: summary = rewrite + analyse"
+    ~count:400
+    QCheck.(pair (int_range 0 7) (int_range 0 1_000_000))
+    (fun (k, seed) ->
+      let _, c = List.nth (Lazy.force workloads) k in
+      s2fa_agrees c
+        (Space.random_cfg (Rng.create seed)
+           c.S2fa.c_dspace.Dspace.ds_space))
+
+(* Three random designs of one generated kernel; [true] when the kernel
+   is refused by [Transform.analyse] (then nothing is derived). *)
+let fuzz_agrees ~buffer_elems prog seed =
+  match T.analyse prog with
+  | None -> true
+  | Some a ->
+    let ds = Dspace.identify prog in
+    let rng = Rng.create (seed + 1) in
+    List.for_all
+      (fun _ ->
+        derived_agrees ~tasks:64 ~buffer_elems a prog
+          (Dspace.to_merlin ds (Space.random_cfg rng ds.Dspace.ds_space)))
+      [ 1; 2; 3 ]
+
+let prop_c_kernels_derive =
+  QCheck.Test.make ~name:"gen_c_kernel designs: summary = rewrite + analyse"
+    ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
+      fuzz_agrees
+        ~buffer_elems:[ ("in", Fuzz.c_cap); ("out", Fuzz.c_cap) ]
+        (Fuzz.gen_c_kernel (Rng.create seed))
+        seed)
+
+let prop_gen_kernels_derive =
+  QCheck.Test.make ~name:"gen_kernel designs: summary = rewrite + analyse"
+    ~count:100 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let ast, len = Fuzz.gen_kernel (Rng.create seed) in
+      match Fuzz.compile_flat ~len (S2fa_scala.Pretty.to_string ast) with
+      | Error _ -> true
+      | Ok (prog, buffer_elems) -> fuzz_agrees ~buffer_elems prog seed)
+
+(* [kernel(N, a, o)] around [body], and a counted loop. *)
+let hand_kernel ?(o = CPtr CDouble) body =
+  { cfuncs =
+      [ { cfname = "kernel";
+          cfparams =
+            [ { cpname = "N"; cpty = CInt; cpbitwidth = None };
+              { cpname = "a"; cpty = CPtr CInt; cpbitwidth = None };
+              { cpname = "o"; cpty = o; cpbitwidth = None } ];
+          cfret = None;
+          cfbody = body } ] }
+
+let counted ?(hi = EInt 16) var body = mk_loop ~var ~lo:(EInt 0) ~hi body
+
+(* One kernel per condition [Transform.analyse] checks; each one fails
+   only that condition. *)
+let inexact_kernels () =
+  let sum_into o i = SAssign (EIndex (EVar o, EInt 0),
+                              EBin (CAdd, EIndex (EVar o, EInt 0), i)) in
+  let task body = SFor (counted ~hi:(EVar "N") "t" body) in
+  [ ( "a loop bound reads an array",
+      hand_kernel
+        [ task
+            [ SFor
+                (counted ~hi:(EIndex (EVar "a", EVar "t")) "i"
+                   [ sum_into "o" (ECast (CDouble, EVar "i")) ]) ] ] );
+    ( "a name is float-typed in one declaration only",
+      hand_kernel
+        [ SDecl (CDouble, "x", Some (EDouble 0.5));
+          task
+            [ SFor
+                (counted "i"
+                   [ SDecl (CInt, "x", Some (EVar "i"));
+                     sum_into "o" (EBin (CMul, EVar "x", EVar "x")) ]) ];
+          sum_into "o" (EVar "x") ] );
+    ( "a tileable loop's counter is assigned",
+      hand_kernel ~o:(CPtr CInt)
+        [ SDecl (CInt, "i", Some (EInt 0));
+          task
+            [ SFor (counted "i" [ sum_into "o" (EIndex (EVar "a", EVar "i")) ]);
+              SAssign (EVar "i", EBin (CAdd, EVar "i", EInt 1)) ];
+          sum_into "o" (EVar "i") ] ) ]
+
+(* [S2fa.estimate]'s choice for a bare program: the design's summary
+   when [Transform.analyse] accepts the program, else the rewrite. *)
+let estimate_design prog cfg =
+  match T.analyse prog with
+  | Some a -> E.model (T.summarize cfg a) ~tasks:64 ~buffer_elems:[]
+  | None -> E.estimate (T.apply cfg prog) ~tasks:64 ~buffer_elems:[]
+
+let test_inexact_kernels_rewrite () =
+  List.iter
+    (fun (what, prog) ->
+      Alcotest.(check bool) (what ^ ": not analysed") true
+        (Option.is_none (T.analyse prog));
+      let ds = Dspace.identify prog in
+      let rng = Rng.create 11 in
+      for _ = 1 to 20 do
+        let cfg =
+          Dspace.to_merlin ds (Space.random_cfg rng ds.Dspace.ds_space)
+        in
+        let r, drawn = drawing (fun () -> estimate_design prog cfg) in
+        let r', drawn' =
+          drawing (fun () ->
+              E.estimate (T.apply cfg prog) ~tasks:64 ~buffer_elems:[])
+        in
+        Alcotest.(check bool) (what ^ ": equal reports") true
+          (drawn = drawn'
+          && Result.map report_bits r = Result.map report_bits r')
+      done)
+    (inexact_kernels ())
+
+(* The same through [S2fa.estimate]: a MiniScala loop bounded by an
+   input element compiles to a bound that reads a buffer. *)
+let test_inexact_compiled_kernel () =
+  let c =
+    S2fa.compile
+      {|
+class Bounded() extends Accelerator[Array[Int], Int] {
+  val id: String = "Bounded"
+  def call(in: Array[Int]): Int = {
+    var s = 0
+    for (i <- 0 until in(0)) {
+      s = s + in(i)
+    }
+    s
+  }
+}
+|}
+  in
+  Alcotest.(check bool) "not analysed" true
+    (Option.is_none (Lazy.force c.S2fa.c_analysis));
+  let rng = Rng.create 5 in
+  for _ = 1 to 20 do
+    let cfg = Space.random_cfg rng c.S2fa.c_dspace.Dspace.ds_space in
+    let r, drawn = drawing (fun () -> S2fa.estimate c cfg) in
+    let r', drawn' =
+      drawing (fun () ->
+          E.estimate (S2fa.apply_design c cfg) ~tasks:4096
+            ~buffer_elems:c.S2fa.c_buffer_elems)
+    in
+    Alcotest.(check bool) "equal reports" true
+      (drawn = drawn' && Result.map report_bits r = Result.map report_bits r')
+  done
+
 let () =
   Alcotest.run "hls"
     [ ( "estimator",
@@ -216,5 +459,14 @@ let () =
             test_check_report_rejects_corruption ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_estimate_deterministic; prop_reports_pass_sanity_checker ] )
-    ]
+          [ prop_estimate_deterministic; prop_reports_pass_sanity_checker ] );
+      ( "derived",
+        [ Alcotest.test_case "seeds and manual designs" `Quick
+            test_workloads_derive;
+          Alcotest.test_case "inexact kernels are rewritten" `Quick
+            test_inexact_kernels_rewrite;
+          Alcotest.test_case "inexact compiled kernel" `Quick
+            test_inexact_compiled_kernel ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_workloads_derive; prop_c_kernels_derive;
+              prop_gen_kernels_derive ] ) ]

@@ -107,6 +107,77 @@ let test_tiling_changes_loop_structure () =
   let outer = Option.get (Canalysis.find_loop s lid) in
   Alcotest.(check (option int)) "outer trips" (Some 4) outer.Canalysis.li_trip
 
+(* Variables named like the ones the rewrites introduce. Tiling by 4
+   used to emit [for (int i_t = 0; i_t < 16; i_t += 4)] around a body
+   that reads and writes the kernel's double [i_t] (Sym.equiv refuted
+   it: out[0]: 95.0625 vs 43.5), and unrolling and tree reduction built
+   [i_u], [i_r] and the lane [acc_r0] the same way. *)
+let capture_prog () =
+  let scan =
+    mk_loop ~var:"i" ~lo:(EInt 0) ~hi:(EInt 16)
+      [ SAssign
+          ( EVar "i_t",
+            EBin
+              ( CAdd,
+                EBin (CMul, EVar "i_t", EDouble 0.5),
+                ECast (CDouble, EIndex (EVar "a", EVar "i")) ) );
+        SAssign
+          ( EIndex (EVar "o", EVar "i"),
+            EBin (CAdd, EVar "i_t", ECast (CDouble, EVar "i_u")) ) ]
+  in
+  let reduce =
+    mk_loop ~var:"i" ~lo:(EInt 0) ~hi:(EInt 16)
+      [ SAssign
+          ( EVar "acc",
+            EBin
+              (CAdd, EVar "acc",
+               EBin (CMul, EIndex (EVar "a", EVar "i"), EVar "i_r")) ) ]
+  in
+  let f =
+    { cfname = "kernel";
+      cfparams =
+        [ { cpname = "a"; cpty = CPtr CInt; cpbitwidth = None };
+          { cpname = "o"; cpty = CPtr CDouble; cpbitwidth = None };
+          { cpname = "p"; cpty = CPtr CInt; cpbitwidth = None } ];
+      cfret = None;
+      cfbody =
+        [ SDecl (CDouble, "i_t", Some (EDouble 0.5));
+          SDecl (CInt, "i_u", Some (EInt 3));
+          SDecl (CInt, "i_r", Some (EInt 5));
+          SDecl (CInt, "acc_r0", Some (EInt 7));
+          SDecl (CInt, "acc", Some (EInt 0));
+          SFor scan;
+          SFor reduce;
+          SAssign
+            ( EIndex (EVar "p", EInt 0),
+              EBin (CAdd, EBin (CAdd, EVar "acc", EVar "acc_r0"), EVar "i_r")
+            ) ] }
+  in
+  ({ cfuncs = [ f ] }, scan.lid, reduce.lid)
+
+let test_fresh_names_avoid_capture () =
+  let prog, scan, reduce = capture_prog () in
+  let tile =
+    T.apply
+      { T.cfg_loops =
+          [ (scan, { T.lc_tile = 4; lc_parallel = 1; lc_pipeline = PipeOff }) ];
+        cfg_bitwidths = [] }
+      prog
+  in
+  List.iter
+    (fun (what, p) ->
+      match
+        Sym.equiv ~caps:[ ("a", 16); ("o", 16); ("p", 1) ] prog p "kernel"
+      with
+      | Sym.Proved _ -> ()
+      | Sym.Refuted cx -> Alcotest.failf "%s refuted: %s" what cx.Sym.cx_detail
+      | Sym.Unknown m -> Alcotest.failf "%s unknown: %s" what m)
+    [ ("tile", tile);
+      ("unroll", T.real_unroll ~factor:4 ~loop_id:scan prog);
+      ("reduce", T.tree_reduce ~lanes:4 ~loop_id:reduce prog) ];
+  Alcotest.(check bool) "tile counter renamed" true
+    (contains (to_string tile) "i_t1 = 0")
+
 let test_real_unroll_preserves_semantics () =
   let input = Array.init 16 (fun i -> 100 - (9 * i)) in
   List.iter
@@ -412,6 +483,8 @@ let () =
             test_tiling_preserves_semantics;
           Alcotest.test_case "tiling splits the loop" `Quick
             test_tiling_changes_loop_structure;
+          Alcotest.test_case "fresh names avoid capture" `Quick
+            test_fresh_names_avoid_capture;
           Alcotest.test_case "real unroll keeps semantics" `Quick
             test_real_unroll_preserves_semantics;
           Alcotest.test_case "invalid factor rejected" `Quick
