@@ -343,34 +343,47 @@ let hand_kernel ?(o = CPtr CDouble) body =
 
 let counted ?(hi = EInt 16) var body = mk_loop ~var ~lo:(EInt 0) ~hi body
 
-(* One kernel per condition [Transform.analyse] checks; each one fails
-   only that condition. *)
+(* One kernel per condition [Transform.analyse] checks, each failing
+   only that one. Summarized anyway, each gives a design that tiles
+   loop [i] a summary other than the rewritten program's analysis:
+   - the bound [a[t]] becomes a read of [a] in loop [t], a dependence
+     on the write [a[t + 1]] (it sets the II of a flattened [t] when
+     the nominal trip count is small);
+   - the inner loop declares [int i], and loop [j] then counts [i * 2]
+     as an integer multiply, not as the double one the flat analysis
+     sees (its last declaration of [i] is a double);
+   - the inner loop declares [i], so [i = i + 1] is no longer loop
+     [t]'s recurrence, and [o[0]]'s is found instead. *)
 let inexact_kernels () =
-  let sum_into o i = SAssign (EIndex (EVar o, EInt 0),
-                              EBin (CAdd, EIndex (EVar o, EInt 0), i)) in
+  let add_into o i e = SAssign (EIndex (EVar o, i), EBin (CAdd, EIndex (EVar o, i), e)) in
   let task body = SFor (counted ~hi:(EVar "N") "t" body) in
   [ ( "a loop bound reads an array",
       hand_kernel
         [ task
             [ SFor
                 (counted ~hi:(EIndex (EVar "a", EVar "t")) "i"
-                   [ sum_into "o" (ECast (CDouble, EVar "i")) ]) ] ] );
+                   [ SDecl (CInt, "x", Some (EBin (CAdd, EVar "i", EInt 1))) ]);
+              SAssign
+                (EIndex (EVar "a", EBin (CAdd, EVar "t", EInt 1)), EInt 0) ] ] );
     ( "a name is float-typed in one declaration only",
       hand_kernel
-        [ SDecl (CDouble, "x", Some (EDouble 0.5));
+        [ SDecl (CDouble, "i", Some (EDouble 0.5));
           task
-            [ SFor
-                (counted "i"
-                   [ SDecl (CInt, "x", Some (EVar "i"));
-                     sum_into "o" (EBin (CMul, EVar "x", EVar "x")) ]) ];
-          sum_into "o" (EVar "x") ] );
+            [ SFor (counted "i" [ add_into "o" (EVar "t") (EDouble 1.0) ]);
+              SFor
+                (counted "j"
+                   [ add_into "o" (EVar "t") (EBin (CMul, EVar "i", EInt 2));
+                     SDecl (CDouble, "i", Some (EDouble 1.5));
+                     add_into "o" (EVar "t") (EVar "i") ]) ] ] );
     ( "a tileable loop's counter is assigned",
       hand_kernel ~o:(CPtr CInt)
         [ SDecl (CInt, "i", Some (EInt 0));
           task
-            [ SFor (counted "i" [ sum_into "o" (EIndex (EVar "a", EVar "i")) ]);
+            [ SFor
+                (counted "i"
+                   [ add_into "o" (EInt 0) (EIndex (EVar "a", EVar "i")) ]);
               SAssign (EVar "i", EBin (CAdd, EVar "i", EInt 1)) ];
-          sum_into "o" (EVar "i") ] ) ]
+          SAssign (EIndex (EVar "o", EInt 1), EVar "i") ] ) ]
 
 (* [S2fa.estimate]'s choice for a bare program: the design's summary
    when [Transform.analyse] accepts the program, else the rewrite. *)
