@@ -4,7 +4,9 @@ module Canalysis = S2fa_hlsc.Canalysis
 (** The HLS estimator — the reproduction's stand-in for Xilinx SDx.
 
     Given the transformed flat kernel (pragmas applied by
-    {!S2fa_merlin.Transform}), it performs a modulo-scheduling-flavoured
+    {!S2fa_merlin.Transform}), or its analysis ({!model}: the summaries
+    [Transform.summarize] derives for a design point without rewriting
+    the kernel), it performs a modulo-scheduling-flavoured
     latency estimate per loop nest (initiation intervals bounded by
     recurrences and memory ports), a resource estimate (LUT/FF/DSP/BRAM,
     with operator sharing when a loop is not pipelined and replication

@@ -159,11 +159,21 @@ let subst_stmts v repl stmts =
 
 (* ---------- fresh names ---------- *)
 
-(* Every variable name the function mentions: parameters, declarations,
-   loop counters and every variable an expression reads. *)
-let names_of_func (f : cfunc) =
-  let names = Hashtbl.create 32 in
-  let add n = Hashtbl.replace names n () in
+let rec starts_with_any n = function
+  | [] -> false
+  | prefix :: prefixes ->
+    String.starts_with ~prefix n || starts_with_any n prefixes
+
+(* The variable names of the function — parameters, declarations, loop
+   counters and every variable an expression reads — that start with
+   one of [prefixes]: every name a fresh name derived from one of them
+   could collide with. *)
+let names_with (f : cfunc) prefixes =
+  let found = ref [] in
+  let add n =
+    if starts_with_any n prefixes && not (List.mem n !found) then
+      found := n :: !found
+  in
   let rec expr = function
     | EVar x -> add x
     | EInt _ | ELong _ | EFloat _ | EDouble _ | EChar _ | EBool _ -> ()
@@ -176,7 +186,8 @@ let names_of_func (f : cfunc) =
       expr c;
       expr a;
       expr b
-  and stmt = function
+  in
+  let rec stmt = function
     | SDecl (_, n, i) ->
       add n;
       Option.iter expr i
@@ -200,18 +211,19 @@ let names_of_func (f : cfunc) =
   in
   List.iter (fun (p : cparam) -> add p.cpname) f.cfparams;
   List.iter stmt f.cfbody;
-  names
+  !found
 
 (* A name for a variable a rewrite introduces: [base] when no variable
    of the function is named so, else the first free [base1], [base2],
-   ... A rewrite that introduces several names at one level adds each
-   to [names] before choosing the next. *)
+   ...; [names] holds the function's names that start like [base]. A
+   rewrite that introduces several names at one level adds each to
+   [names] before choosing the next. *)
 let fresh names base =
   let rec go k =
     let n = base ^ string_of_int k in
-    if Hashtbl.mem names n then go (k + 1) else n
+    if List.mem n names then go (k + 1) else n
   in
-  if Hashtbl.mem names base then go 1 else base
+  if List.mem base names then go 1 else base
 
 (* ---------- tiling ---------- *)
 
@@ -243,10 +255,10 @@ let tile_refusal l = refusal ~writes:(writes_counter l) l
        for (v_i = 0; v_i < t; v_i++) {            <- id [inner_id]
          int v = v_t + v_i; if (v < hi) body
        }
-   [v_t] and [v_i] are fresh among the function's [names]. The caller
-   has checked {!tile_refusal} and attaches pragmas. *)
-let tile_loop ~names ~inner_id (l : loop) ~tile ~inner_pragmas
-    ~outer_pragmas =
+   [v_t] and [v_i] are fresh in [f], the function before any rewrite.
+   The caller has checked {!tile_refusal} and attaches pragmas. *)
+let tile_loop f ~inner_id (l : loop) ~tile ~inner_pragmas ~outer_pragmas =
+  let names = names_with f [ l.lvar ^ "_" ] in
   let vt = fresh names (l.lvar ^ "_t") in
   let vi = fresh names (l.lvar ^ "_i") in
   let body =
@@ -358,12 +370,12 @@ let apply cfg prog =
   S2fa_obs.Obs.span "merlin.apply" @@ fun () ->
   S2fa_obs.Obs.count "transforms.applied";
   check_factors cfg;
-  let rewrite_loop names (l : loop) =
+  let rewrite_loop f (l : loop) =
     match List.assoc_opt l.lid cfg.cfg_loops with
     | None -> l
     | Some lc when lc.lc_tile > 1 ->
       Option.iter (fun m -> raise (Transform_error m)) (tile_refusal l);
-      tile_loop ~names:(Lazy.force names) ~inner_id:(fresh_loop_id ()) l
+      tile_loop f ~inner_id:(fresh_loop_id ()) l
         ~tile:lc.lc_tile ~inner_pragmas:(inner_pragmas lc)
         ~outer_pragmas:(outer_pragmas lc)
     | Some lc -> { l with lpragmas = untiled_pragmas lc }
@@ -375,10 +387,7 @@ let apply cfg prog =
           { p with cpbitwidth = bitwidth cfg p.cpname p.cpty p.cpbitwidth })
         f.cfparams
     in
-    let names = lazy (names_of_func f) in
-    { f with
-      cfparams = params;
-      cfbody = map_loops (rewrite_loop names) f.cfbody }
+    { f with cfparams = params; cfbody = map_loops (rewrite_loop f) f.cfbody }
   in
   self_verify prog { cfuncs = List.map rewrite_func prog.cfuncs }
 
@@ -467,7 +476,6 @@ let analyse_func (f : cfunc) =
   let loops = s.Canalysis.loops in
   if not (exact f loops) then None
   else begin
-    let names = names_of_func f in
     (* An id no loop of [f] has, for the inner loop of a tiled copy. *)
     let inner_id =
       List.fold_left
@@ -481,7 +489,7 @@ let analyse_func (f : cfunc) =
       | None ->
         let tile_l (l' : loop) =
           if l'.lid = l.lid then
-            tile_loop ~names ~inner_id l' ~tile:2 ~inner_pragmas:[]
+            tile_loop f ~inner_id l' ~tile:2 ~inner_pragmas:[]
               ~outer_pragmas:[]
           else l'
         in
@@ -616,7 +624,7 @@ let real_unroll ~factor ~loop_id prog =
   S2fa_obs.Obs.span "merlin.unroll" @@ fun () ->
   S2fa_obs.Obs.count "transforms.applied";
   if factor < 1 then err "unroll factor %d" factor;
-  let rewrite names (l : loop) =
+  let rewrite f (l : loop) =
     if l.lid <> loop_id || factor = 1 then l
     else begin
       (* for (v = lo; v < hi; v++) body
@@ -631,7 +639,7 @@ let real_unroll ~factor ~loop_id prog =
            loop: its exit value is observable and unrolling would change \
            it"
           l.lvar;
-      let vu = fresh (Lazy.force names) (l.lvar ^ "_u") in
+      let vu = fresh (names_with f [ l.lvar ^ "_" ]) (l.lvar ^ "_u") in
       let copies =
         List.concat_map
           (fun k ->
@@ -646,9 +654,7 @@ let real_unroll ~factor ~loop_id prog =
   self_verify prog
     { cfuncs =
         List.map
-          (fun f ->
-            let names = lazy (names_of_func f) in
-            { f with cfbody = map_loops (rewrite names) f.cfbody })
+          (fun f -> { f with cfbody = map_loops (rewrite f) f.cfbody })
           prog.cfuncs }
 
 (* ---------- tree reduction ---------- *)
@@ -718,7 +724,7 @@ let tree_reduce ~lanes ~loop_id prog =
   S2fa_obs.Obs.span "merlin.tree_reduce" @@ fun () ->
   S2fa_obs.Obs.count "transforms.applied";
   if lanes < 2 then err "tree_reduce: lane count %d" lanes;
-  let expand tenv names (l : loop) =
+  let expand tenv f (l : loop) =
     if l.lstep <> 1 then err "tree_reduce: loop step %d" l.lstep;
     if not l.ldecl then
       err
@@ -756,18 +762,17 @@ let tree_reduce ~lanes ~loop_id prog =
         | CLong -> ELong (Int64.of_int n)
         | _ -> EInt n
       in
-      let names = Lazy.force names in
-      let vr = fresh names (l.lvar ^ "_r") in
-      Hashtbl.replace names vr ();
+      let names = ref (names_with f [ l.lvar ^ "_"; acc ^ "_r" ]) in
+      let introduce base =
+        let n = fresh !names base in
+        names := n :: !names;
+        n
+      in
+      let vr = introduce (l.lvar ^ "_r") in
       let lanes_ix = List.init lanes (fun k -> k) in
       let lane_names =
         Array.of_list
-          (List.map
-             (fun k ->
-               let n = fresh names (Printf.sprintf "%s_r%d" acc k) in
-               Hashtbl.replace names n ();
-               n)
-             lanes_ix)
+          (List.map (fun k -> introduce (Printf.sprintf "%s_r%d" acc k)) lanes_ix)
       in
       let lane k = lane_names.(k) in
       let decls =
@@ -798,11 +803,10 @@ let tree_reduce ~lanes ~loop_id prog =
   in
   let rewrite_func (f : cfunc) =
     let tenv = lazy (func_tenv f) in
-    let names = lazy (names_of_func f) in
     let rec rw_stmts stmts = List.concat_map rw_stmt stmts
     and rw_stmt s =
       match s with
-      | SFor l when l.lid = loop_id -> expand (Lazy.force tenv) names l
+      | SFor l when l.lid = loop_id -> expand (Lazy.force tenv) f l
       | SFor l -> [ SFor { l with lbody = rw_stmts l.lbody } ]
       | SIf (c, a, b) -> [ SIf (c, rw_stmts a, rw_stmts b) ]
       | SWhile (c, b) -> [ SWhile (c, rw_stmts b) ]
