@@ -230,7 +230,8 @@ let fresh names base =
 (* [writes]: the loop's body, as the rewrite sees it, writes the
    counter. *)
 let refusal ~writes (l : loop) =
-  if l.lstep <> 1 then Some (Printf.sprintf "tiling a loop with step %d" l.lstep)
+  if l.lstep <> 1 then
+    Some (Printf.sprintf "tiling a loop with step %d" l.lstep)
   else if writes then
     Some
       (Printf.sprintf
@@ -496,9 +497,14 @@ let analyse_func (f : cfunc) =
         let t =
           Canalysis.analyze { f with cfbody = map_loops tile_l f.cfbody }
         in
-        Some
-          ( Option.get (Canalysis.find_loop t l.lid),
-            Option.get (Canalysis.find_loop t inner_id) )
+        (* Keep the two loops' analyses, not the copy of the function
+           their loop records hold. *)
+        let keep id =
+          let li = Option.get (Canalysis.find_loop t id) in
+          { li with
+            Canalysis.li_loop = { li.Canalysis.li_loop with lbody = [] } }
+        in
+        Some (keep l.lid, keep inner_id)
     in
     let parent (li : Canalysis.loop_info) =
       match List.rev li.Canalysis.li_ancestors with
@@ -772,7 +778,9 @@ let tree_reduce ~lanes ~loop_id prog =
       let lanes_ix = List.init lanes (fun k -> k) in
       let lane_names =
         Array.of_list
-          (List.map (fun k -> introduce (Printf.sprintf "%s_r%d" acc k)) lanes_ix)
+          (List.map
+             (fun k -> introduce (Printf.sprintf "%s_r%d" acc k))
+             lanes_ix)
       in
       let lane k = lane_names.(k) in
       let decls =

@@ -85,7 +85,8 @@ val summarize : config -> analysis -> (string * Canalysis.summary) list
 (** [summarize cfg (Option.get (analyse prog))] is, function by
     function in program order, [(f.cfname, Canalysis.analyze f)] for
     each [f] of [apply cfg prog], equal in every field but the bodies of
-    the [li_loop] records (which the design's loops do not rewrite):
+    the [li_loop] records, which it does not rewrite (a tiled loop's two
+    records have none):
     an untiled loop keeps its analysis and takes the design's pragmas,
     a tiled loop contributes its outer and inner loops with the
     factor's trip counts, and buffers take the design's bit-widths. It

@@ -223,7 +223,8 @@ let test_logs_levels () =
            = level)
          events)
   in
-  Alcotest.(check bool) "the run logs warnings" true (of_level Logs.Warning > 0);
+  Alcotest.(check bool) "the run logs warnings" true
+    (of_level Logs.Warning > 0);
   let labels =
     [ (Logs.App, "APP"); (Logs.Error, "ERROR"); (Logs.Warning, "WARNING");
       (Logs.Info, "INFO"); (Logs.Debug, "DEBUG") ]
@@ -254,7 +255,8 @@ let test_logs_levels () =
       ("error", [ Logs.App; Logs.Error ]);
       ("warning", [ Logs.App; Logs.Error; Logs.Warning ]);
       ("info", [ Logs.App; Logs.Error; Logs.Warning; Logs.Info ]);
-      ("debug", [ Logs.App; Logs.Error; Logs.Warning; Logs.Info; Logs.Debug ]) ];
+      ( "debug",
+        [ Logs.App; Logs.Error; Logs.Warning; Logs.Info; Logs.Debug ] ) ];
   List.iter Sys.remove [ trace; out; err ]
 
 (* S2FA_LOGS=quiet mirrors nothing: the run prints what it prints with
@@ -330,7 +332,9 @@ class WhileSum() extends Accelerator[Array[Int], Int] {
   }
 }
 |};
-  let code, out = run ~kill_after:120 ("dse -f " ^ src ^ " --minutes 60 --seed 3") in
+  let code, out =
+    run ~kill_after:120 ("dse -f " ^ src ^ " --minutes 60 --seed 3")
+  in
   Sys.remove src;
   Alcotest.(check int) "exit code" 0 code;
   Alcotest.(check bool) "prints a best line" true (contains out "# best ")

@@ -65,23 +65,19 @@ class WhileSum() extends Accelerator[Array[Int], Int] {
 |}
 
 let test_identify_untileable_loop () =
+  let open S2fa_hlsc.Csyntax in
   let c = S2fa.compile while_source in
   let ds = c.S2fa.c_dspace in
   let has name =
     List.exists (fun p -> Space.param_name p = name) ds.Dspace.ds_space
   in
-  let kernel = Option.get (S2fa_hlsc.Csyntax.find_cfunc c.S2fa.c_flat "kernel") in
   let loops = ref [] in
-  S2fa_hlsc.Csyntax.iter_loops
+  iter_loops
     (fun _ l -> loops := l :: !loops)
-    kernel.S2fa_hlsc.Csyntax.cfbody;
-  let w =
-    List.find (fun (l : S2fa_hlsc.Csyntax.loop) -> l.S2fa_hlsc.Csyntax.lvar = "w")
-      !loops
-  in
-  let id = w.S2fa_hlsc.Csyntax.lid in
-  Alcotest.(check bool) "counter declared outside" false
-    w.S2fa_hlsc.Csyntax.ldecl;
+    (Option.get (find_cfunc c.S2fa.c_flat "kernel")).cfbody;
+  let w = List.find (fun l -> l.lvar = "w") !loops in
+  let id = w.lid in
+  Alcotest.(check bool) "counter declared outside" false w.ldecl;
   Alcotest.(check bool) "no tile factor" false (has (Dspace.tile_name id));
   Alcotest.(check bool) "parallel factor" true (has (Dspace.par_name id));
   Alcotest.(check bool) "task loop tiles" true

@@ -355,7 +355,9 @@ let counted ?(hi = EInt 16) var body = mk_loop ~var ~lo:(EInt 0) ~hi body
    - the inner loop declares [i], so [i = i + 1] is no longer loop
      [t]'s recurrence, and [o[0]]'s is found instead. *)
 let inexact_kernels () =
-  let add_into o i e = SAssign (EIndex (EVar o, i), EBin (CAdd, EIndex (EVar o, i), e)) in
+  let add_into o i e =
+    SAssign (EIndex (EVar o, i), EBin (CAdd, EIndex (EVar o, i), e))
+  in
   let task body = SFor (counted ~hi:(EVar "N") "t" body) in
   [ ( "a loop bound reads an array",
       hand_kernel
@@ -364,7 +366,8 @@ let inexact_kernels () =
                 (counted ~hi:(EIndex (EVar "a", EVar "t")) "i"
                    [ SDecl (CInt, "x", Some (EBin (CAdd, EVar "i", EInt 1))) ]);
               SAssign
-                (EIndex (EVar "a", EBin (CAdd, EVar "t", EInt 1)), EInt 0) ] ] );
+                (EIndex (EVar "a", EBin (CAdd, EVar "t", EInt 1)), EInt 0) ]
+        ] );
     ( "a name is float-typed in one declaration only",
       hand_kernel
         [ SDecl (CDouble, "i", Some (EDouble 0.5));
