@@ -466,8 +466,8 @@ let spanned f =
   S2fa_obs.Obs.count "hls.evals";
   f ()
 
-let model ?device ?nominal_trip summaries ~tasks ~buffer_elems =
-  spanned (fun () -> run ?device ?nominal_trip summaries ~tasks ~buffer_elems)
+let model summaries ~tasks ~buffer_elems =
+  spanned (fun () -> run summaries ~tasks ~buffer_elems)
 
 let estimate ?device ?nominal_trip prog ~tasks ~buffer_elems =
   spanned (fun () ->

@@ -49,8 +49,6 @@ val estimate :
     analysis included, counting [hls.evals]. *)
 
 val model :
-  ?device:Device.t ->
-  ?nominal_trip:int ->
   (string * Canalysis.summary) list ->
   tasks:int ->
   buffer_elems:(string * int) list ->
@@ -58,10 +56,11 @@ val model :
 (** The estimator over an analysed program: one summary per function,
     by name, in program order, as {!estimate} builds them, or as
     [S2fa_merlin.Transform.summarize] derives them for a design point
-    without rewriting the program. It reads of each loop only its
-    analysis and the id and pragmas of its [li_loop], and of the
-    interface only [buffers] (a buffer's bit-width defaults to 32).
-    Equal summaries give bit-identical reports. Raises [Invalid_argument]
+    without rewriting the program, on {!estimate}'s default device and
+    nominal trip count. It reads of each loop only its analysis and the
+    id and pragmas of its [li_loop], and of the interface only
+    [buffers] (a buffer's bit-width defaults to 32). Equal summaries
+    give bit-identical reports. Raises [Invalid_argument]
     when no function is named [kernel]. One [hls.estimate] span
     counting [hls.evals]. *)
 
