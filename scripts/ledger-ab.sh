@@ -8,8 +8,9 @@
 #   ledger.exe --workload W --seed SEED --seconds SECONDS
 # run from the current directory, base first in odd pairs and head
 # first in even ones. The script prints every run's end-to-end metrics,
-# then per metric the base's median and quartiles, the head's median,
-# the ratio head / base of the medians, and how many pairs head won.
+# then per metric the base's median and quartiles (computed as the
+# ledger computes its own), the head's median, the ratio head / base of
+# the medians, and how many pairs head won.
 # It only reports: it exits 0 whatever the numbers, and a run that
 # fails prints its output.
 set -u
@@ -50,9 +51,17 @@ for w in "$@"; do
       echo "$(metric "$m" "$runs/base.$i") $(metric "$m" "$runs/head.$i")"
       i=$((i + 1))
     done | awk -v w="$w" -v m="$m" '
-      function q(a, n, p,   x, k) {
-        x = (n - 1) * p; k = int(x)
-        return k + 1 < n ? a[k] + (x - k) * (a[k + 1] - a[k]) : a[k]
+      # Quartile i (1 to 3) of the sorted a[0..n-1] by the "exclusive"
+      # method of Python statistics.quantiles, which the ledger uses for
+      # its own quartiles (bench/ledger/measure.ml); q(a, n, 2) is the
+      # median.
+      function q(a, n, i,   m, j, d) {
+        if (n < 2) return a[0]
+        m = n + 1; j = int(i * m / 4)
+        if (j < 1) j = 1
+        if (j > n - 1) j = n - 1
+        d = i * m - 4 * j
+        return (a[j - 1] * (4 - d) + a[j] * d) / 4
       }
       function sort(a, n,   i, j, t) {
         for (i = 1; i < n; i++)
@@ -70,8 +79,8 @@ for w in "$@"; do
         if (n == 0) { printf "%s %s: no complete pair\n", w, m; exit }
         sort(b, n); sort(h, n)
         printf "%s %s: base median %.6g (q1 %.6g, q3 %.6g), head median %.6g, ratio %.4f, head won %d of %d\n",
-          w, m, q(b, n, 0.5), q(b, n, 0.25), q(b, n, 0.75), q(h, n, 0.5),
-          q(h, n, 0.5) / q(b, n, 0.5), wins, n
+          w, m, q(b, n, 2), q(b, n, 1), q(b, n, 3), q(h, n, 2),
+          q(h, n, 2) / q(b, n, 2), wins, n
       }'
   done
 done
