@@ -159,71 +159,20 @@ let subst_stmts v repl stmts =
 
 (* ---------- fresh names ---------- *)
 
-let rec starts_with_any n = function
-  | [] -> false
-  | prefix :: prefixes ->
-    String.starts_with ~prefix n || starts_with_any n prefixes
+(* Is [n] a variable of [f]: a parameter, or a name its body declares,
+   counts with or reads? *)
+let taken (f : cfunc) n =
+  List.exists (fun (p : cparam) -> String.equal p.cpname n) f.cfparams
+  || List.exists (fun s -> stmt_uses n s || stmt_rebinds n s) f.cfbody
 
-(* The variable names of the function — parameters, declarations, loop
-   counters and every variable an expression reads — that start with
-   one of [prefixes]: every name a fresh name derived from one of them
-   could collide with. *)
-let names_with (f : cfunc) prefixes =
-  let found = ref [] in
-  let add n =
-    if starts_with_any n prefixes && not (List.mem n !found) then
-      found := n :: !found
-  in
-  let rec expr = function
-    | EVar x -> add x
-    | EInt _ | ELong _ | EFloat _ | EDouble _ | EChar _ | EBool _ -> ()
-    | EBin (_, a, b) | EIndex (a, b) ->
-      expr a;
-      expr b
-    | EUn (_, a) | ECast (_, a) -> expr a
-    | ECall (_, args) -> List.iter expr args
-    | ECond (c, a, b) ->
-      expr c;
-      expr a;
-      expr b
-  in
-  let rec stmt = function
-    | SDecl (_, n, i) ->
-      add n;
-      Option.iter expr i
-    | SAssign (lv, e) ->
-      expr lv;
-      expr e
-    | SIf (c, a, b) ->
-      expr c;
-      List.iter stmt a;
-      List.iter stmt b
-    | SWhile (c, b) ->
-      expr c;
-      List.iter stmt b
-    | SFor l ->
-      add l.lvar;
-      expr l.llo;
-      expr l.lhi;
-      List.iter stmt l.lbody
-    | SExpr e -> expr e
-    | SReturn e -> Option.iter expr e
-  in
-  List.iter (fun (p : cparam) -> add p.cpname) f.cfparams;
-  List.iter stmt f.cfbody;
-  !found
-
-(* A name for a variable a rewrite introduces: [base] when no variable
-   of the function is named so, else the first free [base1], [base2],
-   ...; [names] holds the function's names that start like [base]. A
-   rewrite that introduces several names at one level adds each to
-   [names] before choosing the next. *)
-let fresh names base =
+(* A name for a variable a rewrite introduces: [base] when [taken base]
+   is false, else the first free [base1], [base2], ... *)
+let fresh taken base =
   let rec go k =
     let n = base ^ string_of_int k in
-    if List.mem n names then go (k + 1) else n
+    if taken n then go (k + 1) else n
   in
-  if List.mem base names then go 1 else base
+  if taken base then go 1 else base
 
 (* ---------- tiling ---------- *)
 
@@ -259,9 +208,8 @@ let tile_refusal l = refusal ~writes:(writes_counter l) l
    [v_t] and [v_i] are fresh in [f], the function before any rewrite.
    The caller has checked {!tile_refusal} and attaches pragmas. *)
 let tile_loop f ~inner_id (l : loop) ~tile ~inner_pragmas ~outer_pragmas =
-  let names = names_with f [ l.lvar ^ "_" ] in
-  let vt = fresh names (l.lvar ^ "_t") in
-  let vi = fresh names (l.lvar ^ "_i") in
+  let vt = fresh (taken f) (l.lvar ^ "_t") in
+  let vi = fresh (taken f) (l.lvar ^ "_i") in
   let body =
     SAssign (EVar l.lvar, EBin (CAdd, EVar vt, EVar vi))
     :: [ SIf (EBin (CLt, EVar l.lvar, l.lhi), l.lbody, []) ]
@@ -645,7 +593,7 @@ let real_unroll ~factor ~loop_id prog =
            loop: its exit value is observable and unrolling would change \
            it"
           l.lvar;
-      let vu = fresh (names_with f [ l.lvar ^ "_" ]) (l.lvar ^ "_u") in
+      let vu = fresh (taken f) (l.lvar ^ "_u") in
       let copies =
         List.concat_map
           (fun k ->
@@ -768,10 +716,10 @@ let tree_reduce ~lanes ~loop_id prog =
         | CLong -> ELong (Int64.of_int n)
         | _ -> EInt n
       in
-      let names = ref (names_with f [ l.lvar ^ "_"; acc ^ "_r" ]) in
+      let introduced = ref [] in
       let introduce base =
-        let n = fresh !names base in
-        names := n :: !names;
+        let n = fresh (fun x -> List.mem x !introduced || taken f x) base in
+        introduced := n :: !introduced;
         n
       in
       let vr = introduce (l.lvar ^ "_r") in
