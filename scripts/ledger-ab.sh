@@ -55,12 +55,12 @@ for w in "$@"; do
       # method of Python statistics.quantiles, which the ledger uses for
       # its own quartiles (bench/ledger/measure.ml); q(a, n, 2) is the
       # median.
-      function q(a, n, i,   m, j, d) {
+      function q(a, n, i,   c, j, d) {
         if (n < 2) return a[0]
-        m = n + 1; j = int(i * m / 4)
+        c = n + 1; j = int(i * c / 4)
         if (j < 1) j = 1
         if (j > n - 1) j = n - 1
-        d = i * m - 4 * j
+        d = i * c - 4 * j
         return (a[j - 1] * (4 - d) + a[j] * d) / 4
       }
       function sort(a, n,   i, j, t) {
