@@ -77,7 +77,7 @@ let table1 () =
       Printf.printf "%-8s %6d %8d %8d %12.3g\n" w.W.w_name
         (List.length ds.Dspace.ds_loop_ids)
         (List.length ds.Dspace.ds_buffers)
-        (List.length ds.Dspace.ds_space)
+        (List.length (Space.params ds.Dspace.ds_space))
         (Space.cardinality ds.Dspace.ds_space))
     compiled;
   let _, sw_c =
@@ -458,14 +458,15 @@ let ablation_larger_fpga () =
       (* Double the parallel factors of the chosen design: feasible only
          where fabric remains. *)
       let pushed =
-        List.map
-          (fun (k, v) ->
-            match v with
-            | Space.VInt f
-              when String.length k > 4 && String.sub k 0 4 = "par_" ->
-              (k, Space.VInt (2 * f))
-            | _ -> (k, v))
-          cfg
+        Space.of_list
+          (List.map
+             (fun (k, v) ->
+               match v with
+               | Space.VInt f
+                 when String.length k > 4 && String.sub k 0 4 = "par_" ->
+                 (k, Space.VInt (2 * f))
+               | _ -> (k, v))
+             (Space.to_list cfg))
       in
       let prog = S2fa.apply_design c pushed in
       let show device =

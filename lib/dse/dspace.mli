@@ -12,13 +12,30 @@ module Csyntax = S2fa_hlsc.Csyntax
     than 1, a body writing the counter, or a counter declared outside
     the loop) gets no tiling factor. *)
 
-type t = {
+(** A factor of the kernel: a loop's tiling factor, parallel factor or
+    pipeline mode (by loop id), or a buffer's bit-width. *)
+type factor = Tile of int | Par of int | Pipe of int | Bw of string
+
+type plan
+(** Which slot of the space's shape binds each factor, resolved once
+    from the slot names. *)
+
+type t = private {
   ds_space : Space.space;
   ds_loop_ids : int list;          (** All loops, pre-order. *)
   ds_task_loop : int;              (** The compiler-inserted outer loop. *)
   ds_inner_ids : int list;         (** Deepest-level loop ids. *)
   ds_buffers : string list;
+  ds_plan : plan;
 }
+
+val make :
+  space:Space.space ->
+  loop_ids:int list ->
+  task_loop:int ->
+  inner_ids:int list ->
+  buffers:string list ->
+  t
 
 val identify : ?max_factor:int -> Csyntax.cprog -> t
 (** Analyze the [kernel] function of a flat program. [max_factor] caps
@@ -29,7 +46,17 @@ val to_merlin : t -> Space.cfg -> Transform.config
 (** Interpret a configuration as Merlin transformation directives. A
     factor the configuration does not bind to a value of its kind takes
     its default (tile and parallel factor 1, pipeline off, bit-width
-    32); when a name is bound twice, the first binding wins. *)
+    32); when a name is bound twice, the first binding wins. A
+    configuration of [ds_space]'s shape is read through the plan made
+    with [t]; any other is read by name. *)
+
+val design : t -> (factor -> Space.value) -> Space.cfg
+(** The configuration, read by name, that binds every factor of every
+    loop and buffer [f] to [value f], legal or not. *)
+
+val fit : t -> Space.space -> (factor -> Space.value) -> Space.cfg
+(** The same design clamped into [space], a restriction of [ds_space]
+    (as {!Space.project} clamps it), built in the space's shape. *)
 
 val tile_name : int -> string
 val par_name : int -> string

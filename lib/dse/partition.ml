@@ -10,9 +10,7 @@ type constr =
 type partition = { p_constrs : constr list; p_space : Space.space }
 
 let restrict space c =
-  List.map
-    (fun p ->
-      let name = Space.param_name p in
+  Space.restrict space (fun p ->
       match (p, c) with
       | Space.PPow2 (n, lo, hi), CLe (cn, t) when String.equal n cn ->
         Space.PPow2 (n, lo, min hi t)
@@ -25,41 +23,9 @@ let restrict space c =
       | Space.PEnum (n, cs), CIn (cn, allowed) when String.equal n cn ->
         let kept = List.filter (fun x -> List.mem x allowed) cs in
         Space.PEnum (n, if kept = [] then cs else kept)
-      | _ ->
-        ignore name;
-        p)
-    space
+      | _ -> p)
 
-let project part cfg =
-  List.map
-    (fun p ->
-      let name = Space.param_name p in
-      let legal = Space.values_of p in
-      let cur =
-        match List.assoc_opt name cfg with
-        | Some v -> v
-        | None -> List.hd legal
-      in
-      if List.mem cur legal then (name, cur)
-      else begin
-        (* Clamp: nearest legal value. *)
-        match cur with
-        | Space.VInt x ->
-          let best =
-            List.fold_left
-              (fun acc v ->
-                match (acc, v) with
-                | None, Space.VInt _ -> Some v
-                | Some (Space.VInt b), Space.VInt y ->
-                  if abs (y - x) < abs (b - x) then Some v else acc
-                | _ -> acc)
-              None legal
-          in
-          (name, Option.value ~default:(List.hd legal) best)
-        | Space.VStr _ -> (name, List.hd legal)
-      end)
-    part.p_space
-  |> Space.normalize
+let project part cfg = Space.project part.p_space cfg
 
 (* Eq. 1 with variance impurity over [xs.(0 .. n-1)], whose first [n_l]
    elements are the left child's and the rest the right child's. The
@@ -114,12 +80,7 @@ let holds c v =
     List.exists (String.equal s) allowed
   | _ -> true
 
-(* The first binding of [name], as [List.assoc_opt]. *)
-let rec lookup name = function
-  | [] -> None
-  | (n, v) :: rest -> if String.equal n name then Some v else lookup name rest
-
-let satisfies cfg c = holds c (lookup (constr_param c) cfg)
+let satisfies cfg c = holds c (Space.find cfg (constr_param c))
 
 let negate_constr space = function
   | CLe (n, t) -> CGt (n, t)
@@ -133,7 +94,7 @@ let negate_constr space = function
               (function Space.VStr s -> Some s | Space.VInt _ -> None)
               (Space.values_of p)
           else [])
-        space
+        (Space.params space)
     in
     CIn (n, List.filter (fun s -> not (List.mem s allowed)) all)
 
@@ -156,9 +117,9 @@ let table space samples =
       Array.of_list
         (List.map
            (fun p ->
-             let name = Space.param_name p in
-             Array.map (fun s -> lookup name s.s_cfg) samples)
-           space);
+             let read = Space.reader space (Space.param_name p) in
+             Array.map (fun s -> read s.s_cfg) samples)
+           (Space.params space));
     lat = Array.map (fun s -> s.s_latency) samples;
     buf = Array.make n 0.0;
     right = Array.make n 0.0 }
@@ -201,7 +162,7 @@ let best_split tbl space node ~allowed_params =
             | Some (_, _, gb) when gb >= g -> ()
             | _ -> if g > 0.0 then best := Some (j, c, g))
           (candidate_splits p))
-    space;
+    (Space.params space);
   !best
 
 let build ?(depth = 3) ~rule_params space samples =

@@ -32,10 +32,12 @@ type partition = {
 
 val restrict : Space.space -> constr -> Space.space
 (** Narrow one parameter's range; parameters collapsing to a single
-    value remain (with that one value). *)
+    value remain (with that one value). The result shares the space's
+    shape. *)
 
 val project : partition -> Space.cfg -> Space.cfg
-(** Clamp a configuration into a partition (used to place seeds). *)
+(** Clamp a configuration into a partition ({!Space.project}; used to
+    place seeds). *)
 
 val satisfies : Space.cfg -> constr -> bool
 (** Does a configuration meet one constraint? (Missing parameters

@@ -76,9 +76,7 @@ let poisoned r = Float.is_nan r.e_perf
 
 let length db = Hashtbl.length db.tbl
 
-let key_of cfg = Space.key (Space.normalize cfg)
-
-let id_of db cfg = intern db (key_of cfg)
+let id_of db cfg = intern db (Space.key cfg)
 
 let lookup_id db id =
   match Hashtbl.find_opt db.tbl id with

@@ -16,7 +16,7 @@ let uniform_greedy_mutation space =
     feedback = (fun _ _ -> ()) }
 
 let differential_evolution ?(population = 6) space rng0 =
-  let n = List.length space in
+  let n = List.length (Space.params space) in
   let pop =
     Array.init population (fun _ ->
         (Space.to_floats space (Space.random_cfg rng0 space), infinity))
@@ -40,19 +40,20 @@ let differential_evolution ?(population = 6) space rng0 =
               else xi.(j))
         in
         let cfg = Space.of_floats space trial in
-        Hashtbl.replace pending (Space.key cfg) i;
+        Hashtbl.replace pending (Space.code cfg) i;
         cfg);
     feedback =
       (fun cfg perf ->
-        match Hashtbl.find_opt pending (Space.key cfg) with
+        let code = Space.code cfg in
+        match Hashtbl.find_opt pending code with
         | None -> ()
         | Some i ->
-          Hashtbl.remove pending (Space.key cfg);
+          Hashtbl.remove pending code;
           let _, cur = pop.(i) in
           if perf < cur then pop.(i) <- (Space.to_floats space cfg, perf)) }
 
 let particle_swarm ?(particles = 6) space rng0 =
-  let n = List.length space in
+  let n = List.length (Space.params space) in
   let mk_particle () =
     let x = Space.to_floats space (Space.random_cfg rng0 space) in
     ( x,
@@ -80,14 +81,15 @@ let particle_swarm ?(particles = 6) space rng0 =
           x.(j) <- Float.max 0.0 (Float.min 1.0 (x.(j) +. v.(j)))
         done;
         let cfg = Space.of_floats space x in
-        Hashtbl.replace pending (Space.key cfg) i;
+        Hashtbl.replace pending (Space.code cfg) i;
         cfg);
     feedback =
       (fun cfg perf ->
-        match Hashtbl.find_opt pending (Space.key cfg) with
+        let code = Space.code cfg in
+        match Hashtbl.find_opt pending code with
         | None -> ()
         | Some i ->
-          Hashtbl.remove pending (Space.key cfg);
+          Hashtbl.remove pending code;
           let x = Space.to_floats space cfg in
           let _, _, pbest = swarm.(i) in
           if perf < snd !pbest then pbest := (x, perf);
@@ -113,7 +115,7 @@ let simulated_annealing ?(t0 = 1.0) ?(cooling = 0.96) space rng0 =
     feedback =
       (fun cfg perf ->
         (match !pending with
-        | Some (c, rng) when Space.key c = Space.key cfg ->
+        | Some (c, rng) when String.equal (Space.code c) (Space.code cfg) ->
           let _, cur = !current in
           let accept =
             perf < cur

@@ -37,7 +37,9 @@ type t = {
          design point already measured by any tuner of the exploration
          costs a lookup (zero simulated minutes) instead of an HLS run. *)
   seen : (string, unit) Hashtbl.t;
-      (* Proposal-deduplication stays tuner-local even when the result DB
+      (* The {!Space.code}s of the proposed points: every point a tuner
+         handles has its space's shape, seeds included once joined.
+         Proposal-deduplication stays tuner-local even when the result DB
          is shared: techniques retry only on points *this* tuner proposed,
          so a tuner's trajectory is independent of who else shares the DB
          (the determinism contract of test_resultdb.ml). *)
@@ -72,7 +74,7 @@ let create ?(seeds = []) ?techniques ?db ?trace space objective rng =
         (Array.length techniques);
     db;
     seen = Hashtbl.create 64;
-    pending_seeds = seeds;
+    pending_seeds = List.map (Space.join space) seeds;
     best = None;
     evaluated = 0;
     last = None;
@@ -127,8 +129,9 @@ let propose t =
     let rec attempt k =
       let arm = Bandit.select t.bandit t.rng in
       let cfg = t.techniques.(arm).Technique.propose ~best:t.best t.rng in
-      if Hashtbl.mem t.seen (Space.key cfg) && k < 16 then attempt (k + 1)
-      else if Hashtbl.mem t.seen (Space.key cfg) then
+      let seen = Hashtbl.mem t.seen (Space.code cfg) in
+      if seen && k < 16 then attempt (k + 1)
+      else if seen then
         (* Fall back to a fresh random point. *)
         (Space.random_cfg t.rng t.space, Some arm)
       else (cfg, Some arm)
@@ -207,8 +210,7 @@ let step_batch t k =
   let proposals =
     List.init k (fun _ ->
         let cfg, arm = propose t in
-        let cfg = Space.normalize cfg in
-        Hashtbl.replace t.seen (Space.key cfg) ();
+        Hashtbl.replace t.seen (Space.code cfg) ();
         trace_proposal t cfg arm;
         (cfg, arm))
   in
@@ -219,8 +221,7 @@ let step_batch t k =
 
 let step t =
   let cfg, arm = propose t in
-  let cfg = Space.normalize cfg in
-  Hashtbl.replace t.seen (Space.key cfg) ();
+  Hashtbl.replace t.seen (Space.code cfg) ();
   trace_proposal t cfg arm;
   let r, hit = evaluate t cfg in
   record t cfg r arm hit

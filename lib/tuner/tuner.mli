@@ -52,7 +52,11 @@ val create :
   objective ->
   Rng.t ->
   t
-(** [db] is the shared result database of the surrounding exploration:
+(** Each seed joins the space's shape ({!Space.join}, which raises
+    [Invalid_argument] for a seed that does not bind exactly the space's
+    parameters).
+
+    [db] is the shared result database of the surrounding exploration:
     when given, every evaluation is memoized through it, so a design
     point already measured anywhere (another technique, another
     partition's tuner, an offline sampling pass) is served from the

@@ -69,9 +69,9 @@ let expert ?(inner_par = 16) ?(task_tile = 16) ?(bw = 512) (ds : Dspace.t) =
   (* Keep only parameters that exist in the identified space (loops with
      trip 1 have no tile/par parameters). *)
   let names =
-    List.map Space.param_name ds.Dspace.ds_space
+    List.map Space.param_name (Space.params ds.Dspace.ds_space)
   in
-  Space.normalize (List.filter (fun (k, _) -> List.mem k names) !cfg)
+  Space.of_list (List.filter (fun (k, _) -> List.mem k names) !cfg)
 
 (* ---------- kernels ---------- *)
 
@@ -445,8 +445,8 @@ let manual_design w (c : S2fa_core.S2fa.compiled) =
     List.iter
       (fun b -> add (Dspace.bw_name b) (Space.VInt bw))
       ds.Dspace.ds_buffers;
-    let names = List.map Space.param_name ds.Dspace.ds_space in
-    Space.normalize (List.filter (fun (k, _) -> List.mem k names) !cfg)
+    let names = List.map Space.param_name (Space.params ds.Dspace.ds_space) in
+    Space.of_list (List.filter (fun (k, _) -> List.mem k names) !cfg)
   in
   let candidates =
     w.w_manual ds

@@ -329,13 +329,14 @@ let prop_rich_kernels_tiled_equivalent =
       let c = S2fa.compile ~in_caps:[ 8 ] ~out_caps:[ 8 ] src in
       let ds = c.S2fa.c_dspace in
       let cfg =
-        List.filter_map
-          (fun p ->
-            let name = S2fa_tuner.Space.param_name p in
-            if String.length name > 5 && String.sub name 0 5 = "tile_" then
-              Some (name, S2fa_tuner.Space.VInt tile)
-            else None)
-          ds.S2fa_dse.Dspace.ds_space
+        S2fa_tuner.Space.of_list
+          (List.filter_map
+             (fun p ->
+               let name = S2fa_tuner.Space.param_name p in
+               if String.length name > 5 && String.sub name 0 5 = "tile_" then
+                 Some (name, S2fa_tuner.Space.VInt tile)
+               else None)
+             (S2fa_tuner.Space.params ds.S2fa_dse.Dspace.ds_space))
       in
       let rng = Rng.create 78 in
       let tasks =
