@@ -433,8 +433,9 @@ let fit_partitions run opts dspace objective rng ~sample ~split =
   Obs.set_clock 0.0;
   let partitions =
     if split then
-      Partition.build ~depth:tree_depth ~rule_params:(rule_sets dspace)
-        dspace.Dspace.ds_space samples
+      Obs.span "dse.fit" (fun () ->
+          Partition.build ~depth:tree_depth ~rule_params:(rule_sets dspace)
+            dspace.Dspace.ds_space samples)
     else [ { Partition.p_constrs = []; p_space = dspace.Dspace.ds_space } ]
   in
   (samples, partitions)
