@@ -30,7 +30,7 @@ type compiled = {
   c_buffer_elems : (string * int) list;
   c_input_ty : Ast.ty;
   c_output_ty : Ast.ty;
-  c_analysis : Transform.analysis option Lazy.t;
+  c_analysis : Transform.analysis Lazy.t;
 }
 
 let compile ?class_name ?(operator = `Map) ?(in_caps = []) ?(out_caps = [])
@@ -107,12 +107,11 @@ let apply_design c cfg =
   Transform.apply (Dspace.to_merlin c.c_dspace cfg) c.c_flat
 
 let estimate ?(tasks = 4096) c cfg =
-  let buffer_elems = c.c_buffer_elems in
-  match Lazy.force c.c_analysis with
-  | Some a ->
-    let design = Transform.summarize (Dspace.to_merlin c.c_dspace cfg) a in
-    Estimate.model design ~tasks ~buffer_elems
-  | None -> Estimate.estimate (apply_design c cfg) ~tasks ~buffer_elems
+  let design =
+    Transform.summarize (Dspace.to_merlin c.c_dspace cfg)
+      (Lazy.force c.c_analysis)
+  in
+  Estimate.model design ~tasks ~buffer_elems:c.c_buffer_elems
 
 let detail_of_report (r : Estimate.report) =
   { Resultdb.d_cycles = r.Estimate.r_cycles;

@@ -37,7 +37,7 @@ type compiled = {
   c_buffer_elems : (string * int) list;
   c_input_ty : Ast.ty;
   c_output_ty : Ast.ty;
-  c_analysis : Transform.analysis option Lazy.t;
+  c_analysis : Transform.analysis Lazy.t;
       (** [Transform.analyse c_flat], derived from [c_flat] alone like
           [c_dspace] and built by the first {!estimate}: compiling
           never analyses, and no design or result is kept in it. *)
@@ -68,8 +68,7 @@ val estimate : ?tasks:int -> compiled -> Space.cfg -> Estimate.report
     same [Transform_error] and the same loop ids drawn. It builds the
     design's summary from [c_analysis] ([Transform.summarize], one
     [merlin.apply] span) and runs [Estimate.model] on it (one
-    [hls.estimate] span), so no program is rewritten or re-analysed. A
-    kernel [Transform.analyse] refuses is rewritten and estimated. *)
+    [hls.estimate] span), so no program is rewritten or re-analysed. *)
 
 val objective :
   ?tasks:int ->

@@ -521,6 +521,13 @@ let check_report r =
 
 let report_ok r = Result.is_ok (check_report r)
 
+let report_bits r =
+  ( List.map Int64.bits_of_float
+      [ r.r_cycles; r.r_ii; r.r_freq_mhz; r.r_seconds; r.r_compute_seconds;
+        r.r_xfer_seconds; r.r_lut_pct; r.r_ff_pct; r.r_bram_pct; r.r_dsp_pct;
+        r.r_eval_minutes ],
+    r.r_feasible )
+
 let pp_report ppf r =
   Format.fprintf ppf
     "cycles=%.3e ii=%.1f freq=%.0fMHz time=%.4fs lut=%.0f%% ff=%.0f%% \

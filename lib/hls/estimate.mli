@@ -79,4 +79,9 @@ val check_report : report -> (unit, string) result
 val report_ok : report -> bool
 (** [Result.is_ok (check_report r)]. *)
 
+val report_bits : report -> int64 list * bool
+(** Every float of the report by its bits, in field order, and
+    feasibility: two reports are the same estimate when these are
+    equal. *)
+
 val pp_report : Format.formatter -> report -> unit

@@ -60,9 +60,15 @@ type summary = {
   local_arrays : (string * Csyntax.cty * int) list;
 }
 
-(* ---------- type environment ---------- *)
+(* ---------- scope ---------- *)
 
-type tenv = (string, Csyntax.cty) Hashtbl.t
+(* The declarations visible at one point of a function, innermost
+   first, under the block scoping of cscope.mli: a declaration is
+   visible to the rest of its statement list, an [if] branch or a loop
+   body is a block of its own, and a [for (int v ...)] counter is
+   declared for the loop's bound and body. A name no declaration binds
+   is not floating point. *)
+type scope = (string * Csyntax.cty) list
 
 let float_ty (t : Csyntax.cty) =
   match t with
@@ -72,37 +78,41 @@ let float_ty (t : Csyntax.cty) =
     true
   | _ -> false
 
-let rec is_fp tenv (e : Csyntax.cexpr) =
+(* The scope of a loop's body. *)
+let enter (scope : scope) (l : Csyntax.loop) : scope =
+  if l.Csyntax.ldecl then (l.Csyntax.lvar, l.Csyntax.lvty) :: scope else scope
+
+let rec is_fp scope (e : Csyntax.cexpr) =
   match e with
   | Csyntax.EFloat _ | Csyntax.EDouble _ -> true
   | Csyntax.EInt _ | Csyntax.ELong _ | Csyntax.EChar _ | Csyntax.EBool _ ->
     false
   | Csyntax.EVar v -> (
-    match Hashtbl.find_opt tenv v with
+    match List.assoc_opt v scope with
     | Some t -> float_ty t
     | None -> false)
-  | Csyntax.EBin (_, a, b) -> is_fp tenv a || is_fp tenv b
-  | Csyntax.EUn (_, a) -> is_fp tenv a
-  | Csyntax.EIndex (a, _) -> is_fp tenv a
+  | Csyntax.EBin (_, a, b) -> is_fp scope a || is_fp scope b
+  | Csyntax.EUn (_, a) -> is_fp scope a
+  | Csyntax.EIndex (a, _) -> is_fp scope a
   | Csyntax.ECall (("sqrt" | "exp" | "log" | "pow" | "fmin" | "fmax"
                    | "fabs" | "floor" | "ceil"), _) ->
     true
   | Csyntax.ECall _ -> false
-  | Csyntax.ECond (_, a, b) -> is_fp tenv a || is_fp tenv b
+  | Csyntax.ECond (_, a, b) -> is_fp scope a || is_fp scope b
   | Csyntax.ECast ((Csyntax.CFloat | Csyntax.CDouble), _) -> true
   | Csyntax.ECast (_, _) -> false
 
 (* ---------- operation counting ---------- *)
 
-let rec count_expr tenv acc (e : Csyntax.cexpr) =
+let rec count_expr scope acc (e : Csyntax.cexpr) =
   match e with
   | Csyntax.EInt _ | Csyntax.ELong _ | Csyntax.EFloat _ | Csyntax.EDouble _
   | Csyntax.EChar _ | Csyntax.EBool _ | Csyntax.EVar _ ->
     acc
   | Csyntax.EBin (op, a, b) -> (
-    let acc = count_expr tenv acc a in
-    let acc = count_expr tenv acc b in
-    let fp = is_fp tenv a || is_fp tenv b in
+    let acc = count_expr scope acc a in
+    let acc = count_expr scope acc b in
+    let fp = is_fp scope a || is_fp scope b in
     match op with
     | Csyntax.CAdd | Csyntax.CSub ->
       if fp then { acc with fp_add = acc.fp_add + 1 }
@@ -120,56 +130,56 @@ let rec count_expr tenv acc (e : Csyntax.cexpr) =
     | Csyntax.CBXor | Csyntax.CShl | Csyntax.CShr ->
       { acc with other = acc.other + 1 })
   | Csyntax.EUn (_, a) ->
-    let acc = count_expr tenv acc a in
+    let acc = count_expr scope acc a in
     { acc with other = acc.other + 1 }
   | Csyntax.EIndex (arr, idx) -> (
-    let acc = count_expr tenv acc idx in
+    let acc = count_expr scope acc idx in
     match arr with
     | Csyntax.EVar name -> { acc with mem_reads = bump acc.mem_reads name 1 }
-    | _ -> count_expr tenv acc arr)
+    | _ -> count_expr scope acc arr)
   | Csyntax.ECall (f, args) ->
-    let acc = List.fold_left (count_expr tenv) acc args in
+    let acc = List.fold_left (count_expr scope) acc args in
     { acc with math_calls = bump acc.math_calls f 1 }
   | Csyntax.ECond (c, a, b) ->
-    let acc = count_expr tenv acc c in
-    let acc = count_expr tenv acc a in
-    let acc = count_expr tenv acc b in
+    let acc = count_expr scope acc c in
+    let acc = count_expr scope acc a in
+    let acc = count_expr scope acc b in
     { acc with compares = acc.compares + 1 }
-  | Csyntax.ECast (_, a) -> count_expr tenv acc a
+  | Csyntax.ECast (_, a) -> count_expr scope acc a
 
-let count_store tenv acc lv =
+let count_store scope acc lv =
   match lv with
   | Csyntax.EIndex (Csyntax.EVar name, idx) ->
-    let acc = count_expr tenv acc idx in
+    let acc = count_expr scope acc idx in
     { acc with mem_writes = bump acc.mem_writes name 1 }
   | Csyntax.EVar _ -> acc
-  | _ -> count_expr tenv acc lv
+  | _ -> count_expr scope acc lv
 
 (* Count operations in the direct body of a loop (or function), stopping
    at nested loops. *)
-let rec count_stmts tenv acc stmts =
-  List.fold_left
-    (fun acc s ->
+let rec count_stmts scope acc = function
+  | [] -> acc
+  | Csyntax.SDecl (t, name, init) :: rest ->
+    let acc = Option.fold ~none:acc ~some:(count_expr scope acc) init in
+    count_stmts ((name, t) :: scope) acc rest
+  | s :: rest ->
+    let acc =
       match s with
-      | Csyntax.SDecl (t, name, init) ->
-        Hashtbl.replace tenv name t;
-        (match init with Some e -> count_expr tenv acc e | None -> acc)
       | Csyntax.SAssign (lv, e) ->
-        let acc = count_store tenv acc lv in
-        count_expr tenv acc e
+        let acc = count_store scope acc lv in
+        count_expr scope acc e
       | Csyntax.SIf (c, a, b) ->
-        let acc = count_expr tenv acc c in
+        let acc = count_expr scope acc c in
         let acc = { acc with compares = acc.compares + 1 } in
-        let acc = count_stmts tenv acc a in
-        count_stmts tenv acc b
+        let acc = count_stmts scope acc a in
+        count_stmts scope acc b
       | Csyntax.SWhile (c, b) ->
-        let acc = count_expr tenv acc c in
-        count_stmts tenv acc b
-      | Csyntax.SFor _ -> acc
-      | Csyntax.SExpr e -> count_expr tenv acc e
-      | Csyntax.SReturn (Some e) -> count_expr tenv acc e
-      | Csyntax.SReturn None -> acc)
-    acc stmts
+        let acc = count_expr scope acc c in
+        count_stmts scope acc b
+      | Csyntax.SExpr e | Csyntax.SReturn (Some e) -> count_expr scope acc e
+      | Csyntax.SDecl _ | Csyntax.SFor _ | Csyntax.SReturn None -> acc
+    in
+    count_stmts scope acc rest
 
 let rec has_if stmts =
   List.exists
@@ -197,14 +207,14 @@ let rec expr_mentions v (e : Csyntax.cexpr) =
   | Csyntax.EChar _ | Csyntax.EBool _ ->
     false
 
-let rec fp_chain_len tenv (e : Csyntax.cexpr) =
+let rec fp_chain_len scope (e : Csyntax.cexpr) =
   (* Length of the longest chain of floating operations in [e] — a crude
      stand-in for the latency of the recurrence. *)
   match e with
   | Csyntax.EBin (op, a, b) ->
-    let inner = max (fp_chain_len tenv a) (fp_chain_len tenv b) in
+    let inner = max (fp_chain_len scope a) (fp_chain_len scope b) in
     let own =
-      if is_fp tenv a || is_fp tenv b then
+      if is_fp scope a || is_fp scope b then
         match op with
         | Csyntax.CAdd | Csyntax.CSub | Csyntax.CMul -> 1
         | Csyntax.CDiv | Csyntax.CRem -> 3
@@ -212,16 +222,17 @@ let rec fp_chain_len tenv (e : Csyntax.cexpr) =
       else 0
     in
     inner + own
-  | Csyntax.EUn (_, a) | Csyntax.ECast (_, a) -> fp_chain_len tenv a
-  | Csyntax.EIndex (a, i) -> max (fp_chain_len tenv a) (fp_chain_len tenv i)
+  | Csyntax.EUn (_, a) | Csyntax.ECast (_, a) -> fp_chain_len scope a
+  | Csyntax.EIndex (a, i) -> max (fp_chain_len scope a) (fp_chain_len scope i)
   | Csyntax.ECall (("exp" | "log" | "pow"), args) ->
-    4 + List.fold_left (fun m a -> max m (fp_chain_len tenv a)) 0 args
+    4 + List.fold_left (fun m a -> max m (fp_chain_len scope a)) 0 args
   | Csyntax.ECall (("sqrt"), args) ->
-    3 + List.fold_left (fun m a -> max m (fp_chain_len tenv a)) 0 args
+    3 + List.fold_left (fun m a -> max m (fp_chain_len scope a)) 0 args
   | Csyntax.ECall (_, args) ->
-    List.fold_left (fun m a -> max m (fp_chain_len tenv a)) 0 args
+    List.fold_left (fun m a -> max m (fp_chain_len scope a)) 0 args
   | Csyntax.ECond (c, a, b) ->
-    max (fp_chain_len tenv c) (max (fp_chain_len tenv a) (fp_chain_len tenv b))
+    max (fp_chain_len scope c)
+      (max (fp_chain_len scope a) (fp_chain_len scope b))
   | Csyntax.EInt _ | Csyntax.ELong _ | Csyntax.EFloat _ | Csyntax.EDouble _
   | Csyntax.EChar _ | Csyntax.EBool _ | Csyntax.EVar _ ->
     0
@@ -281,44 +292,56 @@ let affine_equal a b =
 
 let affine_diff a b = aff_norm (aff_add a (aff_scale (-1) b))
 
-(* Detect a loop-carried dependence in the direct body of [loop]:
-   - a scalar declared outside the loop, assigned from an expression
-     mentioning itself (reduction/accumulation);
+(* Detect a loop-carried dependence in the body of [loop], nested loops
+   included, where [entry] is the scope of the body (the loop's own
+   counter is not declared in the loop):
+   - a scalar not declared in the loop, assigned from an expression
+     mentioning itself (reduction/accumulation); a name counts as
+     declared in the loop only inside the block that declares it;
    - an array that is both written and read with non-identical indices
-     that involve an outer or this loop's variable. *)
-let detect_dependence tenv (loop : Csyntax.loop) =
-  let declared = Hashtbl.create 8 in
+     that involve an outer or this loop's variable; the bounds of a
+     nested loop are read on every iteration of this loop. *)
+let detect_dependence entry (loop : Csyntax.loop) =
   let scalar_rec = ref None in
   let array_writes = ref [] in
   let array_reads = ref [] in
-  let rec scan stmts =
-    List.iter
-      (fun s ->
-        match s with
-        | Csyntax.SDecl (_, name, _) -> Hashtbl.replace declared name ()
-        | Csyntax.SAssign (Csyntax.EVar v, e) ->
-          collect_reads e;
-          if (not (Hashtbl.mem declared v)) && expr_mentions v e then begin
-            match !scalar_rec with
-            | Some _ -> ()
-            | None -> scalar_rec := Some (v, max 1 (fp_chain_len tenv e))
-          end
-        | Csyntax.SAssign (Csyntax.EIndex (Csyntax.EVar a, idx), e) ->
-          array_writes := (a, idx) :: !array_writes;
-          collect_reads e
-        | Csyntax.SAssign (_, e) -> collect_reads e
-        | Csyntax.SIf (c, x, y) ->
-          collect_reads c;
-          scan x;
-          scan y
-        | Csyntax.SWhile (c, b) ->
-          collect_reads c;
-          scan b
-        | Csyntax.SFor inner -> scan inner.Csyntax.lbody
-        | Csyntax.SExpr e -> collect_reads e
-        | Csyntax.SReturn (Some e) -> collect_reads e
-        | Csyntax.SReturn None -> ())
-      stmts
+  (* The declarations in the loop are the bindings [scope] holds in
+     front of [entry]. *)
+  let rec declared scope v =
+    scope != entry
+    &&
+    match scope with
+    | (n, _) :: rest -> String.equal n v || declared rest v
+    | [] -> false
+  in
+  let rec scan scope = function
+    | [] -> ()
+    | Csyntax.SDecl (t, name, _) :: rest -> scan ((name, t) :: scope) rest
+    | s :: rest ->
+      (match s with
+      | Csyntax.SAssign (Csyntax.EVar v, e) ->
+        collect_reads e;
+        if Option.is_none !scalar_rec && (not (declared scope v))
+           && expr_mentions v e
+        then scalar_rec := Some (v, max 1 (fp_chain_len scope e))
+      | Csyntax.SAssign (Csyntax.EIndex (Csyntax.EVar a, idx), e) ->
+        array_writes := (a, idx) :: !array_writes;
+        collect_reads e
+      | Csyntax.SAssign (_, e) | Csyntax.SExpr e | Csyntax.SReturn (Some e) ->
+        collect_reads e
+      | Csyntax.SIf (c, x, y) ->
+        collect_reads c;
+        scan scope x;
+        scan scope y
+      | Csyntax.SWhile (c, b) ->
+        collect_reads c;
+        scan scope b
+      | Csyntax.SFor inner ->
+        collect_reads inner.Csyntax.llo;
+        collect_reads inner.Csyntax.lhi;
+        scan (enter scope inner) inner.Csyntax.lbody
+      | Csyntax.SDecl _ | Csyntax.SReturn None -> ());
+      scan scope rest
   and collect_reads e =
     match e with
     | Csyntax.EIndex (Csyntax.EVar a, idx) ->
@@ -340,7 +363,7 @@ let detect_dependence tenv (loop : Csyntax.loop) =
     | Csyntax.EChar _ | Csyntax.EBool _ | Csyntax.EVar _ ->
       ()
   in
-  scan loop.Csyntax.lbody;
+  scan entry loop.Csyntax.lbody;
   match !scalar_rec with
   | Some (v, chain) -> ScalarRec (v, chain)
   | None ->
@@ -392,109 +415,86 @@ let trip_count (l : Csyntax.loop) =
     Some (max 0 ((hi - lo + l.Csyntax.lstep - 1) / l.Csyntax.lstep))
   | _, _ -> None
 
-let rec local_array_bytes stmts =
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | Csyntax.SDecl ((Csyntax.CArr _ as t), _, _) ->
-        let rec bytes = function
-          | Csyntax.CArr (inner, n) -> n * bytes inner
-          | scalar -> max 1 (Csyntax.ty_bits scalar / 8)
-        in
-        acc + bytes t
-      | Csyntax.SIf (_, a, b) -> acc + local_array_bytes a + local_array_bytes b
-      | Csyntax.SWhile (_, b) -> acc + local_array_bytes b
-      | Csyntax.SFor l -> acc + local_array_bytes l.Csyntax.lbody
-      | Csyntax.SDecl _ | Csyntax.SAssign _ | Csyntax.SExpr _
-      | Csyntax.SReturn _ ->
-        acc)
-    0 stmts
+(* Bytes a value of type [t] occupies. *)
+let rec storage_bytes = function
+  | Csyntax.CArr (t, n) -> n * storage_bytes t
+  | scalar -> max 1 (Csyntax.ty_bits scalar / 8)
+
+(* The loops nested directly in [l]'s body, then those under its
+   [if]s. *)
+let children (l : Csyntax.loop) =
+  let rec under_ifs = function
+    | Csyntax.SIf (_, a, b) ->
+      List.concat_map under_ifs a @ List.concat_map under_ifs b
+    | Csyntax.SFor c -> [ c.Csyntax.lid ]
+    | _ -> []
+  in
+  List.filter_map
+    (function Csyntax.SFor c -> Some c.Csyntax.lid | _ -> None)
+    l.Csyntax.lbody
+  @ List.concat_map
+      (function Csyntax.SIf _ as s -> under_ifs s | _ -> [])
+      l.Csyntax.lbody
 
 let analyze (f : Csyntax.cfunc) : summary =
-  let tenv : tenv = Hashtbl.create 32 in
-  List.iter
-    (fun (p : Csyntax.cparam) -> Hashtbl.replace tenv p.Csyntax.cpname p.Csyntax.cpty)
-    f.Csyntax.cfparams;
-  (* Populate declarations everywhere first so expression typing works
-     regardless of traversal order. *)
-  let rec predeclare stmts =
-    List.iter
-      (function
-        | Csyntax.SDecl (t, name, _) -> Hashtbl.replace tenv name t
-        | Csyntax.SIf (_, a, b) ->
-          predeclare a;
-          predeclare b
-        | Csyntax.SWhile (_, b) -> predeclare b
-        | Csyntax.SFor l ->
-          Hashtbl.replace tenv l.Csyntax.lvar Csyntax.CInt;
-          predeclare l.Csyntax.lbody
-        | Csyntax.SAssign _ | Csyntax.SExpr _ | Csyntax.SReturn _ -> ())
-      stmts
+  let loops = ref [] and arrays = ref [] in
+  (* One walk in statement order: [scope] is the scope at each point,
+     [ancestors] the enclosing loop ids, outermost first. A loop is
+     recorded before the loops nested in it. *)
+  let rec walk scope ancestors = function
+    | [] -> ()
+    | Csyntax.SDecl (t, name, _) :: rest ->
+      (match t with
+      | Csyntax.CArr (elt, n) -> arrays := (name, elt, n) :: !arrays
+      | _ -> ());
+      walk ((name, t) :: scope) ancestors rest
+    | s :: rest ->
+      (match s with
+      | Csyntax.SFor l ->
+        let body = enter scope l in
+        loops :=
+          { li_loop = l;
+            li_depth = List.length ancestors;
+            li_ancestors = ancestors;
+            li_children = children l;
+            li_trip = trip_count l;
+            li_ops = count_stmts body no_ops l.Csyntax.lbody;
+            li_dep = detect_dependence body l;
+            li_has_if = has_if l.Csyntax.lbody }
+          :: !loops;
+        walk body (ancestors @ [ l.Csyntax.lid ]) l.Csyntax.lbody
+      | Csyntax.SIf (_, a, b) ->
+        walk scope ancestors a;
+        walk scope ancestors b
+      | Csyntax.SWhile (_, b) -> walk scope ancestors b
+      | Csyntax.SDecl _ | Csyntax.SAssign _ | Csyntax.SExpr _
+      | Csyntax.SReturn _ ->
+        ());
+      walk scope ancestors rest
   in
-  predeclare f.Csyntax.cfbody;
-  let loops = ref [] in
-  Csyntax.iter_loops
-    (fun ancestors l ->
-      let children =
-        List.filter_map
-          (function Csyntax.SFor c -> Some c.Csyntax.lid | _ -> None)
-          l.Csyntax.lbody
-      in
-      (* Also catch loops nested under ifs in the direct body. *)
-      let rec if_children stmts =
-        List.concat_map
-          (function
-            | Csyntax.SIf (_, a, b) -> if_children a @ if_children b
-            | Csyntax.SFor c -> [ c.Csyntax.lid ]
-            | _ -> [])
-          stmts
-      in
-      let children =
-        children
-        @ List.filter
-            (fun id -> not (List.mem id children))
-            (if_children
-               (List.filter
-                  (function Csyntax.SFor _ -> false | _ -> true)
-                  l.Csyntax.lbody))
-      in
-      let info =
-        { li_loop = l;
-          li_depth = List.length ancestors;
-          li_ancestors = ancestors;
-          li_children = children;
-          li_trip = trip_count l;
-          li_ops = count_stmts tenv no_ops l.Csyntax.lbody;
-          li_dep = detect_dependence tenv l;
-          li_has_if = has_if l.Csyntax.lbody }
-      in
-      loops := info :: !loops)
-    f.Csyntax.cfbody;
-  let buffers =
-    List.filter_map
-      (fun (p : Csyntax.cparam) ->
-        match p.Csyntax.cpty with
-        | Csyntax.CPtr _ -> Some (p.Csyntax.cpname, p.Csyntax.cpty, p.Csyntax.cpbitwidth)
-        | _ -> None)
-      f.Csyntax.cfparams
+  let params =
+    List.fold_left
+      (fun scope (p : Csyntax.cparam) ->
+        (p.Csyntax.cpname, p.Csyntax.cpty) :: scope)
+      [] f.Csyntax.cfparams
   in
-  let rec collect_arrays stmts =
-    List.concat_map
-      (function
-        | Csyntax.SDecl (Csyntax.CArr (t, n), name, _) -> [ (name, t, n) ]
-        | Csyntax.SIf (_, a, b) -> collect_arrays a @ collect_arrays b
-        | Csyntax.SWhile (_, b) -> collect_arrays b
-        | Csyntax.SFor l -> collect_arrays l.Csyntax.lbody
-        | Csyntax.SDecl _ | Csyntax.SAssign _ | Csyntax.SExpr _
-        | Csyntax.SReturn _ ->
-          [])
-      stmts
-  in
+  walk params [] f.Csyntax.cfbody;
+  let local_arrays = List.rev !arrays in
   { loops = List.rev !loops;
-    buffers;
-    locals_bytes = local_array_bytes f.Csyntax.cfbody;
-    top_ops = count_stmts tenv no_ops f.Csyntax.cfbody;
-    local_arrays = collect_arrays f.Csyntax.cfbody }
+    buffers =
+      List.filter_map
+        (fun (p : Csyntax.cparam) ->
+          match p.Csyntax.cpty with
+          | Csyntax.CPtr _ ->
+            Some (p.Csyntax.cpname, p.Csyntax.cpty, p.Csyntax.cpbitwidth)
+          | _ -> None)
+        f.Csyntax.cfparams;
+    locals_bytes =
+      List.fold_left
+        (fun acc (_, t, n) -> acc + (n * storage_bytes t))
+        0 local_arrays;
+    top_ops = count_stmts params no_ops f.Csyntax.cfbody;
+    local_arrays }
 
 let find_loop s id =
   List.find_opt (fun li -> li.li_loop.Csyntax.lid = id) s.loops

@@ -71,11 +71,16 @@ val affine_diff : affine -> affine -> affine
 (** [affine_diff a b] is [a - b], with terms cancelled. *)
 
 val analyze : Csyntax.cfunc -> summary
-
-val float_ty : Csyntax.cty -> bool
-(** Whether a variable declared at this type counts as floating point
-    in the operation counts and recurrence latencies: [float], [double],
-    and one-dimensional arrays and buffers of them. *)
+(** One walk of the function that resolves names under the block
+    scoping of {!Cscope}:
+    - every use takes the type of its innermost declaration (a
+      [for (int v ...)] counter is one), and counts as floating point
+      when that is [float], [double], or a one-dimensional array or
+      buffer of them;
+    - a loop's dependence scan counts a name as declared in the loop
+      only inside the block that declares it;
+    - a nested loop's bounds count as reads of every enclosing loop,
+      since each iteration of that loop evaluates them. *)
 
 val trip_count : Csyntax.loop -> int option
 (** The loop's constant trip count, as {!analyze} records it in

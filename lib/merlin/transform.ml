@@ -365,124 +365,57 @@ type func_analysis = {
 
 type analysis = func_analysis list
 
-let rec expr_reads_array = function
-  | EIndex _ -> true
-  | EVar _ | EInt _ | ELong _ | EFloat _ | EDouble _ | EChar _ | EBool _ ->
-    false
-  | EBin (_, a, b) -> expr_reads_array a || expr_reads_array b
-  | EUn (_, a) | ECast (_, a) -> expr_reads_array a
-  | ECall (_, args) -> List.exists expr_reads_array args
-  | ECond (c, a, b) ->
-    expr_reads_array c || expr_reads_array a || expr_reads_array b
-
-(* Whether the analysis of any tiled version of [f] is the flat analysis
-   with only the tiled loops changed. Tiling puts [v < hi] inside the
-   inner loop and declares [v] there, where the dependence scan of
-   every enclosing loop sees both, and the operation counts type
-   variables through one name table. So: no loop bound reads an array,
-   no tileable loop's counter is assigned as a scalar, and every name
-   is float-typed ({!Canalysis.float_ty}) in all of its declarations or
-   in none. *)
-let exact (f : cfunc) loops =
-  let float_of = Hashtbl.create 32 in
-  let mixed = ref false in
-  let declare n t =
-    let fp = Canalysis.float_ty t in
-    match Hashtbl.find_opt float_of n with
-    | Some fp' -> if fp <> fp' then mixed := true
-    | None -> Hashtbl.add float_of n fp
-  in
-  List.iter (fun (p : cparam) -> declare p.cpname p.cpty) f.cfparams;
-  let counters =
-    List.filter_map
-      (fun (li : Canalysis.loop_info) ->
-        let l = li.Canalysis.li_loop in
-        if Option.is_none (tile_refusal l) then Some l.lvar else None)
-      loops
-  in
-  let assigns_counter = ref false in
-  let rec stmt = function
-    | SDecl (t, n, _) -> declare n t
-    | SAssign (EVar x, _) ->
-      if List.mem x counters then assigns_counter := true
-    | SAssign _ | SExpr _ | SReturn _ -> ()
-    | SIf (_, a, b) ->
-      List.iter stmt a;
-      List.iter stmt b
-    | SWhile (_, b) -> List.iter stmt b
-    | SFor l ->
-      declare l.lvar CInt;
-      declare l.lvar l.lvty;
-      List.iter stmt l.lbody
-  in
-  List.iter stmt f.cfbody;
-  (not !mixed) && (not !assigns_counter)
-  && not
-       (List.exists
-          (fun (li : Canalysis.loop_info) ->
-            expr_reads_array li.Canalysis.li_loop.lhi)
-          loops)
-
 let analyse_func (f : cfunc) =
   let s = Canalysis.analyze f in
   let loops = s.Canalysis.loops in
-  if not (exact f loops) then None
-  else begin
-    (* An id no loop of [f] has, for the inner loop of a tiled copy. *)
-    let inner_id =
-      List.fold_left
-        (fun m (li : Canalysis.loop_info) -> min m li.Canalysis.li_loop.lid)
-        0 loops
-      - 1
-    in
-    let tiled (l : loop) =
-      match tile_refusal l with
-      | Some _ -> None
-      | None ->
-        let tile_l (l' : loop) =
-          if l'.lid = l.lid then
-            tile_loop f ~inner_id l' ~tile:2 ~inner_pragmas:[]
-              ~outer_pragmas:[]
-          else l'
-        in
-        let t =
-          Canalysis.analyze { f with cfbody = map_loops tile_l f.cfbody }
-        in
-        (* Keep the two loops' analyses, not the copy of the function
-           their loop records hold. *)
-        let keep id =
-          let li = Option.get (Canalysis.find_loop t id) in
-          { li with
-            Canalysis.li_loop = { li.Canalysis.li_loop with lbody = [] } }
-        in
-        Some (keep l.lid, keep inner_id)
-    in
-    let parent (li : Canalysis.loop_info) =
-      match List.rev li.Canalysis.li_ancestors with
-      | p :: _ -> Some p
-      | [] -> None
-    in
-    let rec nodes_under p =
-      List.filter_map
-        (fun (li : Canalysis.loop_info) ->
-          if parent li = p then
-            let l = li.Canalysis.li_loop in
-            Some
-              { n_info = li;
-                n_refusal = tile_refusal l;
-                n_tiled = tiled l;
-                n_kids = nodes_under (Some l.lid) }
-          else None)
-        loops
-    in
-    Some { fa_name = f.cfname; fa_summary = s; fa_roots = nodes_under None }
-  end
+  (* An id no loop of [f] has, for the inner loop of a tiled copy. *)
+  let inner_id =
+    List.fold_left
+      (fun m (li : Canalysis.loop_info) -> min m li.Canalysis.li_loop.lid)
+      0 loops
+    - 1
+  in
+  let tiled (l : loop) =
+    match tile_refusal l with
+    | Some _ -> None
+    | None ->
+      let tile_l (l' : loop) =
+        if l'.lid = l.lid then
+          tile_loop f ~inner_id l' ~tile:2 ~inner_pragmas:[] ~outer_pragmas:[]
+        else l'
+      in
+      let t = Canalysis.analyze { f with cfbody = map_loops tile_l f.cfbody } in
+      (* Keep the two loops' analyses, not the copy of the function
+         their loop records hold. *)
+      let keep id =
+        let li = Option.get (Canalysis.find_loop t id) in
+        { li with Canalysis.li_loop = { li.Canalysis.li_loop with lbody = [] } }
+      in
+      Some (keep l.lid, keep inner_id)
+  in
+  let parent (li : Canalysis.loop_info) =
+    match List.rev li.Canalysis.li_ancestors with
+    | p :: _ -> Some p
+    | [] -> None
+  in
+  let rec nodes_under p =
+    List.filter_map
+      (fun (li : Canalysis.loop_info) ->
+        if parent li = p then
+          let l = li.Canalysis.li_loop in
+          Some
+            { n_info = li;
+              n_refusal = tile_refusal l;
+              n_tiled = tiled l;
+              n_kids = nodes_under (Some l.lid) }
+        else None)
+      loops
+  in
+  { fa_name = f.cfname; fa_summary = s; fa_roots = nodes_under None }
 
 let analyse prog =
   S2fa_obs.Obs.span "merlin.analyse" @@ fun () ->
-  let fs = List.map analyse_func prog.cfuncs in
-  if List.for_all Option.is_some fs then Some (List.map Option.get fs)
-  else None
+  List.map analyse_func prog.cfuncs
 
 (* One loop under a design: its factors, and for a tiled loop the
    analysed outer and inner loops with the inner loop's id. *)

@@ -75,28 +75,26 @@ type analysis
     loops, none of which depends on the tile factor. It is derived from
     the program alone and holds no design. *)
 
-val analyse : Csyntax.cprog -> analysis option
-(** [None] unless every function meets the conditions under which
-    {!summarize} is exact: no loop's bound reads an array, no counter of
-    a loop {!tile_refusal} accepts is assigned as a scalar, and every
-    name is float-typed ({!Canalysis.float_ty}) in all of its
-    declarations or in none. A program that fails them is estimated
-    from [apply]'s output. Under a profiler each call is one
-    [merlin.analyse] span; it counts nothing and draws no loop id. *)
+val analyse : Csyntax.cprog -> analysis
+(** The analysis of every function of the program. Under a profiler
+    each call is one [merlin.analyse] span; it counts nothing and draws
+    no loop id. *)
 
 val summarize : config -> analysis -> (string * Canalysis.summary) list
-(** [summarize cfg (Option.get (analyse prog))] is, function by
-    function in program order, [(f.cfname, Canalysis.analyze f)] for
-    each [f] of [apply cfg prog], equal in every field but the bodies of
-    the [li_loop] records, which it does not rewrite (a tiled loop's two
+(** [summarize cfg (analyse prog)] is, function by function in program
+    order, [(f.cfname, Canalysis.analyze f)] for each [f] of
+    [apply cfg prog], equal in every field but the bodies of the
+    [li_loop] records, which it does not rewrite (a tiled loop's two
     records have none):
     an untiled loop keeps its analysis and takes the design's pragmas,
     a tiled loop contributes its outer and inner loops with the
-    factor's trip counts, and buffers take the design's bit-widths. It
-    raises the {!Transform_error} [apply] raises, draws one
-    {!Csyntax.fresh_loop_id} per tiled loop in [apply]'s order, and is
-    one [merlin.apply] span counting [transforms.applied]. It produces
-    no program, so the self-check below never runs on it. *)
+    factor's trip counts, and buffers take the design's bit-widths.
+    This holds for every program because {!Canalysis.analyze} resolves
+    names by block scope: tiling changes the analysis of the tiled
+    loops only. It raises the {!Transform_error} [apply] raises, draws
+    one {!Csyntax.fresh_loop_id} per tiled loop in [apply]'s order, and
+    is one [merlin.apply] span counting [transforms.applied]. It
+    produces no program, so the self-check below never runs on it. *)
 
 val real_unroll : factor:int -> loop_id:int -> Csyntax.cprog -> Csyntax.cprog
 (** Textually unroll a counted loop by [factor] (with a remainder guard),

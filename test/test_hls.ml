@@ -199,14 +199,6 @@ module Fuzz = S2fa_fuzz.Fuzz
 module Rng = S2fa_util.Rng
 open Csyntax
 
-(* Every float of a report by its bits, and feasibility. *)
-let report_bits (r : E.report) =
-  ( List.map Int64.bits_of_float
-      [ r.E.r_cycles; r.E.r_ii; r.E.r_freq_mhz; r.E.r_seconds;
-        r.E.r_compute_seconds; r.E.r_xfer_seconds; r.E.r_lut_pct;
-        r.E.r_ff_pct; r.E.r_bram_pct; r.E.r_dsp_pct; r.E.r_eval_minutes ],
-    r.E.r_feasible )
-
 (* [f ()], or the Transform_error it raised, and how many loop ids it
    drew. *)
 let drawing f =
@@ -250,8 +242,8 @@ let derived_agrees ?(tasks = 4096) ~buffer_elems a prog cfg =
     in
     List.map (fun (n, s) -> (n, shape s)) d
     = List.map (fun (n, s) -> (n, shape s)) analysed
-    && report_bits (E.model d ~tasks ~buffer_elems)
-       = report_bits (E.estimate p ~tasks ~buffer_elems)
+    && E.report_bits (E.model d ~tasks ~buffer_elems)
+       = E.report_bits (E.estimate p ~tasks ~buffer_elems)
   | Error m, Error m' -> String.equal m m'
   | _ -> false
 
@@ -267,18 +259,15 @@ let s2fa_agrees c cfg =
           ~buffer_elems:c.S2fa.c_buffer_elems)
   in
   drawn = drawn'
-  && Result.map report_bits r = Result.map report_bits r'
+  && Result.map E.report_bits r = Result.map E.report_bits r'
   && derived_agrees ~buffer_elems:c.S2fa.c_buffer_elems
-       (Option.get (Lazy.force c.S2fa.c_analysis))
-       c.S2fa.c_flat
+       (Lazy.force c.S2fa.c_analysis) c.S2fa.c_flat
        (Dspace.to_merlin c.S2fa.c_dspace cfg)
 
 let test_workloads_derive () =
   List.iter
     (fun ((w : W.t), c) ->
       let name = w.W.w_name in
-      Alcotest.(check bool) (name ^ ": analysed") true
-        (Option.is_some (Lazy.force c.S2fa.c_analysis));
       let ds = c.S2fa.c_dspace in
       List.iter
         (fun (tag, cfg) ->
@@ -300,24 +289,21 @@ let prop_workloads_derive =
         (Space.random_cfg (Rng.create seed)
            c.S2fa.c_dspace.Dspace.ds_space))
 
-(* Three random designs of one generated kernel; [true] when the kernel
-   is refused by [Transform.analyse] (then nothing is derived). *)
-let fuzz_agrees ~buffer_elems prog seed =
-  match T.analyse prog with
-  | None -> true
-  | Some a ->
-    let ds = Dspace.identify prog in
-    let rng = Rng.create (seed + 1) in
-    List.for_all
-      (fun _ ->
-        derived_agrees ~tasks:64 ~buffer_elems a prog
-          (Dspace.to_merlin ds (Space.random_cfg rng ds.Dspace.ds_space)))
-      [ 1; 2; 3 ]
+(* [n] random designs of one kernel. *)
+let designs_agree ?(n = 3) ~buffer_elems prog seed =
+  let a = T.analyse prog in
+  let ds = Dspace.identify prog in
+  let rng = Rng.create (seed + 1) in
+  List.for_all
+    (fun _ ->
+      derived_agrees ~tasks:64 ~buffer_elems a prog
+        (Dspace.to_merlin ds (Space.random_cfg rng ds.Dspace.ds_space)))
+    (List.init n Fun.id)
 
 let prop_c_kernels_derive =
   QCheck.Test.make ~name:"gen_c_kernel designs: summary = rewrite + analyse"
     ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
-      fuzz_agrees
+      designs_agree
         ~buffer_elems:[ ("in", Fuzz.c_cap); ("out", Fuzz.c_cap) ]
         (Fuzz.gen_c_kernel (Rng.create seed))
         seed)
@@ -328,7 +314,7 @@ let prop_gen_kernels_derive =
       let ast, len = Fuzz.gen_kernel (Rng.create seed) in
       match Fuzz.compile_flat ~len (S2fa_scala.Pretty.to_string ast) with
       | Error _ -> true
-      | Ok (prog, buffer_elems) -> fuzz_agrees ~buffer_elems prog seed)
+      | Ok (prog, buffer_elems) -> designs_agree ~buffer_elems prog seed)
 
 (* [kernel(N, a, o)] around [body], and a counted loop. *)
 let hand_kernel ?(o = CPtr CDouble) body =
@@ -343,18 +329,17 @@ let hand_kernel ?(o = CPtr CDouble) body =
 
 let counted ?(hi = EInt 16) var body = mk_loop ~var ~lo:(EInt 0) ~hi body
 
-(* One kernel per condition [Transform.analyse] checks, each failing
-   only that one. Summarized anyway, each gives a design that tiles
-   loop [i] a summary other than the rewritten program's analysis:
-   - the bound [a[t]] becomes a read of [a] in loop [t], a dependence
-     on the write [a[t + 1]] (it sets the II of a flattened [t] when
-     the nominal trip count is small);
-   - the inner loop declares [int i], and loop [j] then counts [i * 2]
-     as an integer multiply, not as the double one the flat analysis
-     sees (its last declaration of [i] is a double);
-   - the inner loop declares [i], so [i = i + 1] is no longer loop
-     [t]'s recurrence, and [o[0]]'s is found instead. *)
-let inexact_kernels () =
+(* One kernel per scoping rule of [Canalysis.analyze]. Without its
+   rule, tiling loop [i] would change the analysis of a loop it leaves
+   untiled:
+   - the bound [a[t]] is read in every iteration of loop [t], which
+     writes [a[t + 1]], whether it stays a bound or tiling moves it
+     into the inner loop's guard;
+   - loop [j]'s [i * 2] reads the outer [double i], not the [int i]
+     that tiling declares inside loop [i];
+   - [i = i + 1] is loop [t]'s recurrence on the outer [i], which the
+     [int i] that tiling declares inside loop [i] does not hide. *)
+let scoped_kernels () =
   let add_into o i e =
     SAssign (EIndex (EVar o, i), EBin (CAdd, EIndex (EVar o, i), e))
   in
@@ -388,34 +373,41 @@ let inexact_kernels () =
               SAssign (EVar "i", EBin (CAdd, EVar "i", EInt 1)) ];
           SAssign (EIndex (EVar "o", EInt 1), EVar "i") ] ) ]
 
-(* [S2fa.estimate]'s choice for a bare program: the design's summary
-   when [Transform.analyse] accepts the program, else the rewrite. *)
-let estimate_design prog cfg =
-  match T.analyse prog with
-  | Some a -> E.model (T.summarize cfg a) ~tasks:64 ~buffer_elems:[]
-  | None -> E.estimate (T.apply cfg prog) ~tasks:64 ~buffer_elems:[]
-
-let test_inexact_kernels_rewrite () =
+let test_scoped_kernels_derive () =
   List.iter
     (fun (what, prog) ->
-      Alcotest.(check bool) (what ^ ": not analysed") true
-        (Option.is_none (T.analyse prog));
-      let ds = Dspace.identify prog in
-      let rng = Rng.create 11 in
-      for _ = 1 to 20 do
-        let cfg =
-          Dspace.to_merlin ds (Space.random_cfg rng ds.Dspace.ds_space)
-        in
-        let r, drawn = drawing (fun () -> estimate_design prog cfg) in
-        let r', drawn' =
-          drawing (fun () ->
-              E.estimate (T.apply cfg prog) ~tasks:64 ~buffer_elems:[])
-        in
-        Alcotest.(check bool) (what ^ ": equal reports") true
-          (drawn = drawn'
-          && Result.map report_bits r = Result.map report_bits r')
-      done)
-    (inexact_kernels ())
+      Alcotest.(check bool) (what ^ ": derived = rewritten") true
+        (designs_agree ~n:20 ~buffer_elems:[] prog 11))
+    (scoped_kernels ())
+
+(* With loop [i] tiled, loop [j]'s [i * 2] is a double multiply, in the
+   derived summary and in the analysis of the rewritten program. *)
+let test_tiled_float_name () =
+  let prog =
+    List.assoc "a name is float-typed in one declaration only"
+      (scoped_kernels ())
+  in
+  let f = List.hd prog.cfuncs in
+  let id var =
+    let found = ref None in
+    iter_loops (fun _ l -> if l.lvar = var then found := Some l.lid) f.cfbody;
+    Option.get !found
+  in
+  let cfg =
+    { T.cfg_loops =
+        [ (id "i", { T.lc_tile = 4; lc_parallel = 1; lc_pipeline = PipeOff }) ];
+      cfg_bitwidths = [] }
+  in
+  let j_muls (s : Canalysis.summary) =
+    let ops = (Option.get (Canalysis.find_loop s (id "j"))).Canalysis.li_ops in
+    (ops.Canalysis.fp_mul, ops.Canalysis.int_mul)
+  in
+  let derived = List.assoc "kernel" (T.summarize cfg (T.analyse prog)) in
+  let rewritten = Canalysis.analyze (List.hd (T.apply cfg prog).cfuncs) in
+  Alcotest.(check (pair int int)) "derived: fp_mul, int_mul" (1, 0)
+    (j_muls derived);
+  Alcotest.(check (pair int int)) "rewritten: fp_mul, int_mul" (1, 0)
+    (j_muls rewritten)
 
 (* Generated kernel 717661 nests a loop counting with [k] in another
    one counting with [k]. Tiling both by 2 is legal: each tiled loop
@@ -438,16 +430,15 @@ let test_same_counter_tiled_twice () =
   Alcotest.(check bool) "derived = rewritten" true
     (derived_agrees ~tasks:64
        ~buffer_elems:[ ("in", Fuzz.c_cap); ("out", Fuzz.c_cap) ]
-       (Option.get (T.analyse prog))
-       prog tiled);
+       (T.analyse prog) prog tiled);
   Alcotest.(check bool) "accepted" true
-    (match T.summarize tiled (Option.get (T.analyse prog)) with
+    (match T.summarize tiled (T.analyse prog) with
     | _ -> true
     | exception T.Transform_error _ -> false)
 
 (* The same through [S2fa.estimate]: a MiniScala loop bounded by an
    input element compiles to a bound that reads a buffer. *)
-let test_inexact_compiled_kernel () =
+let test_bounded_compiled_kernel () =
   let c =
     S2fa.compile
       {|
@@ -463,19 +454,10 @@ class Bounded() extends Accelerator[Array[Int], Int] {
 }
 |}
   in
-  Alcotest.(check bool) "not analysed" true
-    (Option.is_none (Lazy.force c.S2fa.c_analysis));
   let rng = Rng.create 5 in
   for _ = 1 to 20 do
-    let cfg = Space.random_cfg rng c.S2fa.c_dspace.Dspace.ds_space in
-    let r, drawn = drawing (fun () -> S2fa.estimate c cfg) in
-    let r', drawn' =
-      drawing (fun () ->
-          E.estimate (S2fa.apply_design c cfg) ~tasks:4096
-            ~buffer_elems:c.S2fa.c_buffer_elems)
-    in
-    Alcotest.(check bool) "equal reports" true
-      (drawn = drawn' && Result.map report_bits r = Result.map report_bits r')
+    Alcotest.(check bool) "derived = rewritten" true
+      (s2fa_agrees c (Space.random_cfg rng c.S2fa.c_dspace.Dspace.ds_space))
   done
 
 let () =
@@ -507,10 +489,12 @@ let () =
       ( "derived",
         [ Alcotest.test_case "seeds and manual designs" `Quick
             test_workloads_derive;
-          Alcotest.test_case "inexact kernels are rewritten" `Quick
-            test_inexact_kernels_rewrite;
-          Alcotest.test_case "inexact compiled kernel" `Quick
-            test_inexact_compiled_kernel;
+          Alcotest.test_case "hand kernels, one per scoping rule" `Quick
+            test_scoped_kernels_derive;
+          Alcotest.test_case "tiling keeps a float name's type" `Quick
+            test_tiled_float_name;
+          Alcotest.test_case "compiled kernel with a read bound" `Quick
+            test_bounded_compiled_kernel;
           Alcotest.test_case "one counter name tiled twice" `Quick
             test_same_counter_tiled_twice ]
         @ List.map QCheck_alcotest.to_alcotest

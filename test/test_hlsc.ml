@@ -296,6 +296,69 @@ let test_analysis_local_arrays () =
   | [ ("buf", CInt, 100) ] -> ()
   | _ -> Alcotest.fail "local array list"
 
+(* Names resolve by block scope, one row per rule of [Canalysis.analyze]. *)
+let scoped_func body =
+  { cfname = "k";
+    cfparams =
+      [ { cpname = "a"; cpty = CPtr CInt; cpbitwidth = None };
+        { cpname = "o"; cpty = CPtr CInt; cpbitwidth = None } ];
+    cfret = None;
+    cfbody = body }
+
+let counted var body = mk_loop ~var ~lo:(EInt 0) ~hi:(EInt 8) body
+
+(* Loop [j] reads the outer [double x], not loop [i]'s [int x]. *)
+let test_analysis_innermost_declaration () =
+  let j =
+    counted "j"
+      [ SAssign (EIndex (EVar "o", EVar "j"), EBin (CMul, EVar "x", EInt 2)) ]
+  in
+  let f =
+    scoped_func
+      [ SDecl (CDouble, "x", Some (EDouble 0.5));
+        SFor
+          (counted "i"
+             [ SDecl (CInt, "x", Some (EVar "i"));
+               SAssign (EIndex (EVar "o", EVar "i"), EVar "x") ]);
+        SFor j ]
+  in
+  let s = Canalysis.analyze f in
+  let ops = (Option.get (Canalysis.find_loop s j.lid)).Canalysis.li_ops in
+  Alcotest.(check (pair int int)) "fp_mul, int_mul" (1, 0)
+    (ops.Canalysis.fp_mul, ops.Canalysis.int_mul)
+
+(* Loop [t] evaluates the nested bound [a[t]] on every iteration and
+   writes [a[t + 1]]. *)
+let test_analysis_nested_bound_read () =
+  let t =
+    counted "t"
+      [ SFor
+          (mk_loop ~var:"i" ~lo:(EInt 0) ~hi:(EIndex (EVar "a", EVar "t"))
+             [ SAssign (EIndex (EVar "o", EVar "i"), EVar "i") ]);
+        SAssign (EIndex (EVar "a", EBin (CAdd, EVar "t", EInt 1)), EInt 0) ]
+  in
+  let s = Canalysis.analyze (scoped_func [ SFor t ]) in
+  match (Option.get (Canalysis.find_loop s t.lid)).Canalysis.li_dep with
+  | Canalysis.ArrayRec "a" -> ()
+  | _ -> Alcotest.fail "the nested bound's read of a is not carried"
+
+(* The [double s] an [if] declares ends with its branch: the loop's
+   [s = s + 1.0] accumulates into the outer [s]. *)
+let test_analysis_block_declaration () =
+  let l =
+    counted "i"
+      [ SIf
+          ( EBin (CLt, EVar "i", EInt 4),
+            [ SDecl (CDouble, "s", Some (EDouble 2.0));
+              SAssign (EIndex (EVar "o", EVar "i"), EVar "s") ],
+            [] );
+        SAssign (EVar "s", EBin (CAdd, EVar "s", EDouble 1.0)) ]
+  in
+  let f = scoped_func [ SDecl (CDouble, "s", Some (EDouble 0.0)); SFor l ] in
+  match (List.hd (Canalysis.analyze f).Canalysis.loops).Canalysis.li_dep with
+  | Canalysis.ScalarRec ("s", 1) -> ()
+  | _ -> Alcotest.fail "the outer s's recurrence is not found"
+
 (* ---------- affine analysis ---------- *)
 
 let test_affine_of () =
@@ -1085,8 +1148,13 @@ let () =
             test_analysis_array_dependence;
           Alcotest.test_case "no false dependence" `Quick
             test_analysis_no_dependence;
-          Alcotest.test_case "local arrays" `Quick test_analysis_local_arrays
-        ] );
+          Alcotest.test_case "local arrays" `Quick test_analysis_local_arrays;
+          Alcotest.test_case "innermost declaration types a use" `Quick
+            test_analysis_innermost_declaration;
+          Alcotest.test_case "a nested bound is read" `Quick
+            test_analysis_nested_bound_read;
+          Alcotest.test_case "a block's declaration ends with it" `Quick
+            test_analysis_block_declaration ] );
       ( "affine",
         [ Alcotest.test_case "affine_of" `Quick test_affine_of;
           Alcotest.test_case "rejects non-affine" `Quick
