@@ -952,15 +952,14 @@ type outputs = {
 let check_static_trips ctx prog =
   List.iter
     (fun (f : cfunc) ->
-      let s = Canalysis.analyze f in
-      List.iter
-        (fun (li : Canalysis.loop_info) ->
-          match li.Canalysis.li_trip with
+      Csyntax.iter_loops
+        (fun _ (l : loop) ->
+          match Canalysis.trip_count l with
           | Some t when t > ctx.max_trip ->
             give_up "%s: loop L%d static trip %d exceeds budget %d"
-              f.cfname li.Canalysis.li_loop.lid t ctx.max_trip
+              f.cfname l.lid t ctx.max_trip
           | _ -> ())
-        s.Canalysis.loops)
+        f.cfbody)
     prog.cfuncs
 
 let run_sym ctx prog entry ~bindings ~caps =
