@@ -4,7 +4,7 @@
     the {e virtual} clock (simulated minutes, the same clock Fig. 3
     plots) on which its begin/end stamps are byte-reproducible under a
     fixed RNG seed, {e and} the host clock (wall nanoseconds plus
-    [Gc.allocated_bytes] delta) for real hotspot hunting. Serialization
+    bytes allocated) for real hotspot hunting. Serialization
     emits only the deterministic fields unless host mode is requested
     explicitly (the [S2FA_PROFILE_HOST] environment variable, or
     [~host:true]), so a span log taken twice under the same seed is
@@ -31,7 +31,9 @@ module Profiler : sig
     sp_vbegin : float;      (** Virtual minutes at open. *)
     sp_vend : float;        (** Virtual minutes at close. *)
     sp_wall_ns : float;     (** Host wall-clock nanoseconds spent. *)
-    sp_alloc_bytes : float; (** [Gc.allocated_bytes] delta. *)
+    sp_alloc_bytes : float;
+        (** Bytes allocated: minor words, plus major words not promoted
+            from the minor heap. *)
     sp_counters : (string * int) list;  (** Sorted by name. *)
   }
 

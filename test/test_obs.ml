@@ -96,6 +96,25 @@ let test_disabled_allocates_nothing () =
       ("clock", fun _ -> ignore (Obs.clock ()));
       ("enabled", fun _ -> ignore (Obs.enabled ())) ]
 
+(* A span that conses 1 000 list cells (24 000 bytes on a 64-bit host)
+   records about that many bytes, whether or not a minor collection
+   lands inside it. *)
+let test_span_alloc_bytes () =
+  List.iter
+    (fun (what, collect) ->
+      let p = Obs.Profiler.create () in
+      Obs.with_profiler p (fun () ->
+          Obs.span "cons" (fun () ->
+              ignore (Sys.opaque_identity (List.init 1000 Fun.id));
+              if collect then Gc.minor ()));
+      match Obs.Profiler.spans p with
+      | [ s ] ->
+        let b = s.Obs.Profiler.sp_alloc_bytes in
+        if b < 24_000. || b > 32_000. then
+          Alcotest.failf "%s: %.0f bytes, not 24 000-32 000" what b
+      | _ -> Alcotest.fail "expected one span")
+    [ ("no collection", false); ("a minor collection", true) ]
+
 let test_virtual_clock_attribution () =
   let p = Obs.Profiler.create () in
   Obs.with_profiler p (fun () ->
@@ -277,6 +296,8 @@ let () =
             test_disabled_is_passthrough;
           Alcotest.test_case "disabled calls allocate nothing" `Quick
             test_disabled_allocates_nothing;
+          Alcotest.test_case "span allocation in bytes" `Quick
+            test_span_alloc_bytes;
           Alcotest.test_case "virtual-clock attribution" `Quick
             test_virtual_clock_attribution ] );
       ( "determinism",
