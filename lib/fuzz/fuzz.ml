@@ -673,12 +673,12 @@ let run_source ?(tasks = 3) ?(chains = 2) ~len ~input_seed source : outcome =
         match Estimate.estimate prog ~tasks:64 ~buffer_elems with
         | r -> (
           match Estimate.check_report r with
-          | Ok () -> ()
+          | Ok () -> r
           | Error m -> ffail "estimate" "%s: %s" tag m)
         | exception ex ->
           ffail "estimate" "%s: raised %s" tag (Printexc.to_string ex)
       in
-      check_estimate "baseline" flat;
+      ignore (check_estimate "baseline" flat);
       (* Oracle 3: equivalence under random legal transform chains. *)
       let ds =
         try Dspace.identify flat with
@@ -686,16 +686,29 @@ let run_source ?(tasks = 3) ?(chains = 2) ~len ~input_seed source : outcome =
       in
       let trng = Rng.create (input_seed lxor 0x5DEECE66D) in
       let skipped = ref 0 in
+      let analysis = lazy (Transform.analyse flat) in
       for k = 1 to chains do
-        match
-          Transform.apply
-            (Dspace.to_merlin ds (Space.random_cfg trng ds.Dspace.ds_space))
-            flat
-        with
+        let cfg =
+          Dspace.to_merlin ds (Space.random_cfg trng ds.Dspace.ds_space)
+        in
+        match Transform.apply cfg flat with
         | exception Transform.Transform_error _ -> incr skipped
-        | prog' ->
+        | prog' -> (
           check "transform" prog';
-          check_estimate (Printf.sprintf "cfg%d" k) prog'
+          let tag = Printf.sprintf "cfg%d" k in
+          let r = check_estimate tag prog' in
+          (* The design's estimate derived from the kernel's analysis is
+             the rewritten program's, bit for bit. *)
+          match
+            Estimate.model
+              (Transform.summarize cfg (Lazy.force analysis))
+              ~tasks:64 ~buffer_elems
+          with
+          | d ->
+            if Estimate.report_bits d <> Estimate.report_bits r then
+              ffail "derived" "%s: report differs from the rewritten one" tag
+          | exception ex ->
+            ffail "derived" "%s: raised %s" tag (Printexc.to_string ex))
       done;
       (* Explicit unroll/tile chains on random unit-step loops, which a
          design-space config cannot express (real unrolling duplicates
@@ -738,7 +751,7 @@ let run_source ?(tasks = 3) ?(chains = 2) ~len ~input_seed source : outcome =
         done;
         if !alive then begin
           check "transform" !prog';
-          check_estimate (Printf.sprintf "chain%d" k) !prog'
+          ignore (check_estimate (Printf.sprintf "chain%d" k) !prog')
         end
       done;
       Passed !skipped

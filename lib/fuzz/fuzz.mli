@@ -8,7 +8,7 @@ module Rng = S2fa_util.Rng
     of Section 3.3 (scalars, arrays, tuples, nested counted loops,
     bounded whiles, conditionals, [math.*] intrinsics and same-class
     helper calls). Each kernel is pushed through the whole pipeline and
-    checked against four oracles:
+    checked against five oracles:
 
     + the verifier accepts everything the compiler emits;
     + the decompiled C, run under {!S2fa_hlsc.Cinterp} through the Blaze
@@ -19,7 +19,11 @@ module Rng = S2fa_util.Rng
       (a {!S2fa_merlin.Transform.Transform_error} is a legality refusal,
       counted as a skipped chain, not a failure);
     + {!S2fa_hls.Estimate.report_ok} holds for the baseline and every
-      transformed design.
+      transformed design;
+    + each design drawn from the design space is estimated the same,
+      bit for bit ({!S2fa_hls.Estimate.report_bits}), from the kernel's
+      analysis ([Transform.summarize] + [Estimate.model]) as from its
+      rewritten program ([Estimate.estimate]).
 
     A [Decompile_error] is a {e rejection} — the sound boundary of the
     supported subset — and never a failure. Failing kernels are
@@ -30,8 +34,8 @@ module Rng = S2fa_util.Rng
 type failure = {
   f_oracle : string;
       (** Which oracle failed: ["pipeline"], ["verify"],
-          ["differential"], ["transform"], ["estimate"], ["c-transform"]
-          or ["crash"]. *)
+          ["differential"], ["transform"], ["estimate"], ["derived"],
+          ["c-transform"] or ["crash"]. *)
   f_detail : string;    (** Diagnostic, prefixed with the failing stage. *)
   f_source : string;    (** MiniScala (or, for c-transform, C) source. *)
   f_len : int;          (** Array length / capacity used for the run. *)
