@@ -23,9 +23,10 @@ type vcls = KI | KL | KF
    embeddings of concrete values fold away; these mark the rest. *)
 type conv = IofL | IofF | LofI | LofF | FofI | FofL
 
-(* [fp] memoises the coverage fingerprint hash of a composite term at
-   each depth; see [fingerprint]. *)
-type term = { id : int; node : node; mutable fp : int array }
+(* [hash] is [Node.hash node], kept for the intern table's probes and
+   growth. [fp] memoises the coverage fingerprint hash of a composite
+   term at each depth; see [fingerprint]. *)
+type term = { id : int; hash : int; node : node; mutable fp : int array }
 
 and node =
   | TI of int
@@ -50,14 +51,12 @@ let cls_of t =
   | TConv ((LofI | LofF), _) -> KL
   | TConv ((FofI | FofL), _) -> KF
 
-(* Hash-consing table, keyed on the node itself. Children are already
+(* Hash-consing, keyed on the node itself. Children are already
    interned, so they compare physically and hash by id. The class of
    every composite node is derived deterministically from its children
    and operator, so only symbolic leaves compare it. Floats compare by
    bit pattern: NaN meets NaN, and 0.0 stays apart from -0.0. *)
 module Node = struct
-  type t = node
-
   let equal a b =
     match (a, b) with
     | TI x, TI y -> x = y
@@ -107,15 +106,22 @@ module Node = struct
     h lxor (h lsr 31)
 end
 
-module Tbl = Hashtbl.Make (Node)
-
 type budget = { bg_steps : int; bg_nodes : int; bg_trip : int }
 
 let default_budget = { bg_steps = 4_000_000; bg_nodes = 2_000_000; bg_trip = 8192 }
 
+(* The intern table is open-addressed: [slots] holds every term at or
+   after its home slot, probed linearly, with [free] in the empty slots.
+   A term's home slot is the top [bits] bits of its hash times an odd
+   constant (0x9E3779B97F4A7C15, 2^64 over the golden ratio, cut to
+   OCaml's 63-bit ints): [Node.hash]'s low bits alone put consecutive
+   [TI] constants in consecutive slots, where the probes of one cluster
+   run into the next. The table doubles once more than 3/4 of it is
+   full, moving each term by its stored hash. *)
 type ctx = {
-  tbl : term Tbl.t;
-  mutable next_id : int;
+  mutable slots : term array;
+  mutable bits : int;
+  mutable next_id : int;  (* terms interned, and the next term's id *)
   mutable steps_left : int;
   mutable nodes_left : int;
   cov : (int, unit) Hashtbl.t;
@@ -124,35 +130,78 @@ type ctx = {
 
 let no_fp = [||]
 
+let free = { id = -1; hash = 0; node = TI 0; fp = no_fp }
+
+let home bits h = (h * 0x1E3779B97F4A7C15) lsr (Sys.int_size - bits)
+
 let new_ctx (b : budget) =
-  { tbl = Tbl.create 4096;
+  { slots = Array.make 4096 free;
+    bits = 12;
     next_id = 0;
     steps_left = b.bg_steps;
     nodes_left = b.bg_nodes;
     cov = Hashtbl.create 64;
     max_trip = b.bg_trip }
 
-let intern ctx node =
-  match Tbl.find_opt ctx.tbl node with
-  | Some t -> t
-  | None ->
+let grow ctx =
+  let bits = ctx.bits + 1 in
+  let slots = Array.make (1 lsl bits) free in
+  let mask = Array.length slots - 1 in
+  Array.iter
+    (fun t ->
+      if t != free then begin
+        let i = ref (home bits t.hash) in
+        while slots.(!i) != free do
+          i := (!i + 1) land mask
+        done;
+        slots.(!i) <- t
+      end)
+    ctx.slots;
+  ctx.slots <- slots;
+  ctx.bits <- bits
+
+(* The term of [node], whose hash is [h], from slot [i] on. *)
+let rec probe ctx node h i =
+  let t = Array.unsafe_get ctx.slots i in
+  if t == free then begin
     ctx.nodes_left <- ctx.nodes_left - 1;
     if ctx.nodes_left <= 0 then give_up "term budget exhausted";
-    let t = { id = ctx.next_id; node; fp = no_fp } in
+    let t = { id = ctx.next_id; hash = h; node; fp = no_fp } in
     ctx.next_id <- ctx.next_id + 1;
-    Tbl.add ctx.tbl node t;
+    Array.unsafe_set ctx.slots i t;
+    if 4 * ctx.next_id > 3 * Array.length ctx.slots then grow ctx;
     t
+  end
+  else if t.hash = h && Node.equal t.node node then t
+  else probe ctx node h ((i + 1) land (Array.length ctx.slots - 1))
+
+let intern ctx node =
+  let h = Node.hash node in
+  probe ctx node h (home ctx.bits h)
 
 let ti ctx n = intern ctx (TI n)
 let tl ctx n = intern ctx (TL n)
 let tf ctx f = intern ctx (TF f)
 let sym ctx c name = intern ctx (TSym (c, name))
 
+let is_const t = match t.node with TI _ | TL _ | TF _ -> true | _ -> false
+
+(* The value of a constant term; only called under [is_const]. *)
 let cv_of t =
   match t.node with
-  | TI n -> Some (Cinterp.VI n)
-  | TL n -> Some (Cinterp.VL n)
-  | TF f -> Some (Cinterp.VF f)
+  | TI n -> Cinterp.VI n
+  | TL n -> Cinterp.VL n
+  | TF f -> Cinterp.VF f
+  | _ -> invalid_arg "Sym.cv_of: symbolic term"
+
+(* C's truth of a constant term, as [Cinterp.truthy]; [None] when the
+   term is symbolic. Both [Some]s are static, so this allocates
+   nothing. *)
+let truth t =
+  match t.node with
+  | TI n -> if n <> 0 then Some true else Some false
+  | TL n -> if Int64.equal n 0L then Some false else Some true
+  | TF f -> if f <> 0.0 then Some true else Some false
   | _ -> None
 
 let term_of_cv ctx = function
@@ -228,11 +277,11 @@ let term_str t = Format.asprintf "%a" (pp_term ~depth:6) t
    [+]/[*] chains (exact: OCaml int and Int64 arithmetic are modular
    rings), and leave floats strictly un-reassociated. *)
 
-let fold2 ctx f a b =
-  match (cv_of a, cv_of b) with
-  | Some x, Some y -> (
-    try Some (term_of_cv ctx (f x y)) with Cinterp.C_error _ -> None)
-  | _ -> None
+let fold2 ctx f op a b =
+  if is_const a && is_const b then
+    try Some (term_of_cv ctx (f op (cv_of a) (cv_of b)))
+    with Cinterp.C_error _ -> None
+  else None
 
 (* Lossless class conversions; [mk_conv] folds concrete operands exactly
    the way [Cinterp.arith]'s promotion would. *)
@@ -288,12 +337,11 @@ let rec mk_nary ctx c op operands =
   let syms =
     List.filter
       (fun t ->
-        match cv_of t with
-        | Some v ->
-          let cur = Option.get (cv_of !const) in
-          const := term_of_cv ctx (Cinterp.arith op cur v);
+        if is_const t then begin
+          const := term_of_cv ctx (Cinterp.arith op (cv_of !const) (cv_of t));
           false
-        | None -> true)
+        end
+        else true)
       operands
   in
   let syms = List.sort (fun a b -> compare a.id b.id) syms in
@@ -325,7 +373,7 @@ let mk_ac ctx c op a b =
    interpreter's total (polymorphic-compare) ordering, [x op x] folds for
    every class, NaN included. *)
 let mk_cmp ctx op a b =
-  match fold2 ctx (Cinterp.compare_cv op) a b with
+  match fold2 ctx Cinterp.compare_cv op a b with
   | Some t -> t
   | None ->
     if a.id = b.id then
@@ -341,8 +389,9 @@ let mk_cmp ctx op a b =
       intern ctx (TBin (KI, op, a, b))
 
 let mk_ite ctx c a b =
-  match cv_of c with
-  | Some v -> if Cinterp.truthy v then a else b
+  match truth c with
+  | Some true -> a
+  | Some false -> b
   | None ->
     if a.id = b.id then a
     else if cls_of a <> cls_of b then
@@ -355,13 +404,13 @@ let mk_ite ctx c a b =
       | _ -> intern ctx (TIte (cls_of a, c, a, b))
 
 let bool_of ctx t =
-  match cv_of t with
-  | Some v -> ti ctx (if Cinterp.truthy v then 1 else 0)
+  match truth t with
+  | Some v -> ti ctx (if v then 1 else 0)
   | None ->
     if is_bool t then t else mk_cmp ctx CNe t (zero_of_cls ctx (cls_of t))
 
 let mk_arith ctx op a b =
-  match fold2 ctx (Cinterp.arith op) a b with
+  match fold2 ctx Cinterp.arith op a b with
   | Some t -> t
   | None -> (
     let c = promote (cls_of a) (cls_of b) in
@@ -395,23 +444,23 @@ let mk_un ctx op a =
   | CNeg -> (
     match cls_of a with
     | KF -> (
-      match cv_of a with
-      | Some (Cinterp.VF f) -> tf ctx (-.f)
+      match a.node with
+      | TF f -> tf ctx (-.f)
       | _ -> intern ctx (TUn (KF, CNeg, a)))
     | KI -> mk_ac ctx KI CMul (ti ctx (-1)) a
     | KL -> mk_ac ctx KL CMul (tl ctx (-1L)) a)
   | CNot -> (
-    match cv_of a with
-    | Some v -> ti ctx (if Cinterp.truthy v then 0 else 1)
+    match truth a with
+    | Some v -> ti ctx (if v then 0 else 1)
     | None -> (
       match a.node with
       | TUn (_, CNot, x) when is_bool x -> x
       | _ -> intern ctx (TUn (KI, CNot, a))))
   | CBNot -> (
-    match (cv_of a, cls_of a) with
-    | Some (Cinterp.VI n), _ -> ti ctx (lnot n)
-    | Some (Cinterp.VL n), _ -> tl ctx (Int64.lognot n)
-    | _, c -> intern ctx (TUn (c, CBNot, a)))
+    match a.node with
+    | TI n -> ti ctx (lnot n)
+    | TL n -> tl ctx (Int64.lognot n)
+    | _ -> intern ctx (TUn (cls_of a, CBNot, a)))
 
 let math_cls f args =
   match (f, args) with
@@ -424,25 +473,23 @@ let math_cls f args =
   | _ -> give_up "unknown C function %s/%d" f (List.length args)
 
 let mk_call ctx f args =
-  let cvs = List.map cv_of args in
-  if List.for_all Option.is_some cvs then
-    try term_of_cv ctx (Cinterp.call_math f (List.map Option.get cvs))
+  if List.for_all is_const args then
+    try term_of_cv ctx (Cinterp.call_math f (List.map cv_of args))
     with Cinterp.C_error m -> give_up "math call: %s" m
   else intern ctx (TCall (math_cls f args, f, args))
 
 let mk_cast ctx ty t =
-  match cv_of t with
-  | Some v -> (
-    try term_of_cv ctx (Cinterp.cast ty v)
-    with Cinterp.C_error m -> give_up "cast: %s" m)
-  | None -> (
+  if is_const t then
+    try term_of_cv ctx (Cinterp.cast ty (cv_of t))
+    with Cinterp.C_error m -> give_up "cast: %s" m
+  else
     match ty with
     | CBool -> bool_of ctx t
     | CChar -> mk_arith ctx CBAnd (to_cls ctx KI t) (ti ctx 0xff)
     | CInt -> to_cls ctx KI t
     | CLong -> to_cls ctx KL t
     | CFloat | CDouble -> to_cls ctx KF t
-    | CArr _ | CPtr _ -> give_up "cast to aggregate type")
+    | CArr _ | CPtr _ -> give_up "cast to aggregate type"
 
 (* ---------- interval analysis ---------- *)
 
@@ -654,10 +701,6 @@ let as_concrete_int what t =
   | TF f -> int_of_float f
   | _ -> give_up "symbolic %s: %s" what (term_str t)
 
-let scal what = function
-  | Scal t -> t
-  | Arr _ -> give_up "array value in %s" what
-
 (* Binds the arguments right to left, so that a repeated parameter name
    keeps its first argument. *)
 let rec bind fr params args =
@@ -680,11 +723,11 @@ let rec exec_func ex (fn : Cscope.func) args =
 (* Evaluate [e] and insist it performs no writes — used for the untaken
    operand of a short-circuit operator and the arms of [?:] under a
    symbolic condition, which concrete execution may skip. *)
-and eval_pure ex fr e =
+and scalar_pure ex fr what e =
   let mark = ex.log in
   ex.spec <- ex.spec + 1;
   let v =
-    try eval ex fr e
+    try scalar ex fr what e
     with exn ->
       ex.spec <- ex.spec - 1;
       raise exn
@@ -694,83 +737,102 @@ and eval_pure ex fr e =
     give_up "side effect under a data-dependent guard";
   v
 
+(* Evaluate [e] where an array may stand: a call argument, an
+   initializer, the right side of an assignment, the array of an index
+   or a store. [scalar] names its consumer only for a variable or a
+   concrete [?:]'s arm, both of which this handles itself. *)
 and eval ex fr (e : Cscope.expr) : sval =
-  let ctx = ex.ctx in
   match e with
-  | Cscope.Int n -> Scal (ti ctx n)
-  | Cscope.Long n -> Scal (tl ctx n)
-  | Cscope.Float f -> Scal (tf ctx f)
   | Cscope.Var (Cscope.Slot k) -> (
     match fr.(k) with CScal r -> Scal !r | CArrv a -> Arr a)
+  | Cscope.Cond (c, a, b) -> (
+    let sc = scalar ex fr "?:" c in
+    match truth sc with
+    | Some true -> eval ex fr a
+    | Some false -> eval ex fr b
+    | None -> Scal (ite ex fr sc a b))
+  | _ -> Scal (scalar ex fr "" e)
+
+(* Evaluate [e] where a scalar is expected; an array value gives up,
+   naming the consumer [what]. *)
+and scalar ex fr what (e : Cscope.expr) : term =
+  let ctx = ex.ctx in
+  match e with
+  | Cscope.Int n -> ti ctx n
+  | Cscope.Long n -> tl ctx n
+  | Cscope.Float f -> tf ctx f
+  | Cscope.Var (Cscope.Slot k) -> (
+    match fr.(k) with
+    | CScal r -> !r
+    | CArrv _ -> give_up "array value in %s" what)
   | Cscope.Var (Cscope.Unbound v) -> give_up "unbound variable %s" v
   | Cscope.Bin (CAnd, a, b) -> (
-    let sa = scal "&&" (eval ex fr a) in
-    match cv_of sa with
-    | Some v ->
-      if Cinterp.truthy v then
-        Scal (bool_of ctx (scal "&&" (eval ex fr b)))
-      else Scal (ti ctx 0)
+    let sa = scalar ex fr "&&" a in
+    match truth sa with
+    | Some true -> bool_of ctx (scalar ex fr "&&" b)
+    | Some false -> ti ctx 0
     | None ->
       record_cov ctx 1 sa;
-      let sb = scal "&&" (eval_pure ex fr b) in
-      Scal (mk_ite ctx (bool_of ctx sa) (bool_of ctx sb) (ti ctx 0)))
+      let sb = scalar_pure ex fr "&&" b in
+      mk_ite ctx (bool_of ctx sa) (bool_of ctx sb) (ti ctx 0))
   | Cscope.Bin (COr, a, b) -> (
-    let sa = scal "||" (eval ex fr a) in
-    match cv_of sa with
-    | Some v ->
-      if Cinterp.truthy v then Scal (ti ctx 1)
-      else Scal (bool_of ctx (scal "||" (eval ex fr b)))
+    let sa = scalar ex fr "||" a in
+    match truth sa with
+    | Some true -> ti ctx 1
+    | Some false -> bool_of ctx (scalar ex fr "||" b)
     | None ->
       record_cov ctx 1 sa;
-      let sb = scal "||" (eval_pure ex fr b) in
-      Scal (mk_ite ctx (bool_of ctx sa) (ti ctx 1) (bool_of ctx sb)))
+      let sb = scalar_pure ex fr "||" b in
+      mk_ite ctx (bool_of ctx sa) (ti ctx 1) (bool_of ctx sb))
   | Cscope.Bin (((CLt | CLe | CGt | CGe | CEq | CNe) as op), a, b) ->
-    let sa = scal "comparison" (eval ex fr a) in
-    let sb = scal "comparison" (eval ex fr b) in
-    Scal (mk_cmp ctx op sa sb)
+    let sa = scalar ex fr "comparison" a in
+    let sb = scalar ex fr "comparison" b in
+    mk_cmp ctx op sa sb
   | Cscope.Bin (op, a, b) ->
-    let sa = scal "arithmetic" (eval ex fr a) in
-    let sb = scal "arithmetic" (eval ex fr b) in
-    Scal (mk_arith ctx op sa sb)
-  | Cscope.Un (op, a) -> Scal (mk_un ctx op (scal "unary" (eval ex fr a)))
+    let sa = scalar ex fr "arithmetic" a in
+    let sb = scalar ex fr "arithmetic" b in
+    mk_arith ctx op sa sb
+  | Cscope.Un (op, a) -> mk_un ctx op (scalar ex fr "unary" a)
   | Cscope.Index (arr, idx) -> (
     match eval ex fr arr with
-    | Arr data -> Scal (read_cell ex data (scal "index" (eval ex fr idx)))
+    | Arr data -> read_cell ex data (scalar ex fr "index" idx)
     | Scal _ -> give_up "indexing a non-array")
   | Cscope.Call (fn, args) -> (
     let n = List.length args and m = List.length fn.Cscope.params in
     if n <> m then
       give_up "%s called with %d arguments, takes %d" fn.Cscope.name n m;
     match exec_func ex fn (List.map (eval ex fr) args) with
-    | Some v -> Scal v
-    | None -> Scal (ti ctx 0))
-  | Cscope.Math (f, args) ->
-    let args = List.map (fun a -> scal "call" (eval ex fr a)) args in
-    Scal (mk_call ctx f args)
+    | Some v -> v
+    | None -> ti ctx 0)
+  | Cscope.Math (f, args) -> mk_call ctx f (List.map (scalar ex fr "call") args)
   | Cscope.Cond (c, a, b) -> (
-    let sc = scal "?:" (eval ex fr c) in
-    match cv_of sc with
-    | Some v ->
-      if Cinterp.truthy v then eval ex fr a else eval ex fr b
-    | None ->
-      record_cov ctx 1 sc;
-      let sa = scal "?:" (eval_pure ex fr a) in
-      let sb = scal "?:" (eval_pure ex fr b) in
-      Scal (mk_ite ctx (bool_of ctx sc) sa sb))
-  | Cscope.Cast (t, a) -> Scal (mk_cast ex.ctx t (scal "cast" (eval ex fr a)))
+    let sc = scalar ex fr "?:" c in
+    match truth sc with
+    | Some true -> scalar ex fr what a
+    | Some false -> scalar ex fr what b
+    | None -> ite ex fr sc a b)
+  | Cscope.Cast (t, a) -> mk_cast ctx t (scalar ex fr "cast" a)
+
+(* [sc ? a : b] under a symbolic [sc]: both arms, merged *)
+and ite ex fr sc a b =
+  let ctx = ex.ctx in
+  record_cov ctx 1 sc;
+  let sa = scalar_pure ex fr "?:" a in
+  let sb = scalar_pure ex fr "?:" b in
+  mk_ite ctx (bool_of ctx sc) sa sb
 
 (* Array read at a possibly-symbolic index. A symbolic index must have a
    provable range inside the bounds; the read becomes a select chain over
    that range. *)
 and read_cell ex data idx =
   let ctx = ex.ctx in
-  match cv_of idx with
-  | Some v ->
-    let i = Cinterp.as_int v in
+  if is_const idx then begin
+    let i = as_concrete_int "index" idx in
     if i < 0 || i >= Array.length data then
       give_up "index %d out of bounds (len %d)" i (Array.length data);
     data.(i)
-  | None -> (
+  end
+  else
     match range idx with
     | Some (lo, hi) when lo >= 0 && hi < Array.length data ->
       record_cov ctx 3 idx;
@@ -782,17 +844,17 @@ and read_cell ex data idx =
       !acc
     | _ ->
       give_up "unbounded symbolic index: %s (len %d)" (term_str idx)
-        (Array.length data))
+        (Array.length data)
 
 and write_cell ex data idx v =
   let ctx = ex.ctx in
-  match cv_of idx with
-  | Some cv ->
-    let i = Cinterp.as_int cv in
+  if is_const idx then begin
+    let i = as_concrete_int "store index" idx in
     if i < 0 || i >= Array.length data then
       give_up "store index %d out of bounds (len %d)" i (Array.length data);
     set_arr ex data i v
-  | None -> (
+  end
+  else
     match range idx with
     | Some (lo, hi) when lo >= 0 && hi < Array.length data ->
       record_cov ctx 4 idx;
@@ -804,7 +866,7 @@ and write_cell ex data idx v =
       done
     | _ ->
       give_up "unbounded symbolic store index: %s (len %d)" (term_str idx)
-        (Array.length data))
+        (Array.length data)
 
 and exec_block ex fr stmts = List.iter (exec_stmt ex fr) stmts
 
@@ -844,19 +906,18 @@ and exec_stmt ex fr (s : Cscope.stmt) =
       | CScal r, Scal t -> set_scal ex r t
       | _ -> give_up "array re-binding"))
   | Cscope.Store (arr, idx, e) -> (
-    let v = eval ex fr e in
+    let v = scalar ex fr "store" e in
     match eval ex fr arr with
-    | Arr data ->
-      write_cell ex data (scal "store index" (eval ex fr idx)) (scal "store" v)
+    | Arr data -> write_cell ex data (scalar ex fr "store index" idx) v
     | Scal _ -> give_up "index-assign on non-array")
   | Cscope.Bad_assign e ->
     ignore (eval ex fr e);
     give_up "invalid lvalue"
   | Cscope.If (c, a, b) -> (
-    let sc = scal "if" (eval ex fr c) in
-    match cv_of sc with
-    | Some v ->
-      if Cinterp.truthy v then exec_block ex fr a else exec_block ex fr b
+    let sc = scalar ex fr "if" c in
+    match truth sc with
+    | Some true -> exec_block ex fr a
+    | Some false -> exec_block ex fr b
     | None ->
       record_cov ctx 1 sc;
       let cond = bool_of ctx sc in
@@ -885,8 +946,8 @@ and exec_stmt ex fr (s : Cscope.stmt) =
   | Cscope.While (c, b) ->
     let trips = ref 0 in
     let continue_ () =
-      match cv_of (scal "while" (eval ex fr c)) with
-      | Some v -> Cinterp.truthy v
+      match truth (scalar ex fr "while" c) with
+      | Some v -> v
       | None -> give_up "symbolic while condition"
     in
     while continue_ () do
@@ -897,7 +958,7 @@ and exec_stmt ex fr (s : Cscope.stmt) =
     done
   | Cscope.For l ->
     let lo =
-      as_concrete_int "loop lower bound" (scal "loop bound" (eval ex fr l.lo))
+      as_concrete_int "loop lower bound" (scalar ex fr "loop bound" l.lo)
     in
     let box n =
       match l.vty with CLong -> tl ctx (Int64.of_int n) | _ -> ti ctx n
@@ -919,8 +980,7 @@ and exec_stmt ex fr (s : Cscope.stmt) =
     let trips = ref 0 in
     let continue_ () =
       as_concrete_int "loop counter" !cell
-      < as_concrete_int "loop upper bound"
-          (scal "loop bound" (eval ex fr l.hi))
+      < as_concrete_int "loop upper bound" (scalar ex fr "loop bound" l.hi)
     in
     while continue_ () do
       step ex;
@@ -931,7 +991,7 @@ and exec_stmt ex fr (s : Cscope.stmt) =
     done
   | Cscope.Expr e -> ignore (eval ex fr e)
   | Cscope.Return v ->
-    raise (Sym_return (Option.map (fun e -> scal "return" (eval ex fr e)) v))
+    raise (Sym_return (Option.map (scalar ex fr "return") v))
 
 (* ---------- whole-program execution ---------- *)
 

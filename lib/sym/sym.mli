@@ -11,9 +11,13 @@
     normalizer (exact associative/commutative regrouping for modular
     int/long [+]/[*], constant folding via {!S2fa_hlsc.Cinterp}'s own
     scalar semantics) decides term equality by node identity. Terms are
-    interned in a table keyed on the node itself (children compared
-    physically, floats by bit pattern), and each term keeps its coverage
-    fingerprint hashes once computed.
+    interned in an open-addressing table keyed on the node itself
+    (children compared physically, floats by bit pattern): each term
+    stores its node's hash, which a probe compares before the node and
+    the table re-slots by when it doubles. Each term also keeps its
+    coverage fingerprint hashes once computed. Constant operands fold
+    without building interpreter values unless both are constant, and an
+    expression in a scalar position evaluates straight to its term.
 
     The headline entry point is {!equiv}: a checked equivalence theorem —
     up to the trip/step/term budgets — between a kernel and its
