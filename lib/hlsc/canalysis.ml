@@ -316,7 +316,9 @@ let detect_dependence entry (loop : Csyntax.loop) =
   in
   let rec scan scope = function
     | [] -> ()
-    | Csyntax.SDecl (t, name, _) :: rest -> scan ((name, t) :: scope) rest
+    | Csyntax.SDecl (t, name, init) :: rest ->
+      Option.iter collect_reads init;
+      scan ((name, t) :: scope) rest
     | s :: rest ->
       (match s with
       | Csyntax.SAssign (Csyntax.EVar v, e) ->

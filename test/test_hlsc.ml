@@ -359,6 +359,19 @@ let test_analysis_block_declaration () =
   | Canalysis.ScalarRec ("s", 1) -> ()
   | _ -> Alcotest.fail "the outer s's recurrence is not found"
 
+(* [int x = m[i - 1]; m[i] = x + 1;] carries [m] through the
+   declaration's initializer, as [m[i] = m[i - 1] + 1] does. *)
+let test_analysis_initializer_read () =
+  let l =
+    mk_loop ~var:"i" ~lo:(EInt 1) ~hi:(EInt 8)
+      [ SDecl (CInt, "x", Some (EIndex (EVar "m", EBin (CSub, EVar "i", EInt 1))));
+        SAssign (EIndex (EVar "m", EVar "i"), EBin (CAdd, EVar "x", EInt 1)) ]
+  in
+  let f = scoped_func [ SDecl (CArr (CInt, 8), "m", None); SFor l ] in
+  match (List.hd (Canalysis.analyze f).Canalysis.loops).Canalysis.li_dep with
+  | Canalysis.ArrayRec "m" -> ()
+  | _ -> Alcotest.fail "the initializer's read of m is not carried"
+
 (* ---------- affine analysis ---------- *)
 
 let test_affine_of () =
@@ -1154,7 +1167,9 @@ let () =
           Alcotest.test_case "a nested bound is read" `Quick
             test_analysis_nested_bound_read;
           Alcotest.test_case "a block's declaration ends with it" `Quick
-            test_analysis_block_declaration ] );
+            test_analysis_block_declaration;
+          Alcotest.test_case "a declaration's initializer is read" `Quick
+            test_analysis_initializer_read ] );
       ( "affine",
         [ Alcotest.test_case "affine_of" `Quick test_affine_of;
           Alcotest.test_case "rejects non-affine" `Quick
