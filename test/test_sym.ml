@@ -409,6 +409,33 @@ let test_negative_array_unknown () =
             [ SDecl (CArr (CInt, -4), "window", None);
               SAssign (EIndex (EVar "o", EInt 0), EInt 1) ] ] }
 
+(* The term budget is exact across the intern table's growth: an
+   identity proof that interns [n] terms gives up at a budget of [n] and
+   proves with [n] terms at [n + 1]. AES grows the table six times. *)
+let test_term_budget_exact () =
+  List.iter
+    (fun (name, n) ->
+      let c = W.compile (Option.get (W.find name)) in
+      let flat = c.S2fa.c_flat in
+      let prove nodes =
+        Sym.equiv
+          ~budget:{ Sym.default_budget with Sym.bg_nodes = nodes }
+          ~caps:(Fuzz.scale_caps ~tasks:2 c.S2fa.c_buffer_elems)
+          ~bindings:[ ("N", Cinterp.VI 2) ]
+          flat flat "kernel"
+      in
+      (match prove n with
+      | Sym.Unknown "term budget exhausted" -> ()
+      | v ->
+        Alcotest.failf "%s at a budget of %d: expected the budget to run out, got %a"
+          name n Sym.pp_verdict v);
+      match prove (n + 1) with
+      | Sym.Proved st -> Alcotest.(check int) (name ^ " terms") n st.Sym.pv_nodes
+      | v ->
+        Alcotest.failf "%s at a budget of %d: expected Proved, got %a" name
+          (n + 1) Sym.pp_verdict v)
+    [ ("AES", 164_641); ("S-W", 119_179); ("PR", 651) ]
+
 (* ---------- transform self-check backstop ---------- *)
 
 let test_self_check_passes_legal () =
@@ -727,7 +754,9 @@ let () =
           Alcotest.test_case "arity mismatch is Unknown" `Quick
             test_arity_unknown;
           Alcotest.test_case "negative array size is Unknown" `Quick
-            test_negative_array_unknown ] );
+            test_negative_array_unknown;
+          Alcotest.test_case "term budget is exact across growth" `Quick
+            test_term_budget_exact ] );
       ( "self-check",
         [ Alcotest.test_case "legal rewrites pass" `Quick
             test_self_check_passes_legal ] );
