@@ -10,7 +10,10 @@
 # first in even ones. The script prints every run's end-to-end metrics,
 # then per metric the base's median and quartiles (computed as the
 # ledger computes its own), the head's median, the ratio head / base of
-# the medians, and how many pairs head won.
+# the medians, and how many pairs head won. Last, it compares the
+# digest= of every run's `# ledger` line: it says whether all base and
+# head runs computed the same outputs, and names each pair whose base or
+# head digest differs from the first base run's.
 # It only reports: it exits 0 whatever the numbers, and a run that
 # fails prints its output.
 set -u
@@ -26,6 +29,12 @@ trap 'rm -rf "$runs"' EXIT
 # The value of metric $1 in the ledger's last line, file $2.
 metric() {
   tail -n 1 "$2" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"
+}
+
+# The digest of the ledger's `# ledger` line in file $1, or "none".
+digest() {
+  d=$(sed -n 's/^# ledger .* digest=\([0-9a-f]*\).*/\1/p' "$1")
+  echo "${d:-none}"
 }
 
 for w in "$@"; do
@@ -83,5 +92,20 @@ for w in "$@"; do
           q(h, n, 2) / q(b, n, 2), wins, n
       }'
   done
+  first=$(digest "$runs/base.1")
+  differ=""
+  i=1
+  while [ "$i" -le "$pairs" ]; do
+    b=$(digest "$runs/base.$i") h=$(digest "$runs/head.$i")
+    if [ "$b" != "$first" ] || [ "$h" != "$first" ] || [ "$first" = none ]; then
+      differ="$differ; pair $i base $b head $h"
+    fi
+    i=$((i + 1))
+  done
+  if [ -z "$differ" ]; then
+    echo "$w digest: every base and head run agrees ($first)"
+  else
+    echo "$w digest: runs differ from base pair 1 ($first)$differ"
+  fi
 done
 exit 0
