@@ -594,8 +594,7 @@ let fleet_run c =
       sl_breaker = c.sv_breaker }
   in
   let opts =
-    { Fleet.default_opts with
-      o_policy = c.sv_policy;
+    { Fleet.o_policy = c.sv_policy;
       o_devices = c.sv_devices;
       o_slo = slo }
   in

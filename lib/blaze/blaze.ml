@@ -68,7 +68,7 @@ let serde_bytes_per_second = 1.0e9
 (* The estimator charges its modeled tool minutes to the ambient
    clock, but a dispatch is not a DSE evaluation: restore the clock so
    the caller's later spans keep their stamps. *)
-let report rg n =
+let memo_report rg n =
   match Hashtbl.find_opt rg.rg_reports n with
   | Some r -> r
   | None ->
@@ -100,7 +100,7 @@ let dispatch rg ~input_ty ~out_tasks ~collect tasks =
   (try ignore (Cinterp.run rg.rg_kernel a.acc_iface.Decompile.if_kernel args)
    with Cinterp.C_error msg -> err "kernel execution failed: %s" msg);
   let values = collect outputs in
-  let fpga_s = (report rg n).Estimate.r_seconds in
+  let fpga_s = (memo_report rg n).Estimate.r_seconds in
   let bytes = Serde.bytes_of_iface a.acc_iface ~tasks:n in
   Obs.count_by n "blaze.tasks";
   Obs.count_by (int_of_float bytes) "serde.bytes";
@@ -113,6 +113,8 @@ let registration m id =
   match List.assoc_opt id m.accels with
   | Some rg -> rg
   | None -> err "no accelerator registered under id %s" id
+
+let report m ~id n = memo_report (registration m id) n
 
 let map_accelerated m ~id tasks =
   let rg = registration m id in
@@ -137,13 +139,13 @@ let reduce_accelerated m ~id tasks =
       [| Serde.deserialize_output a.acc_iface a.acc_output_ty outputs 0 |])
     tasks
 
-let map_jvm ?(cost = Interp.default_cost_model) cls ~fields tasks =
+let map_jvm cls ~fields tasks =
   let inst = { Interp.icls = cls; ifields = fields } in
   let cycles = ref 0.0 in
   let values =
     Array.map
       (fun task ->
-        let r = Interp.run_method ~cost inst "call" [ task ] in
+        let r = Interp.run_method inst "call" [ task ] in
         cycles := !cycles +. r.Interp.rcycles;
         r.Interp.rvalue)
       tasks
@@ -157,15 +159,14 @@ let map_jvm ?(cost = Interp.default_cost_model) cls ~fields tasks =
     tr_seconds = seconds;
     tr_detail = [ ("jvm", seconds) ] }
 
-let reduce_jvm ?(cost = Interp.default_cost_model) cls ~fields tasks =
+let reduce_jvm cls ~fields tasks =
   if Array.length tasks = 0 then err "reduce of an empty batch";
   let inst = { Interp.icls = cls; ifields = fields } in
   let cycles = ref 0.0 in
   let acc = ref tasks.(0) in
   for i = 1 to Array.length tasks - 1 do
     let r =
-      Interp.run_method ~cost inst "call"
-        [ Interp.VTuple [| !acc; tasks.(i) |] ]
+      Interp.run_method inst "call" [ Interp.VTuple [| !acc; tasks.(i) |] ]
     in
     cycles := !cycles +. r.Interp.rcycles;
     acc := r.Interp.rvalue

@@ -38,9 +38,9 @@ val create_manager : unit -> manager
 val register : manager -> accel -> unit
 (** Compiles the kernel ({!S2fa_hlsc.Cinterp.compile}) and keeps it with
     the registration, together with a memo of the HLS estimate per batch
-    size. Replaces any accelerator previously registered under the same
-    id, so a re-registered (promoted) design runs its own freshly
-    compiled kernel and estimates. *)
+    size ({!report}). Replaces any accelerator previously registered
+    under the same id, so a re-registered (promoted) design runs its own
+    freshly compiled kernel and estimates. *)
 
 val find : manager -> string -> accel option
 
@@ -52,13 +52,19 @@ type timed_result = {
           or jvm for the baseline. *)
 }
 
+val report : manager -> id:string -> int -> Estimate.report
+(** [report m ~id n] is the registration's HLS estimate of a batch of [n]
+    tasks on the VU9P. The first call per batch size computes it (one
+    [hls.estimate] profiler span, the profiler's virtual clock left
+    where it was) and the registration keeps it: {!map_accelerated}
+    reads the same memo, and so does the serving fleet when it sizes a
+    batch. Raises {!Blaze_error} when the id is unknown. *)
+
 val map_accelerated : manager -> id:string -> Interp.value array -> timed_result
-(** Run a batch of tasks on the registered accelerator. Raises
-    {!Blaze_error} when the id is unknown or (de)serialization fails.
-    The first batch of each size computes the registration's HLS
-    estimate (one [hls.estimate] profiler span); the profiler's virtual
-    clock is left where it was. Each batch adds its tasks and the bytes
-    it moves to the profiler counters [blaze.tasks] and [serde.bytes]. *)
+(** Run a batch of tasks on the registered accelerator, timed by its
+    {!report}. Raises {!Blaze_error} when the id is unknown or
+    (de)serialization fails. Each batch adds its tasks and the bytes it
+    moves to the profiler counters [blaze.tasks] and [serde.bytes]. *)
 
 val reduce_accelerated :
   manager -> id:string -> Interp.value array -> timed_result
@@ -68,17 +74,13 @@ val reduce_accelerated :
     id, or a map-operator accelerator. *)
 
 val map_jvm :
-  ?cost:Interp.cost_model ->
-  Insn.cls ->
-  fields:(string * Interp.value) list ->
-  Interp.value array ->
+  Insn.cls -> fields:(string * Interp.value) list -> Interp.value array ->
   timed_result
 (** The baseline: execute [call] per task on the bytecode interpreter,
-    timing a single-threaded Spark executor (3 GHz core, modeled
-    per-instruction costs). *)
+    timing a single-threaded Spark executor (3 GHz core, the
+    interpreter's per-instruction cycle costs). *)
 
 val reduce_jvm :
-  ?cost:Interp.cost_model ->
   Insn.cls ->
   fields:(string * Interp.value) list ->
   Interp.value array ->

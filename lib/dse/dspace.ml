@@ -124,7 +124,11 @@ let make ~space ~loop_ids ~task_loop ~inner_ids ~buffers =
     ds_buffers = buffers;
     ds_plan = plan ~loop_ids ~buffers (Space.space_shape space) }
 
-let identify ?(max_factor = 256) prog =
+(* Table 1's cap on tiling and parallel factors; the task loop's tiling
+   factor is capped at 1024 instead. *)
+let max_factor = 256
+
+let identify prog =
   let kernel =
     match Csyntax.find_cfunc prog "kernel" with
     | Some f -> f

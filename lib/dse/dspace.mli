@@ -37,10 +37,10 @@ val make :
   buffers:string list ->
   t
 
-val identify : ?max_factor:int -> Csyntax.cprog -> t
-(** Analyze the [kernel] function of a flat program. [max_factor] caps
-    tiling/parallel factors (default 256; the task loop is capped at
-    1024 for tiling). *)
+val identify : Csyntax.cprog -> t
+(** Analyze the [kernel] function of a flat program. Tiling and parallel
+    factors are capped at 256 (the task loop's tiling factor at 1024
+    instead) and at the loop's trip count. *)
 
 val to_merlin : t -> Space.cfg -> Transform.config
 (** Interpret a configuration as Merlin transformation directives. A

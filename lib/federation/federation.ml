@@ -64,10 +64,13 @@ type retune = {
   rt_epoch_s : float;
   rt_p99_slo_ms : float;
   rt_opts : Driver.s2fa_opts;
-  rt_tasks : int option;
-  rt_min_samples : int;
-  rt_max_per_tenant : int;
 }
+
+(* A tenant is re-tuned at most once, and only on a window of at least
+   20 latency samples. *)
+let retune_min_samples = 20
+
+let retune_max_per_tenant = 1
 
 (* A bounded re-tuning budget: two virtual cores for twenty virtual
    minutes over sixteen offline samples is enough to find the
@@ -77,14 +80,8 @@ let default_retune_opts =
   { Driver.default_s2fa_opts with
     so_cores = 2; so_time_limit = 20.0; so_samples = 16 }
 
-let retune ?(epoch_s = 10.0) ?(opts = default_retune_opts) ?tasks
-    ?(min_samples = 20) ?(max_per_tenant = 1) slo_ms =
-  { rt_epoch_s = epoch_s;
-    rt_p99_slo_ms = slo_ms;
-    rt_opts = opts;
-    rt_tasks = tasks;
-    rt_min_samples = min_samples;
-    rt_max_per_tenant = max_per_tenant }
+let retune ?(epoch_s = 10.0) ?(opts = default_retune_opts) slo_ms =
+  { rt_epoch_s = epoch_s; rt_p99_slo_ms = slo_ms; rt_opts = opts }
 
 type tenant = {
   ft_app : Fleet.app;
@@ -196,11 +193,7 @@ let check_retune = function
       if not (r.rt_epoch_s > 0.0 && Float.is_finite r.rt_epoch_s) then
         fail "serve: retune epoch must be positive and finite";
       if not (r.rt_p99_slo_ms > 0.0 && Float.is_finite r.rt_p99_slo_ms)
-      then fail "serve: retune p99 SLO must be positive and finite";
-      if r.rt_min_samples < 1 then
-        fail "serve: retune min_samples must be at least 1";
-      if r.rt_max_per_tenant < 0 then
-        fail "serve: retune max_per_tenant must be non-negative"
+      then fail "serve: retune p99 SLO must be positive and finite"
 
 let check_requests n_tenants requests =
   List.iter
@@ -453,8 +446,8 @@ let serve ?(opts = default_opts) ?trace ~clusters tenants requests =
     for ti = 0 to nt - 1 do
       match compiled.(ti) with
       | Some c
-        when retunes.(ti) < r.rt_max_per_tenant
-             && List.length windows.(ti) >= r.rt_min_samples ->
+        when retunes.(ti) < retune_max_per_tenant
+             && List.length windows.(ti) >= retune_min_samples ->
           let p99 = Stats.p99 (Array.of_list windows.(ti)) in
           if p99 > r.rt_p99_slo_ms then begin
             retunes.(ti) <- retunes.(ti) + 1;
@@ -463,8 +456,7 @@ let serve ?(opts = default_opts) ?trace ~clusters tenants requests =
             windows.(ti) <- [];
             let rng = retune_rng opts.fd_seed ti !epoch in
             let rr =
-              S2fa.explore ~opts:r.rt_opts ?tasks:r.rt_tasks ~db:dbs.(ti) c
-                rng
+              S2fa.explore ~opts:r.rt_opts ~db:dbs.(ti) c rng
             in
             tune_minutes := !tune_minutes +. rr.Driver.rr_minutes;
             emit !t_epoch

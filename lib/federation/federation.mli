@@ -96,30 +96,24 @@ val default_autoscale : autoscale
     fed-level latency windows (cumulative until that tenant re-tunes,
     so post-promotion samples measure the new design), and (3) for
     each re-tunable tenant with
-    at least [rt_min_samples] samples whose window p99 exceeds
-    [rt_p99_slo_ms], runs [S2fa.explore] under [rt_opts] (at most
-    [rt_max_per_tenant] times per tenant, memoized through a per-tenant
-    result database) and schedules the winning design for promotion at
-    the {e next} epoch. The DSE bill is virtual {e minutes} on the
+    at least 20 samples whose window p99 exceeds [rt_p99_slo_ms], runs
+    [S2fa.explore] under [rt_opts] at its default task count (once per
+    tenant, memoized through a per-tenant result database) and
+    schedules the winning design for promotion at the {e next} epoch. The DSE bill is virtual {e minutes} on the
     tuning clock, reported as [fr_tune_minutes] — it does not stall the
     serving clock, modeling re-tuning on offline capacity. *)
 type retune = {
   rt_epoch_s : float;
   rt_p99_slo_ms : float;
   rt_opts : S2fa_dse.Driver.s2fa_opts;
-  rt_tasks : int option;
-  rt_min_samples : int;
-  rt_max_per_tenant : int;
 }
 
 val default_retune_opts : S2fa_dse.Driver.s2fa_opts
 (** A bounded budget: 2 cores, 20 virtual minutes, 16 offline samples. *)
 
 val retune :
-  ?epoch_s:float -> ?opts:S2fa_dse.Driver.s2fa_opts -> ?tasks:int ->
-  ?min_samples:int -> ?max_per_tenant:int -> float -> retune
-(** [retune slo_ms]. Defaults: 10 s epochs, {!default_retune_opts},
-    20 samples minimum, at most one re-tune per tenant. *)
+  ?epoch_s:float -> ?opts:S2fa_dse.Driver.s2fa_opts -> float -> retune
+(** [retune slo_ms]. Defaults: 10 s epochs, {!default_retune_opts}. *)
 
 (** One served tenant: its fleet app plus (optionally) the compiled
     kernel the online DSE loop re-tunes. A tenant without a compiled

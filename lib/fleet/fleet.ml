@@ -76,22 +76,17 @@ type slo = {
 
 let no_slo = { sl_hang_factor = infinity; sl_hedge = false; sl_breaker = None }
 
-type opts = {
-  o_devices : int;
-  o_device : Device.t;
-  o_policy : policy;
-  o_pcie_gbps : float;
-  o_invoke_seconds : float;
-  o_slo : slo;
-}
+type opts = { o_devices : int; o_policy : policy; o_slo : slo }
 
-let default_opts =
-  { o_devices = 2;
-    o_device = Device.vu9p;
-    o_policy = Fcfs;
-    o_pcie_gbps = 8.0;
-    o_invoke_seconds = 5.0e-4;
-    o_slo = no_slo }
+let default_opts = { o_devices = 2; o_policy = Fcfs; o_slo = no_slo }
+
+(* Every device of the pool is the F1 VU9P, behind an 8 GB/s PCIe link;
+   each invocation pays a fixed 0.5 ms of host-side overhead. *)
+let device = Device.vu9p
+
+let pcie_bytes_per_second = 8.0e9
+
+let invoke_seconds = 5.0e-4
 
 let with_deadline slo_seconds requests =
   if not (slo_seconds > 0.0 && Float.is_finite slo_seconds) then
@@ -157,80 +152,69 @@ type outcome = { oc_report : report; oc_results : result list }
    place) *)
 (* ------------------------------------------------------------------ *)
 
-type 'a dq = {
-  mutable dq_front : 'a list;
-  mutable dq_back : 'a list;
-  mutable dq_len : int;
-}
-
-let dq_create () = { dq_front = []; dq_back = []; dq_len = 0 }
-
-let dq_len q = q.dq_len
-
-let dq_norm q =
-  if q.dq_front = [] then begin
-    q.dq_front <- List.rev q.dq_back;
-    q.dq_back <- []
-  end
-
-let dq_push q x =
-  q.dq_back <- x :: q.dq_back;
-  q.dq_len <- q.dq_len + 1
-
-let dq_push_front q xs =
-  (* One pass: prepend and count together (callers hand over in-flight
-     batches whose length they never computed). *)
-  let n = ref 0 in
-  let rec prepend = function
-    | [] -> q.dq_front
-    | x :: tl ->
-      incr n;
-      x :: prepend tl
-  in
-  q.dq_front <- prepend xs;
-  q.dq_len <- q.dq_len + !n
-
-let dq_peek q =
-  dq_norm q;
-  match q.dq_front with x :: _ -> Some x | [] -> None
-
-let dq_take q n =
-  (* Normalize only when the front actually runs dry — at most once per
-     take, since a flip leaves the back empty. *)
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else
-      match q.dq_front with
-      | x :: tl ->
-        q.dq_front <- tl;
-        q.dq_len <- q.dq_len - 1;
-        go (n - 1) (x :: acc)
-      | [] ->
-        if q.dq_back = [] then List.rev acc
-        else begin
-          dq_norm q;
-          go n acc
-        end
-  in
-  go n []
-
-let dq_drain q = dq_take q (dq_len q)
-
-let dq_to_list q = q.dq_front @ List.rev q.dq_back
-
 (* Exposed so [test/test_heap.ml] can model-check the deque against a
    plain list under arbitrary operation interleavings. *)
 module Dq = struct
-  type 'a t = 'a dq
+  type 'a t = {
+    mutable front : 'a list;
+    mutable back : 'a list;
+    mutable len : int;
+  }
 
-  let create = dq_create
-  let len = dq_len
-  let push = dq_push
-  let push_front = dq_push_front
-  let peek = dq_peek
-  let take = dq_take
-  let drain = dq_drain
-  let to_list = dq_to_list
+  let create () = { front = []; back = []; len = 0 }
+
+  let len q = q.len
+
+  let norm q =
+    if q.front = [] then begin
+      q.front <- List.rev q.back;
+      q.back <- []
+    end
+
+  let push q x =
+    q.back <- x :: q.back;
+    q.len <- q.len + 1
+
+  let push_front q xs =
+    (* One pass: prepend and count together (callers hand over in-flight
+       batches whose length they never computed). *)
+    let n = ref 0 in
+    let rec prepend = function
+      | [] -> q.front
+      | x :: tl ->
+        incr n;
+        x :: prepend tl
+    in
+    q.front <- prepend xs;
+    q.len <- q.len + !n
+
+  let peek q =
+    norm q;
+    match q.front with x :: _ -> Some x | [] -> None
+
+  let take q n =
+    (* Normalize only when the front actually runs dry — at most once per
+       take, since a flip leaves the back empty. *)
+    let rec go n acc =
+      if n = 0 then List.rev acc
+      else
+        match q.front with
+        | x :: tl ->
+          q.front <- tl;
+          q.len <- q.len - 1;
+          go (n - 1) (x :: acc)
+        | [] ->
+          if q.back = [] then List.rev acc
+          else begin
+            norm q;
+            go n acc
+          end
+    in
+    go n []
+
+  let drain q = take q (len q)
+
+  let to_list q = q.front @ List.rev q.back
 end
 
 (* ------------------------------------------------------------------ *)
@@ -410,7 +394,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   Array.iteri
     (fun i a -> Blaze.register mgr { a.ap_accel with Blaze.acc_id = uid i })
     apps;
-  let queues = Array.init n_apps (fun _ -> dq_create ()) in
+  let queues = Array.init n_apps (fun _ -> Dq.create ()) in
   let served = Array.make n_apps 0 in  (* dispatched to the pool *)
   let devs =
     Array.init opts.o_devices (fun _ ->
@@ -490,33 +474,25 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
       reo_h.(d) <- None
     | None, false -> ()
   in
-  let reconfig_s = opts.o_device.Device.reconfig_minutes *. 60.0 in
-  (* The per-batch cost model is deterministic per (app, size); memoize
-     so SJF's probes and repeated launches don't re-run the estimator.
-     The table is only ever read point-wise — nothing iterates it — so
-     it cannot leak hash order into the simulation. *)
+  let reconfig_s = device.Device.reconfig_minutes *. 60.0 in
+  (* A batch's service time is deterministic per (app, size): the
+     invocation overhead, the PCIe transfer and the compute of the
+     registration's HLS estimate, which [Blaze] memoizes per batch size.
+     Memoize the sum so SJF's probes and repeated launches don't rebuild
+     it. The table is only ever read point-wise — nothing iterates it —
+     so it cannot leak hash order into the simulation. *)
   let svc_memo : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
   let body_seconds a n =
     match Hashtbl.find_opt svc_memo (a, n) with
     | Some s -> s
     | None ->
-      let acc = apps.(a).ap_accel in
       let xfer =
-        Serde.bytes_of_iface acc.Blaze.acc_iface ~tasks:n
-        /. (opts.o_pcie_gbps *. 1.0e9)
+        Serde.bytes_of_iface apps.(a).ap_accel.Blaze.acc_iface ~tasks:n
+        /. pcie_bytes_per_second
       in
-      (* The estimator charges its modeled DSE minutes to the ambient
-         clock; serving time is the event loop's, so restore it. *)
-      let v0 = Obs.clock () in
-      let r =
-        Obs.span "fleet.estimate" (fun () ->
-            Estimate.estimate ~device:opts.o_device acc.Blaze.acc_prog
-              ~tasks:n ~buffer_elems:acc.Blaze.acc_buffer_elems)
-      in
-      Obs.set_clock v0;
+      let r = Blaze.report mgr ~id:(uid a) n in
       let s =
-        opts.o_invoke_seconds +. xfer
-        +. Float.max 0.0 r.Estimate.r_compute_seconds
+        invoke_seconds +. xfer +. Float.max 0.0 r.Estimate.r_compute_seconds
       in
       Hashtbl.add svc_memo (a, n) s;
       s
@@ -641,12 +617,12 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   let candidates () =
     let rec go i acc =
       if i < 0 then acc
-      else go (i - 1) (if dq_len queues.(i) > 0 then i :: acc else acc)
+      else go (i - 1) (if Dq.len queues.(i) > 0 then i :: acc else acc)
     in
     go (n_apps - 1) []
   in
   let head_arrival a =
-    match dq_peek queues.(a) with
+    match Dq.peek queues.(a) with
     | Some r -> r.rq_arrival
     | None -> infinity
   in
@@ -666,14 +642,14 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     | Sjf ->
       argmin
         (fun a ->
-          let n = min (dq_len queues.(a)) apps.(a).ap_batch in
+          let n = min (Dq.len queues.(a)) apps.(a).ap_batch in
           (service_seconds d a n, a))
         cands
     | Affinity -> (
       (* Avoid paying this device's reconfiguration when its loaded
          bitstream still has work; otherwise schedule like FCFS. *)
       match devs.(d).d_loaded with
-      | Some a when dq_len queues.(a) > 0 -> Some a
+      | Some a when Dq.len queues.(a) > 0 -> Some a
       | _ -> pick_fcfs cands)
     | Fair ->
       (* Start-time fair queueing over dispatched work: the app with
@@ -748,7 +724,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
                | Some p -> apps.(p).ap_name
                | None -> "");
              to_app = apps.(a).ap_name;
-             minutes = opts.o_device.Device.reconfig_minutes })
+             minutes = device.Device.reconfig_minutes })
     end;
     clocked
       (Telemetry.Serve_batch
@@ -819,7 +795,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   in
   let rec launch d a =
     Obs.span "fleet.launch" @@ fun () ->
-    let reqs = dq_take queues.(a) apps.(a).ap_batch in
+    let reqs = Dq.take queues.(a) apps.(a).ap_batch in
     total_queued := !total_queued - List.length reqs;
     let svc0 = service_seconds d a (List.length reqs) in
     (* Dispatch-time deadline re-check: the queue-wait estimate paid at
@@ -861,7 +837,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
        everything still queued runs on the JVM baseline from now on. *)
     Array.iter
       (fun q ->
-        let drained = dq_drain q in
+        let drained = Dq.drain q in
         total_queued := !total_queued - List.length drained;
         List.iter (fun r -> fallback ~reason:"no_devices" ~start:!now r)
           drained)
@@ -876,23 +852,23 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
       let est_miss =
         match r.rq_deadline with
         | Some dl ->
-          let est = estimate_completion r.rq_app (dq_len q) in
+          let est = estimate_completion r.rq_app (Dq.len q) in
           if est > dl then Some est else None
         | None -> None
       in
       match est_miss with
       | Some est -> shed ~stage:"enqueue" r est
       | None ->
-        if dq_len q >= apps.(r.rq_app).ap_queue_cap then
+        if Dq.len q >= apps.(r.rq_app).ap_queue_cap then
           fallback ~reason:"overflow" ~start:!now r
         else begin
-          dq_push q r;
+          Dq.push q r;
           incr total_queued;
           clocked
             (Telemetry.Serve_enqueue
                { app = apps.(r.rq_app).ap_name;
                  request = r.rq_id;
-                 queue_len = dq_len q });
+                 queue_len = Dq.len q });
           try_dispatch ()
         end
     end
@@ -945,7 +921,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     refresh_device d;
     requeued := !requeued + n;
     served.(a) <- served.(a) - n;
-    dq_push_front queues.(a) b.b_reqs;
+    Dq.push_front queues.(a) b.b_reqs;
     total_queued := !total_queued + n;
     List.iter
       (fun r ->
@@ -953,7 +929,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
           (Telemetry.Serve_enqueue
              { app = apps.(a).ap_name;
                request = r.rq_id;
-               queue_len = dq_len queues.(a) }))
+               queue_len = Dq.len queues.(a) }))
       b.b_reqs
   in
   let handle_timeout d (b : busy) =
@@ -1031,7 +1007,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
           (* De-count the lost dispatch so fair share tracks completed
              work, not work burned on a dead device. *)
           served.(a) <- served.(a) - n;
-          dq_push_front queues.(a) b.b_reqs;
+          Dq.push_front queues.(a) b.b_reqs;
           total_queued := !total_queued + n;
           List.iter
             (fun r ->
@@ -1039,7 +1015,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
                 (Telemetry.Serve_enqueue
                    { app = apps.(a).ap_name;
                      request = r.rq_id;
-                     queue_len = dq_len queues.(a) }))
+                     queue_len = Dq.len queues.(a) }))
             b.b_reqs);
         if alive_devices () = 0 then drain_to_jvm () else try_dispatch ()
       end
@@ -1102,13 +1078,13 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     let header =
       [ ("v", Int 1); ("policy", Str (policy_name opts.o_policy));
         ("devices", Int opts.o_devices);
-        ("device", Str opts.o_device.Device.name); ("apps", Int n_apps);
+        ("device", Str device.Device.name); ("apps", Int n_apps);
         ("events", Int !events); ("now", Num !now); ("every", Num every) ]
     in
     let queue_line i q =
       ( "queue",
         [ ("app", Int i); ("served", Int served.(i));
-          ("ids", ids (dq_to_list q)) ] )
+          ("ids", ids (Dq.to_list q)) ] )
     in
     let dev_line i dv =
       ( "dev",
@@ -1393,7 +1369,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   let report =
     { rp_policy = policy_name opts.o_policy;
       rp_devices = opts.o_devices;
-      rp_device_name = opts.o_device.Device.name;
+      rp_device_name = device.Device.name;
       rp_requests = total;
       rp_accelerated = accel_total;
       rp_fallbacks = !fallbacks;

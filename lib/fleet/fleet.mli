@@ -12,7 +12,8 @@
       pays the device's {!S2fa_hls.Device.t.reconfig_minutes}, and
       every batch pays a PCIe/DMA transfer charge computed from
       {!S2fa_blaze.Serde.bytes_of_iface} plus the HLS-estimated compute
-      time ({!S2fa_hls.Estimate});
+      time, read from the registration's memo
+      ({!S2fa_blaze.Blaze.report});
     - {b admission} is a bounded per-tenant FIFO; overflow (or a dead
       pool) degrades gracefully to the JVM baseline
       ({!S2fa_blaze.Blaze.map_jvm}) so {e no request is ever dropped}
@@ -138,18 +139,17 @@ type slo = {
 val no_slo : slo
 (** No watchdog, no hedging, no breakers. *)
 
+(** Every device of the pool is the F1 VU9P ({!S2fa_hls.Device.vu9p}),
+    behind an 8 GB/s PCIe link, and every invocation pays a fixed 0.5 ms
+    overhead: the paper's Blaze deployment, so these are not options. *)
 type opts = {
   o_devices : int;            (** Pool size (>= 1). *)
-  o_device : S2fa_hls.Device.t;  (** Every device in the pool. *)
   o_policy : policy;
-  o_pcie_gbps : float;        (** Host-to-device link, GB/s. *)
-  o_invoke_seconds : float;   (** Fixed per-invocation overhead. *)
   o_slo : slo;
 }
 
 val default_opts : opts
-(** 2 VU9P devices, FCFS, 8 GB/s PCIe, 0.5 ms invocation overhead,
-    {!no_slo}. *)
+(** 2 devices, FCFS, {!no_slo}. *)
 
 val check_opts : opts -> unit
 (** Raises {!Fleet_error} on options every serve refuses before it

@@ -573,7 +573,8 @@ let rec veq (a : Interp.value) (b : Interp.value) =
 
 let pp_v v = Format.asprintf "%a" Interp.pp_value v
 
-let run_source ?(tasks = 3) ?(chains = 2) ~len ~input_seed source : outcome =
+let run_source ~len ~input_seed source : outcome =
+  let tasks = 3 and chains = 2 in
   try
     let prog =
       try Parser.parse_program source with
@@ -1043,7 +1044,7 @@ let failure_key oracle detail =
        change as the program shrinks; the oracle name is the bug class. *)
     (oracle, "")
 
-let shrink_failure ?(tasks = 3) (f0 : failure) : failure =
+let shrink_failure (f0 : failure) : failure =
   match Parser.parse_program f0.f_source with
   | exception _ -> f0
   | prog0 ->
@@ -1055,7 +1056,7 @@ let shrink_failure ?(tasks = 3) (f0 : failure) : failure =
         decr budget;
         let src = Pretty.to_string prog in
         match
-          run_source ~tasks ~len:f0.f_len ~input_seed:f0.f_input_seed src
+          run_source ~len:f0.f_len ~input_seed:f0.f_input_seed src
         with
         | Failed f when failure_key f.f_oracle f.f_detail = want -> Some f
         | _ -> None
@@ -1301,8 +1302,8 @@ let pick_mutant rng (base : Ast.program) : Ast.program option =
     in
     go 4
 
-let run_campaign ?(tasks = 3) ?(shrink = true) ?(coverage = false) ~seed
-    ~count () : stats =
+let run_campaign ?(shrink = true) ?(coverage = false) ~seed ~count () :
+    stats =
   let rng = Rng.create seed in
   let passed = ref 0 and rejected = ref 0 and skips = ref 0 in
   let failures = ref [] in
@@ -1330,7 +1331,7 @@ let run_campaign ?(tasks = 3) ?(shrink = true) ?(coverage = false) ~seed
     in
     let source = Pretty.to_string prog in
     let input_seed = (seed * 1_000_003) + i in
-    (match run_source ~tasks ~len ~input_seed source with
+    (match run_source ~len ~input_seed source with
     | Passed k ->
       incr passed;
       skips := !skips + k
@@ -1342,7 +1343,7 @@ let run_campaign ?(tasks = 3) ?(shrink = true) ?(coverage = false) ~seed
     | Failed f when is_mutant && String.equal f.f_oracle "pipeline" ->
       incr rejected
     | Failed f ->
-      let f = if shrink then shrink_failure ~tasks f else f in
+      let f = if shrink then shrink_failure f else f in
       failures := f :: !failures);
     if coverage then begin
       let fresh =

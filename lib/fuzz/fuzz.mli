@@ -69,15 +69,13 @@ val gen_kernel : Rng.t -> Ast.program * int
     and the array length [len] every array type in it uses (so that JVM
     array lengths and C buffer capacities agree). *)
 
-val run_source :
-  ?tasks:int -> ?chains:int -> len:int -> input_seed:int -> string ->
-  outcome
-(** Run one kernel (source text) through every oracle. [len] must match
-    the array length the kernel was generated with; [input_seed] drives
-    the random field/input data; [chains] (default 2) is the number of
-    design-space configs {e and} of unroll/tile chains tried. *)
+val run_source : len:int -> input_seed:int -> string -> outcome
+(** Run one kernel (source text) through every oracle, on a batch of 3
+    tasks, under 2 random design-space configs and 2 random unroll/tile
+    chains. [len] must match the array length the kernel was generated
+    with; [input_seed] drives the random field/input data. *)
 
-val shrink_failure : ?tasks:int -> failure -> failure
+val shrink_failure : failure -> failure
 (** Greedy structural minimization: repeatedly applies one-edit
     simplifications (drop a statement, hoist a body, drop a helper,
     replace an expression by a subexpression, shrink a literal) while
@@ -116,10 +114,10 @@ val c_cap : int
     kernel; its buffer accesses are clamped into it. *)
 
 val run_campaign :
-  ?tasks:int -> ?shrink:bool -> ?coverage:bool -> seed:int -> count:int ->
-  unit -> stats
-(** Run [count] generated MiniScala kernels and [count] C-level
-    transform cases, deterministically from [seed]. With
+  ?shrink:bool -> ?coverage:bool -> seed:int -> count:int -> unit -> stats
+(** Run [count] generated MiniScala kernels (each through {!run_source})
+    and [count] C-level transform cases, deterministically from [seed].
+    With
     [~coverage:true], kernels whose flat C contributes a new symbolic
     path feature join a mutation pool and later iterations mutate pool
     members (via the shrinker's one-edit rewrites) instead of always

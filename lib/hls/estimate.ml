@@ -93,8 +93,11 @@ let ops_resources ~helper_res ~shared (o : Canalysis.op_counts) (t : totals)
 
 (* ---------- estimation ---------- *)
 
-let run ?(device = Device.vu9p) ?(nominal_trip = 64) summaries ~tasks
-    ~buffer_elems =
+(* The trip count assumed for a loop whose bound is not a compile-time
+   constant, other than the task loop (whose trip is [tasks]). *)
+let nominal_trip = 64
+
+let run ?(device = Device.vu9p) summaries ~tasks ~buffer_elems =
   let summary =
     match List.assoc_opt "kernel" summaries with
     | Some s -> s
@@ -469,9 +472,9 @@ let spanned f =
 let model summaries ~tasks ~buffer_elems =
   spanned (fun () -> run summaries ~tasks ~buffer_elems)
 
-let estimate ?device ?nominal_trip prog ~tasks ~buffer_elems =
+let estimate ?device prog ~tasks ~buffer_elems =
   spanned (fun () ->
-      run ?device ?nominal_trip
+      run ?device
         (List.map
            (fun (f : Csyntax.cfunc) -> (f.Csyntax.cfname, Canalysis.analyze f))
            prog.Csyntax.cfuncs)

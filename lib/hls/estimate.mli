@@ -33,7 +33,6 @@ type report = {
 
 val estimate :
   ?device:Device.t ->
-  ?nominal_trip:int ->
   Csyntax.cprog ->
   tasks:int ->
   buffer_elems:(string * int) list ->
@@ -42,10 +41,10 @@ val estimate :
     [prog] ({!Canalysis.analyze}) and runs {!model} on the result: it
     estimates the [kernel] function, costing calls to the others as
     shared helper units. [buffer_elems] gives elements-per-task for each
-    interface buffer (from the b2c layout); [nominal_trip] substitutes
-    for loop bounds that are not compile-time constants other than the
-    task loop (default 64). The task loop (trip [N]) is evaluated at
-    [tasks]. Under a profiler each call is one [hls.estimate] span,
+    interface buffer (from the b2c layout). A loop bound that is not a
+    compile-time constant counts 64 trips, except the task loop's (trip
+    [N]), which is evaluated at [tasks]. [device] defaults to the
+    VU9P. Under a profiler each call is one [hls.estimate] span,
     analysis included, counting [hls.evals]. *)
 
 val model :

@@ -80,7 +80,7 @@ let fresh_loop_id () =
   incr loop_counter;
   !loop_counter
 
-let mk_loop ?(pragmas = []) ?(vty = CInt) ?(decl = true) ~var ~lo ~hi
+let mk_loop ?(vty = CInt) ?(decl = true) ~var ~lo ~hi
     ?(step = 1) body =
   { lid = fresh_loop_id ();
     lvar = var;
@@ -90,7 +90,7 @@ let mk_loop ?(pragmas = []) ?(vty = CInt) ?(decl = true) ~var ~lo ~hi
     lhi = hi;
     lstep = step;
     lbody = body;
-    lpragmas = pragmas }
+    lpragmas = [] }
 
 let rec ty_bits = function
   | CBool -> 1

@@ -95,11 +95,12 @@ val fresh_loop_id : unit -> int
 (** Process-wide unique loop ids for newly created loops. *)
 
 val mk_loop :
-  ?pragmas:pragma list -> ?vty:cty -> ?decl:bool -> var:string ->
-  lo:cexpr -> hi:cexpr -> ?step:int -> cstmt list -> loop
-(** [vty] is the induction variable's declared C type (default [CInt]);
-    transforms that reconstruct the variable (e.g. tiling) must preserve
-    it or a [long]-counted loop is silently narrowed. [decl] (default
+  ?vty:cty -> ?decl:bool -> var:string -> lo:cexpr -> hi:cexpr ->
+  ?step:int -> cstmt list -> loop
+(** A loop with a fresh id and no pragmas. [vty] is the induction
+    variable's declared C type (default [CInt]); transforms that
+    reconstruct the variable (e.g. tiling) must preserve it or a
+    [long]-counted loop is silently narrowed. [decl] (default
     [true]) is the {!loop.ldecl} flag: pass [false] when the counter is
     declared outside the loop and the header only assigns it. *)
 

@@ -112,54 +112,6 @@ let rec pp_value ppf = function
          pp_value)
       (Array.to_list t)
 
-type cost_model = {
-  c_const : float;
-  c_local : float;
-  c_array_access : float;
-  c_alloc_per_elem : float;
-  c_tuple_alloc : float;
-  c_tuple_get : float;
-  c_field : float;
-  c_int_add : float;
-  c_int_mul : float;
-  c_int_div : float;
-  c_fp_add : float;
-  c_fp_mul : float;
-  c_fp_div : float;
-  c_math : string -> float;
-  c_branch : float;
-  c_invoke : float;
-  c_conv : float;
-}
-
-let default_cost_model =
-  { c_const = 1.0;
-    c_local = 1.0;
-    c_array_access = 4.0;
-    c_alloc_per_elem = 1.0;
-    c_tuple_alloc = 24.0;
-    c_tuple_get = 4.0;
-    c_field = 3.0;
-    c_int_add = 1.0;
-    c_int_mul = 3.0;
-    c_int_div = 24.0;
-    c_fp_add = 3.0;
-    c_fp_mul = 4.0;
-    c_fp_div = 22.0;
-    c_math =
-      (function
-      | "sqrt" -> 30.0
-      | "exp" | "log" -> 60.0
-      | "pow" -> 90.0
-      | "abs" -> 2.0
-      | "min" | "max" -> 2.0
-      | "floor" | "ceil" -> 4.0
-      | _ -> 20.0);
-    c_branch = 2.0;
-    c_invoke = 40.0;
-    c_conv = 2.0;
-  }
-
 type instance = { icls : Insn.cls; ifields : (string * value) list }
 
 type result = { rvalue : value; rcycles : float; rinsns : int }
@@ -320,34 +272,42 @@ let eval_math f args =
 
 (* ---------- execution ---------- *)
 
-let insn_cost cm = function
-  | Insn.Ldc _ -> cm.c_const
-  | Insn.Load _ | Insn.Store _ -> cm.c_local
-  | Insn.ALoad | Insn.AStore -> cm.c_array_access
-  | Insn.ArrayLength -> cm.c_local
-  | Insn.NewArr (_, dims) ->
-    cm.c_alloc_per_elem *. float_of_int (List.fold_left ( * ) 1 dims)
-  | Insn.NewTup _ -> cm.c_tuple_alloc
-  | Insn.TupGet _ -> cm.c_tuple_get
-  | Insn.GetField _ -> cm.c_field
+(* Cycles per instruction category: a JIT-compiled JVM thread's cheap
+   register traffic, expensive division and transcendentals, and the
+   visible cost of tuple allocation (boxing) and virtual calls. *)
+let insn_cost = function
+  | Insn.Ldc _ -> 1.0
+  | Insn.Load _ | Insn.Store _ -> 1.0
+  | Insn.ALoad | Insn.AStore -> 4.0
+  | Insn.ArrayLength -> 1.0
+  | Insn.NewArr (_, dims) -> float_of_int (List.fold_left ( * ) 1 dims)
+  | Insn.NewTup _ -> 24.0
+  | Insn.TupGet _ -> 4.0
+  | Insn.GetField _ -> 3.0
   | Insn.Bin (ty, op) -> (
     match (ty, op) with
-    | (Ast.TFloat | Ast.TDouble), (Ast.Mul) -> cm.c_fp_mul
-    | (Ast.TFloat | Ast.TDouble), (Ast.Div | Ast.Rem) -> cm.c_fp_div
-    | (Ast.TFloat | Ast.TDouble), _ -> cm.c_fp_add
-    | _, Ast.Mul -> cm.c_int_mul
-    | _, (Ast.Div | Ast.Rem) -> cm.c_int_div
-    | _, _ -> cm.c_int_add)
-  | Insn.Un _ -> cm.c_int_add
-  | Insn.Conv _ -> cm.c_conv
-  | Insn.MathOp f -> cm.c_math f
-  | Insn.Invoke _ -> cm.c_invoke
-  | Insn.CmpJmp _ | Insn.IfFalse _ | Insn.Goto _ -> cm.c_branch
-  | Insn.Ret | Insn.RetVoid -> cm.c_branch
-  | Insn.Dup | Insn.Pop -> cm.c_local
+    | (Ast.TFloat | Ast.TDouble), Ast.Mul -> 4.0
+    | (Ast.TFloat | Ast.TDouble), (Ast.Div | Ast.Rem) -> 22.0
+    | (Ast.TFloat | Ast.TDouble), _ -> 3.0
+    | _, Ast.Mul -> 3.0
+    | _, (Ast.Div | Ast.Rem) -> 24.0
+    | _, _ -> 1.0)
+  | Insn.Un _ -> 1.0
+  | Insn.Conv _ -> 2.0
+  | Insn.MathOp f -> (
+    match f with
+    | "sqrt" -> 30.0
+    | "exp" | "log" -> 60.0
+    | "pow" -> 90.0
+    | "abs" | "min" | "max" -> 2.0
+    | "floor" | "ceil" -> 4.0
+    | _ -> 20.0)
+  | Insn.Invoke _ -> 40.0
+  | Insn.CmpJmp _ | Insn.IfFalse _ | Insn.Goto _ -> 2.0
+  | Insn.Ret | Insn.RetVoid -> 2.0
+  | Insn.Dup | Insn.Pop -> 1.0
 
-let run_method ?(cost = default_cost_model) ?(fuel = 200_000_000) inst name
-    args =
+let run_method ?(fuel = 200_000_000) inst name args =
   let cycles = ref 0.0 in
   let insns = ref 0 in
   let remaining = ref fuel in
@@ -376,7 +336,7 @@ let run_method ?(cost = default_cost_model) ?(fuel = 200_000_000) inst name
       if !remaining <= 0 then err "fuel exhausted (infinite loop?)";
       incr insns;
       let ins = code.(pc) in
-      cycles := !cycles +. insn_cost cost ins;
+      cycles := !cycles +. insn_cost ins;
       match ins with
       | Insn.Ldc l ->
         push (value_of_lit l);

@@ -39,29 +39,6 @@ val equal_value : value -> value -> bool
 
 val pp_value : Format.formatter -> value -> unit
 
-(** Cycle cost per instruction category. *)
-type cost_model = {
-  c_const : float;
-  c_local : float;          (** load/store *)
-  c_array_access : float;   (** aload/astore *)
-  c_alloc_per_elem : float;
-  c_tuple_alloc : float;    (** boxing + allocation *)
-  c_tuple_get : float;
-  c_field : float;
-  c_int_add : float;
-  c_int_mul : float;
-  c_int_div : float;
-  c_fp_add : float;
-  c_fp_mul : float;
-  c_fp_div : float;
-  c_math : string -> float; (** per intrinsic *)
-  c_branch : float;
-  c_invoke : float;
-  c_conv : float;
-}
-
-val default_cost_model : cost_model
-
 type instance = { icls : Insn.cls; ifields : (string * value) list }
 (** An object of a compiled class with its constructor-parameter values. *)
 
@@ -71,9 +48,11 @@ type result = {
   rinsns : int;     (** Bytecode instructions executed. *)
 }
 
-val run_method :
-  ?cost:cost_model -> ?fuel:int -> instance -> string -> value list -> result
-(** [run_method inst name args] executes method [name]. [fuel] bounds the
-    number of executed instructions (default 200 million); exhausting it
-    raises {!Runtime_error}. A profiler counts the instructions of each
-    completed call as [jvm.insns]. *)
+val run_method : ?fuel:int -> instance -> string -> value list -> result
+(** [run_method inst name args] executes method [name], charging each
+    instruction its category's cycles: a local load or store 1, an array
+    access 4, a tuple allocation 24, an integer division 24, a
+    floating-point division 22, a virtual call 40, a [math] intrinsic
+    2–90. [fuel] bounds the number of executed instructions (default
+    200 million); exhausting it raises {!Runtime_error}. A profiler
+    counts the instructions of each completed call as [jvm.insns]. *)

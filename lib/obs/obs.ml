@@ -17,9 +17,8 @@ module Profiler = struct
     sp_counters : (string * int) list;
   }
 
-  (* An open span. Counter tables are sized by the profiler's [size]
-     knob; every serialization sorts them, so the capacity can never
-     leak into output bytes. *)
+  (* An open span. Every serialization sorts its counter table, so the
+     table's capacity can never leak into output bytes. *)
   type frame = {
     f_id : int;
     f_parent : int;
@@ -32,15 +31,13 @@ module Profiler = struct
   }
 
   type t = {
-    size : int;
     mutable clock : float;
     mutable next_id : int;
     mutable stack : frame list;
     mutable done_rev : span list;  (* completion order, reversed *)
   }
 
-  let create ?(size = 16) () =
-    { size = max 1 size; clock = 0.0; next_id = 0; stack = []; done_rev = [] }
+  let create () = { clock = 0.0; next_id = 0; stack = []; done_rev = [] }
 
   let set_clock t m = t.clock <- m
   let clock t = t.clock
@@ -75,7 +72,7 @@ module Profiler = struct
         f_vbegin = t.clock;
         f_wall0 = Unix.gettimeofday ();
         f_alloc0 = allocated_bytes ();
-        f_counters = Hashtbl.create t.size }
+        f_counters = Hashtbl.create 16 }
     in
     t.next_id <- t.next_id + 1;
     t.stack <- f :: t.stack

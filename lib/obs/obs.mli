@@ -39,10 +39,8 @@ module Profiler : sig
 
   type t
 
-  val create : ?size:int -> unit -> t
-  (** [size] is the initial capacity of the per-span counter tables; it
-      must not affect any serialized byte (the pool-size determinism
-      test sweeps it). *)
+  val create : unit -> t
+  (** A profiler with no span recorded, its virtual clock at 0. *)
 
   val set_clock : t -> float -> unit
   (** Set the virtual minutes subsequent span stamps use. *)

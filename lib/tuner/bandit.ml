@@ -1,9 +1,13 @@
 module Rng = S2fa_util.Rng
 module Telemetry = S2fa_telemetry.Telemetry
 
+(* OpenTuner's AUC bandit: credit over the last 50 outcomes, and an
+   exploration coefficient of 0.3 on the UCB bonus. *)
+let window = 50
+
+let explore = 0.3
+
 type t = {
-  window : int;
-  explore : float;
   history : (int * bool) Queue.t;  (* (arm, improved) *)
   use_counts : int array;
   mutable total : int;
@@ -11,15 +15,13 @@ type t = {
   names : string array;  (* arm labels for trace events *)
 }
 
-let create ?(window = 50) ?(explore = 0.3) ?trace ?names n_arms =
+let create ?trace ?names n_arms =
   let names =
     match names with
     | Some l -> Array.of_list l
     | None -> Array.init n_arms (Printf.sprintf "arm%d")
   in
-  { window;
-    explore;
-    history = Queue.create ();
+  { history = Queue.create ();
     use_counts = Array.make n_arms 0;
     total = 0;
     trace;
@@ -47,7 +49,7 @@ let select t rng =
   let value a =
     let uses = float_of_int t.use_counts.(a) in
     if uses = 0.0 then infinity
-    else scores.(a) +. (t.explore *. sqrt (2.0 *. log total /. uses))
+    else scores.(a) +. (explore *. sqrt (2.0 *. log total /. uses))
   in
   let best_v = ref neg_infinity in
   let best = ref [] in
@@ -75,6 +77,6 @@ let select t rng =
 
 let reward t arm improved =
   Queue.add (arm, improved) t.history;
-  if Queue.length t.history > t.window then ignore (Queue.pop t.history)
+  if Queue.length t.history > window then ignore (Queue.pop t.history)
 
 let uses t = Array.copy t.use_counts

@@ -9,14 +9,9 @@ module Rng = S2fa_util.Rng
 type t
 
 val create :
-  ?window:int ->
-  ?explore:float ->
-  ?trace:S2fa_telemetry.Telemetry.t ->
-  ?names:string list ->
-  int ->
-  t
-(** [create n_arms]; [window] is the sliding-history length (default 50),
-    [explore] the exploration coefficient (default 0.3). With [trace],
+  ?trace:S2fa_telemetry.Telemetry.t -> ?names:string list -> int -> t
+(** [create n_arms]: scores over a sliding history of the last 50
+    outcomes, with exploration coefficient 0.3. With [trace],
     every {!select} emits a [bandit_select] event carrying the chosen
     arm, its label from [names] (default ["armN"]) and the AUC scores of
     all arms at selection time; tracing never changes which arm wins. *)

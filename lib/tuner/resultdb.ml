@@ -39,11 +39,11 @@ type snapshot = {
   sn_minutes_saved : float;
 }
 
-let create ?(size = 256) () =
-  { ids = Hashtbl.create size;
+let create () =
+  { ids = Hashtbl.create 256;
     names = [||];
     n_ids = 0;
-    tbl = Hashtbl.create size;
+    tbl = Hashtbl.create 256;
     pending = Hashtbl.create 8;
     hits = 0;
     misses = 0;

@@ -60,8 +60,8 @@ type snapshot = {
           DB-less run would have paid. *)
 }
 
-val create : ?size:int -> unit -> t
-(** Fresh empty database ([size] is the initial hash-table capacity). *)
+val create : unit -> t
+(** Fresh empty database. *)
 
 val length : t -> int
 (** Distinct design points stored. *)

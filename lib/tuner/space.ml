@@ -235,7 +235,8 @@ let random_cfg rng s =
     s.s_legal;
   with_code s b
 
-let mutate rng s cfg ?(rate = 0.25) () =
+let mutate rng s cfg =
+  let rate = 0.25 in
   let code = in_shape "mutate" s cfg in
   let b = Bytes.of_string code in
   let changed = ref false in

@@ -82,12 +82,12 @@ val set : cfg -> string -> value -> cfg
 
 val random_cfg : Rng.t -> space -> cfg
 
-val mutate : Rng.t -> space -> cfg -> ?rate:float -> unit -> cfg
-(** Mutate each parameter independently with probability [rate]
-    (default 0.25) to a uniformly random legal value; guarantees at
-    least one parameter changes. The configuration must have the
-    space's shape, as must those of {!neighbor}, {!changed_params} and
-    {!to_floats} ([Invalid_argument] otherwise). *)
+val mutate : Rng.t -> space -> cfg -> cfg
+(** Mutate each parameter independently with probability 0.25 to a
+    uniformly random legal value; guarantees at least one parameter
+    changes. The configuration must have the space's shape, as must
+    those of {!neighbor}, {!changed_params} and {!to_floats}
+    ([Invalid_argument] otherwise). *)
 
 val neighbor : Rng.t -> space -> cfg -> cfg
 (** Change exactly one parameter to an adjacent legal value (for

@@ -12,10 +12,11 @@ let uniform_greedy_mutation space =
       (fun ~best rng ->
         match best with
         | None -> Space.random_cfg rng space
-        | Some (b, _) -> Space.mutate rng space b ());
+        | Some (b, _) -> Space.mutate rng space b);
     feedback = (fun _ _ -> ()) }
 
-let differential_evolution ?(population = 6) space rng0 =
+let differential_evolution space rng0 =
+  let population = 6 in
   let n = List.length (Space.params space) in
   let pop =
     Array.init population (fun _ ->
@@ -52,7 +53,8 @@ let differential_evolution ?(population = 6) space rng0 =
           let _, cur = pop.(i) in
           if perf < cur then pop.(i) <- (Space.to_floats space cfg, perf)) }
 
-let particle_swarm ?(particles = 6) space rng0 =
+let particle_swarm space rng0 =
+  let particles = 6 in
   let n = List.length (Space.params space) in
   let mk_particle () =
     let x = Space.to_floats space (Space.random_cfg rng0 space) in
@@ -97,9 +99,10 @@ let particle_swarm ?(particles = 6) space rng0 =
           | Some (_, g) when g <= perf -> ()
           | _ -> gbest := Some (x, perf))) }
 
-let simulated_annealing ?(t0 = 1.0) ?(cooling = 0.96) space rng0 =
+let simulated_annealing space rng0 =
+  let cooling = 0.96 in
   let current = ref (Space.random_cfg rng0 space, infinity) in
-  let temp = ref t0 in
+  let temp = ref 1.0 in
   let pending = ref None in
   { name = "SimulatedAnnealing";
     propose =

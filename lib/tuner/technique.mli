@@ -13,13 +13,9 @@ type t = {
       (** Called once per evaluated proposal with its quality. *)
 }
 
-val uniform_greedy_mutation : Space.space -> t
-
-val differential_evolution : ?population:int -> Space.space -> Rng.t -> t
-
-val particle_swarm : ?particles:int -> Space.space -> Rng.t -> t
-
-val simulated_annealing : ?t0:float -> ?cooling:float -> Space.space -> Rng.t -> t
-
 val default_suite : Space.space -> Rng.t -> t list
-(** The four techniques above with default settings. *)
+(** The four techniques, in this order: uniform greedy mutation,
+    differential evolution (population 6), particle swarm (6 particles)
+    and simulated annealing (initial temperature 1, multiplied by 0.96 at
+    each feedback). The last three draw their initial points from their own
+    split of the RNG. *)

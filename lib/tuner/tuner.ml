@@ -57,12 +57,8 @@ type t = {
          the same seed walk identical trajectories. *)
 }
 
-let create ?(seeds = []) ?techniques ?db ?trace space objective rng =
-  let techniques =
-    match techniques with
-    | Some ts -> Array.of_list ts
-    | None -> Array.of_list (Technique.default_suite space rng)
-  in
+let create ?(seeds = []) ?db ?trace space objective rng =
+  let techniques = Array.of_list (Technique.default_suite space rng) in
   { space;
     objective;
     rng;

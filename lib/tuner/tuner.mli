@@ -45,14 +45,15 @@ type t
 
 val create :
   ?seeds:Space.cfg list ->
-  ?techniques:Technique.t list ->
   ?db:Resultdb.t ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   Space.space ->
   objective ->
   Rng.t ->
   t
-(** Each seed joins the space's shape ({!Space.join}, which raises
+(** The tuner proposes through {!Technique.default_suite}, one bandit
+    arm ({!Bandit}) per technique. Each seed joins the space's shape
+    ({!Space.join}, which raises
     [Invalid_argument] for a seed that does not bind exactly the space's
     parameters).
 

@@ -116,8 +116,7 @@ let run_serve ?(faulty = true) sc ~devices apps requests =
     else None
   in
   let opts =
-    { Fleet.default_opts with
-      Fleet.o_devices = devices;
+    { Fleet.o_devices = devices;
       o_policy = sc.sc_policy;
       o_slo = sc.sc_slo }
   in

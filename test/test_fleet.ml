@@ -725,6 +725,61 @@ let test_profiled_spans_inside_root () =
           root.Obs.Profiler.sp_vend)
     spans
 
+(* The profiler's [hls.evals] total over every completed span. *)
+let hls_evals p =
+  List.fold_left
+    (fun n (s : Obs.Profiler.span) ->
+      n
+      + Option.value ~default:0
+          (List.assoc_opt "hls.evals" s.Obs.Profiler.sp_counters))
+    0 (Obs.Profiler.spans p)
+
+(* Sizing a batch and dispatching it read one HLS estimate, the
+   registration's: once per (tenant, batch size), and once more after a
+   promotion re-registers that tenant only. *)
+let test_one_estimate_per_app_and_size () =
+  let apps, requests = Lazy.force scenario in
+  let sink, drain = T.collector () in
+  let trace = T.create ~sinks:[ sink ] () in
+  let p = Obs.Profiler.create () in
+  ignore (Obs.with_profiler p (fun () -> Fleet.serve ~trace apps requests));
+  let sized =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (e : T.event) ->
+           match e.T.e_kind with
+           | T.Serve_batch { app; size; _ } -> Some (app, size)
+           | _ -> None)
+         (drain ()))
+  in
+  Alcotest.(check bool) "several batch sizes" true (List.length sized > 2);
+  Alcotest.(check int) "one estimate per (app, size)" (List.length sized)
+    (hls_evals p);
+  let p = Obs.Profiler.create () in
+  Obs.with_profiler p @@ fun () ->
+  let sim = Fleet.make_sim apps [] in
+  (* One request of [app] arriving now, served to completion: a batch
+     of one. *)
+  let serve_one app id =
+    let r = List.find (fun r -> r.Fleet.rq_app = app) requests in
+    sim.Fleet.s_inject
+      { r with Fleet.rq_id = id; rq_arrival = sim.Fleet.s_now () };
+    while sim.Fleet.s_step () do
+      ()
+    done
+  in
+  serve_one 0 0;
+  serve_one 1 1;
+  Alcotest.(check int) "each tenant's size estimated once" 2 (hls_evals p);
+  sim.Fleet.s_update_app 0 apps.(0);
+  serve_one 1 2;
+  Alcotest.(check int) "the other tenant's estimate is kept" 2 (hls_evals p);
+  serve_one 0 3;
+  Alcotest.(check int) "the promoted tenant's is made once more" 3
+    (hls_evals p);
+  Alcotest.(check int) "four requests accelerated" 4
+    (sim.Fleet.s_finish ()).Fleet.oc_report.Fleet.rp_accelerated
+
 let () =
   Alcotest.run "fleet"
     [ ( "differential",
@@ -760,7 +815,9 @@ let () =
           Alcotest.test_case "zero traffic is a no-op" `Quick
             test_zero_traffic_noop;
           Alcotest.test_case "profiled spans inside the serve root" `Quick
-            test_profiled_spans_inside_root ] );
+            test_profiled_spans_inside_root;
+          Alcotest.test_case "one estimate per app and batch size" `Quick
+            test_one_estimate_per_app_and_size ] );
       ( "policies",
         [ Alcotest.test_case "same result multiset" `Quick
             test_policies_same_result_multiset;

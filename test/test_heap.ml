@@ -177,8 +177,7 @@ let serve_capture ?fspec ?(devices = 2) ?(policy = Fleet.Fcfs)
   let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
   let faults = Option.map (fun spec -> Fault.create ~seed:5 spec) fspec in
   let opts =
-    { Fleet.default_opts with
-      Fleet.o_devices = devices;
+    { Fleet.o_devices = devices;
       o_policy = policy;
       o_slo = slo }
   in

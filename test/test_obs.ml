@@ -3,8 +3,7 @@
      - spans nest, close on exceptions, and attribute counters to the
        innermost open span;
      - the serialized span log is byte-reproducible: identical across
-       repeated runs of the same seeded pipeline and across profiler
-       pool sizes;
+       repeated runs of the same seeded pipeline;
      - profiling has zero observer effect — the instrumented DSE
        produces bit-identical results with and without a profiler;
      - the folded-stack encoding falls back to span counts when the
@@ -140,10 +139,10 @@ let kmeans =
      ignore (Lazy.force c.S2fa.c_analysis);
      (w, c))
 
-let run_profiled_dse ?size () =
+let run_profiled_dse () =
   let w, c = Lazy.force kmeans in
   let opts = { Driver.default_s2fa_opts with Driver.so_time_limit = 30.0 } in
-  let p = Obs.Profiler.create ?size () in
+  let p = Obs.Profiler.create () in
   let result =
     Obs.with_profiler p (fun () ->
         S2fa.explore ~opts ~tasks:w.W.w_tasks c (Rng.create 7))
@@ -166,20 +165,6 @@ let test_span_log_reproducible () =
   let b = serialize (Obs.Profiler.spans p2) in
   Alcotest.(check bool) "log non-empty" true (String.length a > 0);
   Alcotest.(check string) "byte-identical across runs" a b
-
-let test_span_log_pool_size_independent () =
-  let logs =
-    List.map
-      (fun size ->
-        let _, p = run_profiled_dse ~size () in
-        serialize (Obs.Profiler.spans p))
-      [ 1; 16; 1024 ]
-  in
-  match logs with
-  | [ a; b; c ] ->
-    Alcotest.(check string) "size 1 = size 16" a b;
-    Alcotest.(check string) "size 16 = size 1024" b c
-  | _ -> assert false
 
 let test_zero_observer_effect () =
   let w, c = Lazy.force kmeans in
@@ -303,8 +288,6 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "span log byte-reproducible" `Quick
             test_span_log_reproducible;
-          Alcotest.test_case "pool-size independent" `Quick
-            test_span_log_pool_size_independent;
           Alcotest.test_case "zero observer effect" `Quick
             test_zero_observer_effect ] );
       ( "serialization",

@@ -46,7 +46,7 @@ let test_mutate_changes_something () =
   let rng = Rng.create 2 in
   let cfg = Space.random_cfg rng demo_space in
   for _ = 1 to 100 do
-    let cfg' = Space.mutate rng demo_space cfg () in
+    let cfg' = Space.mutate rng demo_space cfg in
     Alcotest.(check bool) "differs" true (Space.key cfg <> Space.key cfg')
   done
 
@@ -244,7 +244,7 @@ let prop_mutation_legal =
     (fun seed ->
       let rng = Rng.create seed in
       let cfg = Space.random_cfg rng demo_space in
-      legal (Space.mutate rng demo_space cfg ()))
+      legal (Space.mutate rng demo_space cfg))
 
 (* The definitions [Space.key] and [Space.normalize] had before they
    stopped going through Printf and polymorphic compare, as oracles of
@@ -311,7 +311,8 @@ module Frozen = struct
   let random_cfg rng space =
     normalize (List.map (fun p -> (param_name p, random_value rng p)) space)
 
-  let mutate rng space cfg ?(rate = 0.25) () =
+  let mutate rng space cfg =
+    let rate = 0.25 in
     let changed = ref false in
     let out =
       List.map
@@ -551,15 +552,10 @@ let prop_space_matches_frozen =
       List.iter
         (fun (o, n) ->
           for _ = 1 to 3 do
-            let rate = Rng.float gen 1.0 in
-            ignore
-              (drawn
-                 (fun r -> Frozen.mutate r sub_params o ~rate ())
-                 (fun r -> Space.mutate r sub n ~rate ()));
             let o', n' =
               drawn
-                (fun r -> Frozen.mutate r sub_params o ())
-                (fun r -> Space.mutate r sub n ())
+                (fun r -> Frozen.mutate r sub_params o)
+                (fun r -> Space.mutate r sub n)
             in
             ok :=
               !ok && Frozen.changed_params o' o = Space.changed_params n' n;
